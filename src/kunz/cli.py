@@ -313,8 +313,7 @@ def _fail(err: KunzError, json_path: str | None) -> None:
 
 def _execute(command: str, input_path: str, emax: int | None,
              json_path: str | None, csv_path: str | None,
-             budget_pairs: int | None, precision: int | None,
-             threads: int | None) -> None:
+             budget_pairs: int | None, precision: int | None) -> None:
     timings: dict[str, float] = {}
     started = time.perf_counter()
     try:
@@ -324,12 +323,8 @@ def _execute(command: str, input_path: str, emax: int | None,
         except OSError as exc:
             raise ParseError(f"cannot read input file: {exc}") from exc
         job = parse_job(text, command=command, e_max=emax,
-                        budget_pairs=budget_pairs, precision=precision,
-                        threads=threads)
+                        budget_pairs=budget_pairs, precision=precision)
         timings["parse"] = time.perf_counter() - started
-        if job.threads != 1:
-            raise PreconditionError(
-                "this build runs single-threaded; use one process per job")
         compute_start = time.perf_counter()
         payload = _RUNNERS[command](job)
         timings[command] = time.perf_counter() - compute_start
@@ -361,8 +356,6 @@ def _shared_options(func):
                      help="Cap on critical pairs per basis computation."),
         click.option("--precision", type=int, default=None,
                      help="Series truncation order for curve commands."),
-        click.option("--threads", type=int, default=None,
-                     help="Worker count; this build accepts only 1."),
     ]
     for decorator in reversed(decorators):
         func = decorator(func)
@@ -382,9 +375,9 @@ def _register(name: str, help_text: str) -> None:
     @main.command(name=name, help=help_text)
     @_shared_options
     def _command(input_path, emax, json_path, csv_path, budget_pairs,
-                 precision, threads):
+                 precision):
         _execute(name, input_path, emax, json_path, csv_path, budget_pairs,
-                 precision, threads)
+                 precision)
 
 
 _register("hk", "Normalized Frobenius colengths of a local ring.")

@@ -101,7 +101,7 @@ class _Pair:
         self.lcm = lcm
 
 
-def _update(basis, pairs, h, kind, block, seq_counter):
+def _update(basis, pairs, h, key, seq_counter):
     """Gebauer-Moeller update: fold a new monic term list into basis and pairs.
 
     Follows the textbook three-filter formulation: among the candidate pairs
@@ -134,8 +134,7 @@ def _update(basis, pairs, h, kind, block, seq_counter):
         if _coprime(lm_h, g[0][1]):
             continue
         seq_counter[0] += 1
-        new_pairs.append(_Pair(kernel.make_key(lcm_hg, kind, block),
-                               seq_counter[0], h, g, lcm_hg))
+        new_pairs.append(_Pair(key(lcm_hg), seq_counter[0], h, g, lcm_hg))
     surviving = []
     for pair in pairs:
         lcm_fg = pair.lcm
@@ -168,7 +167,7 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
     if order is None:
         order = ring.default_order()
     track = _tracker(budget, tracker)
-    kind, block = kernel.order_code(order)
+    key = order.key
 
     inputs = [f for f in generators if not f.is_zero()]
     if not inputs:
@@ -179,11 +178,11 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
     for f in inputs:
         track.observe_degree(f.total_degree())
         terms = kernel.make_monic(kernel.to_terms(f, order), ring.p)
-        reduced, max_deg, _ = kernel.reduce_full(terms, basis, ring.p, kind, block)
+        reduced, max_deg, _ = kernel.reduce_full(terms, basis, ring.p, key)
         track.observe_degree(max_deg)
         if reduced:
             basis, pairs = _update(basis, pairs, kernel.make_monic(reduced, ring.p),
-                                   kind, block, seq_counter)
+                                   key, seq_counter)
 
     while pairs:
         best = 0
@@ -193,17 +192,17 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
         pair = pairs.pop(best)
         track.charge_pair()
         track.observe_degree(sum(pair.lcm))
-        spair = kernel.s_poly(pair.f, pair.g, ring.p, kind, block)
-        reduced, max_deg, _ = kernel.reduce_full(spair, basis, ring.p, kind, block)
+        spair = kernel.s_poly(pair.f, pair.g, ring.p, key)
+        reduced, max_deg, _ = kernel.reduce_full(spair, basis, ring.p, key)
         track.observe_degree(max_deg)
         if reduced:
             basis, pairs = _update(basis, pairs, kernel.make_monic(reduced, ring.p),
-                                   kind, block, seq_counter)
+                                   key, seq_counter)
 
-    return _reduce_basis(basis, ring, kind, block, order)
+    return _reduce_basis(basis, ring, key)
 
 
-def _reduce_basis(basis, ring, kind, block, order) -> list[Polynomial]:
+def _reduce_basis(basis, ring, key) -> list[Polynomial]:
     """Minimalize leading monomials, then tail-reduce each member."""
     minimal = []
     for i, g in enumerate(basis):
@@ -222,7 +221,7 @@ def _reduce_basis(basis, ring, kind, block, order) -> list[Polynomial]:
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        nf, _, _ = kernel.reduce_full(g, others, ring.p, kind, block)
+        nf, _, _ = kernel.reduce_full(g, others, ring.p, key)
         reduced.append(kernel.make_monic(nf, ring.p))
     reduced.sort(key=lambda g: g[0][0], reverse=True)
     return [kernel.from_terms(g, ring) for g in reduced]
@@ -237,11 +236,10 @@ def normal_form(f: Polynomial, basis: list[Polynomial],
     if order is None:
         order = ring.default_order()
     track = _tracker(budget, tracker)
-    kind, block = kernel.order_code(order)
     reducers = [kernel.make_monic(kernel.to_terms(g, order), ring.p)
                 for g in basis if not g.is_zero()]
     terms = kernel.to_terms(f, order)
-    nf, max_deg, _ = kernel.reduce_full(terms, reducers, ring.p, kind, block)
+    nf, max_deg, _ = kernel.reduce_full(terms, reducers, ring.p, order.key)
     track.observe_degree(max_deg)
     return kernel.from_terms(nf, ring)
 

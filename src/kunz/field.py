@@ -1,9 +1,8 @@
 """Exact arithmetic in the prime field F_p for a runtime-chosen prime p.
 
 The prime is a runtime value so one process can sweep several primes.
-Coefficients are stored as plain ints in [0, p); FieldElement is the thin
-typed wrapper used at API boundaries (points, parsed coefficients), while the
-hot loops in the ideal engine work on raw ints against a FieldConfig.
+Coefficients are plain ints in [0, p) everywhere, reduced against the
+FieldConfig that carries p.
 """
 
 from __future__ import annotations
@@ -71,9 +70,6 @@ class FieldConfig:
             raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
         return pow(value, -1, self.p)
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(value % self.p, self)
-
     def __repr__(self) -> str:
         return f"FieldConfig(p={self.p})"
 
@@ -81,8 +77,10 @@ class FieldConfig:
 def frobenius_exponent(p: int, e: int) -> int:
     """Return q = p^e, refusing results that do not fit in 63 bits.
 
-    Downstream monomial exponents scale with q, and the 63-bit cap keeps
-    every exponent inside a machine word on the compiled backend.
+    Downstream monomial exponents scale with q, so an oversized q is
+    refused here with a CapacityError (exit code 5) before any computation
+    starts. Polynomial exponents have their own, lower cap
+    (poly.MAX_EXPONENT).
     """
     if e < 0:
         raise PreconditionError(f"Frobenius exponent must be non-negative, got {e}")
@@ -91,48 +89,3 @@ def frobenius_exponent(p: int, e: int) -> int:
         raise CapacityError(
             f"p^e = {p}^{e} exceeds the {EXPONENT_CAPACITY_BITS}-bit capacity")
     return q
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A fully reduced element of F_p."""
-
-    value: int
-    field: FieldConfig
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.field.p:
-            object.__setattr__(self, "value", self.value % self.field.p)
-
-    def _check(self, other: FieldElement) -> None:
-        if self.field.p != other.field.p:
-            raise PreconditionError(
-                f"mixed characteristics {self.field.p} and {other.field.p}")
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement((self.value + other.value) % self.field.p, self.field)
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement((self.value - other.value) % self.field.p, self.field)
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return FieldElement(self.value * other.value % self.field.p, self.field)
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(-self.value % self.field.p, self.field)
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field.inverse(self.value), self.field)
-
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return self * other.inverse()
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"

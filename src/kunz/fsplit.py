@@ -23,7 +23,7 @@ from fractions import Fraction
 from .engine import Budget, Ideal, maximal_ideal
 from .errors import PreconditionError
 from .field import frobenius_exponent
-from .hk import RationalInterval, describe_presentation, empirical_gap_constant
+from .hk import RationalInterval, describe_presentation, tail_interval
 from .localring import LocalRingPresentation
 from .poly import Polynomial
 
@@ -149,11 +149,7 @@ def fsplit_report(presentation: LocalRingPresentation, e_max: int,
     p = presentation.p
     samples = tuple(splitting_number(presentation, e, budget)
                     for e in range(1, e_max + 1))
-    values = [(s.e, s.s) for s in samples]
-    c = empirical_gap_constant(p, values)
-    last = samples[-1]
-    radius = c * Fraction(1, p**last.e) / (1 - Fraction(1, p))
-    interval = RationalInterval(last.s - radius, last.s + radius)
+    c, interval = tail_interval(p, [(s.e, s.s) for s in samples])
     return FSplitReport(
         presentation_id=describe_presentation(presentation),
         p=p,

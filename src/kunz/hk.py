@@ -38,9 +38,6 @@ class RationalInterval:
     def contains(self, value: Fraction) -> bool:
         return self.low <= value <= self.high
 
-    def contains_interval(self, other: RationalInterval) -> bool:
-        return self.low <= other.low and other.high <= self.high
-
     @property
     def width(self) -> Fraction:
         return self.high - self.low
@@ -78,6 +75,16 @@ def empirical_gap_constant(p: int, values: list[tuple[int, Fraction]]) -> Fracti
     return best
 
 
+def tail_interval(p: int, values: list[tuple[int, Fraction]]
+                  ) -> tuple[Fraction, RationalInterval]:
+    """Gap constant C of sampled (e, value) pairs, and the interval
+    v_E -+ C * p^-E / (1 - 1/p) around the last sampled value v_E."""
+    c = empirical_gap_constant(p, values)
+    e, last = values[-1]
+    radius = c * Fraction(1, p**e) / (1 - Fraction(1, p))
+    return c, RationalInterval(last - radius, last + radius)
+
+
 def hk_sequence(presentation: LocalRingPresentation, e_max: int,
                 budget: Budget | None = None) -> HKReport:
     """lambda_1..lambda_{e_max} with the empirical tail interval.
@@ -99,11 +106,8 @@ def hk_sequence(presentation: LocalRingPresentation, e_max: int,
             truncated = True
             break
     lambdas = [(s.e, s.normalized) for s in samples]
-    c = empirical_gap_constant(p, lambdas)
-    last = samples[-1]
-    radius = c * Fraction(1, p**last.e) / (1 - Fraction(1, p))
-    interval = RationalInterval(last.normalized - radius, last.normalized + radius)
-    stabilization = last.e
+    c, interval = tail_interval(p, lambdas)
+    stabilization = samples[-1].e
     for e, value in reversed(lambdas):
         if interval.contains(value):
             stabilization = e

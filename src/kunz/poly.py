@@ -6,7 +6,9 @@ per order, so leading-term extraction is O(1) after the first query under
 that order (Buchberger reduction asks for it constantly).
 
 Monomial orders are realized as key functions mapping an exponent vector to
-an integer tuple compared lexicographically:
+an integer tuple compared lexicographically. MonomialOrder.key is the only
+place these layouts are written; the reduction kernel and ordered_terms
+both call it:
 
 * grevlex: (total degree, e_1+...+e_{n-1}, ..., e_1). Comparing these
   tuples reproduces "higher total degree wins, ties broken by the last
@@ -31,10 +33,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import CapacityError, ParseError, PreconditionError
-from .field import FieldConfig, FieldElement
+from .field import FieldConfig
 
 # Monomial exponents (and total degrees) are capped so products can never
 # silently wrap; 2^40 leaves ample room above the default degree budget.
@@ -51,59 +53,36 @@ def _check_exponent(e: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """An exponent vector with checked arithmetic."""
-
-    exps: Exps
-
-    def __post_init__(self) -> None:
-        total = 0
-        for e in self.exps:
-            total += _check_exponent(e)
-        if total > MAX_EXPONENT:
-            raise CapacityError(f"total degree {total} exceeds the 2^40 capacity")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        if len(self.exps) != len(other.exps):
-            raise PreconditionError("monomials from different variable counts")
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def divides(self, other: Monomial) -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def __truediv__(self, other: Monomial) -> Monomial:
-        if not other.divides(self):
-            raise PreconditionError(f"{other} does not divide {self}")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
-
-    def lcm(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
-
 GREVLEX = "grevlex"
 LEX = "lex"
 ELIMINATION = "elimination"
 
 
 def _grevlex_key(exps: Exps) -> tuple[int, ...]:
-    key = [sum(exps)]
-    acc = 0
+    total = 0
     prefix = []
-    for e in exps[:-1]:
-        acc += e
-        prefix.append(acc)
-    key.extend(reversed(prefix))
-    return tuple(key)
+    for e in exps:
+        total += e
+        prefix.append(total)
+    if prefix:
+        prefix.pop()
+    prefix.reverse()
+    return (total, *prefix)
+
+
+def _elimination_key(block: int) -> Callable[[Exps], tuple[int, ...]]:
+    def key(exps: Exps) -> tuple[int, ...]:
+        return _grevlex_key(exps[:block]) + _grevlex_key(exps[block:])
+    return key
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A multiplicative well-order on monomials of a fixed variable count."""
+    """A multiplicative well-order on monomials of a fixed variable count.
+
+    ``key`` is the order's key function: a > b in the order exactly when
+    key(a) > key(b) as tuples.
+    """
 
     kind: str
     block: int | None = None
@@ -116,28 +95,16 @@ class MonomialOrder:
                 raise PreconditionError("elimination order needs a block size >= 1")
         elif self.block is not None:
             raise PreconditionError(f"{self.kind} takes no block size")
-
-    def key(self, exps: Exps) -> tuple[int, ...]:
         if self.kind == GREVLEX:
-            return _grevlex_key(exps)
-        if self.kind == LEX:
-            return exps
-        k = self.block
-        return _grevlex_key(exps[:k]) + _grevlex_key(exps[k:])
+            key = _grevlex_key
+        elif self.kind == LEX:
+            key = tuple  # exponent vectors are tuples, so this is the identity
+        else:
+            key = _elimination_key(self.block)
+        object.__setattr__(self, "key", key)
 
     def signature(self) -> tuple:
         return (self.kind, self.block)
-
-
-def compare_monomials(a: Monomial | Exps, b: Monomial | Exps,
-                      order: MonomialOrder) -> int:
-    """Return -1, 0 or 1 as a <, =, > b under the order."""
-    ea = a.exps if isinstance(a, Monomial) else a
-    eb = b.exps if isinstance(b, Monomial) else b
-    if len(ea) != len(eb):
-        raise PreconditionError("cannot compare monomials of different lengths")
-    ka, kb = order.key(ea), order.key(eb)
-    return (ka > kb) - (ka < kb)
 
 
 @dataclass(frozen=True)
@@ -247,8 +214,9 @@ class Polynomial:
         sig = order.signature()
         cached = self._ordered.get(sig)
         if cached is None:
+            key = order.key
             cached = tuple(sorted(self.terms.items(),
-                                  key=lambda t: order.key(t[0]), reverse=True))
+                                  key=lambda t: key(t[0]), reverse=True))
             self._ordered[sig] = cached
         return cached
 
@@ -256,9 +224,6 @@ class Polynomial:
         if not self.terms:
             raise PreconditionError("the zero polynomial has no leading term")
         return self.ordered_terms(order)[0]
-
-    def leading_monomial(self, order: MonomialOrder) -> Monomial:
-        return Monomial(self.leading_term(order)[0])
 
     def coefficient(self, exps: Exps) -> int:
         return self.terms.get(tuple(exps), 0)
@@ -325,17 +290,6 @@ class Polynomial:
             return self.ring.zero()
         p = self.ring.p
         return Polynomial(self.ring, {e: k * c % p for e, k in self.terms.items()})
-
-    def mul_monomial(self, exps: Exps, coeff: int = 1) -> Polynomial:
-        p = self.ring.p
-        coeff %= p
-        if coeff == 0:
-            return self.ring.zero()
-        out = {tuple(a + b for a, b in zip(e, exps)): c * coeff % p
-               for e, c in self.terms.items()}
-        poly = Polynomial(self.ring, out)
-        poly._check_capacity()
-        return poly
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
@@ -576,12 +530,3 @@ class _Parser:
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     """Parse an expression into a canonical Polynomial. See module grammar."""
     return _Parser(text, ring).parse()
-
-
-def parse_polynomials(texts: Iterable[str], ring: PolyRing) -> list[Polynomial]:
-    return [parse_polynomial(t, ring) for t in texts]
-
-
-def coefficient_element(f: Polynomial, exps: Exps) -> FieldElement:
-    """Coefficient of a monomial as a typed field element."""
-    return f.ring.field.element(f.coefficient(exps))

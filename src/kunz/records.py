@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import PreconditionError
-from .kernel import BACKEND
 from .textio import JobSpec, render_job
 
 SCHEMA_VERSION = 1
@@ -71,7 +70,6 @@ class RunRecord:
         return {
             "schema_version": SCHEMA_VERSION,
             "version": __version__,
-            "backend": BACKEND,
             "job": {"command": self.job.command, "text": job_text},
             "payload": payload,
             "content_hash": content_hash(job_text, payload),

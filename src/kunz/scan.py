@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .engine import Budget, Ideal
 from .errors import PreconditionError
@@ -106,11 +107,21 @@ def enumerate_points(ring: PolyRing, generators: list[Polynomial]) -> list[Point
     return points
 
 
+class _WitnessContext(NamedTuple):
+    """A validated witness: the ideals and parameters translated to it."""
+
+    base_ideal: Ideal
+    sub_ideal: Ideal
+    params: list[Polynomial]
+    height: int
+    h: int
+
+
 def _generic_context(ring: PolyRing, ideal_generators: list[Polynomial],
                      subvariety_generators: list[Polynomial],
                      witness: Point, parameters: list[Polynomial],
-                     budget: Budget | None):
-    """Validate a witness and return (translated ideals, height, h, d)."""
+                     budget: Budget | None) -> _WitnessContext:
+    """Validate a witness and translate everything to it."""
     sub_shifted = translate_to_origin(subvariety_generators, witness)
     ideal_shifted = translate_to_origin(ideal_generators, witness)
     # One declared lift serves every witness: re-center it so the regular
@@ -149,7 +160,19 @@ def _generic_context(ring: PolyRing, ideal_generators: list[Polynomial],
         raise PreconditionError(
             f"height additivity fails at {witness}: the ring has dimension "
             f"{d} but the subvariety has dimension {h}")
-    return base_ideal, sub_ideal, params_shifted, height, h, d
+    return _WitnessContext(base_ideal, sub_ideal, params_shifted, height, h)
+
+
+def _factorized_value(context: _WitnessContext, e: int,
+                      budget: Budget | None) -> Fraction:
+    """lambda_e through the length factorization at a validated witness."""
+    base_ideal, sub_ideal, params, height, h = context
+    q = frobenius_exponent(base_ideal.ring.p, e)
+    total = base_ideal.sum_with(sub_ideal.bracket_power(q))
+    if params:
+        total = total.sum_with(Ideal(base_ideal.ring, params).bracket_power(q))
+    colength = total.colength(budget)
+    return Fraction(colength, q ** (height + h))
 
 
 def generic_value(ring: PolyRing, ideal_generators: list[Polynomial],
@@ -158,15 +181,9 @@ def generic_value(ring: PolyRing, ideal_generators: list[Polynomial],
                   budget: Budget | None = None) -> Fraction:
     """lambda_e at the generic point of the subvariety, computed at a
     smooth witness through the length factorization."""
-    base_ideal, sub_ideal, params, height, h, d = _generic_context(
-        ring, ideal_generators, subvariety_generators, witness, parameters,
-        budget)
-    q = frobenius_exponent(ring.p, e)
-    total = base_ideal.sum_with(sub_ideal.bracket_power(q))
-    if params:
-        total = total.sum_with(Ideal(ring, params).bracket_power(q))
-    colength = total.colength(budget)
-    return Fraction(colength, q ** (height + h))
+    context = _generic_context(ring, ideal_generators, subvariety_generators,
+                               witness, parameters, budget)
+    return _factorized_value(context, e, budget)
 
 
 def scan_points(p: int, variables: tuple[str, ...],
@@ -206,14 +223,13 @@ def scan_points(p: int, variables: tuple[str, ...],
         witness_values = []
         height = None
         for witness in sub.witnesses:
-            values = tuple(
-                generic_value(ring, gens, sub_gens, tuple(witness), params,
-                              e, budget) for e in e_values)
+            context = _generic_context(ring, gens, sub_gens, tuple(witness),
+                                       params, budget)
+            values = tuple(_factorized_value(context, e, budget)
+                           for e in e_values)
             witness_values.append(WitnessValues(tuple(witness), values))
             if height is None:
-                *_, ht, h, _d = _generic_context(
-                    ring, gens, sub_gens, tuple(witness), params, budget)
-                height = ht
+                height = context.height
         agreement = len({wv.values for wv in witness_values}) == 1
         sub_records.append(SubvarietyRecord(
             tuple(sub.generators), height, len(sub.parameters),

@@ -12,7 +12,7 @@ Example ring block:
 Statement keys by command:
 
     all        command (optional), p, emax, ecap, precision, seed, mu,
-               budget_pairs, threads
+               budget_pairs
     hk/fsig    vars, ideal, point (defaults to the origin)
     fedder     vars, ideal, element (optional c for the purity exponent)
     tame       branch (one per branch, semigroup generators),
@@ -141,7 +141,6 @@ class JobSpec:
     seed: int = 0
     mu: int = 1
     budget_pairs: int | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -186,7 +185,6 @@ def parse_job(text: str, command: str | None = None, **overrides) -> JobSpec:
         "point": None, "points": None, "inner": None, "socle": str,
         "element": str, "m": int, "Delta": int, "emax": int, "ecap": int,
         "precision": int, "seed": int, "mu": int, "budget_pairs": int,
-        "threads": int,
     }
     for key in seen:
         if key not in known:
@@ -244,7 +242,6 @@ def parse_job(text: str, command: str | None = None, **overrides) -> JobSpec:
         mu=_int(seen.get("mu", "1"), "mu"),
         budget_pairs=(_int(seen["budget_pairs"], "budget_pairs")
                       if "budget_pairs" in seen else None),
-        threads=_int(seen.get("threads", "1"), "threads"),
     )
     for key, value in overrides.items():
         if value is not None:
@@ -313,6 +310,4 @@ def render_job(job: JobSpec) -> str:
         lines.append(f"mu = {job.mu};")
     if job.budget_pairs is not None:
         lines.append(f"budget_pairs = {job.budget_pairs};")
-    if job.threads != 1:
-        lines.append(f"threads = {job.threads};")
     return "\n".join(lines) + "\n"

@@ -103,3 +103,30 @@ def semigroup_conductor_brute(generators: tuple[int, ...]) -> int:
     while conductor > 0 and conductor - 1 in members:
         conductor -= 1
     return conductor
+
+
+def grevlex_greater(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """a > b in grevlex: higher total degree wins; on equal degree, a > b
+    when the last nonzero entry of a - b is negative."""
+    if sum(a) != sum(b):
+        return sum(a) > sum(b)
+    for x, y in reversed(list(zip(a, b))):
+        if x != y:
+            return x < y
+    return False
+
+
+def lex_greater(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """a > b in lex: the first nonzero entry of a - b is positive."""
+    for x, y in zip(a, b):
+        if x != y:
+            return x > y
+    return False
+
+
+def elimination_greater(a: tuple[int, ...], b: tuple[int, ...], k: int) -> bool:
+    """a > b in the elimination order for the first k variables: grevlex on
+    the first block, ties broken by grevlex on the rest."""
+    if a[:k] != b[:k]:
+        return grevlex_greater(a[:k], b[:k])
+    return grevlex_greater(a[k:], b[k:])

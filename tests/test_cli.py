@@ -127,13 +127,6 @@ def test_missing_file_exits_2(runner, tmp_path):
     assert parse_output(result)["error"]["type"] == "ParseError"
 
 
-def test_thread_requests_exit_3(runner, tmp_path):
-    job = write(tmp_path, "cone.job", CONE)
-    result = invoke(runner, ["hk", "--input", job, "--threads", "2"])
-    assert result.exit_code == 3
-    assert parse_output(result)["error"]["type"] == "PreconditionError"
-
-
 def test_budget_exhaustion_exits_4(runner, tmp_path):
     job = write(tmp_path, "cone.job", CONE)
     result = invoke(runner, ["hk", "--input", job, "--emax", "2",

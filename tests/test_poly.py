@@ -1,10 +1,15 @@
+from functools import cmp_to_key, partial
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
 from kunz.errors import CapacityError, ParseError
 from kunz.field import FieldConfig
-from kunz.poly import MAX_EXPONENT, PolyRing
+from kunz.kernel import from_terms, to_terms
+from kunz.poly import (ELIMINATION, GREVLEX, LEX, MAX_EXPONENT, MonomialOrder,
+                       PolyRing)
+from oracles import elimination_greater, grevlex_greater, lex_greater
 
 primes = st.sampled_from([2, 3, 5, 7])
 
@@ -128,3 +133,36 @@ def test_total_degree():
     ring = PolyRing(FieldConfig(5), ("x", "y"))
     assert ring.parse("x^3*y + y^2").total_degree() == 4
     assert ring.zero().total_degree() == -1
+
+
+@st.composite
+def order_and_exponents(draw):
+    nvars = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([GREVLEX, LEX, ELIMINATION]))
+    if kind == ELIMINATION:
+        k = draw(st.integers(1, nvars))
+        order = MonomialOrder(kind, k)
+        greater = partial(elimination_greater, k=k)
+    else:
+        order = MonomialOrder(kind)
+        greater = grevlex_greater if kind == GREVLEX else lex_greater
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars),
+                            min_size=1, max_size=12, unique=True))
+    return order, greater, vectors
+
+
+@given(order_and_exponents(), primes)
+def test_order_keys_match_the_textbook_orders(data, p):
+    order, greater, vectors = data
+    by_oracle = sorted(vectors, key=cmp_to_key(
+        lambda a, b: greater(a, b) - greater(b, a)), reverse=True)
+    assert sorted(vectors, key=order.key, reverse=True) == by_oracle
+
+    ring = PolyRing(FieldConfig(p), tuple("xyzw"[:len(vectors[0])]))
+    f = ring.zero()
+    for i, exps in enumerate(vectors):
+        f = f + ring.monomial(exps, 1 + i % (p - 1))
+    terms = to_terms(f, order)
+    assert [e for _, e, _ in terms] == by_oracle
+    assert all(a[0] > b[0] for a, b in zip(terms, terms[1:]))
+    assert from_terms(terms, ring) == f

@@ -33,7 +33,7 @@ def test_minimal_job_parses_with_defaults():
     assert job.variables == ("x", "y")
     assert job.ideal == ("x*y",)
     assert job.e_max is None
-    assert job.seed == 0 and job.mu == 1 and job.threads == 1
+    assert job.seed == 0 and job.mu == 1
 
 
 def test_round_trip_is_the_identity():
