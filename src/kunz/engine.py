@@ -28,7 +28,12 @@ DEFAULT_DEADLINE_SECONDS = 600.0
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource ceilings shared by every operation in one computation."""
+    """Ceilings on pairs, degree and wall time.
+
+    Each `groebner`, `colength` or `normal_form` call given no explicit
+    tracker starts its own BudgetTracker, with its own pair count and
+    deadline, so the ceilings bound each such call, not a whole job.
+    """
 
     max_pairs: int = DEFAULT_MAX_PAIRS
     max_degree: int = DEFAULT_MAX_DEGREE
@@ -298,12 +303,6 @@ class Ideal:
             cached = groebner(list(self.generators), order, budget, tracker)
             self._bases[sig] = cached
         return cached
-
-    def _with_basis(self, basis: list[Polynomial],
-                    order: MonomialOrder) -> Ideal:
-        ideal = Ideal(self.ring, basis)
-        ideal._bases[order.signature()] = basis
-        return ideal
 
     def normal_form(self, f: Polynomial, order: MonomialOrder | None = None,
                     budget: Budget | None = None,

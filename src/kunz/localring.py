@@ -55,7 +55,7 @@ class FrobeniusSample:
 class LocalRingPresentation:
     """A = (S/I) localized at the origin, with cached invariants."""
 
-    __slots__ = ("ring", "ideal", "_dimension", "_samples")
+    __slots__ = ("ring", "ideal", "twist_colons", "_dimension", "_samples")
 
     def __init__(self, ring: PolyRing, ideal: Ideal) -> None:
         if ideal.ring != ring:
@@ -66,6 +66,8 @@ class LocalRingPresentation:
                     f"generator {g} does not vanish at the origin")
         self.ring = ring
         self.ideal = ideal
+        # e -> (I^[p^e] : I), filled by fsplit.twist_colon_ideal
+        self.twist_colons: dict[int, Ideal] = {}
         self._dimension: int | None = None
         self._samples: dict[int, FrobeniusSample] = {}
 
@@ -77,11 +79,6 @@ class LocalRingPresentation:
         gens = [ring.parse(t) for t in generator_texts]
         if point is not None:
             gens = translate_to_origin(gens, point)
-        else:
-            for g in gens:
-                if g.constant_coefficient() != 0:
-                    raise PreconditionError(
-                        f"generator {g} does not vanish at the origin")
         return cls(ring, Ideal(ring, gens))
 
     @classmethod

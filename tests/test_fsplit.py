@@ -1,16 +1,89 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
+from kunz.engine import Ideal, maximal_ideal
 from kunz.errors import PreconditionError
+from kunz.field import FieldConfig
 from kunz.fsplit import (fedder_test, fpurity_exponent, fsplit_report,
                          splitting_number)
 from kunz.localring import LocalRingPresentation
+from kunz.poly import PolyRing
 from oracles import node_splitting
 
 
-def present(p, variables, gens):
-    return LocalRingPresentation.from_texts(p, variables, gens)
+def present(p, variables, gens, point=None):
+    return LocalRingPresentation.from_texts(p, variables, gens, point)
+
+
+def two_colon_colength(presentation, e):
+    """colength((m^[q] : (I^[q] : I)) + I), the splitting ideal route.
+
+    This is the definition the duality route in `splitting_number` replaces;
+    it takes two colons and a sum with I.
+    """
+    q = presentation.p ** e
+    ideal = presentation.ideal
+    twist = ideal.bracket_power(q).colon(ideal)
+    m_bracket = maximal_ideal(presentation.ring).bracket_power(q)
+    return m_bracket.colon(twist).sum_with(ideal).colength()
+
+
+DUALITY_RINGS = {
+    "regular": (3, ["x", "y"], [], None),
+    "node": (3, ["x", "y"], ["x*y"], None),
+    "cusp": (5, ["x", "y"], ["y^2 - x^3"], None),
+    "cusp_at_1_1": (5, ["x", "y"], ["y^2 - x^3"], (1, 1)),
+    "double_line": (2, ["x", "y"], ["x^2"], None),
+    "cone": (5, ["x", "y", "z"], ["x*y - z^2"], None),
+    "quadric": (3, ["x", "y", "z", "w"], ["x*y - z*w"], None),
+    "complete_intersection": (3, ["x", "y", "z", "w"],
+                              ["x*y - z^2", "z*w - x^2"], None),
+    "twisted_cubic": (3, ["x", "y", "z", "w"],
+                      ["x*z - y^2", "x*w - y*z", "y*w - z^2"], None),
+    "coordinate_axes": (3, ["x", "y", "z"], ["x*y", "x*z", "y*z"], None),
+}
+
+
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("name", sorted(DUALITY_RINGS))
+def test_duality_route_matches_the_two_colon_route(name, e):
+    pres = present(*DUALITY_RINGS[name])
+    assert splitting_number(pres, e).colength == two_colon_colength(pres, e)
+
+
+@st.composite
+def principal_ideal(draw):
+    p = draw(st.sampled_from([2, 3]))
+    ring = PolyRing(FieldConfig(p), ("x", "y"))
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+        st.integers(1, p - 1), max_size=3))
+    f = ring.zero()
+    for exps, coeff in terms.items():
+        f = f + ring.monomial(exps, coeff)
+    return LocalRingPresentation(ring, Ideal(ring, [f]))
+
+
+@given(principal_ideal(), st.sampled_from([1, 2]))
+@settings(max_examples=30)
+def test_duality_route_matches_on_principal_ideals(pres, e):
+    assert splitting_number(pres, e).colength == two_colon_colength(pres, e)
+
+
+def test_fsplit_report_takes_one_twist_colon_per_level(monkeypatch):
+    calls = []
+    colon = Ideal.colon
+
+    def counted(self, other, *args, **kwargs):
+        calls.append(other)
+        return colon(self, other, *args, **kwargs)
+
+    monkeypatch.setattr(Ideal, "colon", counted)
+    fsplit_report(present(3, ["x", "y"], ["x*y"]), 2)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -27,6 +27,11 @@ def test_from_texts_rejects_points_off_the_zero_set():
             5, ["x", "y"], ["y^2 - x^3"], point=(1,))
 
 
+def test_from_texts_rejects_generators_off_the_origin():
+    with pytest.raises(PreconditionError, match="does not vanish at the origin"):
+        LocalRingPresentation.from_texts(5, ["x", "y"], ["x + 1"])
+
+
 def test_translation_matches_direct_shift():
     ring = PolyRing(FieldConfig(5), ("x", "y"))
     f = ring.parse("y^2 - x^3")
