@@ -19,7 +19,8 @@ import time
 import click
 
 from . import __version__
-from .curves import Branch, BranchCurve, TameReport, tame_report
+from .curves import (Branch, BranchCurve, TameReport, tame_invariants,
+                     tame_report)
 from .engine import Budget, Ideal
 from .errors import (BudgetExceededError, CapacityError, KunzError,
                      ParseError, PrecisionLossError, PreconditionError)
@@ -244,10 +245,8 @@ def run_verify_bounds(job: JobSpec) -> dict:
         if job.m_constant is not None or job.delta_constant is not None:
             raise PreconditionError(
                 "give either branch lines or explicit m/Delta, not both")
-        report = tame_report(_curve(job), precision=job.precision,
-                             seed=job.seed, mu=job.mu)
-        constants = BoundConstants(m=report.invariants.delta,
-                                   Delta=report.invariants.Delta)
+        invariants = tame_invariants(_curve(job))
+        constants = BoundConstants(m=invariants.delta, Delta=invariants.Delta)
         conditional = False
     else:
         if job.m_constant is None or job.delta_constant is None:

@@ -22,6 +22,7 @@ from .series import (TruncatedSeries, determinant_valuation, tame_trace)
 
 MAX_BRANCHES = 4
 MAX_PRECISION = 1 << 20
+MAX_DOUBLINGS = 6
 
 
 def _normalize_generators(values: Iterable[int], label: str) -> tuple[int, ...]:
@@ -212,8 +213,8 @@ class TameParameter:
     precision: int
 
 
-def construct_parameter(curve: BranchCurve, precision: int | None = None,
-                        seed: int = 0) -> TameParameter:
+def construct_parameter(curve: BranchCurve,
+                        precision: int | None = None) -> TameParameter:
     """Element of valuation gamma on every branch, vanishing elsewhere.
 
     Each component is the semigroup representative t^gamma of its branch
@@ -307,6 +308,31 @@ def realize_curve(curve: BranchCurve, precision: int | None = None,
     return CurveRealization(curve, inv, n, seed, tuple(realized))
 
 
+def _with_doublings(attempt, n: int, what: str):
+    """attempt(n), doubling n (or raising it to the required precision) on
+    each precision error, for at most MAX_DOUBLINGS attempts."""
+    last: PrecisionLossError | None = None
+    for _ in range(MAX_DOUBLINGS):
+        try:
+            return attempt(n)
+        except PrecisionLossError as err:
+            last = err
+            n = max(2 * n, err.required or 0)
+    raise PrecisionLossError(
+        f"{what} not certified after {MAX_DOUBLINGS} precision doublings",
+        required=n) from last
+
+
+def _trace_block(x: TruncatedSeries,
+                 g: int) -> list[list[TruncatedSeries]]:
+    """Tr(x^i * x^j) down to the degree-g tame base, for i, j = 1..g."""
+    powers = {1: x}
+    for k in range(2, 2 * g + 1):
+        powers[k] = powers[k - 1] * x
+    return [[tame_trace(powers[i + j], g) for j in range(1, g + 1)]
+            for i in range(1, g + 1)]
+
+
 def trace_matrix(real: CurveRealization) -> list[list[TruncatedSeries]]:
     """Block-diagonal matrix of traces down to F_p[[T]].
 
@@ -314,16 +340,8 @@ def trace_matrix(real: CurveRealization) -> list[list[TruncatedSeries]]:
     products across branches vanish identically, giving exact zero entries.
     """
     p = real.curve.p
-    blocks = []
-    for br in real.branches:
-        gamma = br.gamma
-        powers = {1: br.basis_element}
-        for k in range(2, 2 * gamma + 1):
-            powers[k] = powers[k - 1] * br.basis_element
-        block = [[tame_trace(powers[i + j], gamma)
-                  for j in range(1, gamma + 1)]
-                 for i in range(1, gamma + 1)]
-        blocks.append(block)
+    blocks = [_trace_block(br.basis_element, br.gamma)
+              for br in real.branches]
     size = sum(br.gamma for br in real.branches)
     zero = TruncatedSeries.zero(p)
     matrix = [[zero] * size for _ in range(size)]
@@ -338,11 +356,12 @@ def trace_matrix(real: CurveRealization) -> list[list[TruncatedSeries]]:
 
 
 def discriminant_valuation(curve: BranchCurve, precision: int | None = None,
-                           seed: int = 0, max_attempts: int = 6) -> int:
+                           seed: int = 0) -> int:
     """T-adic valuation of the trace-matrix determinant; expected Delta.
 
     Starts at the default precision (or the given one, which must be at
-    least the default) and doubles on precision errors, up to max_attempts.
+    least the default) and doubles on precision errors, up to MAX_DOUBLINGS
+    times.
     """
     minimum = default_precision(curve)
     if precision is None:
@@ -352,17 +371,10 @@ def discriminant_valuation(curve: BranchCurve, precision: int | None = None,
             f"precision {precision} is below the required {minimum}")
     else:
         n = precision
-    last: PrecisionLossError | None = None
-    for _ in range(max_attempts):
-        try:
-            real = realize_curve(curve, n, seed)
-            return determinant_valuation(trace_matrix(real))
-        except PrecisionLossError as err:
-            last = err
-            n = max(2 * n, err.required or 0)
-    raise PrecisionLossError(
-        f"discriminant valuation not certified after {max_attempts} "
-        "precision doublings", required=n) from last
+    return _with_doublings(
+        lambda n: determinant_valuation(
+            trace_matrix(realize_curve(curve, n, seed))),
+        n, "discriminant valuation")
 
 
 # -- module rank and generator counts --------------------------------------
@@ -440,48 +452,28 @@ def _piece_rank_drop(real: CurveRealization, bound: int) -> int:
     return full.rank - shifted.rank
 
 
-def _stable_rank_drop(curve: BranchCurve, precision: int | None,
-                      seed: int, max_attempts: int = 6) -> tuple[int, int]:
-    """Rank drop agreed at two adjacent bounds, with doubling retries.
-
-    Returns (value, precision used).
-    """
-    n = default_precision(curve) if precision is None else precision
-    last: PrecisionLossError | None = None
-    for _ in range(max_attempts):
-        try:
-            real = realize_curve(curve, n + 1, seed)
-            at_n = _piece_rank_drop(real, n)
-            at_next = _piece_rank_drop(real, n + 1)
-            if at_n == at_next:
-                return at_n, n
-            last = PrecisionLossError(
-                f"module rank drop unstable: {at_n} at {n}, {at_next} at "
-                f"{n + 1}", required=2 * n)
-        except PrecisionLossError as err:
-            last = err
-        n = max(2 * n, (last.required or 0) if last else 0)
-    raise PrecisionLossError(
-        "module rank not certified at any attempted precision",
-        required=n) from last
-
-
 def extension_degree(curve: BranchCurve, precision: int | None = None,
                      seed: int = 0) -> int:
-    """Rank over F_p[[T]] of the realized extension; expected delta.
+    """Rank over F_p[[T]] of the realized piece module; expected delta.
 
-    The piece module is free, so its rank equals the fiber dimension
-    measured as a rank drop at two adjacent truncations.
+    The piece module is free, so its rank is the fiber dimension, which is
+    also its minimal generator count. The fiber dimension is measured as a
+    rank drop that must agree at two adjacent truncations; precision errors
+    and disagreement double the precision, up to MAX_DOUBLINGS times.
     """
-    value, _ = _stable_rank_drop(curve, precision, seed)
-    return value
 
+    def attempt(n: int) -> int:
+        real = realize_curve(curve, n + 1, seed)
+        at_n = _piece_rank_drop(real, n)
+        at_next = _piece_rank_drop(real, n + 1)
+        if at_n != at_next:
+            raise PrecisionLossError(
+                f"module rank drop unstable: {at_n} at {n}, {at_next} at "
+                f"{n + 1}", required=2 * n)
+        return at_n
 
-def module_generator_count(curve: BranchCurve, precision: int | None = None,
-                           seed: int = 0) -> int:
-    """Minimal generator count of the realized piece module over F_p[[T]]."""
-    value, _ = _stable_rank_drop(curve, precision, seed)
-    return value
+    n = default_precision(curve) if precision is None else precision
+    return _with_doublings(attempt, n, "module rank")
 
 
 @dataclass(frozen=True)
@@ -493,14 +485,16 @@ class GeneratorBoundCheck:
     passed: bool
 
 
-def generator_bound_check(curve: BranchCurve, mu: int = 1,
-                          precision: int | None = None,
-                          seed: int = 0) -> GeneratorBoundCheck:
-    """Check the realized module needs at most delta^mu generators."""
+def generator_bound_check(curve: BranchCurve, count: int,
+                          mu: int = 1) -> GeneratorBoundCheck:
+    """Compare a generator count of the realized module with delta^mu.
+
+    The count is computed by the caller, normally as extension_degree (the
+    piece module is free); this function does no rank work.
+    """
     if mu < 1:
         raise PreconditionError("mu must be at least 1")
     inv = tame_invariants(curve)
-    count = module_generator_count(curve, precision, seed)
     bound = inv.delta ** mu
     return GeneratorBoundCheck(count, inv.delta, mu, bound, count <= bound)
 
@@ -509,8 +503,7 @@ def generator_bound_check(curve: BranchCurve, mu: int = 1,
 
 
 def tame_trial_valuation(p: int, degree: int, x_valuation: int,
-                         seed: int = 0, precision: int | None = None,
-                         max_attempts: int = 6) -> int:
+                         seed: int = 0, precision: int | None = None) -> int:
     """Trace-determinant valuation for one tame extension of the given degree.
 
     The extension F_p[[s]] over F_p[[T]], T = s^degree, is sampled with
@@ -534,30 +527,18 @@ def tame_trial_valuation(p: int, degree: int, x_valuation: int,
         n = degree * (degree + 1) * x_valuation + 2 * degree + 2
     rng = random.Random(f"kunz:trial:{seed}:{p}:{degree}:{x_valuation}")
     lead = rng.randrange(1, p)
-    tail = [rng.randrange(p) for _ in range(1, n)]
-    last: PrecisionLossError | None = None
-    for _ in range(max_attempts):
-        coeffs = {0: lead}
-        for j, c in enumerate(tail, start=1):
-            coeffs[j] = c
+    # Unit coefficients are drawn once and extended as the precision grows.
+    tail: list[int] = []
+
+    def attempt(n: int) -> int:
         while len(tail) < n - 1:
             tail.append(rng.randrange(p))
-            coeffs[len(tail)] = tail[-1]
-        unit = TruncatedSeries.make(p, coeffs, n)
-        x = unit.shift(x_valuation)
-        powers = {1: x}
-        for k in range(2, 2 * degree + 1):
-            powers[k] = powers[k - 1] * x
-        matrix = [[tame_trace(powers[i + j], degree)
-                   for j in range(1, degree + 1)]
-                  for i in range(1, degree + 1)]
-        try:
-            return determinant_valuation(matrix)
-        except PrecisionLossError as err:
-            last = err
-            n = max(2 * n, err.required or 0)
-    raise PrecisionLossError(
-        "trial determinant not certified", required=n) from last
+        unit = TruncatedSeries.make(p, {0: lead, **dict(enumerate(tail, 1))},
+                                    n)
+        return determinant_valuation(
+            _trace_block(unit.shift(x_valuation), degree))
+
+    return _with_doublings(attempt, n, "trial determinant")
 
 
 # -- containment and reduction checks --------------------------------------
@@ -719,12 +700,12 @@ def tame_report(curve: BranchCurve, precision: int | None = None,
     """All tame-curve outputs for one curve, at a shared precision."""
     inv = tame_invariants(curve)
     n = default_precision(curve) if precision is None else precision
-    parameter = construct_parameter(curve, n, seed)
+    parameter = construct_parameter(curve, n)
     disc = discriminant_valuation(curve, max(n, default_precision(curve)),
                                   seed)
     degree = extension_degree(curve, n, seed)
-    bound = generator_bound_check(curve, mu, n, seed)
+    bound = generator_bound_check(curve, degree, mu)
     return TameReport(curve.p,
                       tuple(b.semigroup_generators for b in curve.branches),
                       inv, parameter.valuations, disc, degree,
-                      bound.count, bound, n, seed)
+                      degree, bound, n, seed)

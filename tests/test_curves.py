@@ -2,15 +2,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from kunz.curves import (Branch, BranchCurve, branch_piece_membership,
-                         construct_parameter, default_precision,
-                         discriminant_valuation, extension_degree,
-                         generator_bound_check, module_generator_count,
+import kunz.curves
+from kunz.curves import (MAX_DOUBLINGS, Branch, BranchCurve,
+                         branch_piece_membership, construct_parameter,
+                         default_precision, discriminant_valuation,
+                         extension_degree, generator_bound_check,
                          piece_generators, realize_curve, root_closure_check,
                          semigroup_conductor, semigroup_membership,
                          split_reduction_check, tame_invariants, tame_report,
                          tame_trial_valuation, trace_matrix)
-from kunz.errors import PreconditionError
+from kunz.errors import PrecisionLossError, PreconditionError
 from oracles import semigroup_conductor_brute, semigroup_elements
 
 CUSP = Branch((2, 3))
@@ -145,8 +146,8 @@ def test_trace_matrix_is_block_diagonal():
     real = realize_curve(node_curve(5))
     matrix = trace_matrix(real)
     assert len(matrix) == 2
-    assert matrix[0][1].is_exactly_zero
-    assert matrix[1][0].is_exactly_zero
+    assert matrix[0][1].is_exactly_zero()
+    assert matrix[1][0].is_exactly_zero()
 
 
 def test_discriminant_valuations_frozen():
@@ -169,19 +170,62 @@ def test_explicit_precision_must_cover_the_default():
 
 def test_degree_and_generator_counts():
     assert extension_degree(cusp_curve(5)) == 2
-    assert extension_degree(node_curve(5)) == 2
-    assert module_generator_count(cusp_curve(5)) == 2
     # one generator per sheet: the piece of the node is t k[[t]] x t k[[t]]
-    assert module_generator_count(node_curve(5)) == 2
-    assert module_generator_count(BranchCurve(5, (SMOOTH,))) == 1
+    assert extension_degree(node_curve(5)) == 2
+    assert extension_degree(BranchCurve(5, (SMOOTH,))) == 1
 
 
 def test_generator_bound_check_fields():
-    check = generator_bound_check(cusp_curve(5))
+    check = generator_bound_check(cusp_curve(5), 2)
     assert (check.count, check.delta, check.mu, check.bound) == (2, 2, 1, 2)
     assert check.passed
+    assert not generator_bound_check(cusp_curve(5), 3).passed
+    assert generator_bound_check(cusp_curve(5), 3, mu=2).bound == 4
     with pytest.raises(PreconditionError):
-        generator_bound_check(cusp_curve(5), mu=0)
+        generator_bound_check(cusp_curve(5), 2, mu=0)
+
+
+def _record_precisions(monkeypatch):
+    seen = []
+    realize = kunz.curves.realize_curve
+
+    def recording(curve, precision=None, seed=0):
+        seen.append(precision)
+        return realize(curve, precision, seed)
+
+    monkeypatch.setattr(kunz.curves, "realize_curve", recording)
+    return seen
+
+
+def test_precision_doubles_on_precision_errors(monkeypatch):
+    seen = _record_precisions(monkeypatch)
+    determinant = kunz.curves.determinant_valuation
+    failures = []
+
+    def flaky(matrix):
+        if len(failures) < 2:
+            failures.append(1)
+            raise PrecisionLossError("forced", required=0)
+        return determinant(matrix)
+
+    monkeypatch.setattr(kunz.curves, "determinant_valuation", flaky)
+    n = default_precision(cusp_curve(5))
+    assert discriminant_valuation(cusp_curve(5)) == 9
+    assert seen == [n, 2 * n, 4 * n]
+
+
+def test_precision_doublings_are_capped(monkeypatch):
+    seen = _record_precisions(monkeypatch)
+
+    def failing(matrix):
+        raise PrecisionLossError("forced", required=0)
+
+    monkeypatch.setattr(kunz.curves, "determinant_valuation", failing)
+    n = default_precision(cusp_curve(5))
+    with pytest.raises(PrecisionLossError) as err:
+        discriminant_valuation(cusp_curve(5))
+    assert err.value.required == n * 2 ** MAX_DOUBLINGS
+    assert seen == [n * 2 ** k for k in range(MAX_DOUBLINGS)]
 
 
 # -- randomized trials and closure checks --------------------------------------
@@ -246,6 +290,23 @@ def test_tame_report_of_the_node():
     assert report.invariants.Delta == 8
     assert report.discriminant_valuation == 8
     assert report.extension_degree == 2
+
+
+def test_tame_report_computes_the_rank_drop_once(monkeypatch):
+    calls = {"realize_curve": 0, "_piece_rank_drop": 0}
+    for name in calls:
+        original = getattr(kunz.curves, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(kunz.curves, name, counted)
+    report = tame_report(cusp_curve(5))
+    assert report.generator_count == report.extension_degree == 2
+    # one realization each for the discriminant and the rank drop, and the
+    # rank drop at two adjacent truncations
+    assert calls == {"realize_curve": 2, "_piece_rank_drop": 2}
 
 
 def test_reports_are_deterministic_per_seed():
