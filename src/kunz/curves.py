@@ -380,100 +380,25 @@ def discriminant_valuation(curve: BranchCurve, precision: int | None = None,
 # -- module rank and generator counts --------------------------------------
 
 
-class _RowSpace:
-    """Incremental row space over F_p with echelon pivot rows."""
+def extension_degree(curve: BranchCurve) -> int:
+    """Rank over F_p[[T]] of the piece module: delta, by a valuation count.
 
-    def __init__(self, p: int):
-        self.p = p
-        self.pivots: dict[int, list[int]] = {}
+    On branch b the piece module is spanned over F_p[[T]], T = s^gamma, by
+    the s^v for v in the piece valuation set P (branch_piece_membership).
+    Each s^v has t-valuation exactly v, so the module is fixed by P alone
+    and the random units of a realization cannot change its rank.
+    P + gamma lies in P, because gamma >= conductor puts gamma in the
+    semigroup, and P contains every integer from some point on. So the
+    elements of P in each residue class r mod gamma form one chain m_r,
+    m_r + gamma, m_r + 2 gamma, ...; the gamma elements s^(m_r) are a basis,
+    and the rank is gamma. Summed over the branches this is delta. The
+    module is free, so the rank is also its minimal generator count.
 
-    def _reduce(self, row: list[int]) -> list[int]:
-        p = self.p
-        row = [v % p for v in row]
-        for col, pivot in self.pivots.items():
-            c = row[col]
-            if c:
-                row = [(a - c * b) % p for a, b in zip(row, pivot)]
-        return row
-
-    def add(self, row: list[int]) -> bool:
-        """Insert a row; True when it enlarges the space."""
-        row = self._reduce(row)
-        for col, c in enumerate(row):
-            if c:
-                inv = pow(c, -1, self.p)
-                self.pivots[col] = [(v * inv) % self.p for v in row]
-                return True
-        return False
-
-    def contains(self, row: list[int]) -> bool:
-        return not any(self._reduce(row))
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def _series_row(series: TruncatedSeries, offset: int, width: int,
-                bound: int) -> list[int]:
-    if series.prec is not None and series.prec < bound:
-        raise PrecisionLossError(
-            f"series known only to O(t^{series.prec}), need {bound}",
-            required=bound)
-    row = [0] * width
-    for m, c in series.coeffs:
-        if m < bound:
-            row[offset + m] = c
-    return row
-
-
-def _piece_rank_drop(real: CurveRealization, bound: int) -> int:
-    """dim of (piece module)/(T * piece module) measured at the bound.
-
-    The piece module of branch b is spanned by s^v for v in the branch
-    piece; T acts as s^gamma. Both spans are row-reduced on t-coefficient
-    vectors and the rank difference is returned.
+    A rank drop measured on a realization reaches delta only at
+    truncations from c_P + gamma on, c_P the conductor of P, so it cannot
+    certify the rank at a given precision; the tests keep it as an oracle.
     """
-    curve = real.curve
-    width = len(real.branches) * bound
-    full = _RowSpace(curve.p)
-    shifted = _RowSpace(curve.p)
-    for b_index, br in enumerate(real.branches):
-        member = branch_piece_membership(curve, b_index, bound)
-        offset = b_index * bound
-        s_power = TruncatedSeries.one(curve.p).truncate(bound)
-        for v in range(bound):
-            if member[v]:
-                row = _series_row(s_power, offset, width, bound)
-                full.add(row)
-                if v >= br.gamma and member[v - br.gamma]:
-                    shifted.add(row)
-            s_power = (s_power * br.s).truncate(bound)
-    return full.rank - shifted.rank
-
-
-def extension_degree(curve: BranchCurve, precision: int | None = None,
-                     seed: int = 0) -> int:
-    """Rank over F_p[[T]] of the realized piece module; expected delta.
-
-    The piece module is free, so its rank is the fiber dimension, which is
-    also its minimal generator count. The fiber dimension is measured as a
-    rank drop that must agree at two adjacent truncations; precision errors
-    and disagreement double the precision, up to MAX_DOUBLINGS times.
-    """
-
-    def attempt(n: int) -> int:
-        real = realize_curve(curve, n + 1, seed)
-        at_n = _piece_rank_drop(real, n)
-        at_next = _piece_rank_drop(real, n + 1)
-        if at_n != at_next:
-            raise PrecisionLossError(
-                f"module rank drop unstable: {at_n} at {n}, {at_next} at "
-                f"{n + 1}", required=2 * n)
-        return at_n
-
-    n = default_precision(curve) if precision is None else precision
-    return _with_doublings(attempt, n, "module rank")
+    return tame_invariants(curve).delta
 
 
 @dataclass(frozen=True)
@@ -542,6 +467,49 @@ def tame_trial_valuation(p: int, degree: int, x_valuation: int,
 
 
 # -- containment and reduction checks --------------------------------------
+
+
+class _RowSpace:
+    """Incremental row space over F_p with echelon pivot rows."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: dict[int, list[int]] = {}
+
+    def _reduce(self, row: list[int]) -> list[int]:
+        p = self.p
+        row = [v % p for v in row]
+        for col, pivot in self.pivots.items():
+            c = row[col]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, pivot)]
+        return row
+
+    def add(self, row: list[int]) -> bool:
+        """Insert a row; True when it enlarges the space."""
+        row = self._reduce(row)
+        for col, c in enumerate(row):
+            if c:
+                inv = pow(c, -1, self.p)
+                self.pivots[col] = [(v * inv) % self.p for v in row]
+                return True
+        return False
+
+    def contains(self, row: list[int]) -> bool:
+        return not any(self._reduce(row))
+
+
+def _series_row(series: TruncatedSeries, offset: int, width: int,
+                bound: int) -> list[int]:
+    if series.prec is not None and series.prec < bound:
+        raise PrecisionLossError(
+            f"series known only to O(t^{series.prec}), need {bound}",
+            required=bound)
+    row = [0] * width
+    for m, c in series.coeffs:
+        if m < bound:
+            row[offset + m] = c
+    return row
 
 
 @dataclass(frozen=True)
@@ -697,13 +665,17 @@ class TameReport:
 
 def tame_report(curve: BranchCurve, precision: int | None = None,
                 seed: int = 0, mu: int = 1) -> TameReport:
-    """All tame-curve outputs for one curve, at a shared precision."""
+    """All tame-curve outputs for one curve, at a shared precision.
+
+    The curve is realized once, for the discriminant; the extension degree
+    and the generator count are delta (extension_degree).
+    """
     inv = tame_invariants(curve)
     n = default_precision(curve) if precision is None else precision
     parameter = construct_parameter(curve, n)
     disc = discriminant_valuation(curve, max(n, default_precision(curve)),
                                   seed)
-    degree = extension_degree(curve, n, seed)
+    degree = extension_degree(curve)
     bound = generator_bound_check(curve, degree, mu)
     return TameReport(curve.p,
                       tuple(b.semigroup_generators for b in curve.branches),

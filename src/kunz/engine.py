@@ -208,27 +208,19 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
 
 
 def _reduce_basis(basis, ring, key) -> list[Polynomial]:
-    """Minimalize leading monomials, then tail-reduce each member."""
-    minimal = []
-    for i, g in enumerate(basis):
-        lm = g[0][1]
-        redundant = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            lm_h = h[0][1]
-            if _divides(lm_h, lm) and (lm_h != lm or j < i):
-                redundant = True
-                break
-        if not redundant:
-            minimal.append(g)
-    minimal.sort(key=lambda g: g[0][0], reverse=True)
+    """Tail-reduce each member of a minimal basis.
+
+    The basis is already minimal: every new member is fully reduced by the
+    basis before _update adds it, and _update drops each member whose
+    leading monomial the new one divides, so no leading monomial divides
+    another, and tail reduction keeps each leading term.
+    """
+    minimal = sorted(basis, key=lambda g: g[0][0], reverse=True)
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         nf, _, _ = kernel.reduce_full(g, others, ring.p, key)
         reduced.append(kernel.make_monic(nf, ring.p))
-    reduced.sort(key=lambda g: g[0][0], reverse=True)
     return [kernel.from_terms(g, ring) for g in reduced]
 
 
@@ -346,11 +338,6 @@ class Ideal:
     def sum_with(self, other: Ideal) -> Ideal:
         self._check_ring(other)
         return Ideal(self.ring, list(self.generators) + list(other.generators))
-
-    def product(self, other: Ideal) -> Ideal:
-        self._check_ring(other)
-        gens = [f * g for f in self.generators for g in other.generators]
-        return Ideal(self.ring, gens)
 
     def bracket_power(self, q: int) -> Ideal:
         """Ideal generated by the q-th powers of the generators, q = p^e.

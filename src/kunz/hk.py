@@ -38,10 +38,6 @@ class RationalInterval:
     def contains(self, value: Fraction) -> bool:
         return self.low <= value <= self.high
 
-    @property
-    def width(self) -> Fraction:
-        return self.high - self.low
-
 
 @dataclass(frozen=True)
 class HKReport:

@@ -329,14 +329,6 @@ class Polynomial:
             out[ne] = (out.get(ne, 0) + nc) % p
         return Polynomial(self.ring, out)
 
-    def monic(self, order: MonomialOrder) -> Polynomial:
-        if not self.terms:
-            return self
-        _, lc = self.leading_term(order)
-        if lc == 1:
-            return self
-        return self.scale(self.ring.field.inverse(lc))
-
     def evaluate(self, point: tuple[int, ...]) -> int:
         """Evaluate at a point with coordinates in F_p."""
         p = self.ring.p

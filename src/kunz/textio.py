@@ -38,29 +38,32 @@ from .errors import ParseError
 COMMANDS = ("hk", "fsig", "fedder", "tame", "scan", "verify-bounds")
 
 _KEY_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.-]*$")
-
-
-def _strip_comments(text: str) -> str:
-    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+_COMMENT_RE = re.compile(r"#[^\r\n]*")
 
 
 def parse_statements(text: str) -> list[tuple[str, str]]:
-    """`key = value;` statements, in order, with comments removed."""
-    clean = _strip_comments(text)
+    """`key = value;` statements, in order, with comments removed.
+
+    Parse errors carry the offset, in the text as given, of the first
+    non-blank character of the offending statement.
+    """
+    # comments are overwritten by spaces, so offsets stay those of the text
+    clean = _COMMENT_RE.sub(lambda m: " " * len(m.group()), text)
     statements = []
     offset = 0
     for chunk in clean.split(";"):
         piece = chunk.strip()
         if piece:
+            start = offset + len(chunk) - len(chunk.lstrip())
             if "=" not in piece:
                 raise ParseError(
                     f"statement {piece!r} is not of the form key = value",
-                    position=offset)
+                    position=start)
             key, value = piece.split("=", 1)
             key = key.strip()
             if not _KEY_RE.match(key):
                 raise ParseError(f"bad statement key {key!r}",
-                                 position=offset)
+                                 position=start)
             statements.append((key, value.strip()))
         offset += len(chunk) + 1
     return statements

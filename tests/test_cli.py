@@ -75,6 +75,20 @@ def test_tame_command(runner, tmp_path):
     assert payload["discriminant_valuation"] == 9
 
 
+@pytest.mark.parametrize("precision", [16, 20])
+def test_tame_extension_degree_is_delta_at_an_explicit_precision(
+        runner, tmp_path, precision):
+    job = write(tmp_path, "curve.job",
+                f"p = 11;\nbranch = 4, 5;\nprecision = {precision};\n")
+    result = invoke(runner, ["tame", "--input", job])
+    assert result.exit_code == 0
+    payload = parse_output(result)["payload"]
+    assert payload["delta"] == 12
+    assert payload["extension_degree"] == payload["generator_count"] == 12
+    assert payload["generator_bound"]["count"] == 12
+    assert payload["precision"] == precision
+
+
 def test_scan_command(runner, tmp_path):
     job = write(tmp_path, "scan.job", NODE + "points = (0,0) (1,0);\n")
     result = invoke(runner, ["scan", "--input", job, "--emax", "1"])
@@ -107,12 +121,14 @@ def test_verify_bounds_derives_constants_from_branches(runner, tmp_path):
 
 
 def test_parse_errors_exit_2(runner, tmp_path):
-    job = write(tmp_path, "bad.job", "p = 5;\nvars = x;\nideal\n")
+    text = "p = 5;\nvars = x;\nideal\n"
+    job = write(tmp_path, "bad.job", text)
     result = invoke(runner, ["hk", "--input", job])
     assert result.exit_code == 2
     error = parse_output(result)["error"]
     assert error["type"] == "ParseError"
     assert error["exit_code"] == 2
+    assert error["position"] == text.index("ideal")
 
 
 def test_command_mismatch_exits_2(runner, tmp_path):

@@ -1,17 +1,21 @@
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 import kunz.curves
-from kunz.curves import (MAX_DOUBLINGS, Branch, BranchCurve,
-                         branch_piece_membership, construct_parameter,
-                         default_precision, discriminant_valuation,
-                         extension_degree, generator_bound_check,
-                         piece_generators, realize_curve, root_closure_check,
+from kunz.curves import (MAX_DOUBLINGS, Branch, BranchCurve, _RowSpace,
+                         _series_row, branch_piece_membership,
+                         construct_parameter, default_precision,
+                         discriminant_valuation, extension_degree,
+                         generator_bound_check, piece_generators,
+                         realize_curve, root_closure_check,
                          semigroup_conductor, semigroup_membership,
                          split_reduction_check, tame_invariants, tame_report,
                          tame_trial_valuation, trace_matrix)
 from kunz.errors import PrecisionLossError, PreconditionError
+from kunz.series import TruncatedSeries
 from oracles import semigroup_conductor_brute, semigroup_elements
 
 CUSP = Branch((2, 3))
@@ -175,6 +179,114 @@ def test_degree_and_generator_counts():
     assert extension_degree(BranchCurve(5, (SMOOTH,))) == 1
 
 
+# -- the realized rank drop, kept as an oracle for extension_degree ----------
+
+
+def realized_rank_drop(real, bound):
+    """dim of (piece module)/(T * piece module) row-reduced at the bound.
+
+    The piece module of branch b is spanned by s^v for v in the branch
+    piece; T acts as s^gamma. Both spans are row-reduced on t-coefficient
+    vectors and the difference of their ranks is returned.
+    """
+    curve = real.curve
+    width = len(real.branches) * bound
+    full = _RowSpace(curve.p)
+    shifted = _RowSpace(curve.p)
+    drop = 0
+    for b_index, br in enumerate(real.branches):
+        member = branch_piece_membership(curve, b_index, bound)
+        offset = b_index * bound
+        s_power = TruncatedSeries.one(curve.p).truncate(bound)
+        for v in range(bound):
+            if member[v]:
+                row = _series_row(s_power, offset, width, bound)
+                drop += full.add(row)
+                if v >= br.gamma and member[v - br.gamma]:
+                    drop -= shifted.add(row)
+            s_power = (s_power * br.s).truncate(bound)
+    return drop
+
+
+def rank_threshold(curve):
+    """Largest c_P + gamma over the branches, c_P the piece conductor."""
+    threshold = 0
+    for b_index, binv in enumerate(tame_invariants(curve).per_branch):
+        # c_P <= gamma, so the membership up to 2 gamma + 2 shows it
+        member = branch_piece_membership(curve, b_index, 2 * binv.gamma + 2)
+        c_piece = max(v + 1 for v, inside in enumerate(member) if not inside)
+        assert c_piece <= binv.gamma
+        threshold = max(threshold, c_piece + binv.gamma)
+    return threshold
+
+
+def assert_oracle_agrees(curve, seed):
+    """The realized rank drop is delta from the threshold on, and below it
+    never more than delta."""
+    delta = extension_degree(curve)
+    assert delta == tame_invariants(curve).delta
+    threshold = rank_threshold(curve)
+    top = threshold + 8
+    real = realize_curve(curve, top, seed)
+    for bound in range(1, top + 1):
+        drop = realized_rank_drop(real, bound)
+        if bound >= threshold:
+            assert drop == delta, (bound, drop)
+        else:
+            assert drop <= delta, (bound, drop)
+
+
+BENCH_CURVES = [
+    BranchCurve(11, (Branch((4, 5)),)),
+    BranchCurve(13, (Branch((3, 5)),)),
+    cusp_curve(5),
+    BranchCurve(7, (Branch((2, 3), cross_valuations=(4,)),
+                    Branch((2, 3), cross_valuations=(4,)))),
+]
+
+
+@pytest.mark.parametrize("curve", BENCH_CURVES)
+def test_realized_rank_drop_reaches_delta(curve):
+    assert_oracle_agrees(curve, seed=0)
+
+
+def test_realized_rank_drop_stalls_below_the_threshold():
+    # the (4, 5) branch at p = 11: two adjacent truncations agree on 9 at
+    # 16 and 17, where a rank drop certified by agreement would stop
+    curve = BENCH_CURVES[0]
+    real = realize_curve(curve, 25)
+    assert [realized_rank_drop(real, n) for n in (16, 17)] == [9, 9]
+    assert rank_threshold(curve) == 24
+    assert realized_rank_drop(real, 24) == extension_degree(curve) == 12
+
+
+def _semigroup(raw):
+    if math.gcd(*raw) != 1:
+        raw = raw + [raw[-1] + 1]  # adjacent integers are coprime
+    return tuple(sorted(set(raw)))
+
+
+semigroups = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(
+    _semigroup)
+crosses = st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple)
+
+
+@st.composite
+def small_curves(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.booleans()):
+        return BranchCurve(p, (Branch(draw(semigroups)),))
+    return BranchCurve(p, tuple(
+        Branch(draw(semigroups), cross_valuations=draw(crosses))
+        for _ in range(2)))
+
+
+@given(small_curves(), st.integers(0, 50))
+@settings(max_examples=40, deadline=None)
+def test_extension_degree_matches_the_realized_rank_drop(curve, seed):
+    assert_oracle_agrees(curve, seed)
+
+
 def test_generator_bound_check_fields():
     check = generator_bound_check(cusp_curve(5), 2)
     assert (check.count, check.delta, check.mu, check.bound) == (2, 2, 1, 2)
@@ -292,21 +404,12 @@ def test_tame_report_of_the_node():
     assert report.extension_degree == 2
 
 
-def test_tame_report_computes_the_rank_drop_once(monkeypatch):
-    calls = {"realize_curve": 0, "_piece_rank_drop": 0}
-    for name in calls:
-        original = getattr(kunz.curves, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(kunz.curves, name, counted)
+def test_tame_report_realizes_the_curve_once(monkeypatch):
+    seen = _record_precisions(monkeypatch)
     report = tame_report(cusp_curve(5))
     assert report.generator_count == report.extension_degree == 2
-    # one realization each for the discriminant and the rank drop, and the
-    # rank drop at two adjacent truncations
-    assert calls == {"realize_curve": 2, "_piece_rank_drop": 2}
+    # only the discriminant needs a realization
+    assert seen == [default_precision(cusp_curve(5))]
 
 
 def test_reports_are_deterministic_per_seed():

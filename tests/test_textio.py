@@ -26,6 +26,19 @@ def test_statement_splitting_and_comments():
     assert err.value.position is not None
 
 
+@pytest.mark.parametrize("text, position", [
+    ("# a comment\np = 5;\nbad;", 19),
+    ("p = 5; # note\n  9x = 1;", 16),
+    ("a = 1;\n   = 2;", 10),
+    ("a = 1; # x = 2; y\nb;", 18),
+])
+def test_parse_error_positions_point_into_the_text_as_written(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_statements(text)
+    assert err.value.position == position
+    assert not text[position].isspace()
+
+
 def test_minimal_job_parses_with_defaults():
     job = parse_job("command = hk; p = 5; vars = x, y; ideal = x*y;")
     assert job.command == "hk"
