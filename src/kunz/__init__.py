@@ -9,7 +9,7 @@ arithmetic over F_p and rationals; no floating point enters any result.
 
 from __future__ import annotations
 
-from .engine import Budget, BudgetTracker, Ideal, groebner, normal_form
+from .engine import Budget, Ideal, groebner, normal_form
 from .errors import (
     BudgetExceededError,
     CapacityError,
@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Budget",
-    "BudgetTracker",
     "BudgetExceededError",
     "CapacityError",
     "FieldConfig",

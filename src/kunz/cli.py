@@ -69,9 +69,10 @@ def _presentation(job: JobSpec) -> LocalRingPresentation:
         job.p, list(job.variables), list(job.ideal), point=job.point)
 
 
-def _budget(job: JobSpec) -> Budget | None:
+def _budget(job: JobSpec) -> Budget:
+    """The job's one budget: default ceilings unless the job caps pairs."""
     if job.budget_pairs is None:
-        return None
+        return Budget()
     return Budget(max_pairs=job.budget_pairs)
 
 
@@ -304,6 +305,9 @@ def _fail(err: KunzError, json_path: str | None) -> None:
         detail["position"] = err.position
     if isinstance(err, PrecisionLossError) and err.required is not None:
         detail["required_precision"] = err.required
+    if isinstance(err, BudgetExceededError):
+        detail["pairs"] = err.pairs
+        detail["max_degree_seen"] = err.max_degree_seen
     document = {"schema_version": SCHEMA_VERSION, "error": detail}
     _emit(canonical_json(document), json_path)
     logger.error("%s: %s", type(err).__name__, err)
@@ -352,7 +356,7 @@ def _shared_options(func):
                      default=None,
                      help="Also write the tabular view as CSV."),
         click.option("--budget-pairs", type=int, default=None,
-                     help="Cap on critical pairs per basis computation."),
+                     help="Cap on critical pairs across the whole job."),
         click.option("--precision", type=int, default=None,
                      help="Series truncation order for curve commands."),
     ]

@@ -6,8 +6,8 @@ sizes this package targets; pair processing, degree growth and wall time
 are all charged against an explicit budget so every operation terminates
 with either an answer or a budget error.
 
-Ideal caches its reduced basis per monomial order, so repeated queries
-(membership, colon, colength) reuse work.
+Ideal caches its reduced grevlex basis, so repeated queries (membership,
+colon, colength) reuse work.
 """
 
 from __future__ import annotations
@@ -26,34 +26,29 @@ DEFAULT_MAX_DEGREE = 10**6
 DEFAULT_DEADLINE_SECONDS = 600.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class Budget:
-    """Ceilings on pairs, degree and wall time.
+    """One job's ceilings on pairs, degree and wall time, and the running
+    totals charged against them.
 
-    Each `groebner`, `colength` or `normal_form` call given no explicit
-    tracker starts its own BudgetTracker, with its own pair count and
-    deadline, so the ceilings bound each such call, not a whole job.
+    A budget is job-wide: every call given the same Budget adds to its one
+    pair count and shares its one deadline, which runs from the moment the
+    Budget is built. A call given no budget starts a fresh one with the
+    default ceilings.
     """
 
     max_pairs: int = DEFAULT_MAX_PAIRS
     max_degree: int = DEFAULT_MAX_DEGREE
     deadline_seconds: float = DEFAULT_DEADLINE_SECONDS
-
-
-@dataclass
-class BudgetTracker:
-    """Mutable running totals checked against a Budget."""
-
-    budget: Budget = field(default_factory=Budget)
-    pairs: int = 0
-    max_degree_seen: int = 0
-    started_at: float = field(default_factory=time.monotonic)
+    pairs: int = field(default=0, init=False)
+    max_degree_seen: int = field(default=0, init=False)
+    started_at: float = field(default_factory=time.monotonic, init=False)
 
     def charge_pair(self) -> None:
         self.pairs += 1
-        if self.pairs > self.budget.max_pairs:
+        if self.pairs > self.max_pairs:
             raise BudgetExceededError(
-                f"pair budget of {self.budget.max_pairs} exhausted",
+                f"pair budget of {self.max_pairs} exhausted",
                 pairs=self.pairs, max_degree_seen=self.max_degree_seen)
         if self.pairs % 64 == 0:
             self.check_deadline()
@@ -61,23 +56,22 @@ class BudgetTracker:
     def observe_degree(self, degree: int) -> None:
         if degree > self.max_degree_seen:
             self.max_degree_seen = degree
-        if degree > self.budget.max_degree:
+        if degree > self.max_degree:
             raise BudgetExceededError(
-                f"degree {degree} exceeds the budget of {self.budget.max_degree}",
+                f"degree {degree} exceeds the budget of {self.max_degree}",
                 pairs=self.pairs, max_degree_seen=self.max_degree_seen)
 
     def check_deadline(self) -> None:
         elapsed = time.monotonic() - self.started_at
-        if elapsed > self.budget.deadline_seconds:
+        if elapsed > self.deadline_seconds:
             raise BudgetExceededError(
-                f"deadline of {self.budget.deadline_seconds}s exceeded",
+                f"deadline of {self.deadline_seconds}s exceeded",
                 pairs=self.pairs, max_degree_seen=self.max_degree_seen)
 
 
-def _tracker(budget: Budget | None, tracker: BudgetTracker | None) -> BudgetTracker:
-    if tracker is not None:
-        return tracker
-    return BudgetTracker(budget or Budget())
+# kunzbench/tracing.py counts pairs by patching BudgetTracker.charge_pair;
+# the alias goes once the benchmark patches Budget.charge_pair instead.
+BudgetTracker = Budget
 
 
 # -- Buchberger with Gebauer-Moeller filters -------------------------------
@@ -159,8 +153,7 @@ def _update(basis, pairs, h, key, seq_counter):
 
 
 def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
-             budget: Budget | None = None,
-             tracker: BudgetTracker | None = None) -> list[Polynomial]:
+             budget: Budget | None = None) -> list[Polynomial]:
     """Reduced monic Groebner basis, sorted descending by leading monomial.
 
     The reduced basis is unique for the order, which makes it usable as a
@@ -171,7 +164,7 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
     ring = generators[0].ring
     if order is None:
         order = ring.default_order()
-    track = _tracker(budget, tracker)
+    budget = budget or Budget()
     key = order.key
 
     inputs = [f for f in generators if not f.is_zero()]
@@ -181,10 +174,10 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
     pairs: list[_Pair] = []
     seq_counter = [0]
     for f in inputs:
-        track.observe_degree(f.total_degree())
+        budget.observe_degree(f.total_degree())
         terms = kernel.make_monic(kernel.to_terms(f, order), ring.p)
         reduced, max_deg, _ = kernel.reduce_full(terms, basis, ring.p, key)
-        track.observe_degree(max_deg)
+        budget.observe_degree(max_deg)
         if reduced:
             basis, pairs = _update(basis, pairs, kernel.make_monic(reduced, ring.p),
                                    key, seq_counter)
@@ -195,11 +188,11 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
             if (pairs[i].key, pairs[i].seq) < (pairs[best].key, pairs[best].seq):
                 best = i
         pair = pairs.pop(best)
-        track.charge_pair()
-        track.observe_degree(sum(pair.lcm))
+        budget.charge_pair()
+        budget.observe_degree(sum(pair.lcm))
         spair = kernel.s_poly(pair.f, pair.g, ring.p, key)
         reduced, max_deg, _ = kernel.reduce_full(spair, basis, ring.p, key)
-        track.observe_degree(max_deg)
+        budget.observe_degree(max_deg)
         if reduced:
             basis, pairs = _update(basis, pairs, kernel.make_monic(reduced, ring.p),
                                    key, seq_counter)
@@ -225,34 +218,35 @@ def _reduce_basis(basis, ring, key) -> list[Polynomial]:
 
 
 def normal_form(f: Polynomial, basis: list[Polynomial],
-                order: MonomialOrder | None = None,
-                budget: Budget | None = None,
-                tracker: BudgetTracker | None = None) -> Polynomial:
-    """Remainder of f on full reduction by a Groebner basis."""
+                budget: Budget | None = None) -> Polynomial:
+    """Remainder of f on full grevlex reduction by a Groebner basis."""
     ring = f.ring
-    if order is None:
-        order = ring.default_order()
-    track = _tracker(budget, tracker)
+    order = ring.default_order()
+    budget = budget or Budget()
     reducers = [kernel.make_monic(kernel.to_terms(g, order), ring.p)
                 for g in basis if not g.is_zero()]
     terms = kernel.to_terms(f, order)
     nf, max_deg, _ = kernel.reduce_full(terms, reducers, ring.p, order.key)
-    track.observe_degree(max_deg)
+    budget.observe_degree(max_deg)
     return kernel.from_terms(nf, ring)
 
 
 def div_exact(f: Polynomial, g: Polynomial,
-              order: MonomialOrder | None = None) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises otherwise."""
+              budget: Budget | None = None) -> Polynomial:
+    """Quotient f/g when g divides f exactly; raises otherwise.
+
+    Polls the budget's deadline every 64 quotient terms.
+    """
     ring = f.ring
     if g.is_zero():
         raise PreconditionError("division by the zero polynomial")
-    if order is None:
-        order = ring.default_order()
+    budget = budget or Budget()
+    order = ring.default_order()
     lm_g, lc_g = g.leading_term(order)
     inv = ring.field.inverse(lc_g)
     quotient = ring.zero()
     rest = f
+    terms = 0
     while not rest.is_zero():
         lm_r, lc_r = rest.leading_term(order)
         if not _divides(lm_g, lm_r):
@@ -261,6 +255,9 @@ def div_exact(f: Polynomial, g: Polynomial,
         mono = ring.monomial(shift, lc_r * inv)
         quotient = quotient + mono
         rest = rest - mono * g
+        terms += 1
+        if terms % 64 == 0:
+            budget.check_deadline()
     return quotient
 
 
@@ -268,9 +265,9 @@ def div_exact(f: Polynomial, g: Polynomial,
 
 
 class Ideal:
-    """An ideal of a polynomial ring, with cached reduced bases per order."""
+    """An ideal of a polynomial ring, with its cached reduced grevlex basis."""
 
-    __slots__ = ("ring", "generators", "_bases")
+    __slots__ = ("ring", "generators", "_basis")
 
     def __init__(self, ring: PolyRing, generators: list[Polynomial]) -> None:
         self.ring = ring
@@ -278,42 +275,26 @@ class Ideal:
             if g.ring != ring:
                 raise PreconditionError("generator from a different ring")
         self.generators = tuple(g for g in generators if not g.is_zero())
-        self._bases: dict[tuple, list[Polynomial]] = {}
+        self._basis: list[Polynomial] | None = None
 
-    @classmethod
-    def from_texts(cls, ring: PolyRing, texts: list[str]) -> Ideal:
-        return cls(ring, [ring.parse(t) for t in texts])
+    def groebner_basis(self, budget: Budget | None = None) -> list[Polynomial]:
+        if self._basis is None:
+            self._basis = groebner(list(self.generators), None, budget)
+        return self._basis
 
-    def groebner_basis(self, order: MonomialOrder | None = None,
-                       budget: Budget | None = None,
-                       tracker: BudgetTracker | None = None) -> list[Polynomial]:
-        if order is None:
-            order = self.ring.default_order()
-        sig = order.signature()
-        cached = self._bases.get(sig)
-        if cached is None:
-            cached = groebner(list(self.generators), order, budget, tracker)
-            self._bases[sig] = cached
-        return cached
+    def normal_form(self, f: Polynomial,
+                    budget: Budget | None = None) -> Polynomial:
+        return normal_form(f, self.groebner_basis(budget), budget)
 
-    def normal_form(self, f: Polynomial, order: MonomialOrder | None = None,
-                    budget: Budget | None = None,
-                    tracker: BudgetTracker | None = None) -> Polynomial:
-        if order is None:
-            order = self.ring.default_order()
-        return normal_form(f, self.groebner_basis(order, budget, tracker),
-                           order, budget, tracker)
+    def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
+        return self.normal_form(f, budget).is_zero()
 
-    def contains(self, f: Polynomial, budget: Budget | None = None,
-                 tracker: BudgetTracker | None = None) -> bool:
-        return self.normal_form(f, None, budget, tracker).is_zero()
-
-    def contains_ideal(self, other: Ideal, budget: Budget | None = None,
-                       tracker: BudgetTracker | None = None) -> bool:
-        return all(self.contains(g, budget, tracker) for g in other.generators)
+    def contains_ideal(self, other: Ideal,
+                       budget: Budget | None = None) -> bool:
+        return all(self.contains(g, budget) for g in other.generators)
 
     def is_unit(self, budget: Budget | None = None) -> bool:
-        basis = self.groebner_basis(None, budget)
+        basis = self.groebner_basis(budget)
         return len(basis) == 1 and basis[0] == self.ring.one()
 
     def is_zero(self) -> bool:
@@ -356,8 +337,8 @@ class Ideal:
             raise PreconditionError(f"{q} is not a power of the characteristic {p}")
         return Ideal(self.ring, [g.frobenius_power(q) for g in self.generators])
 
-    def intersection(self, other: Ideal, budget: Budget | None = None,
-                     tracker: BudgetTracker | None = None) -> Ideal:
+    def intersection(self, other: Ideal,
+                     budget: Budget | None = None) -> Ideal:
         """Intersection via a single auxiliary variable and elimination.
 
         Computes (t*I + (1-t)*J) in F_p[t, x...] and keeps the basis members
@@ -374,13 +355,12 @@ class Ideal:
         gens = [t * _lift(f, big) for f in self.generators]
         gens += [one_minus_t * _lift(g, big) for g in other.generators]
         order = MonomialOrder(ELIMINATION, 1)
-        basis = groebner(gens, order, budget, tracker)
+        basis = groebner(gens, order, budget)
         kept = [_drop_first_variable(g, ring) for g in basis
                 if all(e[0] == 0 for e in g.terms)]
         return Ideal(ring, kept)
 
-    def colon(self, other: Ideal, budget: Budget | None = None,
-              tracker: BudgetTracker | None = None) -> Ideal:
+    def colon(self, other: Ideal, budget: Budget | None = None) -> Ideal:
         """Ideal quotient (self : other).
 
         For a single divisor g this is (self intersect (g)) scaled by 1/g;
@@ -389,18 +369,18 @@ class Ideal:
         self._check_ring(other)
         if other.is_zero():
             return Ideal(self.ring, [self.ring.one()])
+        budget = budget or Budget()
         result: Ideal | None = None
         for g in other.generators:
-            part = self._colon_single(g, budget, tracker)
+            part = self._colon_single(g, budget)
             result = part if result is None else result.intersection(
-                part, budget, tracker)
+                part, budget)
         assert result is not None
         return result
 
-    def _colon_single(self, g: Polynomial, budget: Budget | None,
-                      tracker: BudgetTracker | None) -> Ideal:
-        meet = self.intersection(Ideal(self.ring, [g]), budget, tracker)
-        gens = [div_exact(f, g) for f in meet.generators]
+    def _colon_single(self, g: Polynomial, budget: Budget) -> Ideal:
+        meet = self.intersection(Ideal(self.ring, [g]), budget)
+        gens = [div_exact(f, g, budget) for f in meet.generators]
         return Ideal(self.ring, gens)
 
     def _check_ring(self, other: Ideal) -> None:
@@ -409,23 +389,18 @@ class Ideal:
 
     # -- numerical invariants -------------------------------------------
 
-    def leading_term_ideal(self, order: MonomialOrder | None = None,
-                           budget: Budget | None = None,
-                           tracker: BudgetTracker | None = None) -> list[Exps]:
-        if order is None:
-            order = self.ring.default_order()
-        basis = self.groebner_basis(order, budget, tracker)
-        return [g.leading_term(order)[0] for g in basis]
+    def leading_term_ideal(self, budget: Budget | None = None) -> list[Exps]:
+        order = self.ring.default_order()
+        return [g.leading_term(order)[0] for g in self.groebner_basis(budget)]
 
-    def dimension(self, budget: Budget | None = None,
-                  tracker: BudgetTracker | None = None) -> int:
+    def dimension(self, budget: Budget | None = None) -> int:
         """Krull dimension of ring/self.
 
         A variable subset U is independent when no leading monomial lives
         entirely in U; the dimension is the largest independent size. The
         variable counts here are small, so subsets are enumerated directly.
         """
-        leads = self.leading_term_ideal(None, budget, tracker)
+        leads = self.leading_term_ideal(budget)
         if any(sum(e) == 0 for e in leads):
             raise PreconditionError("the unit ideal has no dimension")
         n = self.ring.nvars
@@ -441,8 +416,7 @@ class Ideal:
                 best = size
         return best
 
-    def colength(self, budget: Budget | None = None,
-                 tracker: BudgetTracker | None = None) -> int:
+    def colength(self, budget: Budget | None = None) -> int:
         """dim_k of ring/self; raises naming an unbounded variable if infinite.
 
         Counts standard monomials of the leading term ideal by peeling one
@@ -450,15 +424,15 @@ class Ideal:
         count for G minus the count for (G : m). Pure-power states are the
         base case (a box), and results are memoized on the generator set.
         """
-        track = _tracker(budget, tracker)
-        leads = self.leading_term_ideal(None, budget, track)
-        return monomial_colength(leads, self.ring, track)
+        budget = budget or Budget()
+        leads = self.leading_term_ideal(budget)
+        return monomial_colength(leads, self.ring, budget)
 
 
 def monomial_colength(leads: list[Exps], ring: PolyRing,
-                      tracker: BudgetTracker | None = None) -> int:
+                      budget: Budget | None = None) -> int:
     """Number of monomials outside the monomial ideal generated by leads."""
-    track = tracker or BudgetTracker()
+    budget = budget or Budget()
     n = ring.nvars
     gens = _minimalize_monomials(leads)
     if any(sum(e) == 0 for e in gens):
@@ -470,7 +444,7 @@ def monomial_colength(leads: list[Exps], ring: PolyRing,
                 f"colength is infinite: variable {ring.variables[i]!r} "
                 "has no pure power in the leading term ideal")
     memo: dict[frozenset, int] = {}
-    return _box_count(frozenset(gens), n, memo, track)
+    return _box_count(frozenset(gens), n, memo, budget)
 
 
 def _minimalize_monomials(gens: list[Exps]) -> list[Exps]:
@@ -488,11 +462,11 @@ def _minimalize_monomials(gens: list[Exps]) -> list[Exps]:
     return out
 
 
-def _box_count(gens: frozenset, n: int, memo: dict, track: BudgetTracker) -> int:
+def _box_count(gens: frozenset, n: int, memo: dict, budget: Budget) -> int:
     cached = memo.get(gens)
     if cached is not None:
         return cached
-    track.check_deadline()
+    budget.check_deadline()
     pure: dict[int, int] = {}
     mixed: list[Exps] = []
     for e in gens:
@@ -517,8 +491,8 @@ def _box_count(gens: frozenset, n: int, memo: dict, track: BudgetTracker) -> int
     without = frozenset(_minimalize_monomials(rest))
     colon = frozenset(_minimalize_monomials(
         [tuple(max(a - b, 0) for a, b in zip(e, m)) for e in rest]))
-    result = (_box_count(without, n, memo, track)
-              - _box_count(colon, n, memo, track))
+    result = (_box_count(without, n, memo, budget)
+              - _box_count(colon, n, memo, budget))
     memo[gens] = result
     return result
 

@@ -61,9 +61,6 @@ class FieldConfig:
         if not is_prime(self.p):
             raise PreconditionError(f"{self.p} is not prime")
 
-    def reduce(self, value: int) -> int:
-        return value % self.p
-
     def inverse(self, value: int) -> int:
         value %= self.p
         if value == 0:

@@ -85,7 +85,7 @@ def fedder_test(presentation: LocalRingPresentation,
     p = presentation.p
     colon = twist_colon_ideal(presentation, 1, budget)
     m_bracket = maximal_ideal(presentation.ring).bracket_power(p)
-    basis = colon.groebner_basis(None, budget)
+    basis = colon.groebner_basis(budget)
     for g in basis:
         if not m_bracket.contains(g, budget):
             return PurityVerdict(
@@ -113,7 +113,7 @@ def fpurity_exponent(presentation: LocalRingPresentation, c: Polynomial,
         q = frobenius_exponent(presentation.p, e)
         colon = twist_colon_ideal(presentation, e, budget)
         m_bracket = maximal_ideal(presentation.ring).bracket_power(q)
-        for g in colon.groebner_basis(None, budget):
+        for g in colon.groebner_basis(budget):
             if not m_bracket.contains(c * g, budget):
                 return e
     return None

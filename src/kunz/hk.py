@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import Budget, BudgetTracker, Ideal, maximal_ideal
+from .engine import Budget, Ideal, maximal_ideal
 from .errors import BudgetExceededError, PreconditionError
 from .field import frobenius_exponent
 from .localring import FrobeniusSample, LocalRingPresentation
@@ -164,8 +164,7 @@ class BoundCheck:
 
 def relative_bracket_colength(presentation: LocalRingPresentation,
                               inner: Ideal, u: Polynomial, q: int,
-                              budget: Budget | None = None,
-                              tracker: BudgetTracker | None = None) -> int:
+                              budget: Budget | None = None) -> int:
     """length of (inner + (u))^[q] / inner^[q] in the presented ring.
 
     Computed as the difference of two colengths modulo the defining ideal.
@@ -174,7 +173,7 @@ def relative_bracket_colength(presentation: LocalRingPresentation,
     inner_q = base.sum_with(inner.bracket_power(q))
     outer_q = inner_q.sum_with(Ideal(presentation.ring,
                                      [u.frobenius_power(q)]))
-    return inner_q.colength(budget, tracker) - outer_q.colength(budget, tracker)
+    return inner_q.colength(budget) - outer_q.colength(budget)
 
 
 def check_socle_condition(presentation: LocalRingPresentation, inner: Ideal,

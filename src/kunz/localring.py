@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import Budget, BudgetTracker, Ideal, maximal_ideal
+from .engine import Budget, Ideal, maximal_ideal
 from .errors import PreconditionError
 from .field import FieldConfig, frobenius_exponent
 from .poly import PolyRing, Polynomial
@@ -98,18 +98,15 @@ class LocalRingPresentation:
                 self._dimension = self.ideal.dimension(budget)
         return self._dimension
 
-    def frobenius_colength(self, e: int, budget: Budget | None = None,
-                           tracker: BudgetTracker | None = None) -> int:
+    def frobenius_colength(self, e: int, budget: Budget | None = None) -> int:
         """length of A / m^[q] A with q = p^e."""
-        return self.sample(e, budget, tracker).colength
+        return self.sample(e, budget).colength
 
-    def lambda_value(self, e: int, budget: Budget | None = None,
-                     tracker: BudgetTracker | None = None) -> Fraction:
+    def lambda_value(self, e: int, budget: Budget | None = None) -> Fraction:
         """Normalized colength length(A/m^[q]A) / q^dim(A)."""
-        return self.sample(e, budget, tracker).normalized
+        return self.sample(e, budget).normalized
 
-    def sample(self, e: int, budget: Budget | None = None,
-               tracker: BudgetTracker | None = None) -> FrobeniusSample:
+    def sample(self, e: int, budget: Budget | None = None) -> FrobeniusSample:
         if e < 0:
             raise PreconditionError(f"Frobenius index must be >= 0, got {e}")
         cached = self._samples.get(e)
@@ -118,7 +115,7 @@ class LocalRingPresentation:
         q = frobenius_exponent(self.p, e)
         m_bracket = maximal_ideal(self.ring).bracket_power(q)
         total = self.ideal.sum_with(m_bracket)
-        colength = total.colength(budget, tracker)
+        colength = total.colength(budget)
         d = self.dimension(budget)
         sample = FrobeniusSample(e, q, colength, Fraction(colength, q**d))
         self._samples[e] = sample

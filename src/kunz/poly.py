@@ -103,9 +103,6 @@ class MonomialOrder:
             key = _elimination_key(self.block)
         object.__setattr__(self, "key", key)
 
-    def signature(self) -> tuple:
-        return (self.kind, self.block)
-
 
 @dataclass(frozen=True)
 class PolyRing:
@@ -184,7 +181,7 @@ class Polynomial:
             if c:
                 clean[exps] = c
         self.terms = clean
-        self._ordered: dict[tuple, tuple[tuple[Exps, int], ...]] = {}
+        self._ordered: dict[MonomialOrder, tuple[tuple[Exps, int], ...]] = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -211,13 +208,12 @@ class Polynomial:
 
     def ordered_terms(self, order: MonomialOrder) -> tuple[tuple[Exps, int], ...]:
         """Terms in descending order; cached per order."""
-        sig = order.signature()
-        cached = self._ordered.get(sig)
+        cached = self._ordered.get(order)
         if cached is None:
             key = order.key
             cached = tuple(sorted(self.terms.items(),
                                   key=lambda t: key(t[0]), reverse=True))
-            self._ordered[sig] = cached
+            self._ordered[order] = cached
         return cached
 
     def leading_term(self, order: MonomialOrder) -> tuple[Exps, int]:

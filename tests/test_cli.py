@@ -148,7 +148,21 @@ def test_budget_exhaustion_exits_4(runner, tmp_path):
     result = invoke(runner, ["hk", "--input", job, "--emax", "2",
                              "--budget-pairs", "3"])
     assert result.exit_code == 4
-    assert parse_output(result)["error"]["type"] == "BudgetExceededError"
+    error = parse_output(result)["error"]
+    assert error["type"] == "BudgetExceededError"
+    assert error["pairs"] == 4
+
+
+def test_pair_budget_spans_the_whole_job(runner, tmp_path):
+    # the e = 1 and e = 2 levels take 12 and 52 pairs: each fits in 60,
+    # together they do not, so the second level truncates the sequence
+    job = write(tmp_path, "cone.job", CONE)
+    result = invoke(runner, ["hk", "--input", job, "--emax", "2",
+                             "--budget-pairs", "60"])
+    assert result.exit_code == 0
+    payload = parse_output(result)["payload"]
+    assert payload["truncated"] is True
+    assert len(payload["samples"]) == 1
 
 
 def test_csv_on_non_tabular_command_exits_3(runner, tmp_path):

@@ -2,7 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from kunz.engine import Budget, Ideal, maximal_ideal
+from kunz.engine import Budget, Ideal, div_exact, maximal_ideal
 from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
 from kunz.poly import PolyRing
@@ -147,6 +147,36 @@ def test_pair_budget_is_enforced():
     with pytest.raises(BudgetExceededError) as err:
         hard.groebner_basis(budget=Budget(max_pairs=3))
     assert err.value.pairs is not None
+
+
+def test_colength_calls_on_one_budget_add_up():
+    ring = ring_of(5, "xyz")
+    cone = Ideal(ring, [ring.parse("x*y - z^2")])
+    m = maximal_ideal(ring)
+
+    def level(q):
+        return cone.sum_with(m.bracket_power(q))
+
+    alone = [Budget(), Budget()]
+    level(5).colength(alone[0])
+    level(25).colength(alone[1])
+    shared = Budget()
+    level(5).colength(shared)
+    level(25).colength(shared)
+    assert alone[0].pairs > 0 and alone[1].pairs > 0
+    assert shared.pairs == alone[0].pairs + alone[1].pairs
+    assert shared.max_degree_seen == max(b.max_degree_seen for b in alone)
+
+
+def test_div_exact_polls_the_deadline():
+    ring = ring_of(5, "xyz")
+    g = ring.parse("x*y - z^2")
+    quotient = ring.parse("(x + y + z + 1)^12")
+    assert len(quotient.terms) == 100
+    f = quotient * g
+    with pytest.raises(BudgetExceededError):
+        div_exact(f, g, Budget(deadline_seconds=0))
+    assert div_exact(f, g) == quotient
 
 
 def test_degree_budget_is_enforced():
