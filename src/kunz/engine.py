@@ -419,10 +419,8 @@ class Ideal:
     def colength(self, budget: Budget | None = None) -> int:
         """dim_k of ring/self; raises naming an unbounded variable if infinite.
 
-        Counts standard monomials of the leading term ideal by peeling one
-        generator m that is not a pure power: the count for (G, m) is the
-        count for G minus the count for (G : m). Pure-power states are the
-        base case (a box), and results are memoized on the generator set.
+        Counts the standard monomials of the leading term ideal, slice by
+        slice along the last variable (see _slice_count).
         """
         budget = budget or Budget()
         leads = self.leading_term_ideal(budget)
@@ -434,67 +432,56 @@ def monomial_colength(leads: list[Exps], ring: PolyRing,
     """Number of monomials outside the monomial ideal generated by leads."""
     budget = budget or Budget()
     n = ring.nvars
-    gens = _minimalize_monomials(leads)
-    if any(sum(e) == 0 for e in gens):
+    if any(sum(e) == 0 for e in leads):
         return 0
     for i in range(n):
         if not any(all(k == 0 for j, k in enumerate(e) if j != i) and e[i] > 0
-                   for e in gens):
+                   for e in leads):
             raise PreconditionError(
                 f"colength is infinite: variable {ring.variables[i]!r} "
                 "has no pure power in the leading term ideal")
-    memo: dict[frozenset, int] = {}
-    return _box_count(frozenset(gens), n, memo, budget)
+    return _slice_count(leads, n, budget)
 
 
-def _minimalize_monomials(gens: list[Exps]) -> list[Exps]:
-    out = []
-    for i, e in enumerate(gens):
-        redundant = False
-        for j, f in enumerate(gens):
-            if i == j:
-                continue
-            if _divides(f, e) and (f != e or j < i):
-                redundant = True
-                break
-        if not redundant:
-            out.append(e)
-    return out
+def _slice_count(gens: list[Exps], n: int, budget: Budget) -> int:
+    """Number of monomials in n variables outside the ideal of gens.
 
+    Precondition: gens holds a pure power of every variable, and no unit.
+    So x_n^a is in the ideal, where a is the smallest such power of the
+    last variable. For 0 <= k < a, the standard monomials with last
+    exponent k are those whose first n - 1 exponents lie outside the slice
+    ideal {e[:-1] : e[-1] <= k}. That slice ideal changes only at the last
+    exponents that occur among gens, so with gens sorted by last exponent
+    the count is sum (next_level - level) * count_{n-1}(slice), and the
+    slice only grows as the level rises. The lowest level is 0, where the
+    pure powers of the other variables sit. At n = 2 the slice count is the
+    running minimum of e[0]; at n = 1 it is the pure power.
 
-def _box_count(gens: frozenset, n: int, memo: dict, budget: Budget) -> int:
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
+    A redundant generator never changes which monomials lie outside the
+    ideal, so nothing is minimalized and nothing is memoized.
+    """
     budget.check_deadline()
-    pure: dict[int, int] = {}
-    mixed: list[Exps] = []
-    for e in gens:
-        if sum(e) == 0:
-            memo[gens] = 0
-            return 0
-        support = [i for i, k in enumerate(e) if k]
-        if len(support) == 1:
-            i = support[0]
-            pure[i] = min(pure.get(i, e[i]), e[i])
-        else:
-            mixed.append(e)
-    if not mixed:
-        total = 1
-        for i in range(n):
-            total *= pure[i]
-        memo[gens] = total
+    if n == 1:
+        return min(e[0] for e in gens)
+    last = n - 1
+    top = min(e[last] for e in gens if not any(e[:last]))
+    ordered = sorted((e for e in gens if e[last] <= top),
+                     key=lambda e: e[last])
+    steps = zip(ordered, ordered[1:])
+    total = 0
+    if n == 2:
+        width = ordered[0][0]
+        for e, after in steps:
+            width = min(width, e[0])
+            total += (after[1] - e[1]) * width
         return total
-    mixed.sort()
-    m = mixed[0]
-    rest = [e for e in gens if e != m]
-    without = frozenset(_minimalize_monomials(rest))
-    colon = frozenset(_minimalize_monomials(
-        [tuple(max(a - b, 0) for a, b in zip(e, m)) for e in rest]))
-    result = (_box_count(without, n, memo, budget)
-              - _box_count(colon, n, memo, budget))
-    memo[gens] = result
-    return result
+    slice_: list[Exps] = []
+    for e, after in steps:
+        slice_.append(e[:last])
+        if after[last] > e[last]:
+            total += ((after[last] - e[last])
+                      * _slice_count(slice_, last, budget))
+    return total
 
 
 def _fresh_variable_name(names: tuple[str, ...]) -> str:

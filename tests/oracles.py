@@ -37,6 +37,46 @@ def monomial_colength(generators: list[tuple[int, ...]]) -> int:
     return count
 
 
+def peeling_colength(generators: list[tuple[int, ...]]) -> int:
+    """Colength of a monomial ideal by peeling one generator at a time.
+
+    For a generator m that is not a pure power, the count for (G, m) is the
+    count for G minus the count for (G : m); a set of pure powers alone
+    bounds a box. Results are memoized on the minimal generating set. It
+    needs no box walk, so it reaches staircases the brute-force count
+    cannot. Same precondition as monomial_colength.
+    """
+    memo: dict[frozenset, int] = {}
+
+    def minimal(gens):
+        return frozenset(e for e in gens
+                         if not any(f != e and _divides(f, e) for f in gens))
+
+    def count(gens: frozenset) -> int:
+        if gens in memo:
+            return memo[gens]
+        if any(not any(e) for e in gens):
+            return 0
+        mixed = sorted(e for e in gens if sum(1 for k in e if k) > 1)
+        if not mixed:
+            result = 1
+            for e in gens:
+                result *= max(e)
+        else:
+            m = mixed[0]
+            rest = gens - {m}
+            colon = [tuple(max(a - b, 0) for a, b in zip(e, m)) for e in rest]
+            result = count(minimal(rest)) - count(minimal(colon))
+        memo[gens] = result
+        return result
+
+    return count(minimal(set(generators)))
+
+
+def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
 def bracket(generators: list[tuple[int, ...]], q: int) -> list[tuple[int, ...]]:
     return [tuple(q * e for e in gen) for gen in generators]
 

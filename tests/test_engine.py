@@ -1,12 +1,15 @@
+import functools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from kunz.engine import Budget, Ideal, div_exact, maximal_ideal
+from kunz.engine import monomial_colength as engine_monomial_colength
 from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
 from kunz.poly import PolyRing
-from oracles import bracket, monomial_colength
+from oracles import bracket, monomial_colength, peeling_colength
 
 primes = st.sampled_from([2, 3, 5])
 
@@ -59,25 +62,78 @@ def test_normal_form_is_idempotent_and_linear(data):
 @st.composite
 def monomial_ideal_data(draw):
     p = draw(primes)
-    nvars = draw(st.integers(1, 3))
-    ring = ring_of(p, "xyz"[:nvars])
+    nvars = draw(st.integers(1, 4))
+    ring = ring_of(p, "xyzw"[:nvars])
     # pure powers on every axis keep the colength finite, plus mixed noise
     vectors = [tuple(draw(st.integers(1, 4)) if i == axis else 0
                      for i in range(nvars)) for axis in range(nvars)]
     for _ in range(draw(st.integers(0, 2))):
         vectors.append(tuple(draw(st.integers(0, 3)) for _ in range(nvars)))
     vectors = [v for v in vectors if any(v)]
+    # duplicates and multiples of a generator are redundant
+    for v in draw(st.lists(st.sampled_from(vectors), max_size=3)):
+        vectors.append(tuple(k + draw(st.integers(0, 2)) for k in v))
     return ring, vectors
 
 
-@given(monomial_ideal_data(), st.sampled_from([1, 2]))
-@settings(max_examples=60)
-def test_colength_matches_the_staircase_count(data, e):
+@given(monomial_ideal_data(), st.sampled_from([0, 1, 2]),
+       st.lists(st.tuples(*[st.integers(0, 4)] * 4), max_size=3))
+@settings(max_examples=80)
+def test_colength_matches_the_staircase_count(data, e, loose):
     ring, vectors = data
-    q = ring.p**e
-    scaled = bracket(vectors, q)
-    ideal = Ideal(ring, [ring.monomial(v) for v in scaled])
-    assert ideal.colength() == monomial_colength(scaled)
+    n = ring.nvars
+    # q = 1 leaves the generators as drawn; four variables keep the
+    # brute-force box small
+    q = ring.p**min(e, 1 if n == 4 else 2)
+    gens = bracket(vectors, q) + [v[:n] for v in loose if any(v[:n])]
+    expected = monomial_colength(gens)
+    assert engine_monomial_colength(gens, ring) == expected
+    ideal = Ideal(ring, [ring.monomial(v) for v in gens])
+    assert ideal.colength() == expected
+
+
+@functools.cache
+def leading_staircase(p, names, equation, e):
+    ring = ring_of(p, names)
+    total = Ideal(ring, [ring.parse(equation)]).sum_with(
+        maximal_ideal(ring).bracket_power(p**e))
+    return ring, total
+
+
+# Fermat cubic at q = 49 and the quadric at q = 27: boxes of 49^3 and 27^4
+# monomials, beyond the brute-force count
+LARGE_STAIRCASES = [(7, "xyz", "x^3 + y^3 + z^3", 2),
+                    (3, "xyzw", "x*y - z*w", 3)]
+
+
+@pytest.mark.parametrize("case", LARGE_STAIRCASES)
+def test_colength_matches_peeling_on_large_staircases(case):
+    _, total = leading_staircase(*case)
+    assert total.colength() == peeling_colength(total.leading_term_ideal())
+
+
+@given(st.sampled_from(LARGE_STAIRCASES), st.data())
+@settings(max_examples=30)
+def test_slice_count_matches_peeling_on_sub_staircases(case, data):
+    ring, total = leading_staircase(*case)
+    leads = total.leading_term_ideal()
+    pure = [e for e in leads if sum(1 for k in e if k) == 1]
+    mixed = [e for e in leads if e not in pure]
+    kept = data.draw(st.lists(st.sampled_from(mixed), unique=True))
+    # redundant generators: duplicates and shifted copies of kept ones
+    extra = data.draw(st.lists(st.sampled_from(kept), max_size=4)) if kept else []
+    shifted = [tuple(k + data.draw(st.integers(0, 3)) for k in e) for e in extra]
+    gens = pure + kept + extra + shifted
+    assert engine_monomial_colength(gens, ring) == peeling_colength(gens)
+
+
+def test_colength_count_polls_the_deadline():
+    ring = ring_of(5, "xyz")
+    budget = Budget(deadline_seconds=0)
+    with pytest.raises(BudgetExceededError) as err:
+        engine_monomial_colength([(2, 0, 0), (0, 3, 0), (0, 0, 4)], ring, budget)
+    assert err.value.pairs == 0
+    assert err.value.max_degree_seen == 0
 
 
 def test_colength_names_an_unbounded_variable():

@@ -93,3 +93,15 @@ def test_matrix_rank_mod_p():
     assert matrix_rank_mod_p([], 5) == 0
     # rank can drop mod p even when the integer matrix is invertible
     assert matrix_rank_mod_p([[1, 1], [1, 3]], 2) == 1
+
+
+@pytest.mark.parametrize("p, e", [(5, 1), (5, 2), (7, 1), (7, 2), (11, 1),
+                                  (11, 2), (13, 1), (13, 2), (7, 3)])
+def test_fermat_cubic_hilbert_kunz_function(p, e):
+    # Buchweitz & Chen, J. Algebra 197 (1997): the Fermat cubic has
+    # Hilbert-Kunz function (9q^2 - 5)/4 for p != 2, 3; at p = 2 the count
+    # is 36 at q = 4, not 34.75
+    pres = LocalRingPresentation.from_texts(
+        p, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    q = p**e
+    assert 4 * pres.frobenius_colength(e) == 9 * q**2 - 5
