@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import le, sub
 
 from . import kernel
 from .errors import BudgetExceededError, PreconditionError
@@ -78,15 +79,15 @@ BudgetTracker = Budget
 
 
 def _lcm_exps(a: Exps, b: Exps) -> Exps:
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _divides(a: Exps, b: Exps) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _coprime(a: Exps, b: Exps) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(min, a, b))
 
 
 class _Pair:
@@ -103,50 +104,35 @@ class _Pair:
 def _update(basis, pairs, h, key, seq_counter):
     """Gebauer-Moeller update: fold a new monic term list into basis and pairs.
 
-    Follows the textbook three-filter formulation: among the candidate pairs
-    with h keep only those whose lcm is minimal or whose leading monomials
-    are coprime, drop coprime pairs afterwards, prune old pairs whose lcm is
-    a proper multiple of the new leading monomial, and discard basis members
-    whose leading monomial the new one divides.
+    A candidate (h, g) becomes a pair when g is the first basis member with
+    its lcm, no other candidate's lcm properly divides it, and the leading
+    monomials of h and g are not coprime. Minimality is decided against the
+    minimal lcms alone: the distinct lcms are walked by total degree (a
+    proper divisor has a smaller degree), and one is minimal when no
+    minimal lcm found so far divides it. That is O(B * M) for B basis
+    members and M minimal lcms. New pairs are numbered in basis order. An
+    old pair (f, g) is pruned when lm(h) divides its lcm and neither
+    lcm(f, h) nor lcm(g, h) equals it; basis members whose leading monomial
+    lm(h) divides are discarded.
     """
     lm_h = h[0][1]
-    candidates = [(g, _lcm_exps(lm_h, g[0][1])) for g in basis]
-    kept = []
-    for i, (g, lcm_hg) in enumerate(candidates):
-        if _coprime(lm_h, g[0][1]):
-            kept.append((g, lcm_hg))
-            continue
-        dominated = False
-        for j, (g2, lcm_hg2) in enumerate(candidates):
-            if i == j or lcm_hg2 == lcm_hg:
-                if j < i and lcm_hg2 == lcm_hg and i != j:
-                    dominated = True
-                    break
-                continue
-            if _divides(lcm_hg2, lcm_hg):
-                dominated = True
-                break
-        if not dominated:
-            kept.append((g, lcm_hg))
-    new_pairs = []
-    for g, lcm_hg in kept:
-        if _coprime(lm_h, g[0][1]):
-            continue
-        seq_counter[0] += 1
-        new_pairs.append(_Pair(key(lcm_hg), seq_counter[0], h, g, lcm_hg))
-    surviving = []
-    for pair in pairs:
-        lcm_fg = pair.lcm
-        if not _divides(lm_h, lcm_fg):
-            surviving.append(pair)
-            continue
-        if _lcm_exps(pair.f[0][1], lm_h) == lcm_fg:
-            surviving.append(pair)
-            continue
-        if _lcm_exps(pair.g[0][1], lm_h) == lcm_fg:
-            surviving.append(pair)
-            continue
-    surviving.extend(new_pairs)
+    lcms = [_lcm_exps(lm_h, g[0][1]) for g in basis]
+    first: dict[Exps, int] = {}
+    for i, lcm in enumerate(lcms):
+        first.setdefault(lcm, i)
+    minimal: list[Exps] = []
+    for lcm in sorted(first, key=sum):
+        if not any(_divides(m, lcm) for m in minimal):
+            minimal.append(lcm)
+    kept = {first[lcm] for lcm in minimal}
+    surviving = [pair for pair in pairs
+                 if not _divides(lm_h, pair.lcm)
+                 or _lcm_exps(pair.f[0][1], lm_h) == pair.lcm
+                 or _lcm_exps(pair.g[0][1], lm_h) == pair.lcm]
+    for i, g in enumerate(basis):
+        if i in kept and not _coprime(lm_h, g[0][1]):
+            seq_counter[0] += 1
+            surviving.append(_Pair(key(lcms[i]), seq_counter[0], h, g, lcms[i]))
     new_basis = [g for g in basis if not _divides(lm_h, g[0][1])]
     new_basis.append(h)
     return new_basis, surviving
@@ -176,7 +162,7 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
     for f in inputs:
         budget.observe_degree(f.total_degree())
         terms = kernel.make_monic(kernel.to_terms(f, order), ring.p)
-        reduced, max_deg, _ = kernel.reduce_full(terms, basis, ring.p, key)
+        reduced, max_deg = kernel.reduce_full(terms, basis, ring.p)
         budget.observe_degree(max_deg)
         if reduced:
             basis, pairs = _update(basis, pairs, kernel.make_monic(reduced, ring.p),
@@ -191,16 +177,16 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
         budget.charge_pair()
         budget.observe_degree(sum(pair.lcm))
         spair = kernel.s_poly(pair.f, pair.g, ring.p, key)
-        reduced, max_deg, _ = kernel.reduce_full(spair, basis, ring.p, key)
+        reduced, max_deg = kernel.reduce_full(spair, basis, ring.p)
         budget.observe_degree(max_deg)
         if reduced:
             basis, pairs = _update(basis, pairs, kernel.make_monic(reduced, ring.p),
                                    key, seq_counter)
 
-    return _reduce_basis(basis, ring, key)
+    return _reduce_basis(basis, ring)
 
 
-def _reduce_basis(basis, ring, key) -> list[Polynomial]:
+def _reduce_basis(basis, ring) -> list[Polynomial]:
     """Tail-reduce each member of a minimal basis.
 
     The basis is already minimal: every new member is fully reduced by the
@@ -212,7 +198,7 @@ def _reduce_basis(basis, ring, key) -> list[Polynomial]:
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        nf, _, _ = kernel.reduce_full(g, others, ring.p, key)
+        nf, _ = kernel.reduce_full(g, others, ring.p)
         reduced.append(kernel.make_monic(nf, ring.p))
     return [kernel.from_terms(g, ring) for g in reduced]
 
@@ -226,7 +212,7 @@ def normal_form(f: Polynomial, basis: list[Polynomial],
     reducers = [kernel.make_monic(kernel.to_terms(g, order), ring.p)
                 for g in basis if not g.is_zero()]
     terms = kernel.to_terms(f, order)
-    nf, max_deg, _ = kernel.reduce_full(terms, reducers, ring.p, order.key)
+    nf, max_deg = kernel.reduce_full(terms, reducers, ring.p)
     budget.observe_degree(max_deg)
     return kernel.from_terms(nf, ring)
 
@@ -235,30 +221,37 @@ def div_exact(f: Polynomial, g: Polynomial,
               budget: Budget | None = None) -> Polynomial:
     """Quotient f/g when g divides f exactly; raises otherwise.
 
-    Polls the budget's deadline every 64 quotient terms.
+    Long division on kernel term lists under grevlex: each step records
+    the quotient term lm(r)/lm(g) with coefficient lc(r)/lc(g) and merges
+    the tail of g, shifted and scaled, into the rest of r. One Polynomial
+    is built at the end. Polls the budget's deadline every 64 quotient
+    terms.
     """
     ring = f.ring
+    if g.ring != ring:
+        raise PreconditionError("polynomials from different rings")
     if g.is_zero():
         raise PreconditionError("division by the zero polynomial")
     budget = budget or Budget()
     order = ring.default_order()
-    lm_g, lc_g = g.leading_term(order)
-    inv = ring.field.inverse(lc_g)
-    quotient = ring.zero()
-    rest = f
-    terms = 0
-    while not rest.is_zero():
-        lm_r, lc_r = rest.leading_term(order)
+    p = ring.p
+    (key_g, lm_g, lc_g), *tail = kernel.to_terms(g, order)
+    inv = pow(lc_g, -1, p)
+    rest = kernel.to_terms(f, order)
+    quotient = []
+    while rest:
+        key_r, lm_r, lc_r = rest[0]
         if not _divides(lm_g, lm_r):
             raise PreconditionError("exact division failed: remainder is nonzero")
-        shift = tuple(a - b for a, b in zip(lm_r, lm_g))
-        mono = ring.monomial(shift, lc_r * inv)
-        quotient = quotient + mono
-        rest = rest - mono * g
-        terms += 1
-        if terms % 64 == 0:
+        key_q = tuple(map(sub, key_r, key_g))
+        lm_q = tuple(map(sub, lm_r, lm_g))
+        lc_q = lc_r * inv % p
+        quotient.append((key_q, lm_q, lc_q))
+        scaled = kernel.shifted(tail, key_q, lm_q, p - lc_q, p)
+        rest = kernel.merge(rest[1:], scaled, p)
+        if len(quotient) % 64 == 0:
             budget.check_deadline()
-    return quotient
+    return kernel.from_terms(quotient, ring)
 
 
 # -- Ideal ----------------------------------------------------------------

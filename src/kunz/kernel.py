@@ -4,11 +4,18 @@ The Groebner engine spends nearly all of its time in full reduction, so the
 inner loop lives here in a flat representation: a polynomial is a list of
 (key, exps, coeff) triples sorted descending by key, where key is the
 monomial order key tuple, exps the exponent vector and coeff an int in
-[1, p). Reducers are assumed monic. Functions that build new terms take the
-order's key function, MonomialOrder.key.
+[1, p). Reducers are assumed monic.
+
+Every MonomialOrder.key is additive, key(a + b) = key(a) + key(b)
+componentwise, so the kernel shifts a term by a monomial by adding the
+monomial's key to the term's key and never calls the key function on a
+shifted term. Beyond to_terms, only s_poly takes the key function, and
+calls it once per side.
 """
 
 from __future__ import annotations
+
+from operator import add, le, sub
 
 from .poly import MonomialOrder, Polynomial
 
@@ -37,68 +44,60 @@ def merge(a, b, p):
     return out
 
 
-def reduce_full(f, reducers, p, key):
+def shifted(terms, key_shift, exp_shift, scale, p):
+    """Multiply a term list by the monomial scale * x^exp_shift, whose order
+    key is key_shift."""
+    return [(tuple(map(add, k, key_shift)), tuple(map(add, e, exp_shift)),
+             c * scale % p) for k, e, c in terms]
+
+
+def reduce_full(f, reducers, p):
     """Fully reduce f by a list of monic term lists.
 
-    Returns (normal_form, max_degree_seen, steps). Every term of the result
-    is divisible by no reducer leading monomial. The reducer chosen at each
+    Returns (normal_form, max_degree_seen). Every term of the result is
+    divisible by no reducer leading monomial. The reducer chosen at each
     step is the first whose leading monomial divides, so the outcome is
-    deterministic in the order reducers are given.
+    deterministic in the order reducers are given. The work list is walked
+    by index: an irreducible head moves to the result, and a one-term
+    (monomial) reducer just drops the head, so neither copies the list.
     """
     lead_exps = [r[0][1] for r in reducers]
-    nred = len(reducers)
-    work = list(f)
+    work = f
+    i = 0
     result = []
     max_deg = 0
-    steps = 0
-    while work:
-        key0, e0, c0 = work[0]
+    while i < len(work):
+        key0, e0, c0 = work[i]
         deg = sum(e0)
         if deg > max_deg:
             max_deg = deg
-        chosen = -1
-        for j in range(nred):
-            rl = lead_exps[j]
-            divides = True
-            for a, b in zip(rl, e0):
-                if a > b:
-                    divides = False
-                    break
-            if divides:
-                chosen = j
+        for j, lead in enumerate(lead_exps):
+            if all(map(le, lead, e0)):
                 break
-        if chosen < 0:
-            result.append(work[0])
-            work = work[1:]
+        else:
+            result.append(work[i])
+            i += 1
             continue
-        shift = tuple(a - b for a, b in zip(e0, lead_exps[chosen]))
-        shifted = []
-        for _, e, c in reducers[chosen][1:]:
-            ne = tuple(a + b for a, b in zip(e, shift))
-            nc = (p - c * c0 % p) % p
-            if nc:
-                shifted.append((key(ne), ne, nc))
-        work = merge(work[1:], shifted, p)
-        steps += 1
-    return result, max_deg, steps
+        reducer = reducers[j]
+        i += 1
+        if len(reducer) > 1:
+            key_shift = tuple(map(sub, key0, reducer[0][0]))
+            exp_shift = tuple(map(sub, e0, lead))
+            work = merge(work[i:], shifted(reducer[1:], key_shift, exp_shift,
+                                           p - c0, p), p)
+            i = 0
+    return result, max_deg
 
 
 def s_poly(f, g, p, key):
     """S-polynomial of two monic term lists, leading terms cancelled exactly."""
     ef = f[0][1]
     eg = g[0][1]
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    sf = tuple(l - a for l, a in zip(lcm, ef))
-    sg = tuple(l - b for l, b in zip(lcm, eg))
-    a = []
-    for _, e, c in f[1:]:
-        ne = tuple(x + y for x, y in zip(e, sf))
-        a.append((key(ne), ne, c))
-    b = []
-    for _, e, c in g[1:]:
-        ne = tuple(x + y for x, y in zip(e, sg))
-        b.append((key(ne), ne, (p - c) % p))
-    return merge(a, b, p)
+    lcm = tuple(map(max, ef, eg))
+    sf = tuple(map(sub, lcm, ef))
+    sg = tuple(map(sub, lcm, eg))
+    return merge(shifted(f[1:], key(sf), sf, 1, p),
+                 shifted(g[1:], key(sg), sg, p - 1, p), p)
 
 
 def make_monic(terms, p):

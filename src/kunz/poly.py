@@ -81,7 +81,10 @@ class MonomialOrder:
     """A multiplicative well-order on monomials of a fixed variable count.
 
     ``key`` is the order's key function: a > b in the order exactly when
-    key(a) > key(b) as tuples.
+    key(a) > key(b) as tuples. Every key is additive, key(a + b) = key(a) +
+    key(b) componentwise (grevlex and lex are linear maps, elimination
+    concatenates two), and the reduction kernel relies on it to shift keys
+    instead of recomputing them.
     """
 
     kind: str

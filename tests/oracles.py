@@ -170,3 +170,54 @@ def elimination_greater(a: tuple[int, ...], b: tuple[int, ...], k: int) -> bool:
     if a[:k] != b[:k]:
         return grevlex_greater(a[:k], b[:k])
     return grevlex_greater(a[k:], b[k:])
+
+
+def pairwise_update(basis, pairs, h, seq):
+    """The Gebauer-Moeller update by a pairwise dominance loop, O(B^2).
+
+    This is the engine's former _update, kept to check the minimal-lcm
+    filter that replaced it. basis and h are term lists whose first term
+    is (key, exps, coeff); pairs are (f, g, lcm, seq) tuples and seq is the
+    last sequence number handed out. Returns (basis, pairs, seq).
+    """
+    lm_h = h[0][1]
+
+    def lcm_with(g):
+        return tuple(max(x, y) for x, y in zip(lm_h, g[0][1]))
+
+    def coprime(a, b):
+        return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+    candidates = [(g, lcm_with(g)) for g in basis]
+    kept = []
+    for i, (g, lcm_hg) in enumerate(candidates):
+        if coprime(lm_h, g[0][1]):
+            kept.append((g, lcm_hg))
+            continue
+        dominated = False
+        for j, (g2, lcm_hg2) in enumerate(candidates):
+            if i == j or lcm_hg2 == lcm_hg:
+                if j < i and lcm_hg2 == lcm_hg and i != j:
+                    dominated = True
+                    break
+                continue
+            if _divides(lcm_hg2, lcm_hg):
+                dominated = True
+                break
+        if not dominated:
+            kept.append((g, lcm_hg))
+    new_pairs = []
+    for g, lcm_hg in kept:
+        if coprime(lm_h, g[0][1]):
+            continue
+        seq += 1
+        new_pairs.append((h, g, lcm_hg, seq))
+    surviving = []
+    for f, g, lcm_fg, s in pairs:
+        if (not _divides(lm_h, lcm_fg) or lcm_with(f) == lcm_fg
+                or lcm_with(g) == lcm_fg):
+            surviving.append((f, g, lcm_fg, s))
+    surviving.extend(new_pairs)
+    new_basis = [g for g in basis if not _divides(lm_h, g[0][1])]
+    new_basis.append(h)
+    return new_basis, surviving, seq

@@ -1,15 +1,16 @@
 import functools
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from kunz.engine import Budget, Ideal, div_exact, maximal_ideal
+from kunz.engine import Budget, Ideal, _update, div_exact, maximal_ideal
 from kunz.engine import monomial_colength as engine_monomial_colength
 from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
-from kunz.poly import PolyRing
-from oracles import bracket, monomial_colength, peeling_colength
+from kunz.poly import GREVLEX, MonomialOrder, PolyRing
+from oracles import (bracket, monomial_colength, pairwise_update,
+                     peeling_colength)
 
 primes = st.sampled_from([2, 3, 5])
 
@@ -233,6 +234,69 @@ def test_div_exact_polls_the_deadline():
     with pytest.raises(BudgetExceededError):
         div_exact(f, g, Budget(deadline_seconds=0))
     assert div_exact(f, g) == quotient
+
+
+@st.composite
+def division_data(draw):
+    p = draw(primes)
+    nvars = draw(st.integers(1, 3))
+    ring = ring_of(p, "xyz"[:nvars])
+
+    def poly(min_size):
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * nvars),
+            st.integers(1, p - 1), min_size=min_size, max_size=5))
+        return sum((ring.monomial(e, c) for e, c in terms.items()), ring.zero())
+
+    return ring, poly(0), poly(1), poly(1)
+
+
+@given(division_data())
+@settings(max_examples=80)
+def test_div_exact_inverts_multiplication(data):
+    ring, f, g, noise = data
+    assert div_exact(f * g, g) == f
+    # r keeps the terms of noise that lm(g) does not divide, so lm(r) is
+    # not a multiple of lm(g), g cannot divide r, and so not f*g + r
+    lm_g = g.leading_term(ring.default_order())[0]
+    r = ring.zero()
+    for exps, c in noise:
+        if not all(a <= b for a, b in zip(lm_g, exps)):
+            r = r + ring.monomial(exps, c)
+    assume(not r.is_zero())
+    with pytest.raises(PreconditionError):
+        div_exact(f * g + r, g)
+
+
+@st.composite
+def leading_monomial_sequence(draw):
+    nvars = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, 3)] * nvars)
+    pool = draw(st.lists(vector, min_size=1, max_size=6))
+    # drawing from a small pool repeats leading monomials; unit vectors on
+    # distinct axes are coprime to each other
+    axes = [tuple(int(i == k) * draw(st.integers(1, 3)) for i in range(nvars))
+            for k in range(nvars)]
+    return draw(st.lists(st.sampled_from(pool + axes), min_size=1,
+                         max_size=14))
+
+
+@given(leading_monomial_sequence())
+@settings(max_examples=150)
+def test_update_matches_the_pairwise_filter(sequence):
+    key = MonomialOrder(GREVLEX).key
+    basis, pairs, seq = [], [], [0]
+    old_basis, old_pairs, old_seq = [], [], 0
+    for exps in sequence:
+        h = [(key(exps), exps, 1)]
+        basis, pairs = _update(basis, pairs, h, key, seq)
+        old_basis, old_pairs, old_seq = pairwise_update(
+            old_basis, old_pairs, h, old_seq)
+        assert [id(g) for g in basis] == [id(g) for g in old_basis]
+        assert [(id(pr.f), id(pr.g), pr.lcm, pr.seq) for pr in pairs] == [
+            (id(f), id(g), lcm, s) for f, g, lcm, s in old_pairs]
+        assert all(pr.key == key(pr.lcm) for pr in pairs)
+        assert seq[0] == old_seq
 
 
 def test_degree_budget_is_enforced():

@@ -122,6 +122,28 @@ def test_fedder_on_fermat_cubics():
     assert "exhausted" in impure.detail or "basis" in impure.detail
 
 
+# (p, top e, splitting colength): 1 where p = 1 mod 3, 0 where p = 2 mod 3
+FERMAT_SPLITTING = [(7, 3, 1), (13, 2, 1), (5, 2, 0), (11, 2, 0)]
+
+
+@pytest.mark.parametrize("p, e_top, expected", FERMAT_SPLITTING)
+def test_fermat_cubic_splitting_colength(p, e_top, expected):
+    """The splitting colength of f = x^3 + y^3 + z^3 is 0 or 1.
+
+    With I = (f), (I^[q] : I) = (f^(q-1)), so the splitting colength
+    q^3 - colength(m^[q] + (f^(q-1))) is the length of the submodule of
+    S/m^[q] that f^(q-1) generates. f^(q-1) is homogeneous of degree
+    3(q-1), the socle degree of S/m^[q], whose top degree is spanned by
+    (xyz)^(q-1) alone and is killed by every variable. So the colength is 1
+    exactly when the coefficient of (xyz)^(q-1) in f^(q-1) is nonzero, and
+    0 otherwise. That is Fedder's criterion: the cubic is F-pure exactly
+    when p = 1 mod 3, and then at every level e.
+    """
+    pres = present(p, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    for e in range(1, e_top + 1):
+        assert splitting_number(pres, e).colength == expected
+
+
 def test_fedder_on_non_reduced_rings():
     for p in (2, 3, 5):
         verdict = fedder_test(present(p, ["x", "y"], ["x^2"]))

@@ -166,3 +166,23 @@ def test_order_keys_match_the_textbook_orders(data, p):
     assert [e for _, e, _ in terms] == by_oracle
     assert all(a[0] > b[0] for a, b in zip(terms, terms[1:]))
     assert from_terms(terms, ring) == f
+
+
+@st.composite
+def order_and_exponent_pair(draw):
+    nvars = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from([GREVLEX, LEX, ELIMINATION]))
+    order = (MonomialOrder(kind, draw(st.integers(1, nvars)))
+             if kind == ELIMINATION else MonomialOrder(kind))
+    vector = st.tuples(*[st.integers(0, 20)] * nvars)
+    return order, draw(vector), draw(vector)
+
+
+@given(order_and_exponent_pair())
+def test_order_keys_are_additive(data):
+    # the kernel shifts a term's key by a monomial's key instead of
+    # recomputing it, which is sound only because keys are additive
+    order, a, b = data
+    total = tuple(x + y for x, y in zip(a, b))
+    assert order.key(total) == tuple(
+        x + y for x, y in zip(order.key(a), order.key(b)))
