@@ -162,7 +162,8 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
     for f in inputs:
         budget.observe_degree(f.total_degree())
         terms = kernel.make_monic(kernel.to_terms(f, order), ring.p)
-        reduced, max_deg = kernel.reduce_full(terms, basis, ring.p)
+        reduced, max_deg = kernel.reduce_full(terms, basis, ring.p,
+                                               budget.check_deadline)
         budget.observe_degree(max_deg)
         if reduced:
             basis, pairs = _update(basis, pairs, kernel.make_monic(reduced, ring.p),
@@ -177,16 +178,17 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
         budget.charge_pair()
         budget.observe_degree(sum(pair.lcm))
         spair = kernel.s_poly(pair.f, pair.g, ring.p, key)
-        reduced, max_deg = kernel.reduce_full(spair, basis, ring.p)
+        reduced, max_deg = kernel.reduce_full(spair, basis, ring.p,
+                                               budget.check_deadline)
         budget.observe_degree(max_deg)
         if reduced:
             basis, pairs = _update(basis, pairs, kernel.make_monic(reduced, ring.p),
                                    key, seq_counter)
 
-    return _reduce_basis(basis, ring)
+    return _reduce_basis(basis, ring, budget)
 
 
-def _reduce_basis(basis, ring) -> list[Polynomial]:
+def _reduce_basis(basis, ring, budget: Budget) -> list[Polynomial]:
     """Tail-reduce each member of a minimal basis.
 
     The basis is already minimal: every new member is fully reduced by the
@@ -198,7 +200,7 @@ def _reduce_basis(basis, ring) -> list[Polynomial]:
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        nf, _ = kernel.reduce_full(g, others, ring.p)
+        nf, _ = kernel.reduce_full(g, others, ring.p, budget.check_deadline)
         reduced.append(kernel.make_monic(nf, ring.p))
     return [kernel.from_terms(g, ring) for g in reduced]
 
@@ -212,7 +214,8 @@ def normal_form(f: Polynomial, basis: list[Polynomial],
     reducers = [kernel.make_monic(kernel.to_terms(g, order), ring.p)
                 for g in basis if not g.is_zero()]
     terms = kernel.to_terms(f, order)
-    nf, max_deg = kernel.reduce_full(terms, reducers, ring.p)
+    nf, max_deg = kernel.reduce_full(terms, reducers, ring.p,
+                                     budget.check_deadline)
     budget.observe_degree(max_deg)
     return kernel.from_terms(nf, ring)
 

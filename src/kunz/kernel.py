@@ -51,7 +51,7 @@ def shifted(terms, key_shift, exp_shift, scale, p):
              c * scale % p) for k, e, c in terms]
 
 
-def reduce_full(f, reducers, p):
+def reduce_full(f, reducers, p, check_deadline):
     """Fully reduce f by a list of monic term lists.
 
     Returns (normal_form, max_degree_seen). Every term of the result is
@@ -60,12 +60,15 @@ def reduce_full(f, reducers, p):
     deterministic in the order reducers are given. The work list is walked
     by index: an irreducible head moves to the result, and a one-term
     (monomial) reducer just drops the head, so neither copies the list.
+    check_deadline() is called every 64 head reductions; it raises to end
+    a reduction that has run out of time.
     """
     lead_exps = [r[0][1] for r in reducers]
     work = f
     i = 0
     result = []
     max_deg = 0
+    steps = 0
     while i < len(work):
         key0, e0, c0 = work[i]
         deg = sum(e0)
@@ -80,6 +83,9 @@ def reduce_full(f, reducers, p):
             continue
         reducer = reducers[j]
         i += 1
+        steps += 1
+        if not steps % 64:
+            check_deadline()
         if len(reducer) > 1:
             key_shift = tuple(map(sub, key0, reducer[0][0]))
             exp_shift = tuple(map(sub, e0, lead))

@@ -250,6 +250,14 @@ def test_realized_rank_drop_reaches_delta(curve):
     assert_oracle_agrees(curve, seed=0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(("curve", "Delta"),
+                         list(zip(BENCH_CURVES, [169, 81, 9, 98])))
+def test_discriminant_valuation_is_Delta_on_bench_curves(curve, Delta, seed):
+    assert tame_invariants(curve).Delta == Delta
+    assert discriminant_valuation(curve, seed=seed) == Delta
+
+
 def test_realized_rank_drop_stalls_below_the_threshold():
     # the (4, 5) branch at p = 11: two adjacent truncations agree on 9 at
     # 16 and 17, where a rank drop certified by agreement would stop

@@ -4,7 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from kunz.engine import Budget, Ideal, _update, div_exact, maximal_ideal
+from kunz.engine import (Budget, Ideal, _update, div_exact, maximal_ideal,
+                         normal_form)
 from kunz.engine import monomial_colength as engine_monomial_colength
 from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
@@ -234,6 +235,16 @@ def test_div_exact_polls_the_deadline():
     with pytest.raises(BudgetExceededError):
         div_exact(f, g, Budget(deadline_seconds=0))
     assert div_exact(f, g) == quotient
+
+
+def test_normal_form_polls_the_deadline():
+    ring = ring_of(5)
+    f = ring.parse("x^200")
+    basis = [ring.parse("x - y")]
+    # x^200 -> x^199*y -> ... -> y^200 takes 200 head reductions.
+    with pytest.raises(BudgetExceededError):
+        normal_form(f, basis, Budget(deadline_seconds=0))
+    assert normal_form(f, basis) == ring.parse("y^200")
 
 
 @st.composite

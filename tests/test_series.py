@@ -1,10 +1,11 @@
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 import pytest
 
 from kunz.errors import PreconditionError, PrecisionLossError
+from kunz.field import MAX_PRIME
 from kunz.series import (TruncatedSeries, determinant_valuation, divide,
-                         reseries, tame_trace, trace_in_parameter)
+                         tame_trace)
 from oracles import naive_series_product
 
 primes = st.sampled_from([2, 3, 5, 7])
@@ -23,14 +24,38 @@ def series_pair(draw):
     return p, prec, one_series(), one_series()
 
 
-@given(series_pair())
+@st.composite
+def product_operands(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 65521, MAX_PRIME - 1]))
+
+    def operand():
+        valuation = draw(st.integers(0, 50))
+        coeffs = draw(st.dictionaries(st.integers(valuation, valuation + 120),
+                                      st.integers(1, p - 1), max_size=60))
+        return TruncatedSeries.make(p, coeffs,
+                                    draw(st.none() | st.integers(0, 200)))
+
+    return p, operand(), operand()
+
+
+@given(product_operands())
+@example((7, TruncatedSeries.make(7, {}, 5),
+          TruncatedSeries.make(7, {2: 3, 9: 1}, 12)))
+@example((MAX_PRIME - 1, TruncatedSeries.make(MAX_PRIME - 1, {0: 2, 40: 5}),
+          TruncatedSeries.make(MAX_PRIME - 1, {}, 30)))
 def test_product_matches_naive_convolution(data):
-    p, prec, a, b = data
-    result = a * b
-    expected = naive_series_product(dict(a.coeffs), dict(b.coeffs), p,
-                                    result.prec)
-    for m in range(result.prec):
-        assert result.coefficient(m) == expected.get(m, 0)
+    p, a, b = data
+    if a.is_exactly_zero() or b.is_exactly_zero():
+        assert a * b == TruncatedSeries.zero(p)
+        return
+    # prec(a) + v(b) and prec(b) + v(a), with a truncated zero's v at least
+    # its precision
+    prec = min((x.prec + y.valuation_lower_bound()
+                for x, y in ((a, b), (b, a)) if x.prec is not None),
+               default=None)
+    cutoff = float("inf") if prec is None else prec
+    expected = naive_series_product(dict(a.coeffs), dict(b.coeffs), p, cutoff)
+    assert a * b == TruncatedSeries.make(p, expected, prec)
 
 
 @given(series_pair())
@@ -118,16 +143,6 @@ def test_divide_shifts_out_the_valuation():
     assert (quotient * g - f).valuation_lower_bound() >= quotient.prec
 
 
-def test_reseries_recovers_composed_coefficients():
-    # xi = s^2 + 2 s^5 written in t, where s = t + t^2
-    p = 7
-    s = TruncatedSeries.make(p, {1: 1, 2: 1}, prec=10)
-    xi = s**2 + (s**5).scale(2)
-    coeffs = reseries(xi, s)
-    expected = {2: 1, 5: 2}
-    assert coeffs == [expected.get(m, 0) for m in range(len(coeffs))]
-
-
 def test_tame_trace_collects_multiples():
     # trace of sum c_m s^m with T = s^3 keeps m = 0, 3, 6 scaled by 3
     xi = TruncatedSeries.make(5, {0: 1, 2: 4, 3: 2, 6: 1}, prec=7)
@@ -136,16 +151,6 @@ def test_tame_trace_collects_multiples():
     assert traced.prec == 3
     with pytest.raises(PreconditionError):
         tame_trace(xi, 5)  # gamma divisible by p is wild, not tame
-
-
-def test_trace_in_parameter_matches_direct_trace():
-    p = 5
-    s = TruncatedSeries.make(p, {1: 1, 3: 2}, prec=12)
-    xi = s**2 + s**4
-    direct = tame_trace(TruncatedSeries.make(p, {2: 1, 4: 1}, 12), 2)
-    via_t = trace_in_parameter(xi, s, 2)
-    for m in range(min(direct.prec, via_t.prec)):
-        assert via_t.coefficient(m) == direct.coefficient(m)
 
 
 def test_determinant_valuation_diagonal_and_swap():
@@ -158,6 +163,10 @@ def test_determinant_valuation_diagonal_and_swap():
     assert determinant_valuation([[mono(1), zero], [zero, mono(4)]]) == 5
     # antidiagonal: swap contributes the same total valuation
     assert determinant_valuation([[zero, mono(1)], [mono(4), zero]]) == 5
+    # exact pivots with nothing to eliminate below them need no inverse
+    exact = TruncatedSeries.make(p, {2: 1})
+    none = TruncatedSeries.zero(p)
+    assert determinant_valuation([[exact, none], [none, exact]]) == 4
 
 
 def test_determinant_valuation_detects_singularity():
