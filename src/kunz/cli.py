@@ -76,9 +76,14 @@ def _budget(job: JobSpec) -> Budget:
     return Budget(max_pairs=job.budget_pairs)
 
 
+def _e_max(job: JobSpec, default: int) -> int:
+    """The job's e_max, or the command's default when the job gives none."""
+    return default if job.e_max is None else job.e_max
+
+
 def run_hk(job: JobSpec) -> dict:
     presentation = _presentation(job)
-    report = hk_sequence(presentation, job.e_max or 3, _budget(job))
+    report = hk_sequence(presentation, _e_max(job, 3), _budget(job))
     return {
         "p": report.p,
         "presentation": report.presentation_id,
@@ -97,7 +102,7 @@ def run_hk(job: JobSpec) -> dict:
 
 def run_fsig(job: JobSpec) -> dict:
     presentation = _presentation(job)
-    report = fsplit_report(presentation, job.e_max or 3, _budget(job))
+    report = fsplit_report(presentation, _e_max(job, 3), _budget(job))
     return {
         "p": report.p,
         "presentation": report.presentation_id,
@@ -127,7 +132,7 @@ def run_fedder(job: JobSpec) -> dict:
     }
     if job.element is not None:
         element = presentation.ring.parse(job.element)
-        cap = job.e_cap or 4
+        cap = 4 if job.e_cap is None else job.e_cap
         exponent = fpurity_exponent(presentation, element, cap, budget)
         payload["element"] = str(element)
         payload["exponent_cap"] = cap
@@ -193,7 +198,7 @@ def run_scan(job: JobSpec) -> dict:
         for spec in job.subvarieties)
     points = None if job.points is None else list(job.points)
     report = scan_points(job.p, job.variables, list(job.ideal),
-                         points=points, e_max=job.e_max or 2,
+                         points=points, e_max=_e_max(job, 2),
                          subvarieties=subvarieties, budget=_budget(job))
     return {
         "p": report.p,
@@ -257,13 +262,15 @@ def run_verify_bounds(job: JobSpec) -> dict:
         constants = BoundConstants(m=job.m_constant, Delta=job.delta_constant)
         conditional = True
     check = verify_pair_bounds(presentation, inner, socle,
-                               job.e_max or 3, constants, _budget(job))
+                               _e_max(job, 3), constants, _budget(job))
     return {
         "p": presentation.p,
         "inner": [str(g) for g in inner.generators],
         "socle": str(socle),
+        # b and e0, the filtration step count and nilpotency index of the
+        # module variant, are fixed by the reduced rank-one case checked here
         "constants": {"m": constants.m, "Delta": constants.Delta,
-                      "b": constants.b, "e0": constants.e0},
+                      "b": 1, "e0": 0},
         "conditional": conditional,
         "entries": [
             {"e": entry.e, "e_prime": entry.e_prime, "lhs": entry.lhs,

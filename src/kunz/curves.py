@@ -7,6 +7,10 @@ this data the module computes the per-branch constants gamma0, beta, gamma
 and the global delta and Delta, constructs a parameter with valuation gamma
 on every branch, and certifies the discriminant valuation of the tame
 extension by an exact truncated-series trace computation.
+
+root_closure_check, split_reduction_check, piece_generators and
+tame_trial_valuation are library checks of the paper's lemmas. No command
+calls them; the tests and the acceptance suite exercise them.
 """
 
 from __future__ import annotations

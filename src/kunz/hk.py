@@ -6,17 +6,18 @@ rational interval around the limit via the geometric tail
 
     sum_{k>=0} p^-(E+k) = p^-E / (1 - 1/p).
 
-verify_pair_bound checks |l_e/q^d - l_e'/q'^d| <= m * Delta * p^-e for a
-pair of nested ideals differing by a single socle generator, with the
-constants m and Delta supplied by the caller (for realized curve data they
-come from the curves module). hypersurface_bound checks the colength of a
-principal ideal plus a bracket power of the maximal ideal against
-n * q^(d-1).
+verify_pair_bounds checks |l_e - l_e'| <= m * Delta * p^-e for every pair
+1 <= e <= e' <= e_max, where l_e = l((I + (u))^[q] / I^[q]) / q^d for
+nested ideals I and I + (u) differing by a single socle generator u. Each
+l_e is computed once, and the constants m and Delta are supplied by the
+caller (for realized curve data they come from the curves module).
+hypersurface_bound checks the colength of a principal ideal plus a bracket
+power of the maximal ideal against n * q^(d-1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import Budget, Ideal, maximal_ideal
@@ -126,16 +127,10 @@ def hk_sequence(presentation: LocalRingPresentation, e_max: int,
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Constants entering the pair bound rhs m * Delta * p^-e.
-
-    b and e0 record the filtration step count and nilpotency index of the
-    module variant; everything exercised here is the reduced rank-one case.
-    """
+    """Constants entering the pair bound rhs m * Delta * p^-e."""
 
     m: int
     Delta: int
-    b: int = 1
-    e0: int = 0
 
 
 @dataclass(frozen=True)
@@ -150,12 +145,12 @@ class PairBoundEntry:
         return self.lhs <= self.rhs
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundCheck:
     """A batch of pair-bound verifications sharing one constant set."""
 
     constants: BoundConstants
-    entries: list[PairBoundEntry] = field(default_factory=list)
+    entries: tuple[PairBoundEntry, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -178,52 +173,46 @@ def relative_bracket_colength(presentation: LocalRingPresentation,
 
 def check_socle_condition(presentation: LocalRingPresentation, inner: Ideal,
                           u: Polynomial, budget: Budget | None = None) -> None:
-    """Require (inner : u) = m in the presented ring."""
-    total = presentation.ideal.sum_with(inner)
-    colon = total.colon(Ideal(presentation.ring, [u]), budget)
-    if colon != maximal_ideal(presentation.ring):
+    """Require (inner : u) = m in the presented ring.
+
+    Decided by two containments, each within the budget: the colon lies
+    in m when no generator has a constant term, and m lies in the colon
+    when every variable does.
+    """
+    ring = presentation.ring
+    colon = presentation.ideal.sum_with(inner).colon(Ideal(ring, [u]), budget)
+    if (any(g.constant_coefficient() for g in colon.generators)
+            or not all(colon.contains(x, budget) for x in ring.gens())):
         raise PreconditionError(
             "the colon of the inner ideal by u is not the maximal ideal")
-
-
-def verify_pair_bound(presentation: LocalRingPresentation, inner: Ideal,
-                      u: Polynomial, e: int, e_prime: int,
-                      constants: BoundConstants,
-                      budget: Budget | None = None,
-                      check_precondition: bool = True) -> PairBoundEntry:
-    """One pair check of |l_e/q^d - l_e'/q'^d| <= m * Delta * p^-e.
-
-    The socle condition (inner : u) = m makes the inner/outer quotient have
-    length one, so the rhs carries no extra length factor.
-    """
-    if e < 0 or e > e_prime:
-        raise PreconditionError(f"need 0 <= e <= e', got e={e}, e'={e_prime}")
-    if check_precondition:
-        check_socle_condition(presentation, inner, u, budget)
-    p = presentation.p
-    d = presentation.dimension(budget)
-    lengths = {}
-    for ee in {e, e_prime}:
-        q = frobenius_exponent(p, ee)
-        lengths[ee] = Fraction(
-            relative_bracket_colength(presentation, inner, u, q, budget), q**d)
-    lhs = abs(lengths[e] - lengths[e_prime])
-    rhs = constants.m * constants.Delta * Fraction(1, p**e)
-    return PairBoundEntry(e=e, e_prime=e_prime, lhs=lhs, rhs=rhs)
 
 
 def verify_pair_bounds(presentation: LocalRingPresentation, inner: Ideal,
                        u: Polynomial, e_max: int, constants: BoundConstants,
                        budget: Budget | None = None) -> BoundCheck:
-    """All pairs 1 <= e <= e' <= e_max against one constant set."""
+    """All pairs 1 <= e <= e' <= e_max of |l_e - l_e'| <= m * Delta * p^-e.
+
+    Here l_e is the relative bracket colength at q = p^e over q^d. Each
+    side depends on one level, so l_e is computed once per e. The socle
+    condition (inner : u) = m makes the inner/outer quotient have length
+    one, so the rhs carries no extra length factor.
+    """
+    if e_max < 1:
+        raise PreconditionError(f"e_max must be >= 1, got {e_max}")
     check_socle_condition(presentation, inner, u, budget)
-    check = BoundCheck(constants=constants)
+    p = presentation.p
+    d = presentation.dimension(budget)
+    lengths = {}
     for e in range(1, e_max + 1):
-        for e_prime in range(e, e_max + 1):
-            check.entries.append(
-                verify_pair_bound(presentation, inner, u, e, e_prime,
-                                  constants, budget, check_precondition=False))
-    return check
+        q = frobenius_exponent(p, e)
+        lengths[e] = Fraction(
+            relative_bracket_colength(presentation, inner, u, q, budget), q**d)
+    entries = tuple(
+        PairBoundEntry(e=e, e_prime=e_prime,
+                       lhs=abs(lengths[e] - lengths[e_prime]),
+                       rhs=constants.m * constants.Delta * Fraction(1, p**e))
+        for e in range(1, e_max + 1) for e_prime in range(e, e_max + 1))
+    return BoundCheck(constants=constants, entries=entries)
 
 
 @dataclass(frozen=True)

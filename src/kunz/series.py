@@ -272,15 +272,6 @@ class TruncatedSeries:
         return body + tail
 
 
-def divide(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """f/g where v(g) is certified and v(f) >= v(g)."""
-    v = g.valuation()
-    if v is INFINITE:
-        raise PreconditionError("division by the zero series")
-    unit = g.shift(-v)
-    return (f * unit.inverse()).shift(-v)
-
-
 def tame_trace(xi: TruncatedSeries, gamma: int) -> TruncatedSeries:
     """Trace down to F_p[[T]] of xi given in the tame coordinate s, T = s^gamma.
 
@@ -346,9 +337,10 @@ def determinant_valuation(matrix: list[list[TruncatedSeries]]) -> int:
         work[col], work[pivot_row] = work[pivot_row], work[col]
         pivot = work[col][col]
         total += pivot_val
-        # divide(entry, pivot), with the pivot's unit inverted once per
-        # column, and only when some row below needs it: an exact pivot
-        # has no inverse precision, and needs none when nothing is below.
+        # entry / pivot, as the entry times the inverse of the pivot's unit,
+        # shifted down by the pivot valuation. The unit is inverted once per
+        # column, and only when some row below needs it: an exact pivot has
+        # no inverse precision, and needs none when nothing is below.
         unit_inverse = None
         for r in range(col + 1, n):
             entry = work[r][col]

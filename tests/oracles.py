@@ -11,8 +11,8 @@ from fractions import Fraction
 from itertools import product
 
 
-def monomial_colength(generators: list[tuple[int, ...]]) -> int:
-    """Colength of a monomial ideal by counting the staircase directly.
+def box_bounds(generators: list[tuple[int, ...]]) -> list[int]:
+    """The smallest pure power of each axis: the box holding the staircase.
 
     Requires a pure power of every axis among the generators; anything else
     has infinite colength and is a caller bug.
@@ -29,8 +29,16 @@ def monomial_colength(generators: list[tuple[int, ...]]) -> int:
                 bounds[i] = gen[i]
     if any(b is None for b in bounds):
         raise ValueError(f"no pure power on every axis: {generators}")
+    return bounds
+
+
+def monomial_colength(generators: list[tuple[int, ...]]) -> int:
+    """Colength of a monomial ideal by counting the staircase directly.
+
+    Walks every monomial of the box; same precondition as box_bounds.
+    """
     count = 0
-    for vector in product(*(range(b) for b in bounds)):
+    for vector in product(*(range(b) for b in box_bounds(generators))):
         if not any(all(v >= g for v, g in zip(vector, gen))
                    for gen in generators):
             count += 1

@@ -120,6 +120,30 @@ def test_verify_bounds_derives_constants_from_branches(runner, tmp_path):
     assert payload["conditional"] is False
 
 
+EMAX_JOBS = {"hk": CONE, "fsig": CONE, "scan": NODE,
+             "verify-bounds": CUSP_BOUNDS}
+
+
+@pytest.mark.parametrize("command", list(EMAX_JOBS))
+@pytest.mark.parametrize("route", ["job", "flag"])
+def test_explicit_zero_emax_exits_3(runner, tmp_path, command, route):
+    text = EMAX_JOBS[command]
+    if route == "job":
+        job, flags = write(tmp_path, "zero.job", text + "emax = 0;\n"), []
+    else:
+        job, flags = write(tmp_path, "zero.job", text), ["--emax", "0"]
+    result = invoke(runner, [command, "--input", job] + flags)
+    assert result.exit_code == 3
+    assert parse_output(result)["error"]["type"] == "PreconditionError"
+
+
+def test_explicit_zero_ecap_exits_3(runner, tmp_path):
+    job = write(tmp_path, "zero.job", NODE + "element = x;\necap = 0;\n")
+    result = invoke(runner, ["fedder", "--input", job])
+    assert result.exit_code == 3
+    assert "e_cap" in parse_output(result)["error"]["message"]
+
+
 def test_parse_errors_exit_2(runner, tmp_path):
     text = "p = 5;\nvars = x;\nideal\n"
     job = write(tmp_path, "bad.job", text)

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from kunz.engine import Ideal, maximal_ideal
+from kunz import engine, hk
+from kunz.engine import Budget, Ideal, maximal_ideal
 from kunz.errors import PreconditionError
 from kunz.field import FieldConfig
-from kunz.hk import (BoundConstants, empirical_gap_constant, hk_sequence,
-                     hypersurface_bound, relative_bracket_colength,
-                     verify_basic_lengths, verify_pair_bound,
+from kunz.hk import (BoundConstants, PairBoundEntry, check_socle_condition,
+                     empirical_gap_constant, hk_sequence, hypersurface_bound,
+                     relative_bracket_colength, verify_basic_lengths,
                      verify_pair_bounds)
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing
@@ -83,16 +84,79 @@ def test_pair_bounds_on_the_cusp(cusp5):
 def test_pair_bound_rejects_bad_exponents(cusp5):
     m = maximal_ideal(cusp5.ring)
     with pytest.raises(PreconditionError):
-        verify_pair_bound(cusp5, m, cusp5.ring.one(), 2, 1,
-                          BoundConstants(m=2, Delta=9))
+        verify_pair_bounds(cusp5, m, cusp5.ring.one(), 0,
+                           BoundConstants(m=2, Delta=9))
 
 
 def test_socle_condition_is_checked(cusp5):
     ring = cusp5.ring
-    inner = Ideal(ring, [ring.parse("x")])  # (x) : 1 is not maximal
-    with pytest.raises(PreconditionError):
-        verify_pair_bounds(cusp5, inner, ring.one(), 2,
-                           BoundConstants(m=2, Delta=9))
+    # (x) : 1 does not contain y; m : x is the unit ideal, not inside m
+    for gens, u in ((["x"], "1"), (["x", "y"], "x")):
+        inner = Ideal(ring, [ring.parse(g) for g in gens])
+        with pytest.raises(PreconditionError):
+            verify_pair_bounds(cusp5, inner, ring.parse(u), 2,
+                               BoundConstants(m=2, Delta=9))
+
+
+def pair_by_pair(presentation, inner, u, e_max, constants):
+    """The per-pair route: both levels of every pair computed afresh."""
+    p = presentation.p
+    d = presentation.dimension()
+    entries = []
+    for e in range(1, e_max + 1):
+        for e_prime in range(e, e_max + 1):
+            lengths = {}
+            for ee in {e, e_prime}:
+                q = p**ee
+                lengths[ee] = Fraction(
+                    relative_bracket_colength(presentation, inner, u, q),
+                    q**d)
+            entries.append(PairBoundEntry(
+                e=e, e_prime=e_prime, lhs=abs(lengths[e] - lengths[e_prime]),
+                rhs=constants.m * constants.Delta * Fraction(1, p**e)))
+    return entries
+
+
+@pytest.mark.parametrize("p, names, equation", [
+    (5, "xy", "y^2 - x^3"), (3, "xy", "x*y"), (3, "xyz", "x*y - z^2")])
+def test_pair_bounds_match_the_pair_by_pair_route(p, names, equation):
+    pres = LocalRingPresentation.from_texts(p, list(names), [equation])
+    m, one = maximal_ideal(pres.ring), pres.ring.one()
+    constants = BoundConstants(m=2, Delta=9)
+    check = verify_pair_bounds(pres, m, one, 4, constants)
+    assert list(check.entries) == pair_by_pair(pres, m, one, 4, constants)
+
+
+def test_pair_bounds_compute_each_level_once(cusp5, monkeypatch):
+    levels = []
+
+    def counting(presentation, inner, u, q, budget=None):
+        levels.append(q)
+        return relative_bracket_colength(presentation, inner, u, q, budget)
+
+    monkeypatch.setattr(hk, "relative_bracket_colength", counting)
+    verify_pair_bounds(cusp5, maximal_ideal(cusp5.ring), cusp5.ring.one(),
+                       3, BoundConstants(m=2, Delta=9))
+    assert levels == [5, 25, 125]
+
+
+@pytest.mark.parametrize("inner, u", [(["x", "y"], "1"),
+                                      (["x^2", "y^3"], "x*y^2")])
+def test_socle_condition_charges_the_given_budget(monkeypatch, inner, u):
+    ring = PolyRing(FieldConfig(3), ("x", "y"))
+    pres = LocalRingPresentation(ring, Ideal(ring, []))
+    groebner = engine.groebner
+    budgets = []
+
+    def recording(generators, order=None, budget=None):
+        budgets.append(budget)
+        return groebner(generators, order, budget)
+
+    monkeypatch.setattr(engine, "groebner", recording)
+    budget = Budget()
+    check_socle_condition(pres, Ideal(ring, [ring.parse(g) for g in inner]),
+                          ring.parse(u), budget)
+    assert budgets and all(b is budget for b in budgets)
 
 
 def test_relative_colength_against_the_staircase():

@@ -4,8 +4,7 @@ import pytest
 
 from kunz.errors import PreconditionError, PrecisionLossError
 from kunz.field import MAX_PRIME
-from kunz.series import (TruncatedSeries, determinant_valuation, divide,
-                         tame_trace)
+from kunz.series import TruncatedSeries, determinant_valuation, tame_trace
 from oracles import naive_series_product
 
 primes = st.sampled_from([2, 3, 5, 7])
@@ -133,14 +132,6 @@ def test_kth_root_inverts_kth_power(p, k, prec):
 def test_kth_root_requires_residue_one():
     with pytest.raises(PreconditionError):
         TruncatedSeries.make(5, {0: 2}).kth_root_of_unit(3, 8)
-
-
-def test_divide_shifts_out_the_valuation():
-    f = TruncatedSeries.make(5, {3: 2, 4: 1}, prec=8)
-    g = TruncatedSeries.make(5, {1: 1, 2: 1}, prec=8)
-    quotient = divide(f, g)
-    assert quotient.valuation() == 2
-    assert (quotient * g - f).valuation_lower_bound() >= quotient.prec
 
 
 def test_tame_trace_collects_multiples():
