@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from operator import le, sub
+from operator import le
 
 from . import kernel
 from .errors import BudgetExceededError, PreconditionError
@@ -91,6 +91,9 @@ def _coprime(a: Exps, b: Exps) -> bool:
 
 
 class _Pair:
+    """A critical pair of basis members; key is the packed order key of
+    lcm, the exponent tuple of the lcm of their leading monomials."""
+
     __slots__ = ("key", "seq", "f", "g", "lcm")
 
     def __init__(self, key, seq, f, g, lcm):
@@ -102,7 +105,11 @@ class _Pair:
 
 
 def _update(basis, pairs, h, key, seq_counter):
-    """Gebauer-Moeller update: fold a new monic term list into basis and pairs.
+    """Gebauer-Moeller update: fold a new member h into basis and pairs.
+
+    A basis member is a pair (terms, lead): a monic kernel term list and
+    the exponent tuple of its leading monomial, unpacked once when the
+    member is made, so the lcms here need no unpacking.
 
     A candidate (h, g) becomes a pair when g is the first basis member with
     its lcm, no other candidate's lcm properly divides it, and the leading
@@ -115,8 +122,8 @@ def _update(basis, pairs, h, key, seq_counter):
     lcm(f, h) nor lcm(g, h) equals it; basis members whose leading monomial
     lm(h) divides are discarded.
     """
-    lm_h = h[0][1]
-    lcms = [_lcm_exps(lm_h, g[0][1]) for g in basis]
+    lm_h = h[1]
+    lcms = [_lcm_exps(lm_h, g[1]) for g in basis]
     first: dict[Exps, int] = {}
     for i, lcm in enumerate(lcms):
         first.setdefault(lcm, i)
@@ -127,13 +134,14 @@ def _update(basis, pairs, h, key, seq_counter):
     kept = {first[lcm] for lcm in minimal}
     surviving = [pair for pair in pairs
                  if not _divides(lm_h, pair.lcm)
-                 or _lcm_exps(pair.f[0][1], lm_h) == pair.lcm
-                 or _lcm_exps(pair.g[0][1], lm_h) == pair.lcm]
+                 or _lcm_exps(pair.f[1], lm_h) == pair.lcm
+                 or _lcm_exps(pair.g[1], lm_h) == pair.lcm]
     for i, g in enumerate(basis):
-        if i in kept and not _coprime(lm_h, g[0][1]):
+        if i in kept and not _coprime(lm_h, g[1]):
             seq_counter[0] += 1
-            surviving.append(_Pair(key(lcms[i]), seq_counter[0], h, g, lcms[i]))
-    new_basis = [g for g in basis if not _divides(lm_h, g[0][1])]
+            surviving.append(_Pair(kernel.pack(key(lcms[i])), seq_counter[0],
+                                   h, g, lcms[i]))
+    new_basis = [g for g in basis if not _divides(lm_h, g[1])]
     new_basis.append(h)
     return new_basis, surviving
 
@@ -151,23 +159,39 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
     if order is None:
         order = ring.default_order()
     budget = budget or Budget()
-    key = order.key
-
     inputs = [f for f in generators if not f.is_zero()]
     if not inputs:
         return []
-    basis: list[list] = []
+    return _reduce_basis(_minimal_basis(inputs, order, budget), ring, budget)
+
+
+def _minimal_basis(inputs: list[Polynomial], order: MonomialOrder,
+                   budget: Budget) -> list[list]:
+    """Buchberger's algorithm: a minimal basis as monic kernel term lists."""
+    ring = inputs[0].ring
+    key = order.key
+    p, n = ring.p, ring.nvars
+    guard = kernel.guard_mask(n)
+    basis: list[tuple[list, Exps]] = []
+    reducers: list[list] = []
     pairs: list[_Pair] = []
     seq_counter = [0]
+
+    def absorb(reduced):
+        nonlocal basis, reducers, pairs
+        h = kernel.make_monic(reduced, p)
+        basis, pairs = _update(basis, pairs, (h, kernel.unpack(h[0][1], n)),
+                               key, seq_counter)
+        reducers = [g for g, _ in basis]
+
     for f in inputs:
         budget.observe_degree(f.total_degree())
-        terms = kernel.make_monic(kernel.to_terms(f, order), ring.p)
-        reduced, max_deg = kernel.reduce_full(terms, basis, ring.p,
+        terms = kernel.make_monic(kernel.to_terms(f, order), p)
+        reduced, max_deg = kernel.reduce_full(terms, reducers, guard, p,
                                                budget.check_deadline)
         budget.observe_degree(max_deg)
         if reduced:
-            basis, pairs = _update(basis, pairs, kernel.make_monic(reduced, ring.p),
-                                   key, seq_counter)
+            absorb(reduced)
 
     while pairs:
         best = 0
@@ -177,32 +201,40 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
         pair = pairs.pop(best)
         budget.charge_pair()
         budget.observe_degree(sum(pair.lcm))
-        spair = kernel.s_poly(pair.f, pair.g, ring.p, key)
-        reduced, max_deg = kernel.reduce_full(spair, basis, ring.p,
+        spair = kernel.s_poly(pair.f[0], pair.g[0], pair.key,
+                              kernel.pack(pair.lcm), p)
+        reduced, max_deg = kernel.reduce_full(spair, reducers, guard, p,
                                                budget.check_deadline)
         budget.observe_degree(max_deg)
         if reduced:
-            basis, pairs = _update(basis, pairs, kernel.make_monic(reduced, ring.p),
-                                   key, seq_counter)
-
-    return _reduce_basis(basis, ring, budget)
+            absorb(reduced)
+    return reducers
 
 
 def _reduce_basis(basis, ring, budget: Budget) -> list[Polynomial]:
-    """Tail-reduce each member of a minimal basis.
+    """Tail-reduce each member of a minimal basis of monic term lists.
 
     The basis is already minimal: every new member is fully reduced by the
     basis before _update adds it, and _update drops each member whose
     leading monomial the new one divides, so no leading monomial divides
     another, and tail reduction keeps each leading term.
+
+    The list given is emptied, and each reduced member is dropped once it
+    is rebuilt as a Polynomial, so the packed terms are freed as the
+    polynomials are built instead of being held beside all of them.
     """
-    minimal = sorted(basis, key=lambda g: g[0][0], reverse=True)
+    guard = kernel.guard_mask(ring.nvars)
+    basis.sort(key=lambda g: g[0][0], reverse=True)
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        nf, _ = kernel.reduce_full(g, others, ring.p, budget.check_deadline)
+    for i, g in enumerate(basis):
+        nf, _ = kernel.reduce_full(g, basis[:i] + basis[i + 1:], guard,
+                                   ring.p, budget.check_deadline)
         reduced.append(kernel.make_monic(nf, ring.p))
-    return [kernel.from_terms(g, ring) for g in reduced]
+    basis.clear()
+    polys = []
+    while reduced:
+        polys.append(kernel.from_terms(reduced.pop(), ring))
+    return polys[::-1]
 
 
 def normal_form(f: Polynomial, basis: list[Polynomial],
@@ -214,7 +246,8 @@ def normal_form(f: Polynomial, basis: list[Polynomial],
     reducers = [kernel.make_monic(kernel.to_terms(g, order), ring.p)
                 for g in basis if not g.is_zero()]
     terms = kernel.to_terms(f, order)
-    nf, max_deg = kernel.reduce_full(terms, reducers, ring.p,
+    nf, max_deg = kernel.reduce_full(terms, reducers,
+                                     kernel.guard_mask(ring.nvars), ring.p,
                                      budget.check_deadline)
     budget.observe_degree(max_deg)
     return kernel.from_terms(nf, ring)
@@ -238,16 +271,17 @@ def div_exact(f: Polynomial, g: Polynomial,
     budget = budget or Budget()
     order = ring.default_order()
     p = ring.p
+    guard = kernel.guard_mask(ring.nvars)
     (key_g, lm_g, lc_g), *tail = kernel.to_terms(g, order)
     inv = pow(lc_g, -1, p)
     rest = kernel.to_terms(f, order)
     quotient = []
     while rest:
         key_r, lm_r, lc_r = rest[0]
-        if not _divides(lm_g, lm_r):
+        if not kernel.divides(lm_g, lm_r, guard):
             raise PreconditionError("exact division failed: remainder is nonzero")
-        key_q = tuple(map(sub, key_r, key_g))
-        lm_q = tuple(map(sub, lm_r, lm_g))
+        key_q = key_r - key_g
+        lm_q = lm_r - lm_g
         lc_q = lc_r * inv % p
         quotient.append((key_q, lm_q, lc_q))
         scaled = kernel.shifted(tail, key_q, lm_q, p - lc_q, p)
@@ -295,16 +329,6 @@ class Ideal:
 
     def is_zero(self) -> bool:
         return not self.generators
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        if self.ring != other.ring:
-            return False
-        return self.groebner_basis() == other.groebner_basis()
-
-    def __hash__(self) -> int:
-        return hash((self.ring, tuple(self.groebner_basis())))
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"

@@ -1,23 +1,93 @@
-"""Reduction kernel.
+"""Reduction kernel on packed monomials.
 
 The Groebner engine spends nearly all of its time in full reduction, so the
 inner loop lives here in a flat representation: a polynomial is a list of
-(key, exps, coeff) triples sorted descending by key, where key is the
-monomial order key tuple, exps the exponent vector and coeff an int in
-[1, p). Reducers are assumed monic.
+(key, exps, coeff) triples sorted descending by key, where exps is the
+exponent vector and key the monomial order key tuple, each packed into one
+int, and coeff is an int in [1, p). Reducers are assumed monic.
+
+Packed layout. A vector (v_1, ..., v_n) is packed into n 64-bit slots,
+v_1 in the most significant: sum v_i * 2^(64 (n - i)). While every slot
+stays below 2^63 (see Capacity), slots never carry or borrow, so:
+
+* packed ints compare as the tuples do when the tuples have one length,
+  as the keys of one order do, so one int comparison decides the
+  monomial order on packed keys;
+* packed ints add and subtract componentwise, where the componentwise
+  result has no negative entry;
+* a packed exponent vector a divides b exactly when
+  ((b | G) - a) & G == G, where G = guard_mask(n) holds bit 63 of every
+  slot: each slot of b | G is b_i + 2^63 > a_i, so the subtraction borrows
+  from no neighbour, and slot i keeps its guard bit exactly when
+  b_i >= a_i;
+* the total degree of a packed exponent vector m is m % (2^64 - 1), since
+  2^64 = 1 modulo 2^64 - 1 and the degree is below 2^64 - 1.
 
 Every MonomialOrder.key is additive, key(a + b) = key(a) + key(b)
-componentwise, so the kernel shifts a term by a monomial by adding the
-monomial's key to the term's key and never calls the key function on a
-shifted term. Beyond to_terms, only s_poly takes the key function, and
-calls it once per side.
+componentwise, and its entries are nonnegative linear forms in the
+exponents. So the kernel shifts a term by a monomial by adding the packed
+key and packed exponents of the monomial to the term's, and the shift
+between a term and a leading monomial dividing it is the difference of
+their packed ints, which borrows nowhere because every entry of
+key(b) - key(a) = key(b - a) is nonnegative. In this module only to_terms
+calls the key function.
+
+Capacity. Every key entry of a term is a sum of some of its exponents (a
+partial sum for grevlex and elimination, one exponent for lex), so no slot
+of a term exceeds the term's total degree. Parsed, multiplied and
+Frobenius-powered polynomials keep exponents and total degrees at most
+poly.MAX_EXPONENT = 2^40 (poly._check_exponent,
+Polynomial._check_capacity), but a reduction can raise degrees (under lex,
+x^a reduced by x - y^b gives y^(ab)). So the kernel enforces its own
+ceiling DEGREE_CAP = 2^60: to_terms refuses a polynomial above it, and
+reduce_full refuses a head term above it, which also bounds its result and
+so every basis member. A term built in reduce_full is a head shifted down
+to a reducer term, both at most 2^60; an s-polynomial term is an lcm of
+degree at most 2^61 times a tail term. Every degree stays below 2^62, and
+every slot below the guard bit.
 """
 
 from __future__ import annotations
 
-from operator import add, le, sub
+import struct
+from functools import cache
 
+from .errors import CapacityError
 from .poly import MonomialOrder, Polynomial
+
+SLOT_BITS = 64
+DEGREE_CAP = 2**60
+_DEGREE_MOD = 2**SLOT_BITS - 1
+
+
+def pack(vector) -> int:
+    """Pack a vector of nonnegative ints into 64-bit slots, first entry
+    most significant."""
+    m = 0
+    for v in vector:
+        m = m << SLOT_BITS | v
+    return m
+
+
+@cache
+def _codec(n: int) -> struct.Struct:
+    return struct.Struct(f">{n}Q")
+
+
+def unpack(m: int, n: int) -> tuple[int, ...]:
+    """The n-entry vector that pack turned into m."""
+    return _codec(n).unpack(m.to_bytes(8 * n, "big"))
+
+
+@cache
+def guard_mask(n: int) -> int:
+    """Bit 63 of each of n slots: the mask of the divisibility test."""
+    return pack([1 << (SLOT_BITS - 1)] * n)
+
+
+def divides(a: int, b: int, guard: int) -> bool:
+    """Whether the packed exponent vector a divides b componentwise."""
+    return (b | guard) - a & guard == guard
 
 
 def merge(a, b, p):
@@ -45,40 +115,48 @@ def merge(a, b, p):
 
 
 def shifted(terms, key_shift, exp_shift, scale, p):
-    """Multiply a term list by the monomial scale * x^exp_shift, whose order
-    key is key_shift."""
-    return [(tuple(map(add, k, key_shift)), tuple(map(add, e, exp_shift)),
-             c * scale % p) for k, e, c in terms]
+    """Multiply a term list by the monomial scale * x^exp_shift, whose
+    packed order key is key_shift."""
+    return [(k + key_shift, e + exp_shift, c * scale % p)
+            for k, e, c in terms]
 
 
-def reduce_full(f, reducers, p, check_deadline):
+def reduce_full(f, reducers, guard, p, check_deadline):
     """Fully reduce f by a list of monic term lists.
 
     Returns (normal_form, max_degree_seen). Every term of the result is
     divisible by no reducer leading monomial. The reducer chosen at each
     step is the first whose leading monomial divides, so the outcome is
-    deterministic in the order reducers are given. The work list is walked
-    by index: an irreducible head moves to the result, and a one-term
+    deterministic in the order reducers are given. guard is
+    guard_mask(n) for the ring's n variables. The work list is walked by
+    index: an irreducible head moves to the result, and a one-term
     (monomial) reducer just drops the head, so neither copies the list.
     check_deadline() is called every 64 head reductions; it raises to end
-    a reduction that has run out of time.
+    a reduction that has run out of time. A head of degree above
+    DEGREE_CAP raises CapacityError.
     """
-    lead_exps = [r[0][1] for r in reducers]
+    leads = [r[0][1] for r in reducers]
     work = f
     i = 0
     result = []
     max_deg = 0
     steps = 0
     while i < len(work):
-        key0, e0, c0 = work[i]
-        deg = sum(e0)
+        term = work[i]
+        e0 = term[1]
+        deg = e0 % _DEGREE_MOD
         if deg > max_deg:
+            if deg > DEGREE_CAP:
+                raise CapacityError(
+                    f"degree {deg} exceeds the kernel's 2^60 capacity")
             max_deg = deg
-        for j, lead in enumerate(lead_exps):
-            if all(map(le, lead, e0)):
+        # divides(lead, e0, guard), inlined
+        e0g = e0 | guard
+        for j, lead in enumerate(leads):
+            if e0g - lead & guard == guard:
                 break
         else:
-            result.append(work[i])
+            result.append(term)
             i += 1
             continue
         reducer = reducers[j]
@@ -87,23 +165,21 @@ def reduce_full(f, reducers, p, check_deadline):
         if not steps % 64:
             check_deadline()
         if len(reducer) > 1:
-            key_shift = tuple(map(sub, key0, reducer[0][0]))
-            exp_shift = tuple(map(sub, e0, lead))
-            work = merge(work[i:], shifted(reducer[1:], key_shift, exp_shift,
-                                           p - c0, p), p)
+            work = merge(work[i:], shifted(reducer[1:], term[0] - reducer[0][0],
+                                           e0 - lead, p - term[2], p), p)
             i = 0
     return result, max_deg
 
 
-def s_poly(f, g, p, key):
-    """S-polynomial of two monic term lists, leading terms cancelled exactly."""
-    ef = f[0][1]
-    eg = g[0][1]
-    lcm = tuple(map(max, ef, eg))
-    sf = tuple(map(sub, lcm, ef))
-    sg = tuple(map(sub, lcm, eg))
-    return merge(shifted(f[1:], key(sf), sf, 1, p),
-                 shifted(g[1:], key(sg), sg, p - 1, p), p)
+def s_poly(f, g, lcm_key, lcm_exps, p):
+    """S-polynomial of two monic term lists, leading terms cancelled exactly.
+
+    lcm_exps is the packed lcm of the two leading monomials and lcm_key
+    its packed order key.
+    """
+    return merge(shifted(f[1:], lcm_key - f[0][0], lcm_exps - f[0][1], 1, p),
+                 shifted(g[1:], lcm_key - g[0][0], lcm_exps - g[0][1], p - 1,
+                         p), p)
 
 
 def make_monic(terms, p):
@@ -119,10 +195,14 @@ def make_monic(terms, p):
 
 def to_terms(poly: Polynomial, order: MonomialOrder) -> list:
     """Flatten a polynomial into the kernel term representation."""
+    if poly.total_degree() > DEGREE_CAP:
+        raise CapacityError(
+            f"degree {poly.total_degree()} exceeds the kernel's 2^60 capacity")
     key = order.key
-    return [(key(e), e, c) for e, c in poly.ordered_terms(order)]
+    return [(pack(key(e)), pack(e), c) for e, c in poly.ordered_terms(order)]
 
 
 def from_terms(terms: list, ring) -> Polynomial:
     """Rebuild a polynomial from a kernel term list."""
-    return Polynomial(ring, {e: c for _, e, c in terms})
+    n = ring.nvars
+    return Polynomial(ring, {unpack(e, n): c for _, e, c in terms})

@@ -1,7 +1,8 @@
 """Independent brute-force checkers the engine tests compare against.
 
 Nothing here touches the package's reduction machinery: counting is
-combinatorial and arithmetic is naive convolution, so agreement between an
+combinatorial, arithmetic is naive convolution, and the tuple reduction
+kernel below keeps its own copy of every loop, so agreement between an
 oracle and the engine is evidence rather than a tautology.
 """
 
@@ -229,3 +230,143 @@ def pairwise_update(basis, pairs, h, seq):
     new_basis = [g for g in basis if not _divides(lm_h, g[0][1])]
     new_basis.append(h)
     return new_basis, surviving, seq
+
+
+# -- the tuple reduction kernel ---------------------------------------------
+#
+# The reduction kernel before monomials were packed into ints. A term is
+# (key, exps, coeff) with key the monomial order key tuple and exps the
+# exponent tuple; vectors are shifted, compared and tested for divisibility
+# entry by entry. The packed kernel must give the same results, step for
+# step: the same normal forms, degrees, pairs and bases.
+
+
+def tuple_terms(poly, order):
+    """A Polynomial as a descending tuple term list under order."""
+    key = order.key
+    return [(key(e), e, c) for e, c in poly.ordered_terms(order)]
+
+
+def merge(a, b, p):
+    """Merge two descending term lists, adding coefficients mod p."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ta, tb = a[i], b[j]
+        if ta[0] > tb[0]:
+            out.append(ta)
+            i += 1
+        elif ta[0] < tb[0]:
+            out.append(tb)
+            j += 1
+        else:
+            c = (ta[2] + tb[2]) % p
+            if c:
+                out.append((ta[0], ta[1], c))
+            i += 1
+            j += 1
+    return out + a[i:] + b[j:]
+
+
+def shifted(terms, key_shift, exp_shift, scale, p):
+    """Multiply a term list by scale * x^exp_shift, whose key is key_shift."""
+    return [(tuple(x + y for x, y in zip(k, key_shift)),
+             tuple(x + y for x, y in zip(e, exp_shift)), c * scale % p)
+            for k, e, c in terms]
+
+
+def make_monic(terms, p):
+    if not terms:
+        return terms
+    inv = pow(terms[0][2], -1, p)
+    return [(k, e, c * inv % p) for k, e, c in terms]
+
+
+def reduce_full(f, reducers, p):
+    """(normal form, max degree seen) of f by monic reducers, each step by
+    the first reducer whose leading monomial divides the head."""
+    work = f
+    result = []
+    max_deg = 0
+    while work:
+        key0, e0, c0 = work[0]
+        max_deg = max(max_deg, sum(e0))
+        reducer = next((r for r in reducers if _divides(r[0][1], e0)), None)
+        if reducer is None:
+            result.append(work[0])
+            work = work[1:]
+            continue
+        lead_key, lead, _ = reducer[0]
+        key_shift = tuple(x - y for x, y in zip(key0, lead_key))
+        exp_shift = tuple(x - y for x, y in zip(e0, lead))
+        work = merge(work[1:], shifted(reducer[1:], key_shift, exp_shift,
+                                       p - c0, p), p)
+    return result, max_deg
+
+
+def s_poly(f, g, p, key):
+    """S-polynomial of two monic term lists."""
+    ef, eg = f[0][1], g[0][1]
+    lcm = tuple(max(x, y) for x, y in zip(ef, eg))
+    sf = tuple(x - y for x, y in zip(lcm, ef))
+    sg = tuple(x - y for x, y in zip(lcm, eg))
+    return merge(shifted(f[1:], key(sf), sf, 1, p),
+                 shifted(g[1:], key(sg), sg, p - 1, p), p)
+
+
+def divide_exact(f, g, p):
+    """Quotient term list of f by g by long division, or None when the
+    division leaves a remainder."""
+    (key_g, lm_g, lc_g), *tail = g
+    inv = pow(lc_g, -1, p)
+    rest = f
+    quotient = []
+    while rest:
+        key_r, lm_r, lc_r = rest[0]
+        if not _divides(lm_g, lm_r):
+            return None
+        key_q = tuple(x - y for x, y in zip(key_r, key_g))
+        lm_q = tuple(x - y for x, y in zip(lm_r, lm_g))
+        lc_q = lc_r * inv % p
+        quotient.append((key_q, lm_q, lc_q))
+        rest = merge(rest[1:], shifted(tail, key_q, lm_q, p - lc_q, p), p)
+    return quotient
+
+
+def buchberger(generators, order, p):
+    """Reduced Groebner basis by the tuple kernel and pairwise_update.
+
+    Runs the engine's algorithm: each generator is reduced by the basis so
+    far, pairs are taken smallest (key(lcm), seq) first, and the minimal
+    basis is tail-reduced in descending order of leading monomials.
+    Returns (basis, pairs processed, max degree seen), where the degrees
+    seen are those the engine charges to its budget: each generator's, each
+    pair's lcm, and each reduction's.
+    """
+    key = order.key
+    basis, pairs, seq = [], [], 0
+    processed = 0
+    todo = [make_monic(tuple_terms(f, order), p) for f in generators if f]
+    seen = max([f.total_degree() for f in generators if f], default=0)
+    while True:
+        if todo:
+            terms = todo.pop(0)
+        elif pairs:
+            best = min(range(len(pairs)),
+                       key=lambda i: (key(pairs[i][2]), pairs[i][3]))
+            f, g, lcm, _ = pairs.pop(best)
+            processed += 1
+            seen = max(seen, sum(lcm))
+            terms = s_poly(f, g, p, key)
+        else:
+            break
+        reduced, degree = reduce_full(terms, basis, p)
+        seen = max(seen, degree)
+        if reduced:
+            basis, pairs, seq = pairwise_update(
+                basis, pairs, make_monic(reduced, p), seq)
+    minimal = sorted(basis, key=lambda g: g[0][0], reverse=True)
+    reduced_basis = [
+        make_monic(reduce_full(g, minimal[:i] + minimal[i + 1:], p)[0], p)
+        for i, g in enumerate(minimal)]
+    return reduced_basis, processed, seen

@@ -4,13 +4,16 @@ pathological slowdown fails the criterion rather than hanging the suite.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
+import kunz
 from kunz.curves import (Branch, BranchCurve, tame_report,
                          tame_trial_valuation)
 from kunz.engine import Ideal, maximal_ideal
@@ -243,6 +246,12 @@ JOB_TEXTS = {
 
 
 def _run_suite_once(tmp_path, tag):
+    # the CLI children import the package under test from where this
+    # process found it, which need not be on PYTHONPATH
+    source = str(Path(kunz.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": source + os.pathsep + path if path else source}
     documents = {}
     for command, text in JOB_TEXTS.items():
         job = tmp_path / f"{command}-{tag}.job"
@@ -250,7 +259,7 @@ def _run_suite_once(tmp_path, tag):
         out = subprocess.run(
             [sys.executable, "-m", "kunz.cli", command,
              "--input", str(job)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert out.returncode == 0, (command, out.stderr)
         documents[command] = json.loads(out.stdout)
     return documents

@@ -6,7 +6,7 @@ import pytest
 
 from kunz.errors import CapacityError, ParseError
 from kunz.field import FieldConfig
-from kunz.kernel import from_terms, to_terms
+from kunz.kernel import from_terms, pack, to_terms, unpack
 from kunz.poly import (ELIMINATION, GREVLEX, LEX, MAX_EXPONENT, MonomialOrder,
                        PolyRing)
 from oracles import elimination_greater, grevlex_greater, lex_greater
@@ -158,13 +158,17 @@ def test_order_keys_match_the_textbook_orders(data, p):
         lambda a, b: greater(a, b) - greater(b, a)), reverse=True)
     assert sorted(vectors, key=order.key, reverse=True) == by_oracle
 
-    ring = PolyRing(FieldConfig(p), tuple("xyzw"[:len(vectors[0])]))
+    n = len(vectors[0])
+    ring = PolyRing(FieldConfig(p), tuple("xyzw"[:n]))
     f = ring.zero()
     for i, exps in enumerate(vectors):
         f = f + ring.monomial(exps, 1 + i % (p - 1))
     terms = to_terms(f, order)
-    assert [e for _, e, _ in terms] == by_oracle
+    # the terms come in the textbook order, and their packed keys, compared
+    # as ints, strictly descend along it
+    assert [unpack(e, n) for _, e, _ in terms] == by_oracle
     assert all(a[0] > b[0] for a, b in zip(terms, terms[1:]))
+    assert all(k == pack(order.key(unpack(e, n))) for k, e, _ in terms)
     assert from_terms(terms, ring) == f
 
 
@@ -186,3 +190,6 @@ def test_order_keys_are_additive(data):
     total = tuple(x + y for x, y in zip(a, b))
     assert order.key(total) == tuple(
         x + y for x, y in zip(order.key(a), order.key(b)))
+    # so packed keys and exponents add as ints
+    assert pack(order.key(total)) == pack(order.key(a)) + pack(order.key(b))
+    assert pack(total) == pack(a) + pack(b)
