@@ -16,12 +16,44 @@ s_e = colength((m^[q] : J_e) + I) / q^dim(R). Two facts reduce this to
 R is F-pure exactly when (I^[p] : I) is not contained in m^[p]; the verdict
 records a concrete witness element or an exhaustion certificate. The README
 states the equivalence between this criterion and the purity definition.
+
+Complete intersections skip the colon. If I = (f_1..f_c) is generated by a
+regular sequence in a regular local ring, Fedder's lemma gives
+
+    (I^[q] : I) = I^[q] + (h^(q-1)),    h = f_1 * ... * f_c
+
+(Fedder, "F-purity and rational singularity", Trans. AMS 278, 1983). I is
+called a complete intersection here when I != 0 and n - dim(S/I) equals its
+number c of generators. Then the identity holds in S:
+
+* Krull's height theorem bounds the height of every minimal prime of I by
+  c, and dim(S/I) = n - c makes every minimal prime P have dim(S/P) <=
+  n - c, so height exactly c, since S is a polynomial ring;
+* so at every maximal ideal M containing I, I_M has height c and c
+  generators, and S_M is Cohen-Macaulay, so f_1..f_c is a regular sequence
+  in S_M and the identity holds there; at M not containing I both sides
+  are the unit ideal;
+* an equality of ideals that holds at every maximal ideal holds in S.
+
+Every generator vanishes at the origin (LocalRingPresentation checks it), so
+I^[q] lies in the monomial ideal m^[q], and
+
+    (I^[q] : I) + m^[q] = (h^(q-1)) + m^[q].
+
+Both s_e and the purity exponent therefore need h^(q-1) only modulo m^[q]:
+its terms in the box of exponents below q. Since
+h^(q-1) = prod_{i<e} (h^[p^i])^(p-1), and m^[q] is a monomial ideal, every
+partial product may drop its terms with an exponent >= q; box_powers
+multiplies the factors from the highest Frobenius power down, so most terms
+leave the box early. No Groebner basis of a colon is computed. Every other
+ideal takes the general colon, by elimination (engine.Ideal.colon).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .engine import Budget, Ideal, maximal_ideal
 from .errors import PreconditionError
@@ -31,16 +63,80 @@ from .localring import LocalRingPresentation
 from .poly import Polynomial
 
 
+def is_complete_intersection(presentation: LocalRingPresentation,
+                             budget: Budget | None = None) -> bool:
+    """Whether I != 0 and n - dim(S/I) equals the number of generators of I.
+
+    Then the generators form a regular sequence at every maximal ideal
+    containing I (see the module docstring), and Fedder's identity holds.
+    """
+    ideal = presentation.ideal
+    return (not ideal.is_zero()
+            and presentation.ring.nvars - presentation.dimension(budget)
+            == len(ideal.generators))
+
+
 def twist_colon_ideal(presentation: LocalRingPresentation, e: int,
                       budget: Budget | None = None) -> Ideal:
-    """(I^[q] : I) in the ambient ring, q = p^e, cached on the presentation."""
+    """(I^[q] : I) in the ambient ring, q = p^e, cached on the presentation.
+
+    For a complete intersection this is I^[q] + (h^(q-1)) by Fedder's
+    lemma, with no colon computed; otherwise the general colon.
+    """
     cached = presentation.twist_colons.get(e)
     if cached is None:
         q = frobenius_exponent(presentation.p, e)
         ideal = presentation.ideal
-        cached = ideal.bracket_power(q).colon(ideal, budget)
+        bracket = ideal.bracket_power(q)
+        if is_complete_intersection(presentation, budget):
+            h = prod(ideal.generators, start=presentation.ring.one())
+            cached = Ideal(presentation.ring,
+                           list(bracket.generators) + [h**(q - 1)])
+        else:
+            cached = bracket.colon(ideal, budget)
         presentation.twist_colons[e] = cached
     return cached
+
+
+def _in_box(f: Polynomial, q: int, budget: Budget) -> Polynomial:
+    """f modulo m^[q]: the terms of f with every exponent below q.
+
+    Checks the budget's deadline and records the degree of the result.
+    """
+    budget.check_deadline()
+    box = Polynomial(f.ring, {exps: c for exps, c in f.terms.items()
+                              if max(exps) < q})
+    budget.observe_degree(box.total_degree())
+    return box
+
+
+def box_powers(presentation: LocalRingPresentation, e_top: int,
+               budget: Budget | None = None):
+    """Yield h^(q-1) modulo m^[q], for q = p, p^2, .., p^e_top.
+
+    h is the product of the generators of I. The level q = p^e comes from
+    the one before by h^(pq'-1) = h^(p-1) * (h^(q'-1))^[p], q = pq', which
+    unrolls to prod_{i<e} (h^[p^i])^(p-1) with the highest Frobenius power
+    multiplied first. Every product, including those building h and
+    h^(p-1), drops the terms with an exponent of at least p^e_top, and each
+    level keeps its terms below its own q; both are exact, since m^[q] is a
+    monomial ideal.
+    """
+    budget = budget or Budget()
+    p = presentation.p
+    top = frobenius_exponent(p, e_top)
+    h = presentation.ring.one()
+    for f in presentation.ideal.generators:
+        h = _in_box(h * f, top, budget)
+    factor = h
+    for _ in range(p - 2):
+        factor = _in_box(factor * h, top, budget)
+    level = presentation.ring.one()
+    q = 1
+    for _ in range(e_top):
+        q *= p
+        level = _in_box(factor * level.frobenius_power(p), q, budget)
+        yield level
 
 
 @dataclass(frozen=True)
@@ -59,9 +155,14 @@ def splitting_number(presentation: LocalRingPresentation, e: int,
     if e < 1:
         raise PreconditionError(f"splitting level must be >= 1, got {e}")
     q = frobenius_exponent(presentation.p, e)
-    m_bracket = maximal_ideal(presentation.ring).bracket_power(q)
-    total = twist_colon_ideal(presentation, e, budget).sum_with(m_bracket)
-    colength = q**presentation.ring.nvars - total.colength(budget)
+    ring = presentation.ring
+    m_bracket = maximal_ideal(ring).bracket_power(q)
+    if is_complete_intersection(presentation, budget):
+        *_, box = box_powers(presentation, e, budget)
+        total = m_bracket.sum_with(Ideal(ring, [box]))
+    else:
+        total = twist_colon_ideal(presentation, e, budget).sum_with(m_bracket)
+    colength = q**ring.nvars - total.colength(budget)
     d = presentation.dimension(budget)
     return SplittingSample(e=e, q=q, colength=colength,
                            s=Fraction(colength, q**d))
@@ -103,12 +204,22 @@ def fpurity_exponent(presentation: LocalRingPresentation, c: Polynomial,
     """Smallest e <= e_cap with c * (I^[q] : I) not inside m^[q].
 
     None means the cap was exhausted; the true value may be larger or may
-    not exist at all.
+    not exist at all. For a complete intersection c * I^[q] lies in m^[q],
+    so the test is whether c * h^(q-1) keeps a term in the box of
+    exponents below q: one truncated product per level.
     """
     if e_cap < 1:
         raise PreconditionError(f"e_cap must be >= 1, got {e_cap}")
     if c.ring != presentation.ring:
         raise PreconditionError("c must live in the ambient ring")
+    if is_complete_intersection(presentation, budget):
+        budget = budget or Budget()
+        levels = box_powers(presentation, e_cap, budget)
+        for e, box in enumerate(levels, start=1):
+            q = frobenius_exponent(presentation.p, e)
+            if _in_box(c * box, q, budget):
+                return e
+        return None
     for e in range(1, e_cap + 1):
         q = frobenius_exponent(presentation.p, e)
         colon = twist_colon_ideal(presentation, e, budget)

@@ -58,6 +58,16 @@ def test_json_and_csv_files(runner, tmp_path):
     assert lines[1].endswith("1/3")
 
 
+def test_fsig_on_a_complete_intersection_reaches_level_4(runner, tmp_path):
+    job = write(tmp_path, "ci.job",
+                "p = 3;\nvars = x, y, z, w;\n"
+                "ideal = x*y - z*w, x*z - y*w;\nemax = 4;\n")
+    result = invoke(runner, ["fsig", "--input", job])
+    assert result.exit_code == 0
+    samples = parse_output(result)["payload"]["samples"]
+    assert [sample["e"] for sample in samples] == [1, 2, 3, 4]
+
+
 def test_fedder_command(runner, tmp_path):
     job = write(tmp_path, "fermat.job",
                 "p = 7;\nvars = x, y, z;\nideal = x^3 + y^3 + z^3;\n")

@@ -1,16 +1,18 @@
+import traceback
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from kunz.engine import Ideal, maximal_ideal
-from kunz.errors import PreconditionError
+from kunz.engine import Budget, Ideal, maximal_ideal
+from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
-from kunz.fsplit import (fedder_test, fpurity_exponent, fsplit_report,
-                         splitting_number)
+from kunz.fsplit import (box_powers, fedder_test, fpurity_exponent,
+                         fsplit_report, is_complete_intersection,
+                         splitting_number, twist_colon_ideal)
 from kunz.localring import LocalRingPresentation
-from kunz.poly import PolyRing
+from kunz.poly import PolyRing, Polynomial
 from oracles import node_splitting
 
 
@@ -73,7 +75,74 @@ def test_duality_route_matches_on_principal_ideals(pres, e):
     assert splitting_number(pres, e).colength == two_colon_colength(pres, e)
 
 
-def test_fsplit_report_takes_one_twist_colon_per_level(monkeypatch):
+def general_purity_exponent(presentation, c, e_cap):
+    """The purity exponent from the general colon (I^[q] : I), by
+    membership of c times each of its basis elements in m^[q]."""
+    ideal = presentation.ideal
+    for e in range(1, e_cap + 1):
+        q = presentation.p ** e
+        colon = ideal.bracket_power(q).colon(ideal)
+        m_bracket = maximal_ideal(presentation.ring).bracket_power(q)
+        if any(not m_bracket.contains(c * g) for g in colon.groebner_basis()):
+            return e
+    return None
+
+
+@st.composite
+def complete_intersection_level(draw):
+    """A principal ideal or two generators in 3 or 4 variables, with terms
+    of degree 1 or 2, kept only when it is a complete intersection, and a
+    level e.
+
+    e is 1 or 2 for p = 2, 3, and 1 for p = 5: at q = 25 the general
+    colons of the reference take from seconds to minutes.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([3, 4]))
+    ring = PolyRing(FieldConfig(p), ("x", "y", "z", "w")[:n])
+    exponents = st.tuples(*[st.integers(0, 2)] * n).filter(
+        lambda exps: 1 <= sum(exps) <= 2)
+    gens = []
+    for _ in range(draw(st.sampled_from([1, 2]))):
+        terms = draw(st.dictionaries(exponents, st.integers(1, p - 1),
+                                     min_size=1, max_size=3))
+        gens.append(Polynomial(ring, terms))
+    pres = LocalRingPresentation(ring, Ideal(ring, gens))
+    assume(is_complete_intersection(pres))
+    e = draw(st.sampled_from([1] if p == 5 else [1, 2]))
+    return pres, e
+
+
+@given(complete_intersection_level(), st.data())
+@settings(max_examples=25)
+def test_fedder_route_matches_the_general_colon(drawn, data):
+    pres, e = drawn
+    assert splitting_number(pres, e).colength == two_colon_colength(pres, e)
+    c = Polynomial(pres.ring, data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * pres.ring.nvars),
+        st.integers(1, pres.p - 1), min_size=1, max_size=2)))
+    assert fpurity_exponent(pres, c, e) == general_purity_exponent(pres, c, e)
+    ideal = pres.ideal
+    general = ideal.bracket_power(pres.p).colon(ideal)
+    assert (twist_colon_ideal(pres, 1).groebner_basis()
+            == general.groebner_basis())
+
+
+@pytest.mark.parametrize("p, variables, gens, expected", [
+    (3, ["x", "y"], ["x*y"], True),
+    (5, ["x", "y", "z"], ["x*y - z^2"], True),
+    (3, ["x", "y", "z", "w"], ["x*y - z*w", "x*z - y*w"], True),
+    (3, ["x", "y", "z"], ["x*y", "x*z"], False),
+    (3, ["x", "y", "z", "w"], ["x*z - y^2", "x*w - y*z", "y*w - z^2"], False),
+    (3, ["x", "y"], [], False),
+])
+def test_complete_intersections_are_detected(p, variables, gens, expected):
+    """(xy, xz) has two generators but height 1, and the twisted cubic three
+    generators but height 2, so both take the general colon."""
+    assert is_complete_intersection(present(p, variables, gens)) == expected
+
+
+def count_colons(monkeypatch):
     calls = []
     colon = Ideal.colon
 
@@ -82,8 +151,42 @@ def test_fsplit_report_takes_one_twist_colon_per_level(monkeypatch):
         return colon(self, other, *args, **kwargs)
 
     monkeypatch.setattr(Ideal, "colon", counted)
-    fsplit_report(present(3, ["x", "y"], ["x*y"]), 2)
+    return calls
+
+
+def test_fsplit_report_takes_one_twist_colon_per_level(monkeypatch):
+    calls = count_colons(monkeypatch)
+    fsplit_report(present(3, ["x", "y", "z"], ["x*y", "x*z", "y*z"]), 2)
     assert len(calls) == 2
+
+
+def test_complete_intersections_take_no_colon(monkeypatch):
+    calls = count_colons(monkeypatch)
+    node = present(3, ["x", "y"], ["x*y"])
+    fsplit_report(node, 2)
+    assert fpurity_exponent(node, node.ring.one()) == 1
+    assert calls == []
+
+
+def test_box_power_polls_the_deadline():
+    pres = present(3, ["x", "y", "z", "w"], ["x*y - z*w", "x*z - y*w"])
+    pres.dimension()
+    with pytest.raises(BudgetExceededError) as caught:
+        splitting_number(pres, 2, Budget(deadline_seconds=0))
+    frames = [frame.name for frame in traceback.extract_tb(caught.tb)]
+    assert "box_powers" in frames
+
+
+def test_box_powers_are_truncated_powers():
+    """h^(q-1) modulo m^[q] term by term, for h the product of the
+    generators, against the power taken in S and then truncated."""
+    pres = present(3, ["x", "y", "z", "w"], ["x*y - z^2", "z*w - x^2"])
+    h = pres.ideal.generators[0] * pres.ideal.generators[1]
+    for e, box in enumerate(box_powers(pres, 3), start=1):
+        q = 3**e
+        full = h ** (q - 1)
+        assert box.terms == {exps: c for exps, c in full.terms.items()
+                             if max(exps) < q}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -123,7 +226,7 @@ def test_fedder_on_fermat_cubics():
 
 
 # (p, top e, splitting colength): 1 where p = 1 mod 3, 0 where p = 2 mod 3
-FERMAT_SPLITTING = [(7, 3, 1), (13, 2, 1), (5, 2, 0), (11, 2, 0)]
+FERMAT_SPLITTING = [(7, 5, 1), (13, 3, 1), (5, 4, 0), (11, 3, 0)]
 
 
 @pytest.mark.parametrize("p, e_top, expected", FERMAT_SPLITTING)
@@ -142,6 +245,27 @@ def test_fermat_cubic_splitting_colength(p, e_top, expected):
     pres = present(p, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
     for e in range(1, e_top + 1):
         assert splitting_number(pres, e).colength == expected
+
+
+# splitting colength as a function of q, checked for 1 <= e <= top e; the
+# limits q^-d * colength are s = 2/3, 1/2 and 1/3 (Watanabe-Yoshida,
+# Huneke-Leuschke)
+SPLITTING_CLOSED_FORMS = {
+    "quadric": (3, ["x", "y", "z", "w"], ["x*y - z*w"], 4,
+                lambda q: (2 * q**3 + q) // 3),
+    "cone": (5, ["x", "y", "z"], ["x*y - z^2"], 3, lambda q: (q**2 + 1) // 2),
+    "twisted_cubic": (3, ["x", "y", "z", "w"],
+                      ["x*z - y^2", "x*w - y*z", "y*w - z^2"], 2,
+                      lambda q: q**2 // 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLITTING_CLOSED_FORMS))
+def test_splitting_colength_closed_forms(name):
+    p, variables, gens, e_top, closed_form = SPLITTING_CLOSED_FORMS[name]
+    pres = present(p, variables, gens)
+    for e in range(1, e_top + 1):
+        assert splitting_number(pres, e).colength == closed_form(p**e)
 
 
 def test_fedder_on_non_reduced_rings():
