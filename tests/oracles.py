@@ -333,7 +333,7 @@ def divide_exact(f, g, p):
     return quotient
 
 
-def buchberger(generators, order, p):
+def buchberger(generators, order, p, max_pairs=None, max_degree=None):
     """Reduced Groebner basis by the tuple kernel and pairwise_update.
 
     Runs the engine's algorithm: each generator is reduced by the basis so
@@ -342,26 +342,44 @@ def buchberger(generators, order, p):
     Returns (basis, pairs processed, max degree seen), where the degrees
     seen are those the engine charges to its budget: each generator's, each
     pair's lcm, and each reduction's.
+
+    With max_pairs or max_degree, stops where a Budget with those ceilings
+    makes the engine raise, and returns None for the basis: the pair after
+    the last allowed one is counted but its lcm is not seen, and a degree
+    above max_degree is seen.
     """
+    def over(degree):
+        return max_degree is not None and degree > max_degree
+
     key = order.key
     basis, pairs, seq = [], [], 0
     processed = 0
-    todo = [make_monic(tuple_terms(f, order), p) for f in generators if f]
-    seen = max([f.total_degree() for f in generators if f], default=0)
+    todo = [(f.total_degree(), make_monic(tuple_terms(f, order), p))
+            for f in generators if f]
+    seen = 0
     while True:
         if todo:
-            terms = todo.pop(0)
+            degree, terms = todo.pop(0)
+            seen = max(seen, degree)
+            if over(degree):
+                return None, processed, seen
         elif pairs:
+            if processed == max_pairs:
+                return None, processed + 1, seen
             best = min(range(len(pairs)),
                        key=lambda i: (key(pairs[i][2]), pairs[i][3]))
             f, g, lcm, _ = pairs.pop(best)
             processed += 1
             seen = max(seen, sum(lcm))
+            if over(sum(lcm)):
+                return None, processed, seen
             terms = s_poly(f, g, p, key)
         else:
             break
         reduced, degree = reduce_full(terms, basis, p)
         seen = max(seen, degree)
+        if over(degree):
+            return None, processed, seen
         if reduced:
             basis, pairs, seq = pairwise_update(
                 basis, pairs, make_monic(reduced, p), seq)
