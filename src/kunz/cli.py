@@ -27,7 +27,8 @@ from .errors import (BudgetExceededError, CapacityError, KunzError,
 from .fsplit import fedder_test, fpurity_exponent, fsplit_report
 from .hk import BoundConstants, hk_sequence, verify_pair_bounds
 from .localring import LocalRingPresentation
-from .records import SCHEMA_VERSION, RunRecord, canonical_json, csv_text
+from .records import (SCHEMA_VERSION, RunRecord, canonical_json, csv_text,
+                      require_tabular)
 from .scan import Subvariety, scan_points
 from .textio import JobSpec, parse_job
 
@@ -335,6 +336,8 @@ def _execute(command: str, input_path: str, emax: int | None,
         job = parse_job(text, command=command, e_max=emax,
                         budget_pairs=budget_pairs, precision=precision)
         timings["parse"] = time.perf_counter() - started
+        if csv_path is not None:
+            require_tabular(command)
         compute_start = time.perf_counter()
         payload = _RUNNERS[command](job)
         timings[command] = time.perf_counter() - compute_start

@@ -4,9 +4,13 @@ A curve is described by its branches. Each branch is a numerical semigroup
 (the valuations realized on that branch) plus, when there are several
 branches, the valuations of elements vanishing on all other branches. From
 this data the module computes the per-branch constants gamma0, beta, gamma
-and the global delta and Delta, constructs a parameter with valuation gamma
-on every branch, and certifies the discriminant valuation of the tame
-extension by an exact truncated-series trace computation.
+and the global delta and Delta, and certifies the discriminant valuation of
+the tame extension by an exact truncated-series trace computation.
+
+Two facts come from theorems rather than computation: the parameter
+valuations are the gammas (tame_report), and the trace form is block
+diagonal with one block per branch, so the discriminant valuation is a sum
+of per-branch block valuations (discriminant_valuation).
 
 root_closure_check, split_reduction_check, piece_generators and
 tame_trial_valuation are library checks of the paper's lemmas. No command
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import PreconditionError, PrecisionLossError
-from .field import is_prime
+from .field import FieldConfig, RowSpace
 from .series import (TruncatedSeries, determinant_valuation, tame_trace)
 
 MAX_BRANCHES = 4
@@ -81,8 +85,7 @@ class BranchCurve:
     branches: tuple[Branch, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise PreconditionError(f"{self.p} is not prime")
+        FieldConfig(self.p)
         branches = tuple(self.branches)
         object.__setattr__(self, "branches", branches)
         if not branches:
@@ -205,75 +208,23 @@ def piece_generators(curve: BranchCurve, index: int, gamma: int,
             if member[v] and (v < gamma or not member[v - gamma])]
 
 
-# -- parameter construction -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class TameParameter:
-    """A parameter element given per branch, with certified valuations."""
-
-    components: tuple[TruncatedSeries, ...]
-    valuations: tuple[int, ...]
-    precision: int
-
-
-def construct_parameter(curve: BranchCurve,
-                        precision: int | None = None) -> TameParameter:
-    """Element of valuation gamma on every branch, vanishing elsewhere.
-
-    Each component is the semigroup representative t^gamma of its branch
-    (gamma lies in the branch piece because gamma - beta is past the
-    conductor), truncated to the working precision; the valuations are
-    re-certified on the truncated model.
-    """
-    inv = tame_invariants(curve)
-    n = default_precision(curve) if precision is None else precision
-    if n < 1:
-        raise PreconditionError("precision must be positive")
-    components = []
-    valuations = []
-    for b_index, binv in enumerate(inv.per_branch):
-        piece = branch_piece_membership(curve, b_index,
-                                        max(n, binv.gamma + 1))
-        if not piece[binv.gamma]:
-            raise PreconditionError(
-                f"gamma = {binv.gamma} is not realized on branch {b_index}")
-        comp = TruncatedSeries.monomial(curve.p, binv.gamma).truncate(n)
-        v = comp.valuation()
-        assert v == binv.gamma
-        components.append(comp)
-        valuations.append(v)
-    return TameParameter(tuple(components), tuple(valuations), n)
-
-
-# -- realized branches and the trace matrix --------------------------------
+# -- realized branches and their trace blocks -------------------------------
 
 
 @dataclass(frozen=True)
 class BranchRealization:
     """One branch realized in F_p[t]/(t^N) with a re-uniformized coordinate.
 
-    unit is the random unit u with residue 1, tau = t^gamma * u the branch
-    component of the realized parameter, and s = t * u^(1/gamma) the
-    coordinate with s^gamma = tau. basis_element is x = s^(gamma+1) * (unit
-    with residue 1), kept as a series in s; its powers x, x^2, ..., x^gamma
-    are the family whose trace matrix is measured.
+    s = t * u^(1/gamma), for a random unit u with residue 1, is the
+    coordinate with s^gamma = t^gamma * u, the branch component of the
+    realized parameter. basis_element is x = s^(gamma+1) * (unit with
+    residue 1), kept as a series in s; its powers x, x^2, ..., x^gamma are
+    the family whose trace block is measured.
     """
 
     gamma: int
-    unit: TruncatedSeries
-    tau: TruncatedSeries
     s: TruncatedSeries
     basis_element: TruncatedSeries
-
-
-@dataclass(frozen=True)
-class CurveRealization:
-    curve: BranchCurve
-    invariants: TameInvariants
-    precision: int
-    seed: int
-    branches: tuple[BranchRealization, ...]
 
 
 def _random_unit(rng: random.Random, p: int, degree: int) -> TruncatedSeries:
@@ -284,7 +235,7 @@ def _random_unit(rng: random.Random, p: int, degree: int) -> TruncatedSeries:
 
 
 def realize_curve(curve: BranchCurve, precision: int | None = None,
-                  seed: int = 0) -> CurveRealization:
+                  seed: int = 0) -> tuple[BranchRealization, ...]:
     """Realize every branch with random residue-1 units at the precision."""
     inv = tame_invariants(curve)
     n = default_precision(curve) if precision is None else precision
@@ -308,8 +259,8 @@ def realize_curve(curve: BranchCurve, precision: int | None = None,
         mismatch = (s ** gamma - tau).truncate(n)
         assert not mismatch.coeffs, "re-uniformization failed"
         x = _random_unit(rng, p, n).truncate(n).shift(gamma + 1)
-        realized.append(BranchRealization(gamma, unit, tau, s, x))
-    return CurveRealization(curve, inv, n, seed, tuple(realized))
+        realized.append(BranchRealization(gamma, s, x))
+    return tuple(realized)
 
 
 def _with_doublings(attempt, n: int, what: str):
@@ -337,31 +288,14 @@ def _trace_block(x: TruncatedSeries,
             for i in range(1, g + 1)]
 
 
-def trace_matrix(real: CurveRealization) -> list[list[TruncatedSeries]]:
-    """Block-diagonal matrix of traces down to F_p[[T]].
-
-    Block b has entries Tr(x^i * x^j) for the branch family x, ..., x^gamma;
-    products across branches vanish identically, giving exact zero entries.
-    """
-    p = real.curve.p
-    blocks = [_trace_block(br.basis_element, br.gamma)
-              for br in real.branches]
-    size = sum(br.gamma for br in real.branches)
-    zero = TruncatedSeries.zero(p)
-    matrix = [[zero] * size for _ in range(size)]
-    offset = 0
-    for block in blocks:
-        g = len(block)
-        for i in range(g):
-            for j in range(g):
-                matrix[offset + i][offset + j] = block[i][j]
-        offset += g
-    return matrix
-
-
 def discriminant_valuation(curve: BranchCurve, precision: int | None = None,
                            seed: int = 0) -> int:
-    """T-adic valuation of the trace-matrix determinant; expected Delta.
+    """T-adic valuation of the trace-form determinant; expected Delta.
+
+    Products of elements on different branches vanish, so the trace matrix
+    of the whole family is block diagonal with one block per branch, and
+    its determinant is the product of the blocks' determinants: the
+    valuation is the sum over the branches of the block valuations.
 
     Starts at the default precision (or the given one, which must be at
     least the default) and doubles on precision errors, up to MAX_DOUBLINGS
@@ -376,8 +310,9 @@ def discriminant_valuation(curve: BranchCurve, precision: int | None = None,
     else:
         n = precision
     return _with_doublings(
-        lambda n: determinant_valuation(
-            trace_matrix(realize_curve(curve, n, seed))),
+        lambda n: sum(
+            determinant_valuation(_trace_block(br.basis_element, br.gamma))
+            for br in realize_curve(curve, n, seed)),
         n, "discriminant valuation")
 
 
@@ -442,8 +377,7 @@ def tame_trial_valuation(p: int, degree: int, x_valuation: int,
     valuation coprime to the degree, else the anti-diagonal minimum of the
     determinant expansion is not unique and the value is not pinned.
     """
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    FieldConfig(p)
     if degree < 1 or degree % p == 0:
         raise PreconditionError(
             f"degree must be positive and coprime to p, got {degree}")
@@ -471,36 +405,6 @@ def tame_trial_valuation(p: int, degree: int, x_valuation: int,
 
 
 # -- containment and reduction checks --------------------------------------
-
-
-class _RowSpace:
-    """Incremental row space over F_p with echelon pivot rows."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.pivots: dict[int, list[int]] = {}
-
-    def _reduce(self, row: list[int]) -> list[int]:
-        p = self.p
-        row = [v % p for v in row]
-        for col, pivot in self.pivots.items():
-            c = row[col]
-            if c:
-                row = [(a - c * b) % p for a, b in zip(row, pivot)]
-        return row
-
-    def add(self, row: list[int]) -> bool:
-        """Insert a row; True when it enlarges the space."""
-        row = self._reduce(row)
-        for col, c in enumerate(row):
-            if c:
-                inv = pow(c, -1, self.p)
-                self.pivots[col] = [(v * inv) % self.p for v in row]
-                return True
-        return False
-
-    def contains(self, row: list[int]) -> bool:
-        return not any(self._reduce(row))
 
 
 def _series_row(series: TruncatedSeries, offset: int, width: int,
@@ -555,8 +459,7 @@ def root_closure_check(curve: BranchCurve, m: int = 1,
     # A q-th root keeps one u-coefficient per t-coefficient, so certifying
     # the subalgebra out to u^n_u takes t-precision n_u as well.
     n_t = n_u + 2
-    real = realize_curve(curve, n_t, seed)
-    br = real.branches[0]
+    br = realize_curve(curve, n_t, seed)[0]
     parameter = (br.s ** gamma).truncate(n_t)
 
     def scale_exponents(series: TruncatedSeries, factor: int,
@@ -579,7 +482,7 @@ def root_closure_check(curve: BranchCurve, m: int = 1,
         s_powers[v] = (s_powers[v - 1] * br.s).truncate(n_t)
 
     root_param = reinterpret(parameter, n_u)
-    space = _RowSpace(p)
+    space = RowSpace(p)
     width = n_u
     frontier = [TruncatedSeries.one(p).truncate(n_u)]
     a = 0
@@ -622,8 +525,7 @@ def split_reduction_check(p: int, seed: int = 0) -> SplitReductionCheck:
     determinant is drawn; its trace-form discriminant is a unit series whose
     constant term must match the discriminant of the reduced (T = 0) basis.
     """
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    FieldConfig(p)
     rng = random.Random(f"kunz:split:{seed}:{p}")
     n = 8
     while True:
@@ -671,17 +573,26 @@ def tame_report(curve: BranchCurve, precision: int | None = None,
                 seed: int = 0, mu: int = 1) -> TameReport:
     """All tame-curve outputs for one curve, at a shared precision.
 
-    The curve is realized once, for the discriminant; the extension degree
-    and the generator count are delta (extension_degree).
+    The parameter valuations are the gammas: the parameter is t^gamma on
+    each branch, and gamma lies in the branch piece because gamma - beta is
+    past the conductor. Truncated at the precision, t^gamma must survive,
+    so the precision must exceed every gamma. The curve is realized once,
+    for the discriminant; the extension degree and the generator count are
+    delta (extension_degree).
     """
     inv = tame_invariants(curve)
     n = default_precision(curve) if precision is None else precision
-    parameter = construct_parameter(curve, n)
+    if n < 1:
+        raise PreconditionError("precision must be positive")
+    gammas = tuple(b.gamma for b in inv.per_branch)
+    if n <= max(gammas):
+        raise PrecisionLossError(
+            f"valuation not certified below precision {n}", required=2 * n)
     disc = discriminant_valuation(curve, max(n, default_precision(curve)),
                                   seed)
     degree = extension_degree(curve)
     bound = generator_bound_check(curve, degree, mu)
     return TameReport(curve.p,
                       tuple(b.semigroup_generators for b in curve.branches),
-                      inv, parameter.valuations, disc, degree,
+                      inv, gammas, disc, degree,
                       degree, bound, n, seed)

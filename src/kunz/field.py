@@ -2,7 +2,8 @@
 
 The prime is a runtime value so one process can sweep several primes.
 Coefficients are plain ints in [0, p) everywhere, reduced against the
-FieldConfig that carries p.
+FieldConfig that carries p. RowSpace is the one Gaussian elimination over
+F_p: an incremental row space that also counts ranks.
 """
 
 from __future__ import annotations
@@ -69,6 +70,36 @@ class FieldConfig:
 
     def __repr__(self) -> str:
         return f"FieldConfig(p={self.p})"
+
+
+class RowSpace:
+    """Incremental row space over F_p with echelon pivot rows."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: dict[int, list[int]] = {}
+
+    def _reduce(self, row: list[int]) -> list[int]:
+        p = self.p
+        row = [v % p for v in row]
+        for col, pivot in self.pivots.items():
+            c = row[col]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, pivot)]
+        return row
+
+    def add(self, row: list[int]) -> bool:
+        """Insert a row; True when it enlarges the space."""
+        row = self._reduce(row)
+        for col, c in enumerate(row):
+            if c:
+                inv = pow(c, -1, self.p)
+                self.pivots[col] = [(v * inv) % self.p for v in row]
+                return True
+        return False
+
+    def contains(self, row: list[int]) -> bool:
+        return not any(self._reduce(row))
 
 
 def frobenius_exponent(p: int, e: int) -> int:

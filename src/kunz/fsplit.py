@@ -179,16 +179,17 @@ def fedder_test(presentation: LocalRingPresentation,
                 budget: Budget | None = None) -> PurityVerdict:
     """F-purity via membership of (I^[p] : I) in m^[p].
 
-    Pure exactly when some basis element of the colon ideal avoids m^[p];
-    that element is returned as the witness. Otherwise the verdict carries
-    an exhaustion certificate over the reduced basis.
+    Pure exactly when some basis element of the colon ideal avoids m^[p],
+    that is, keeps a term in the box of exponents below p; that element is
+    returned as the witness. Otherwise the verdict carries an exhaustion
+    certificate over the reduced basis.
     """
+    budget = budget or Budget()
     p = presentation.p
     colon = twist_colon_ideal(presentation, 1, budget)
-    m_bracket = maximal_ideal(presentation.ring).bracket_power(p)
     basis = colon.groebner_basis(budget)
     for g in basis:
-        if not m_bracket.contains(g, budget):
+        if _in_box(g, p, budget):
             return PurityVerdict(
                 is_F_pure=True, witness=g,
                 detail=f"{g} lies in (I^[{p}] : I) but not in m^[{p}]")
@@ -204,16 +205,18 @@ def fpurity_exponent(presentation: LocalRingPresentation, c: Polynomial,
     """Smallest e <= e_cap with c * (I^[q] : I) not inside m^[q].
 
     None means the cap was exhausted; the true value may be larger or may
-    not exist at all. For a complete intersection c * I^[q] lies in m^[q],
-    so the test is whether c * h^(q-1) keeps a term in the box of
-    exponents below q: one truncated product per level.
+    not exist at all. m^[q] is a monomial ideal, so c * g lies outside it
+    exactly when c * g keeps a term in the box of exponents below q. For a
+    complete intersection c * I^[q] lies in m^[q], so the test is on
+    c * h^(q-1): one truncated product per level. Otherwise it is on c * g
+    for each generator g of the colon (I^[q] : I).
     """
     if e_cap < 1:
         raise PreconditionError(f"e_cap must be >= 1, got {e_cap}")
     if c.ring != presentation.ring:
         raise PreconditionError("c must live in the ambient ring")
+    budget = budget or Budget()
     if is_complete_intersection(presentation, budget):
-        budget = budget or Budget()
         levels = box_powers(presentation, e_cap, budget)
         for e, box in enumerate(levels, start=1):
             q = frobenius_exponent(presentation.p, e)
@@ -223,10 +226,8 @@ def fpurity_exponent(presentation: LocalRingPresentation, c: Polynomial,
     for e in range(1, e_cap + 1):
         q = frobenius_exponent(presentation.p, e)
         colon = twist_colon_ideal(presentation, e, budget)
-        m_bracket = maximal_ideal(presentation.ring).bracket_power(q)
-        for g in colon.groebner_basis(budget):
-            if not m_bracket.contains(c * g, budget):
-                return e
+        if any(_in_box(c * g, q, budget) for g in colon.generators):
+            return e
     return None
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .engine import Budget, Ideal, maximal_ideal
 from .errors import PreconditionError
-from .field import FieldConfig, frobenius_exponent
+from .field import FieldConfig, RowSpace, frobenius_exponent
 from .poly import PolyRing, Polynomial
 
 Point = tuple[int, ...]
@@ -153,30 +153,6 @@ class SmoothnessReport:
 
 
 def matrix_rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p by Gaussian elimination."""
-    if not rows:
-        return 0
-    mat = [[v % p for v in row] for row in rows]
-    ncols = len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = pow(mat[row][col], -1, p)
-        mat[row] = [v * inv % p for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-        if row == len(mat):
-            break
-    return rank
+    """Rank of an integer matrix over F_p: the rows that enlarge a RowSpace."""
+    space = RowSpace(p)
+    return sum(space.add(row) for row in rows)

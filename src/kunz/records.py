@@ -23,6 +23,9 @@ from .textio import JobSpec, render_job
 
 SCHEMA_VERSION = 1
 
+# The commands whose payloads have a CSV view (csv_rows).
+TABULAR_COMMANDS = ("hk", "fsig", "scan", "verify-bounds")
+
 
 def encode_value(value):
     """Recursively make a payload JSON-safe; Fractions become num/den."""
@@ -87,8 +90,16 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def require_tabular(command: str) -> None:
+    """Refuse a CSV view of a command that has none."""
+    if command not in TABULAR_COMMANDS:
+        raise PreconditionError(
+            f"the {command} command has no tabular view; drop the csv output")
+
+
 def csv_rows(command: str, payload: dict) -> tuple[list[str], list[list]]:
     """Header and rows of the tabular view of a payload."""
+    require_tabular(command)
     if command in ("hk", "fsig"):
         key = "lambda" if command == "hk" else "s"
         header = ["e", "q", "colength", key]
@@ -105,15 +116,12 @@ def csv_rows(command: str, payload: dict) -> tuple[list[str], list[list]]:
                              format_rational(record["lambda"][i]),
                              format_rational(record["s"][i])])
         return header, rows
-    if command == "verify-bounds":
-        header = ["e", "e_prime", "lhs", "rhs", "passed"]
-        rows = [[entry["e"], entry["e_prime"],
-                 format_rational(entry["lhs"]),
-                 format_rational(entry["rhs"]), entry["passed"]]
-                for entry in payload["entries"]]
-        return header, rows
-    raise PreconditionError(
-        f"the {command} command has no tabular view; drop the csv output")
+    header = ["e", "e_prime", "lhs", "rhs", "passed"]
+    rows = [[entry["e"], entry["e_prime"],
+             format_rational(entry["lhs"]),
+             format_rational(entry["rhs"]), entry["passed"]]
+            for entry in payload["entries"]]
+    return header, rows
 
 
 def csv_text(command: str, payload: dict) -> str:

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import kunz.cli
 from kunz.cli import main
 
 CONE = "p = 5;\nvars = x, y, z;\nideal = x*y - z^2;\n"
@@ -83,6 +84,17 @@ def test_tame_command(runner, tmp_path):
     payload = parse_output(result)["payload"]
     assert payload["delta"] == 2 and payload["Delta"] == 9
     assert payload["discriminant_valuation"] == 9
+
+
+def test_tame_refuses_a_characteristic_outside_the_field_range(
+        runner, tmp_path):
+    # 151 * 751 * 28351 passes Miller-Rabin to the bases 2, 3, 5 and 7
+    job = write(tmp_path, "curve.job", "p = 3215031751;\nbranch = 2, 3;\n")
+    result = invoke(runner, ["tame", "--input", job])
+    assert result.exit_code == 3
+    error = parse_output(result)["error"]
+    assert error["type"] == "PreconditionError"
+    assert "[2, 2^31)" in error["message"]
 
 
 @pytest.mark.parametrize("precision", [16, 20])
@@ -199,12 +211,21 @@ def test_pair_budget_spans_the_whole_job(runner, tmp_path):
     assert len(payload["samples"]) == 1
 
 
-def test_csv_on_non_tabular_command_exits_3(runner, tmp_path):
-    job = write(tmp_path, "fermat.job",
-                "p = 7;\nvars = x, y, z;\nideal = x^3 + y^3 + z^3;\n")
-    result = invoke(runner, ["fedder", "--input", job,
-                             "--csv", str(tmp_path / "x.csv")])
-    assert result.exit_code == 3
+def test_csv_on_non_tabular_command_exits_3(runner, tmp_path, monkeypatch):
+    # the refusal comes before the job runs: no runner may be called
+    called = []
+    monkeypatch.setattr(kunz.cli, "_RUNNERS", {
+        name: (lambda job, name=name: called.append(name))
+        for name in kunz.cli._RUNNERS})
+    job = write(tmp_path, "any.job",
+                "p = 7;\nvars = x, y, z;\nideal = x^3 + y^3 + z^3;\n"
+                "branch = 2, 3;\n")
+    for command in ("fedder", "tame"):
+        result = invoke(runner, [command, "--input", job,
+                                 "--csv", str(tmp_path / "x.csv")])
+        assert result.exit_code == 3
+        assert "no tabular view" in parse_output(result)["error"]["message"]
+    assert called == []
     assert not (tmp_path / "x.csv").exists()
 
 

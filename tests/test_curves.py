@@ -5,17 +5,17 @@ from hypothesis import strategies as st
 import pytest
 
 import kunz.curves
-from kunz.curves import (MAX_DOUBLINGS, Branch, BranchCurve, _RowSpace,
-                         _series_row, branch_piece_membership,
-                         construct_parameter, default_precision,
-                         discriminant_valuation, extension_degree,
-                         generator_bound_check, piece_generators,
-                         realize_curve, root_closure_check,
+from kunz.curves import (MAX_DOUBLINGS, Branch, BranchCurve, _series_row,
+                         _trace_block, branch_piece_membership,
+                         default_precision, discriminant_valuation,
+                         extension_degree, generator_bound_check,
+                         piece_generators, realize_curve, root_closure_check,
                          semigroup_conductor, semigroup_membership,
                          split_reduction_check, tame_invariants, tame_report,
-                         tame_trial_valuation, trace_matrix)
+                         tame_trial_valuation)
 from kunz.errors import PrecisionLossError, PreconditionError
-from kunz.series import TruncatedSeries
+from kunz.field import RowSpace
+from kunz.series import TruncatedSeries, determinant_valuation
 from oracles import semigroup_conductor_brute, semigroup_elements
 
 CUSP = Branch((2, 3))
@@ -92,6 +92,22 @@ def test_curve_shape_validation():
         BranchCurve(5, (Branch((2, 3), cross_valuations=(1,)),))
 
 
+# 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7, and
+# above the field range [2, 2^31)
+PSEUDOPRIME = 3215031751
+
+
+def test_characteristic_must_lie_in_the_field_range():
+    with pytest.raises(PreconditionError):
+        BranchCurve(PSEUDOPRIME, (CUSP,))
+    with pytest.raises(PreconditionError):
+        BranchCurve(2147483659, (CUSP,))  # prime, but at least 2^31
+    with pytest.raises(PreconditionError):
+        tame_trial_valuation(PSEUDOPRIME, 2, 3)
+    with pytest.raises(PreconditionError):
+        split_reduction_check(PSEUDOPRIME)
+
+
 # -- invariants ---------------------------------------------------------------
 
 
@@ -138,22 +154,6 @@ def test_branch_piece_of_a_node_includes_the_cross():
 # -- realizations -------------------------------------------------------------
 
 
-def test_parameter_hits_gamma_on_every_branch():
-    param = construct_parameter(node_curve(5))
-    assert param.valuations == (1, 1)
-    cusp_param = construct_parameter(cusp_curve(5))
-    assert cusp_param.valuations == (2,)
-    assert cusp_param.components[0].coefficient(2) == 1
-
-
-def test_trace_matrix_is_block_diagonal():
-    real = realize_curve(node_curve(5))
-    matrix = trace_matrix(real)
-    assert len(matrix) == 2
-    assert matrix[0][1].is_exactly_zero()
-    assert matrix[1][0].is_exactly_zero()
-
-
 def test_discriminant_valuations_frozen():
     assert discriminant_valuation(cusp_curve(5)) == 9
     assert discriminant_valuation(cusp_curve(2)) == 16
@@ -182,19 +182,18 @@ def test_degree_and_generator_counts():
 # -- the realized rank drop, kept as an oracle for extension_degree ----------
 
 
-def realized_rank_drop(real, bound):
+def realized_rank_drop(curve, branches, bound):
     """dim of (piece module)/(T * piece module) row-reduced at the bound.
 
     The piece module of branch b is spanned by s^v for v in the branch
     piece; T acts as s^gamma. Both spans are row-reduced on t-coefficient
     vectors and the difference of their ranks is returned.
     """
-    curve = real.curve
-    width = len(real.branches) * bound
-    full = _RowSpace(curve.p)
-    shifted = _RowSpace(curve.p)
+    width = len(branches) * bound
+    full = RowSpace(curve.p)
+    shifted = RowSpace(curve.p)
     drop = 0
-    for b_index, br in enumerate(real.branches):
+    for b_index, br in enumerate(branches):
         member = branch_piece_membership(curve, b_index, bound)
         offset = b_index * bound
         s_power = TruncatedSeries.one(curve.p).truncate(bound)
@@ -227,9 +226,9 @@ def assert_oracle_agrees(curve, seed):
     assert delta == tame_invariants(curve).delta
     threshold = rank_threshold(curve)
     top = threshold + 8
-    real = realize_curve(curve, top, seed)
+    branches = realize_curve(curve, top, seed)
     for bound in range(1, top + 1):
-        drop = realized_rank_drop(real, bound)
+        drop = realized_rank_drop(curve, branches, bound)
         if bound >= threshold:
             assert drop == delta, (bound, drop)
         else:
@@ -262,10 +261,12 @@ def test_realized_rank_drop_stalls_below_the_threshold():
     # the (4, 5) branch at p = 11: two adjacent truncations agree on 9 at
     # 16 and 17, where a rank drop certified by agreement would stop
     curve = BENCH_CURVES[0]
-    real = realize_curve(curve, 25)
-    assert [realized_rank_drop(real, n) for n in (16, 17)] == [9, 9]
+    branches = realize_curve(curve, 25)
+    assert [realized_rank_drop(curve, branches, n)
+            for n in (16, 17)] == [9, 9]
     assert rank_threshold(curve) == 24
-    assert realized_rank_drop(real, 24) == extension_degree(curve) == 12
+    assert (realized_rank_drop(curve, branches, 24)
+            == extension_degree(curve) == 12)
 
 
 def _semigroup(raw):
@@ -293,6 +294,75 @@ def small_curves(draw):
 @settings(max_examples=40, deadline=None)
 def test_extension_degree_matches_the_realized_rank_drop(curve, seed):
     assert_oracle_agrees(curve, seed)
+
+
+# -- the full trace matrix, kept as an oracle for discriminant_valuation ----
+
+
+def trace_matrix(curve, branches):
+    """Block-diagonal matrix of traces down to F_p[[T]].
+
+    Block b has entries Tr(x^i * x^j) for the branch family x, ..., x^gamma;
+    products across branches vanish identically, giving exact zero entries.
+    """
+    size = sum(br.gamma for br in branches)
+    zero = TruncatedSeries.zero(curve.p)
+    matrix = [[zero] * size for _ in range(size)]
+    offset = 0
+    for br in branches:
+        block = _trace_block(br.basis_element, br.gamma)
+        for i, row in enumerate(block):
+            matrix[offset + i][offset:offset + br.gamma] = row
+        offset += br.gamma
+    return matrix
+
+
+coprime_semigroups = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
+    lambda gens: math.gcd(*gens) == 1)
+
+
+@st.composite
+def tame_curves(draw):
+    """1 to 3 branches, generators up to 6, cross valuations up to 4."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    count = draw(st.integers(1, 3))
+    if count == 1:
+        return BranchCurve(p, (Branch(draw(coprime_semigroups)),))
+    return BranchCurve(p, tuple(
+        Branch(draw(coprime_semigroups), cross_valuations=draw(crosses))
+        for _ in range(count)))
+
+
+@given(tame_curves(), st.integers(0, 9))
+@settings(max_examples=15, deadline=None)
+def test_discriminant_is_the_sum_of_the_block_valuations(curve, seed):
+    """The per-branch sum equals the determinant valuation of the full
+    block-diagonal matrix, at the same realization, and Delta."""
+    branches = realize_curve(curve, default_precision(curve), seed)
+    full = determinant_valuation(trace_matrix(curve, branches))
+    Delta = tame_invariants(curve).Delta
+    assert discriminant_valuation(curve, seed=seed) == full == Delta
+
+
+@given(tame_curves(), st.integers(0, 9))
+@settings(max_examples=15, deadline=None)
+def test_parameter_valuations_are_the_gammas(curve, seed):
+    """gamma lies in every branch piece; a precision of at most max gamma
+    cannot keep t^gamma, and one more can."""
+    gammas = tuple(b.gamma for b in tame_invariants(curve).per_branch)
+    for b, gamma in enumerate(gammas):
+        assert branch_piece_membership(curve, b, gamma + 1)[gamma]
+    with pytest.raises(PreconditionError, match="precision must be positive"):
+        tame_report(curve, precision=0, seed=seed)
+    for n in range(1, max(gammas) + 1):
+        with pytest.raises(PrecisionLossError) as err:
+            tame_report(curve, precision=n, seed=seed)
+        assert err.value.required == 2 * n
+        assert str(err.value) == (
+            f"valuation not certified below precision {n} "
+            f"(retry with precision >= {2 * n})")
+    report = tame_report(curve, precision=max(gammas) + 1, seed=seed)
+    assert report.parameter_valuations == gammas
 
 
 def test_generator_bound_check_fields():

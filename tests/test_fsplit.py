@@ -88,6 +88,23 @@ def general_purity_exponent(presentation, c, e_cap):
     return None
 
 
+@pytest.mark.parametrize("name", ["coordinate_axes", "twisted_cubic"])
+def test_box_membership_matches_the_normal_form_route(name):
+    """Neither ring is a complete intersection. m^[q] is a monomial ideal,
+    so the box test on the colon's generators decides what the normal
+    forms of c times its reduced basis against m^[q] decide."""
+    pres = present(*DUALITY_RINGS[name])
+    assert not is_complete_intersection(pres)
+    for text in ["1", "x", "x*y", "y^2", "x^2*y^2*z^2"]:
+        c = pres.ring.parse(text)
+        assert (fpurity_exponent(pres, c, 2)
+                == general_purity_exponent(pres, c, 2))
+    m_bracket = maximal_ideal(pres.ring).bracket_power(pres.p)
+    basis = twist_colon_ideal(pres, 1).groebner_basis()
+    witness = next((g for g in basis if not m_bracket.contains(g)), None)
+    assert fedder_test(pres).witness == witness
+
+
 @st.composite
 def complete_intersection_level(draw):
     """A principal ideal or two generators in 3 or 4 variables, with terms

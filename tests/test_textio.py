@@ -1,7 +1,10 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from kunz.errors import ParseError
-from kunz.textio import JobSpec, parse_job, parse_statements, render_job
+from kunz.textio import (COMMANDS, JobSpec, SubvarietySpec, parse_job,
+                         parse_statements, render_job)
 
 FULL_SCAN = """
 # a family with one declared subvariety
@@ -64,6 +67,61 @@ def test_round_trip_is_the_identity():
     for text in texts:
         job = parse_job(text)
         assert parse_job(render_job(job)) == job
+
+
+ints = st.integers(-10**12, 10**12)
+optional_ints = st.none() | ints
+names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+# expression texts: no statement, list, comment or cross separators, and no
+# surrounding blanks, which the parser strips
+exprs = st.text("xyzw0123456789+-*^() ", min_size=1, max_size=12).map(
+    str.strip).filter(bool)
+
+
+@st.composite
+def job_specs(draw):
+    """A JobSpec with every field drawn, points sized to the variables."""
+    variables = tuple(draw(st.lists(names, max_size=3)))
+    point = st.tuples(*[ints] * len(variables))
+    points = st.lists(point, max_size=3).map(tuple)
+    branches = tuple(draw(st.lists(
+        st.lists(ints, max_size=3).map(tuple), max_size=3)))
+    cross = tuple(draw(st.lists(ints, max_size=2).map(tuple))
+                  for _ in branches)
+    expr_tuples = st.lists(exprs, max_size=3).map(tuple)
+    subvarieties = tuple(SubvarietySpec(draw(expr_tuples), draw(points),
+                                        draw(expr_tuples))
+                         for _ in range(draw(st.integers(0, 2))))
+    return JobSpec(
+        command=draw(st.sampled_from(COMMANDS)),
+        p=draw(ints),
+        variables=variables,
+        ideal=draw(expr_tuples),
+        point=draw(st.none() | point),
+        points=draw(st.none() | points),
+        branches=branches,
+        cross=cross,
+        subvarieties=subvarieties,
+        inner=draw(expr_tuples),
+        socle=draw(st.none() | exprs),
+        element=draw(st.none() | exprs),
+        m_constant=draw(optional_ints),
+        delta_constant=draw(optional_ints),
+        e_max=draw(optional_ints),
+        e_cap=draw(optional_ints),
+        precision=draw(optional_ints),
+        seed=draw(ints),
+        mu=draw(ints),
+        budget_pairs=draw(optional_ints),
+    )
+
+
+@given(job_specs())
+@settings(max_examples=200)
+def test_round_trip_covers_every_field(job):
+    # content_hash covers render_job's text, so a field it dropped would
+    # let two different jobs share a hash
+    assert parse_job(render_job(job)) == job
 
 
 def test_command_mismatch_and_unknown_keys():
