@@ -12,7 +12,6 @@ machine-readable error document on the JSON channel.
 
 from __future__ import annotations
 
-import logging
 import sys
 import time
 
@@ -45,8 +44,6 @@ _EXIT_CODES = (
     (CapacityError, EXIT_CAPACITY),
     (PrecisionLossError, EXIT_PRECISION),
 )
-
-logger = logging.getLogger("kunz")
 
 
 def exit_code_for(err: KunzError) -> int:
@@ -305,6 +302,11 @@ def _emit(text: str, path: str | None) -> None:
                 handle.write("\n")
 
 
+def _log(level: str, message: str) -> None:
+    """One diagnostic line on stderr, as `LEVEL kunz: message`."""
+    click.echo(f"{level} kunz: {message}", err=True)
+
+
 def _fail(err: KunzError, json_path: str | None) -> None:
     code = exit_code_for(err)
     detail = {"type": type(err).__name__, "message": str(err),
@@ -318,7 +320,7 @@ def _fail(err: KunzError, json_path: str | None) -> None:
         detail["max_degree_seen"] = err.max_degree_seen
     document = {"schema_version": SCHEMA_VERSION, "error": detail}
     _emit(canonical_json(document), json_path)
-    logger.error("%s: %s", type(err).__name__, err)
+    _log("ERROR", f"{type(err).__name__}: {err}")
     sys.exit(code)
 
 
@@ -347,7 +349,7 @@ def _execute(command: str, input_path: str, emax: int | None,
         _emit(record.to_json(), json_path)
         if csv_view is not None:
             _emit(csv_view, csv_path)
-        logger.info("%s finished in %.3fs", command, timings["total"])
+        _log("INFO", f"{command} finished in {timings['total']:.3f}s")
     except KunzError as err:
         _fail(err, json_path)
 
@@ -379,9 +381,6 @@ def _shared_options(func):
 @click.version_option(version=__version__, prog_name="kunz")
 def main() -> None:
     """Exact positive-characteristic singularity measurements."""
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s",
-                        force=True)
 
 
 def _register(name: str, help_text: str) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import PreconditionError, PrecisionLossError
 from .field import FieldConfig, RowSpace
@@ -103,15 +103,13 @@ class BranchCurve:
                     "valuations")
 
 
-@dataclass(frozen=True)
-class BranchInvariants:
+class BranchInvariants(NamedTuple):
     gamma0: int
     beta: int
     gamma: int
 
 
-@dataclass(frozen=True)
-class TameInvariants:
+class TameInvariants(NamedTuple):
     per_branch: tuple[BranchInvariants, ...]
     delta: int
     Delta: int
@@ -211,8 +209,7 @@ def piece_generators(curve: BranchCurve, index: int, gamma: int,
 # -- realized branches and their trace blocks -------------------------------
 
 
-@dataclass(frozen=True)
-class BranchRealization:
+class BranchRealization(NamedTuple):
     """One branch realized in F_p[t]/(t^N) with a re-uniformized coordinate.
 
     s = t * u^(1/gamma), for a random unit u with residue 1, is the
@@ -340,8 +337,7 @@ def extension_degree(curve: BranchCurve) -> int:
     return tame_invariants(curve).delta
 
 
-@dataclass(frozen=True)
-class GeneratorBoundCheck:
+class GeneratorBoundCheck(NamedTuple):
     count: int
     delta: int
     mu: int
@@ -420,8 +416,7 @@ def _series_row(series: TruncatedSeries, offset: int, width: int,
     return row
 
 
-@dataclass(frozen=True)
-class RootClosureCheck:
+class RootClosureCheck(NamedTuple):
     p: int
     m: int
     tested: int
@@ -509,8 +504,7 @@ def root_closure_check(curve: BranchCurve, m: int = 1,
     return RootClosureCheck(p, m, tested, True)
 
 
-@dataclass(frozen=True)
-class SplitReductionCheck:
+class SplitReductionCheck(NamedTuple):
     p: int
     discriminant_reduction: int
     reduced_discriminant: int
@@ -555,8 +549,7 @@ def split_reduction_check(p: int, seed: int = 0) -> SplitReductionCheck:
 # -- aggregate report -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TameReport:
+class TameReport(NamedTuple):
     p: int
     semigroups: tuple[tuple[int, ...], ...]
     invariants: TameInvariants
@@ -576,9 +569,10 @@ def tame_report(curve: BranchCurve, precision: int | None = None,
     The parameter valuations are the gammas: the parameter is t^gamma on
     each branch, and gamma lies in the branch piece because gamma - beta is
     past the conductor. Truncated at the precision, t^gamma must survive,
-    so the precision must exceed every gamma. The curve is realized once,
-    for the discriminant; the extension degree and the generator count are
-    delta (extension_degree).
+    so the precision must exceed every gamma; a lower one is refused with
+    a retry precision, at least double it, that does. The curve is realized
+    once, for the discriminant; the extension degree and the generator count
+    are delta (extension_degree).
     """
     inv = tame_invariants(curve)
     n = default_precision(curve) if precision is None else precision
@@ -587,7 +581,8 @@ def tame_report(curve: BranchCurve, precision: int | None = None,
     gammas = tuple(b.gamma for b in inv.per_branch)
     if n <= max(gammas):
         raise PrecisionLossError(
-            f"valuation not certified below precision {n}", required=2 * n)
+            f"valuation not certified below precision {n}",
+            required=max(2 * n, max(gammas) + 1))
     disc = discriminant_valuation(curve, max(n, default_precision(curve)),
                                   seed)
     degree = extension_degree(curve)

@@ -13,7 +13,6 @@ colon, colength) reuse work.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from operator import le
 
 from . import kernel
@@ -27,7 +26,6 @@ DEFAULT_MAX_DEGREE = 10**6
 DEFAULT_DEADLINE_SECONDS = 600.0
 
 
-@dataclass
 class Budget:
     """One job's ceilings on pairs, degree and wall time, and the running
     totals charged against them.
@@ -38,12 +36,15 @@ class Budget:
     default ceilings.
     """
 
-    max_pairs: int = DEFAULT_MAX_PAIRS
-    max_degree: int = DEFAULT_MAX_DEGREE
-    deadline_seconds: float = DEFAULT_DEADLINE_SECONDS
-    pairs: int = field(default=0, init=False)
-    max_degree_seen: int = field(default=0, init=False)
-    started_at: float = field(default_factory=time.monotonic, init=False)
+    def __init__(self, max_pairs: int = DEFAULT_MAX_PAIRS,
+                 max_degree: int = DEFAULT_MAX_DEGREE,
+                 deadline_seconds: float = DEFAULT_DEADLINE_SECONDS) -> None:
+        self.max_pairs = max_pairs
+        self.max_degree = max_degree
+        self.deadline_seconds = deadline_seconds
+        self.pairs = 0
+        self.max_degree_seen = 0
+        self.started_at = time.monotonic()
 
     def charge_pair(self) -> None:
         self.pairs += 1

@@ -51,9 +51,9 @@ ideal takes the general colon, by elimination (engine.Ideal.colon).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .engine import Budget, Ideal, maximal_ideal
 from .errors import PreconditionError
@@ -139,8 +139,7 @@ def box_powers(presentation: LocalRingPresentation, e_top: int,
         yield level
 
 
-@dataclass(frozen=True)
-class SplittingSample:
+class SplittingSample(NamedTuple):
     """One splitting-number measurement."""
 
     e: int
@@ -168,8 +167,7 @@ def splitting_number(presentation: LocalRingPresentation, e: int,
                            s=Fraction(colength, q**d))
 
 
-@dataclass(frozen=True)
-class PurityVerdict:
+class PurityVerdict(NamedTuple):
     is_F_pure: bool
     witness: Polynomial | None
     detail: str
@@ -231,8 +229,7 @@ def fpurity_exponent(presentation: LocalRingPresentation, c: Polynomial,
     return None
 
 
-@dataclass(frozen=True)
-class FSplitReport:
+class FSplitReport(NamedTuple):
     """Splitting-number sequence with the same tail analysis as for lambda."""
 
     presentation_id: str

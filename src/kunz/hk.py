@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import Budget, Ideal, maximal_ideal
 from .errors import BudgetExceededError, PreconditionError
@@ -40,8 +41,7 @@ class RationalInterval:
         return self.low <= value <= self.high
 
 
-@dataclass(frozen=True)
-class HKReport:
+class HKReport(NamedTuple):
     """Sequence report: exact samples, gap constant, and the tail interval."""
 
     presentation_id: str
@@ -125,16 +125,14 @@ def hk_sequence(presentation: LocalRingPresentation, e_max: int,
 # -- pair bounds -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(NamedTuple):
     """Constants entering the pair bound rhs m * Delta * p^-e."""
 
     m: int
     Delta: int
 
 
-@dataclass(frozen=True)
-class PairBoundEntry:
+class PairBoundEntry(NamedTuple):
     e: int
     e_prime: int
     lhs: Fraction
@@ -145,8 +143,7 @@ class PairBoundEntry:
         return self.lhs <= self.rhs
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """A batch of pair-bound verifications sharing one constant set."""
 
     constants: BoundConstants
@@ -215,8 +212,7 @@ def verify_pair_bounds(presentation: LocalRingPresentation, inner: Ideal,
     return BoundCheck(constants=constants, entries=entries)
 
 
-@dataclass(frozen=True)
-class BasicLengthsCheck:
+class BasicLengthsCheck(NamedTuple):
     """Two independently computed sides of the colon/quotient length identity
 
     l(R / (I^[q] : u^q)) = l((I + (u))^[q] / I^[q]).
@@ -248,8 +244,7 @@ def verify_basic_lengths(presentation: LocalRingPresentation, inner: Ideal,
 # -- hypersurface bound ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypersurfaceBoundCheck:
+class HypersurfaceBoundCheck(NamedTuple):
     n: int
     e: int
     q: int

@@ -12,8 +12,8 @@ is computed exactly in the polynomial ring, with q = p^e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import Budget, Ideal, maximal_ideal
 from .errors import PreconditionError
@@ -42,8 +42,7 @@ def translate_to_origin(generators: list[Polynomial], point: Point) -> list[Poly
     return [g.substitute_shift(point) for g in generators]
 
 
-@dataclass(frozen=True)
-class FrobeniusSample:
+class FrobeniusSample(NamedTuple):
     """One Frobenius colength measurement of a local ring."""
 
     e: int
@@ -144,8 +143,7 @@ class LocalRingPresentation:
                                 jacobian_rank=rank, smooth=(rank == codim))
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(NamedTuple):
     dimension: int
     codimension: int
     jacobian_rank: int

@@ -14,8 +14,8 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .errors import PreconditionError
@@ -61,8 +61,7 @@ def content_hash(job_text: str, payload) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     job: JobSpec
     payload: dict
     timings: dict[str, float]

@@ -50,8 +50,7 @@ class Subvariety:
             raise PreconditionError("a subvariety needs at least one witness")
 
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(NamedTuple):
     point: Point
     dimension: int
     smooth: bool
@@ -59,14 +58,12 @@ class PointRecord:
     s_values: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class WitnessValues:
+class WitnessValues(NamedTuple):
     witness: Point
     values: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class SubvarietyRecord:
+class SubvarietyRecord(NamedTuple):
     generators: tuple[str, ...]
     height: int
     parameter_count: int
@@ -74,16 +71,14 @@ class SubvarietyRecord:
     agreement: bool
 
 
-@dataclass(frozen=True)
-class ScanVerdicts:
+class ScanVerdicts(NamedTuple):
     upper_semicontinuous_lambda: bool
     lower_semicontinuous_s: bool
     generic_constancy: bool
     violations: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     p: int
     variables: tuple[str, ...]
     ideal_generators: tuple[str, ...]

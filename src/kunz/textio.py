@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -113,8 +114,7 @@ def _point_list(value: str, key: str) -> tuple[tuple[int, ...], ...]:
                  for m in _POINT_RE.finditer(value))
 
 
-@dataclass(frozen=True)
-class SubvarietySpec:
+class SubvarietySpec(NamedTuple):
     ideal: tuple[str, ...]
     witnesses: tuple[tuple[int, ...], ...]
     params: tuple[str, ...]

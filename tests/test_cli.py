@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -241,3 +246,68 @@ def test_version_flag(runner):
     result = invoke(runner, ["--version"])
     assert result.exit_code == 0
     assert "kunz" in result.output
+
+
+def run_child(args, code=None):
+    """python -m kunz.cli in a fresh interpreter (or `-c code` in its
+    place), importing the package from where this process found it."""
+    source = str(Path(kunz.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": source + os.pathsep + path if path else source}
+    command = ["-c", code] if code is not None else ["-m", "kunz.cli"]
+    return subprocess.run([sys.executable, *command, *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_stderr_carries_one_status_line(tmp_path):
+    good = run_child(["hk", "--input", write(tmp_path, "cone.job", CONE),
+                      "--emax", "1"])
+    assert good.returncode == 0
+    assert "payload" in json.loads(good.stdout)
+    assert re.fullmatch(r"INFO kunz: hk finished in \d+\.\d{3}s\n",
+                        good.stderr)
+
+    bad = run_child(["hk", "--input",
+                     write(tmp_path, "bad.job", "p = 5;\nvars = x;\nideal\n")])
+    assert bad.returncode == 2
+    error = json.loads(bad.stdout)["error"]
+    assert error["type"] == "ParseError"
+    assert bad.stderr == f"ERROR kunz: ParseError: {error['message']}\n"
+
+
+RECORDS = {
+    "curves": ("BranchInvariants", "TameInvariants", "BranchRealization",
+               "GeneratorBoundCheck", "RootClosureCheck",
+               "SplitReductionCheck", "TameReport"),
+    "fsplit": ("SplittingSample", "PurityVerdict", "FSplitReport"),
+    "hk": ("HKReport", "BoundConstants", "PairBoundEntry", "BoundCheck",
+           "BasicLengthsCheck", "HypersurfaceBoundCheck"),
+    "localring": ("FrobeniusSample", "SmoothnessReport"),
+    "records": ("RunRecord",),
+    "scan": ("PointRecord", "WitnessValues", "SubvarietyRecord",
+             "ScanVerdicts", "ScanReport"),
+    "textio": ("SubvarietySpec",),
+}
+
+
+IMPORT_PROBE = """
+import dataclasses, importlib, json, sys
+import kunz.cli
+records = json.loads(sys.argv[1])
+print(json.dumps({
+    "logging": "logging" in sys.modules,
+    "dataclasses": [
+        f"{module}.{name}" for module, names in records.items()
+        for name in names if dataclasses.is_dataclass(
+            getattr(importlib.import_module(f"kunz.{module}"), name))],
+}))
+"""
+
+
+def test_cli_import_generates_no_record_code():
+    """Result records are NamedTuples, built without dataclass code
+    generation, and the two stderr lines need no logging import."""
+    out = run_child([json.dumps(RECORDS)], code=IMPORT_PROBE)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"logging": False, "dataclasses": []}

@@ -348,7 +348,8 @@ def test_discriminant_is_the_sum_of_the_block_valuations(curve, seed):
 @settings(max_examples=15, deadline=None)
 def test_parameter_valuations_are_the_gammas(curve, seed):
     """gamma lies in every branch piece; a precision of at most max gamma
-    cannot keep t^gamma, and one more can."""
+    cannot keep t^gamma, and one more can, so a refused precision is retried
+    at least past max gamma."""
     gammas = tuple(b.gamma for b in tame_invariants(curve).per_branch)
     for b, gamma in enumerate(gammas):
         assert branch_piece_membership(curve, b, gamma + 1)[gamma]
@@ -357,12 +358,26 @@ def test_parameter_valuations_are_the_gammas(curve, seed):
     for n in range(1, max(gammas) + 1):
         with pytest.raises(PrecisionLossError) as err:
             tame_report(curve, precision=n, seed=seed)
-        assert err.value.required == 2 * n
+        required = max(2 * n, max(gammas) + 1)
+        assert err.value.required == required
         assert str(err.value) == (
             f"valuation not certified below precision {n} "
-            f"(retry with precision >= {2 * n})")
+            f"(retry with precision >= {required})")
     report = tame_report(curve, precision=max(gammas) + 1, seed=seed)
     assert report.parameter_valuations == gammas
+
+
+@pytest.mark.parametrize("precision", [3, 6, 12])
+def test_one_retry_at_the_required_precision_succeeds(precision):
+    """Branch (5, 6) at p = 7 has gamma 20: doubling 3 would take three
+    retries (6, 12, 24), and the advised precision passes at once."""
+    curve = BranchCurve(7, (Branch((5, 6)),))
+    with pytest.raises(PrecisionLossError) as err:
+        tame_report(curve, precision=precision)
+    assert err.value.required == max(2 * precision, 21)
+    report = tame_report(curve, precision=err.value.required)
+    assert report.parameter_valuations == (20,)
+    assert report.precision == err.value.required
 
 
 def test_generator_bound_check_fields():
