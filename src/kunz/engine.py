@@ -6,8 +6,9 @@ sizes this package targets; pair processing, degree growth and wall time
 are all charged against an explicit budget so every operation terminates
 with either an answer or a budget error.
 
-Ideal caches its reduced grevlex basis, so repeated queries (membership,
-colon, colength) reuse work.
+Ideal caches the minimal grevlex basis Buchberger gives, as monic kernel
+term lists, for repeated queries (membership, colon, colength). Leading
+monomials and normal forms need no tail reduction; a reduced basis does.
 """
 
 from __future__ import annotations
@@ -154,16 +155,13 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
     The reduced basis is unique for the order, which makes it usable as a
     canonical form for ideal equality.
     """
-    if not generators:
-        return []
-    ring = generators[0].ring
-    if order is None:
-        order = ring.default_order()
-    budget = budget or Budget()
     inputs = [f for f in generators if not f.is_zero()]
     if not inputs:
         return []
-    return _reduce_basis(_minimal_basis(inputs, order, budget), ring, budget)
+    ring = inputs[0].ring
+    budget = budget or Budget()
+    basis = _minimal_basis(inputs, order or ring.default_order(), budget)
+    return _reduce_basis(basis, ring, budget)
 
 
 def _minimal_basis(inputs: list[Polynomial], order: MonomialOrder,
@@ -243,13 +241,18 @@ def normal_form(f: Polynomial, basis: list[Polynomial],
     """Remainder of f on full grevlex reduction by a Groebner basis."""
     ring = f.ring
     order = ring.default_order()
-    budget = budget or Budget()
     reducers = [kernel.make_monic(kernel.to_terms(g, order), ring.p)
                 for g in basis if not g.is_zero()]
-    terms = kernel.to_terms(f, order)
-    nf, max_deg = kernel.reduce_full(terms, reducers,
-                                     kernel.guard_mask(ring.nvars), ring.p,
-                                     budget.check_deadline)
+    return _normal_form(f, reducers, budget or Budget())
+
+
+def _normal_form(f: Polynomial, reducers: list[list],
+                 budget: Budget) -> Polynomial:
+    """Remainder of f on full grevlex reduction by monic term lists."""
+    ring = f.ring
+    nf, max_deg = kernel.reduce_full(kernel.to_terms(f, ring.default_order()),
+                                     reducers, kernel.guard_mask(ring.nvars),
+                                     ring.p, budget.check_deadline)
     budget.observe_degree(max_deg)
     return kernel.from_terms(nf, ring)
 
@@ -296,7 +299,8 @@ def div_exact(f: Polynomial, g: Polynomial,
 
 
 class Ideal:
-    """An ideal of a polynomial ring, with its cached reduced grevlex basis."""
+    """An ideal of a polynomial ring, with its cached minimal grevlex basis
+    of monic kernel term lists."""
 
     __slots__ = ("ring", "generators", "_basis")
 
@@ -306,16 +310,25 @@ class Ideal:
             if g.ring != ring:
                 raise PreconditionError("generator from a different ring")
         self.generators = tuple(g for g in generators if not g.is_zero())
-        self._basis: list[Polynomial] | None = None
+        self._basis: list[list] | None = None
+
+    def _minimal(self, budget: Budget) -> list[list]:
+        if self._basis is None:
+            self._basis = (_minimal_basis(list(self.generators),
+                                          self.ring.default_order(), budget)
+                           if self.generators else [])
+        return self._basis
 
     def groebner_basis(self, budget: Budget | None = None) -> list[Polynomial]:
-        if self._basis is None:
-            self._basis = groebner(list(self.generators), None, budget)
-        return self._basis
+        """The reduced monic grevlex basis, sorted descending by leading
+        monomial, tail-reduced from a copy of the cached minimal basis."""
+        budget = budget or Budget()
+        return _reduce_basis(list(self._minimal(budget)), self.ring, budget)
 
     def normal_form(self, f: Polynomial,
                     budget: Budget | None = None) -> Polynomial:
-        return normal_form(f, self.groebner_basis(budget), budget)
+        budget = budget or Budget()
+        return _normal_form(f, self._minimal(budget), budget)
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
         return self.normal_form(f, budget).is_zero()
@@ -323,10 +336,6 @@ class Ideal:
     def contains_ideal(self, other: Ideal,
                        budget: Budget | None = None) -> bool:
         return all(self.contains(g, budget) for g in other.generators)
-
-    def is_unit(self, budget: Budget | None = None) -> bool:
-        basis = self.groebner_basis(budget)
-        return len(basis) == 1 and basis[0] == self.ring.one()
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -362,8 +371,11 @@ class Ideal:
                      budget: Budget | None = None) -> Ideal:
         """Intersection via a single auxiliary variable and elimination.
 
-        Computes (t*I + (1-t)*J) in F_p[t, x...] and keeps the basis members
-        free of t.
+        Keeps the members of a minimal basis of (t*I + (1-t)*J) in
+        F_p[t, x...] whose leading monomial is free of t. Under elimination
+        such a member, and every reducer of its terms, is free of t; so
+        tail-reducing them among themselves gives the t-free members of the
+        reduced basis, and their packed exponents unpack without t.
         """
         self._check_ring(other)
         if self.is_zero() or other.is_zero():
@@ -375,11 +387,10 @@ class Ideal:
         one_minus_t = big.one() - t
         gens = [t * _lift(f, big) for f in self.generators]
         gens += [one_minus_t * _lift(g, big) for g in other.generators]
-        order = MonomialOrder(ELIMINATION, 1)
-        basis = groebner(gens, order, budget)
-        kept = [_drop_first_variable(g, ring) for g in basis
-                if all(e[0] == 0 for e in g.terms)]
-        return Ideal(ring, kept)
+        budget = budget or Budget()
+        basis = _minimal_basis(gens, MonomialOrder(ELIMINATION, 1), budget)
+        kept = [g for g in basis if kernel.unpack(g[0][1], big.nvars)[0] == 0]
+        return Ideal(ring, _reduce_basis(kept, ring, budget))
 
     def colon(self, other: Ideal, budget: Budget | None = None) -> Ideal:
         """Ideal quotient (self : other).
@@ -411,8 +422,11 @@ class Ideal:
     # -- numerical invariants -------------------------------------------
 
     def leading_term_ideal(self, budget: Budget | None = None) -> list[Exps]:
-        order = self.ring.default_order()
-        return [g.leading_term(order)[0] for g in self.groebner_basis(budget)]
+        """Leading exponents of the minimal basis: the minimal generators of
+        the leading term ideal, in no particular order."""
+        n = self.ring.nvars
+        return [kernel.unpack(g[0][1], n)
+                for g in self._minimal(budget or Budget())]
 
     def dimension(self, budget: Budget | None = None) -> int:
         """Krull dimension of ring/self.
@@ -517,10 +531,6 @@ def _fresh_variable_name(names: tuple[str, ...]) -> str:
 
 def _lift(f: Polynomial, big: PolyRing) -> Polynomial:
     return Polynomial(big, {(0,) + e: c for e, c in f.terms.items()})
-
-
-def _drop_first_variable(f: Polynomial, small: PolyRing) -> Polynomial:
-    return Polynomial(small, {e[1:]: c for e, c in f.terms.items()})
 
 
 def maximal_ideal(ring: PolyRing) -> Ideal:

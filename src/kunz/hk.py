@@ -13,6 +13,10 @@ l_e is computed once, and the constants m and Delta are supplied by the
 caller (for realized curve data they come from the curves module).
 hypersurface_bound checks the colength of a principal ideal plus a bracket
 power of the maximal ideal against n * q^(d-1).
+
+verify_basic_lengths is a library check of the paper's colon/quotient
+length identity. No command calls it; the tests and the acceptance suite
+exercise it.
 """
 
 from __future__ import annotations

@@ -97,10 +97,6 @@ class LocalRingPresentation:
                 self._dimension = self.ideal.dimension(budget)
         return self._dimension
 
-    def frobenius_colength(self, e: int, budget: Budget | None = None) -> int:
-        """length of A / m^[q] A with q = p^e."""
-        return self.sample(e, budget).colength
-
     def lambda_value(self, e: int, budget: Budget | None = None) -> Fraction:
         """Normalized colength length(A/m^[q]A) / q^dim(A)."""
         return self.sample(e, budget).normalized

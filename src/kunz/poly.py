@@ -1,9 +1,8 @@
 """Sparse multivariate polynomials over F_p with monomial orders and a parser.
 
 A Polynomial is an immutable sparse map from exponent vectors to nonzero
-coefficients in [1, p). Term lists sorted under a monomial order are cached
-per order, so leading-term extraction is O(1) after the first query under
-that order (Buchberger reduction asks for it constantly).
+coefficients in [1, p). Ordered term lists are sorted on request; the
+Groebner engine reduces in the packed form of kernel.py, not here.
 
 Monomial orders are realized as key functions mapping an exponent vector to
 an integer tuple compared lexicographically. MonomialOrder.key is the only
@@ -171,7 +170,7 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial. Do not mutate ``terms`` after creation."""
 
-    __slots__ = ("ring", "terms", "_ordered")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict[Exps, int]) -> None:
         self.ring = ring
@@ -184,7 +183,6 @@ class Polynomial:
             if c:
                 clean[exps] = c
         self.terms = clean
-        self._ordered: dict[MonomialOrder, tuple[tuple[Exps, int], ...]] = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -209,20 +207,11 @@ class Polynomial:
             return -1
         return min(sum(e) for e in self.terms)
 
-    def ordered_terms(self, order: MonomialOrder) -> tuple[tuple[Exps, int], ...]:
-        """Terms in descending order; cached per order."""
-        cached = self._ordered.get(order)
-        if cached is None:
-            key = order.key
-            cached = tuple(sorted(self.terms.items(),
-                                  key=lambda t: key(t[0]), reverse=True))
-            self._ordered[order] = cached
-        return cached
-
-    def leading_term(self, order: MonomialOrder) -> tuple[Exps, int]:
-        if not self.terms:
-            raise PreconditionError("the zero polynomial has no leading term")
-        return self.ordered_terms(order)[0]
+    def ordered_terms(self, order: MonomialOrder) -> list[tuple[Exps, int]]:
+        """Terms in descending order."""
+        key = order.key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]),
+                      reverse=True)
 
     def coefficient(self, exps: Exps) -> int:
         return self.terms.get(tuple(exps), 0)

@@ -43,10 +43,6 @@ def encode_value(value):
     return str(value)
 
 
-def decode_rational(value) -> Fraction:
-    return Fraction(int(value["num"]), int(value["den"]))
-
-
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

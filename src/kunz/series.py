@@ -77,9 +77,6 @@ class TruncatedSeries:
     def monomial(cls, p: int, exponent: int, coeff: int = 1) -> TruncatedSeries:
         return cls.make(p, {exponent: coeff})
 
-    def is_exact(self) -> bool:
-        return self.prec is None
-
     def is_exactly_zero(self) -> bool:
         return self.prec is None and not self.coeffs
 

@@ -388,3 +388,33 @@ def buchberger(generators, order, p, max_pairs=None, max_degree=None):
         make_monic(reduce_full(g, minimal[:i] + minimal[i + 1:], p)[0], p)
         for i, g in enumerate(minimal)]
     return reduced_basis, processed, seen
+
+
+def elimination_intersection(first, second, ring, max_pairs=None,
+                             max_degree=None):
+    """Generators of the intersection of the ideals generated by first and
+    second, by the route Ideal.intersection took before it stopped
+    tail-reducing the members it drops: the whole reduced basis of
+    t*I + (1 - t)*J under elimination of t, from buchberger above, filtered
+    to the members free of t. ring must not name a variable t.
+
+    Returns (generators, pairs processed, max degree seen), with None for
+    the generators where a ceiling stopped buchberger.
+    """
+    from kunz.poly import ELIMINATION, MonomialOrder, PolyRing, Polynomial
+
+    big = PolyRing(ring.field, ("t",) + ring.variables)
+    t = big.variable("t")
+
+    def lift(f):
+        return Polynomial(big, {(0,) + e: c for e, c in f.terms.items()})
+
+    gens = [t * lift(f) for f in first]
+    gens += [(big.one() - t) * lift(g) for g in second]
+    basis, processed, seen = buchberger(gens, MonomialOrder(ELIMINATION, 1),
+                                        ring.p, max_pairs, max_degree)
+    if basis is None:
+        return None, processed, seen
+    kept = [Polynomial(ring, {e[1:]: c for _, e, c in g}) for g in basis
+            if all(e[0] == 0 for _, e, _ in g)]
+    return kept, processed, seen

@@ -30,3 +30,10 @@ def test_traced_layer_resolves(module_name, path):
     assert inspect.isfunction(target)
     if not classes:
         assert target.__module__ == f"kunz.{module_name}"
+
+
+def test_traced_pair_counter_resolves():
+    # tracing.py counts engine.pairs by patching this attribute, which is
+    # not a layer, so the test above does not cover it
+    engine = importlib.import_module("kunz.engine")
+    assert engine.BudgetTracker.charge_pair is engine.Budget.charge_pair

@@ -5,13 +5,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from kunz.engine import (Budget, Ideal, _update, div_exact, maximal_ideal,
-                         normal_form)
+from kunz import engine
+from kunz.engine import (Budget, Ideal, _update, div_exact, groebner,
+                         maximal_ideal, normal_form)
 from kunz.engine import monomial_colength as engine_monomial_colength
 from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
 from kunz.kernel import pack, unpack
 from kunz.poly import GREVLEX, MonomialOrder, PolyRing
+import oracles
 from oracles import (box_bounds, bracket, monomial_colength,
                      pairwise_update, peeling_colength)
 
@@ -191,6 +193,86 @@ def test_intersection_is_contained_in_both(data):
         assert ideal.contains(g) and other.contains(g)
 
 
+@st.composite
+def two_small_ideals(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nvars = draw(st.integers(1, 3))
+    ring = ring_of(p, "xyz"[:nvars])
+
+    def poly():
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * nvars), st.integers(1, p - 1),
+            min_size=1, max_size=3))
+        return sum((ring.monomial(e, c) for e, c in terms.items()),
+                   ring.zero())
+
+    def gens():
+        return [poly() for _ in range(draw(st.integers(1, 2)))]
+
+    return ring, gens(), gens(), poly()
+
+
+# As in test_kernel.py: an elimination basis of small generators can take
+# minutes, so every basis here runs under one pair and degree ceiling, and
+# the engine must stop where the oracle does.
+MAX_PAIRS = 100
+MAX_DEGREE = 40
+
+
+def ceiling():
+    return Budget(max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE)
+
+
+@given(two_small_ideals())
+@settings(max_examples=80)
+def test_ideal_queries_match_the_reduced_basis(data):
+    ring, first, second, f = data
+    ideal = Ideal(ring, first)
+    try:
+        basis = groebner(first, None, ceiling())
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            ideal.leading_term_ideal(ceiling())
+    else:
+        grevlex = ring.default_order()
+        # a minimal basis has the reduced basis's leads, each once
+        assert sorted(ideal.leading_term_ideal(ceiling())) == sorted(
+            g.ordered_terms(grevlex)[0][0] for g in basis)
+        assert ideal.normal_form(f) == normal_form(f, basis)
+
+    expected, pairs, seen = oracles.elimination_intersection(
+        first, second, ring, MAX_PAIRS, MAX_DEGREE)
+    budget = ceiling()
+    if expected is None:
+        with pytest.raises(BudgetExceededError):
+            Ideal(ring, first).intersection(Ideal(ring, second), budget)
+    else:
+        meet = Ideal(ring, first).intersection(Ideal(ring, second), budget)
+        assert list(meet.generators) == expected
+    assert budget.pairs == pairs
+    assert budget.max_degree_seen == seen
+
+
+def test_lengths_and_membership_skip_tail_reduction(monkeypatch):
+    ring = ring_of(5, "xyz")
+    gens = [ring.parse(text) for text in ("x*y - z^2", "x^5", "y^5", "z^5")]
+    leads = [g.ordered_terms(ring.default_order())[0][0]
+             for g in groebner(gens)]
+    calls = []
+    reduce_basis = engine._reduce_basis
+
+    def counting(basis, ring, budget):
+        calls.append(len(basis))
+        return reduce_basis(basis, ring, budget)
+
+    monkeypatch.setattr(engine, "_reduce_basis", counting)
+    assert Ideal(ring, gens).colength() == peeling_colength(leads)
+    assert Ideal(ring, gens[:1]).dimension() == 2
+    assert Ideal(ring, gens).contains(ring.parse("x^2*y^2 - x*y*z^2"))
+    assert not Ideal(ring, gens).contains(ring.parse("z^4"))
+    assert calls == []
+
+
 def test_colon_of_monomial_ideal():
     ring = ring_of(5)
     ideal = Ideal(ring, [ring.parse("x^3"), ring.parse("y^2")])
@@ -202,8 +284,9 @@ def test_colon_of_monomial_ideal():
 
 def test_unit_and_zero_ideals():
     ring = ring_of(5)
-    assert Ideal(ring, [ring.parse("x"), ring.parse("x + 1")]).is_unit()
-    assert not Ideal(ring, [ring.parse("x")]).is_unit()
+    unit = Ideal(ring, [ring.parse("x"), ring.parse("x + 1")])
+    assert unit.groebner_basis() == [ring.one()]
+    assert Ideal(ring, [ring.parse("x")]).groebner_basis() != [ring.one()]
     assert Ideal(ring, []).is_zero()
 
 
@@ -278,7 +361,7 @@ def test_div_exact_inverts_multiplication(data):
     assert div_exact(f * g, g) == f
     # r keeps the terms of noise that lm(g) does not divide, so lm(r) is
     # not a multiple of lm(g), g cannot divide r, and so not f*g + r
-    lm_g = g.leading_term(ring.default_order())[0]
+    lm_g = g.ordered_terms(ring.default_order())[0][0]
     r = ring.zero()
     for exps, c in noise:
         if not all(a <= b for a, b in zip(lm_g, exps)):

@@ -145,14 +145,20 @@ def test_pair_bounds_compute_each_level_once(cusp5, monkeypatch):
 def test_socle_condition_charges_the_given_budget(monkeypatch, inner, u):
     ring = PolyRing(FieldConfig(3), ("x", "y"))
     pres = LocalRingPresentation(ring, Ideal(ring, []))
-    groebner = engine.groebner
     budgets = []
 
-    def recording(generators, order=None, budget=None):
-        budgets.append(budget)
-        return groebner(generators, order, budget)
+    def recording(name):
+        original = getattr(engine, name)
 
-    monkeypatch.setattr(engine, "groebner", recording)
+        def record(first, second, budget):
+            budgets.append(budget)
+            return original(first, second, budget)
+
+        monkeypatch.setattr(engine, name, record)
+
+    # every Buchberger run and every tail reduction goes through these two
+    recording("_minimal_basis")
+    recording("_reduce_basis")
     budget = Budget()
     check_socle_condition(pres, Ideal(ring, [ring.parse(g) for g in inner]),
                           ring.parse(u), budget)

@@ -54,7 +54,7 @@ def test_lambda_of_the_full_ring_is_one():
     assert pres.dimension() == 3
     for e in (1, 2):
         assert pres.lambda_value(e) == Fraction(1)
-        assert pres.frobenius_colength(e) == 3 ** (3 * e)
+        assert pres.sample(e).colength == 3 ** (3 * e)
 
 
 def test_sample_is_cached(cone5):
@@ -104,4 +104,4 @@ def test_fermat_cubic_hilbert_kunz_function(p, e):
     pres = LocalRingPresentation.from_texts(
         p, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
     q = p**e
-    assert 4 * pres.frobenius_colength(e) == 9 * q**2 - 5
+    assert 4 * pres.sample(e).colength == 9 * q**2 - 5
