@@ -17,6 +17,16 @@ R is F-pure exactly when (I^[p] : I) is not contained in m^[p]; the verdict
 records a concrete witness element or an exhaustion certificate. The README
 states the equivalence between this criterion and the purity definition.
 
+A diagonal hypersurface f, sum c_i x_i^(d_i) or a quadric in odd p,
+skips both the colon and the colength. (I^[q] : I) + m^[q] is
+(f^(q-1)) + m^[q] by the identity below, and with T acting as f on
+S/m^[q], a tensor product of the k[x_i]/(x_i^q), the splitting numerator
+q^n - colength(m^[q] + (f^(q-1))) is the number of Jordan blocks of size
+q. Han's closed form for D(a, b, c) = dim k[x,y]/(x^a, y^b, (x+y)^c)
+counts them (C. Han, thesis, Brandeis 1991; Han and Monsky, "Some
+surprising Hilbert-Kunz functions", Math. Z. 214, 1993); see the diagonal
+module. fedder_test keeps the box route below, since it needs a witness.
+
 Complete intersections skip the colon. If I = (f_1..f_c) is generated by a
 regular sequence in a regular local ring, Fedder's lemma gives
 
@@ -55,6 +65,7 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
+from .diagonal import jordan_counts
 from .engine import Budget, Ideal, maximal_ideal
 from .errors import PreconditionError
 from .field import frobenius_exponent
@@ -155,13 +166,18 @@ def splitting_number(presentation: LocalRingPresentation, e: int,
         raise PreconditionError(f"splitting level must be >= 1, got {e}")
     q = frobenius_exponent(presentation.p, e)
     ring = presentation.ring
-    m_bracket = maximal_ideal(ring).bracket_power(q)
-    if is_complete_intersection(presentation, budget):
-        *_, box = box_powers(presentation, e, budget)
-        total = m_bracket.sum_with(Ideal(ring, [box]))
+    counts = jordan_counts(presentation.ideal.generators, q, budget)
+    if counts is not None:
+        colength = counts[1]
     else:
-        total = twist_colon_ideal(presentation, e, budget).sum_with(m_bracket)
-    colength = q**ring.nvars - total.colength(budget)
+        m_bracket = maximal_ideal(ring).bracket_power(q)
+        if is_complete_intersection(presentation, budget):
+            *_, box = box_powers(presentation, e, budget)
+            total = m_bracket.sum_with(Ideal(ring, [box]))
+        else:
+            total = twist_colon_ideal(presentation, e, budget).sum_with(
+                m_bracket)
+        colength = q**ring.nvars - total.colength(budget)
     d = presentation.dimension(budget)
     return SplittingSample(e=e, q=q, colength=colength,
                            s=Fraction(colength, q**d))

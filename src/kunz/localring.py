@@ -8,6 +8,14 @@ over S equals the length of A/(m^[q]A), so the normalized colength
     lambda_e = length(A / m^[q] A) / q^dim(A)
 
 is computed exactly in the polynomial ring, with q = p^e.
+
+A diagonal hypersurface, f = sum c_i x_i^(d_i) or a quadric in odd p,
+takes no Groebner basis: with T acting as f, S/m^[q] is a tensor product
+of the k[T]-modules k[x_i]/(x_i^q), and length(S/(m^[q] + (f))) is its
+number of Jordan blocks, a sum of Han's D(a, b, c) = dim k[x,y]/(x^a, y^b,
+(x+y)^c) (C. Han, thesis, Brandeis 1991; Han and Monsky, "Some surprising
+Hilbert-Kunz functions", Math. Z. 214, 1993). The diagonal module holds
+the reduction; every other ring takes the engine.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .diagonal import jordan_counts
 from .engine import Budget, Ideal, maximal_ideal
 from .errors import PreconditionError
 from .field import FieldConfig, RowSpace, frobenius_exponent
@@ -108,9 +117,12 @@ class LocalRingPresentation:
         if cached is not None:
             return cached
         q = frobenius_exponent(self.p, e)
-        m_bracket = maximal_ideal(self.ring).bracket_power(q)
-        total = self.ideal.sum_with(m_bracket)
-        colength = total.colength(budget)
+        counts = jordan_counts(self.ideal.generators, q, budget)
+        if counts is None:
+            m_bracket = maximal_ideal(self.ring).bracket_power(q)
+            colength = self.ideal.sum_with(m_bracket).colength(budget)
+        else:
+            colength = counts[0]
         d = self.dimension(budget)
         sample = FrobeniusSample(e, q, colength, Fraction(colength, q**d))
         self._samples[e] = sample

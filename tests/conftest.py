@@ -26,3 +26,12 @@ def node3() -> LocalRingPresentation:
 @pytest.fixture(scope="session")
 def cusp5() -> LocalRingPresentation:
     return LocalRingPresentation.from_texts(5, ["x", "y"], ["y^2 - x^3"])
+
+
+@pytest.fixture()
+def engine_only(monkeypatch):
+    """Turn off Han's route for diagonal hypersurfaces, so every colength
+    comes from the Groebner engine."""
+    from kunz import fsplit, hk, localring
+    for module in (localring, fsplit, hk):
+        monkeypatch.setattr(module, "jordan_counts", lambda *args: None)

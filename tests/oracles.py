@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 
 def box_bounds(generators: list[tuple[int, ...]]) -> list[int]:
@@ -115,6 +116,50 @@ def cusp_colength(q: int) -> int:
     if q < 2:
         raise ValueError("closed form derived for q >= 2 only")
     return 2 * q
+
+
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p by plain Gaussian elimination."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] * inv
+                rows[r] = [(v - factor * w) % p
+                           for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def syzygy_dimension(a: int, b: int, c: int, p: int) -> int:
+    """dim k[x,y]/(x^a, y^b, (x+y)^c) over F_p, from graded ranks.
+
+    Multiplication by (x+y)^c on k[x,y]/(x^a, y^b) maps degree t - c to
+    degree t; the quotient has dimension ab minus the sum of those ranks.
+    Monomials x^i y^j of degree t are indexed by i.
+    """
+    if min(a, b, c) <= 0:
+        return 0
+    binomials = [comb(c, k) % p for k in range(c + 1)]
+    total = a * b
+    for t in range(c, a + b - 1):
+        rows = []
+        for i in range(a):
+            j = t - c - i
+            if 0 <= j < b:
+                row = [0] * a
+                for k, coeff in enumerate(binomials):
+                    if i + k < a and 0 <= t - i - k < b:
+                        row[i + k] = coeff
+                rows.append(row)
+        total -= rank_mod_p(rows, p)
+    return total
 
 
 def naive_series_product(a: dict[int, int], b: dict[int, int], p: int,

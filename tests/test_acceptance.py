@@ -135,8 +135,8 @@ def test_criterion_06_length_identity_instances():
     watch.check()
 
 
-def test_criterion_07_hypersurface_colength_bound():
-    watch = Stopwatch(120)
+def hypersurface_draws():
+    """(trial, f, n, e) for the 25 seeded hypersurfaces of criterion 7."""
     for trial in range(25):
         rng = random.Random(f"acceptance:hypersurface:{trial}")
         p = rng.choice([2, 3, 5, 7])
@@ -149,6 +149,12 @@ def test_criterion_07_hypersurface_colength_bound():
                 f = f + ring.monomial(exps, rng.randint(1, p - 1))
         n = f.order_of_vanishing()
         e = rng.choice([1, 2]) if p < 7 else 1
+        yield trial, f, n, e
+
+
+def test_criterion_07_hypersurface_colength_bound():
+    watch = Stopwatch(120)
+    for trial, f, n, e in hypersurface_draws():
         assert hypersurface_bound(f, n, e).passed, (trial, str(f), n, e)
     # the pure power family attains the bound exactly
     ring = PolyRing(FieldConfig(5), ("x", "y"))

@@ -13,6 +13,7 @@ from kunz.cli import main
 
 CONE = "p = 5;\nvars = x, y, z;\nideal = x*y - z^2;\n"
 NODE = "p = 3;\nvars = x, y;\nideal = x*y;\n"
+CUBIC_XYZ = "p = 7;\nvars = x, y, z;\nideal = x^3 + y^3 + z^3 + x*y*z;\n"
 CUSP_BOUNDS = ("p = 5;\nvars = x, y;\nideal = y^2 - x^3;\n"
                "inner = x, y;\nsocle = 1;\nm = 2;\nDelta = 9;\n")
 
@@ -195,7 +196,9 @@ def test_missing_file_exits_2(runner, tmp_path):
 
 
 def test_budget_exhaustion_exits_4(runner, tmp_path):
-    job = write(tmp_path, "cone.job", CONE)
+    # the cubic is not diagonal, so it stays on the engine; its e = 1 level
+    # takes 5 pairs, and the fourth one breaks the budget
+    job = write(tmp_path, "cubic.job", CUBIC_XYZ)
     result = invoke(runner, ["hk", "--input", job, "--emax", "2",
                              "--budget-pairs", "3"])
     assert result.exit_code == 4
@@ -205,15 +208,26 @@ def test_budget_exhaustion_exits_4(runner, tmp_path):
 
 
 def test_pair_budget_spans_the_whole_job(runner, tmp_path):
-    # the e = 1 and e = 2 levels take 12 and 52 pairs: each fits in 60,
+    # the e = 1 and e = 2 levels take 5 pairs each: each fits in 8,
     # together they do not, so the second level truncates the sequence
-    job = write(tmp_path, "cone.job", CONE)
+    job = write(tmp_path, "cubic.job", CUBIC_XYZ)
     result = invoke(runner, ["hk", "--input", job, "--emax", "2",
-                             "--budget-pairs", "60"])
+                             "--budget-pairs", "8"])
     assert result.exit_code == 0
     payload = parse_output(result)["payload"]
     assert payload["truncated"] is True
     assert len(payload["samples"]) == 1
+
+
+def test_pair_budget_leaves_diagonal_hypersurfaces_alone(runner, tmp_path):
+    # the cone takes Han's route, which computes no Groebner basis
+    job = write(tmp_path, "cone.job", CONE)
+    result = invoke(runner, ["hk", "--input", job, "--emax", "2",
+                             "--budget-pairs", "3"])
+    assert result.exit_code == 0
+    payload = parse_output(result)["payload"]
+    assert payload["truncated"] is False
+    assert len(payload["samples"]) == 2
 
 
 def test_csv_on_non_tabular_command_exits_3(runner, tmp_path, monkeypatch):
@@ -274,6 +288,34 @@ def test_stderr_carries_one_status_line(tmp_path):
     error = json.loads(bad.stdout)["error"]
     assert error["type"] == "ParseError"
     assert bad.stderr == f"ERROR kunz: ParseError: {error['message']}\n"
+
+
+QUADRIC = "p = 3;\nvars = x, y, z, w;\nideal = x*y - z*w;\n"
+FERMAT = "p = 7;\nvars = x, y, z;\nideal = x^3 + y^3 + z^3;\n"
+
+# content hashes the Groebner engine computed for these jobs before Han's
+# route took them over; the route must reproduce every payload
+HEAVY_HASHES = [
+    ("hk", FERMAT, 4,
+     "1fbbe070e5123fb35ef0d492e989971f18b36b06498a11f0c05dcff7a1e95b4a"),
+    ("fsig", CONE, 4,
+     "bb61b6197ccef7b481af64d7288f9de6e738cbcf6684bc781ffe52964135bb30"),
+    ("hk", QUADRIC, 5,
+     "fdfad904a96cdde0b5b8f2b6d802ab06ddc5dad4ddca2b9a5b10270c186ebfde"),
+    ("fsig", QUADRIC, 5,
+     "4d5aa896129f413af4bfa2ba0bbb5014cf70864fc7212071e59039346304e33d"),
+]
+
+
+@pytest.mark.parametrize("command, text, emax, content_hash", HEAVY_HASHES,
+                         ids=["hk_fermat", "fsig_cone", "hk_quadric",
+                              "fsig_quadric"])
+def test_heavy_hypersurface_jobs_keep_their_hashes(tmp_path, command, text,
+                                                   emax, content_hash):
+    out = run_child([command, "--input", write(tmp_path, "heavy.job", text),
+                     "--emax", str(emax)])
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["content_hash"] == content_hash
 
 
 RECORDS = {

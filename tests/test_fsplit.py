@@ -299,6 +299,16 @@ def test_splitting_colength_closed_forms(name):
         assert splitting_number(pres, e).colength == closed_form(p**e)
 
 
+@pytest.mark.parametrize("name", ["cone", "quadric"])
+def test_splitting_colength_closed_forms_on_the_engine(name, engine_only):
+    """The cone and the quadric take Han's route above; here the engine
+    confirms the closed forms at e <= 3."""
+    p, variables, gens, e_top, closed_form = SPLITTING_CLOSED_FORMS[name]
+    pres = present(p, variables, gens)
+    for e in range(1, min(e_top, 3) + 1):
+        assert splitting_number(pres, e).colength == closed_form(p**e)
+
+
 def test_fedder_on_non_reduced_rings():
     for p in (2, 3, 5):
         verdict = fedder_test(present(p, ["x", "y"], ["x^2"]))

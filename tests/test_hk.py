@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import pytest
 
 from kunz import engine, hk
+from kunz.diagonal import diagonal_degrees
 from kunz.engine import Budget, Ideal, maximal_ideal
 from kunz.errors import PreconditionError
 from kunz.field import FieldConfig
@@ -15,6 +16,7 @@ from kunz.hk import (BoundConstants, PairBoundEntry, check_socle_condition,
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing
 from oracles import cusp_colength, monomial_colength, node_lambda
+from test_acceptance import hypersurface_draws
 
 # -- frozen sequences --------------------------------------------------------
 
@@ -204,6 +206,26 @@ def test_generic_hypersurfaces_stay_below_the_bound():
     check = hypersurface_bound(ring.parse("y^2 - x^3"), 2, 2)
     assert check.passed
     assert check.colength == cusp_colength(9)
+
+
+def test_hypersurface_bound_route_matches_the_engine():
+    """hypersurface_bound takes Han's route on the pure powers and on 4 of
+    the 25 draws of acceptance criterion 7 (6x, yz, 2y^2 and 3xy); the
+    engine must agree on each."""
+    ring = PolyRing(FieldConfig(5), ("x", "y"))
+    cases = [(f, n, e) for _, f, n, e in hypersurface_draws()]
+    cases += [(ring.parse(f"x^{n}"), n, e) for n in (1, 2, 3, 4)
+              for e in (1, 2)]
+    routed = 0
+    for f, n, e in cases:
+        if diagonal_degrees((f,)) is None:
+            continue
+        routed += 1
+        q = f.ring.p**e
+        m_bracket = maximal_ideal(f.ring).bracket_power(q)
+        engine = Ideal(f.ring, [f]).sum_with(m_bracket).colength()
+        assert hypersurface_bound(f, n, e).colength == engine, (str(f), e)
+    assert routed == 12
 
 
 def test_hypersurface_bound_preconditions():
