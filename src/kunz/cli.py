@@ -7,15 +7,17 @@ view with --csv. All diagnostics go to stderr; stdout carries results only.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 budget
 exhausted, 5 capacity limit, 6 precision loss. Failures still emit a
-machine-readable error document on the JSON channel.
+machine-readable error document on the JSON channel. Usage errors exit 2
+before any job runs, with the usage message on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 import time
-
-import click
+from typing import NoReturn
 
 from . import __version__
 from .curves import (Branch, BranchCurve, TameReport, tame_invariants,
@@ -294,7 +296,7 @@ _RUNNERS = {
 
 def _emit(text: str, path: str | None) -> None:
     if path is None:
-        click.echo(text)
+        print(text)
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -304,7 +306,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _log(level: str, message: str) -> None:
     """One diagnostic line on stderr, as `LEVEL kunz: message`."""
-    click.echo(f"{level} kunz: {message}", err=True)
+    print(f"{level} kunz: {message}", file=sys.stderr)
 
 
 def _fail(err: KunzError, json_path: str | None) -> None:
@@ -354,50 +356,73 @@ def _execute(command: str, input_path: str, emax: int | None,
         _fail(err, json_path)
 
 
-def _shared_options(func):
-    decorators = [
-        click.option("--input", "input_path", required=True,
-                     type=click.Path(dir_okay=False),
-                     help="Job file in the statement format."),
-        click.option("--emax", type=int, default=None,
-                     help="Largest Frobenius exponent e to sample."),
-        click.option("--json", "json_path", type=click.Path(dir_okay=False),
-                     default=None,
-                     help="Write the result document here instead of stdout."),
-        click.option("--csv", "csv_path", type=click.Path(dir_okay=False),
-                     default=None,
-                     help="Also write the tabular view as CSV."),
-        click.option("--budget-pairs", type=int, default=None,
-                     help="Cap on critical pairs across the whole job."),
-        click.option("--precision", type=int, default=None,
-                     help="Series truncation order for curve commands."),
-    ]
-    for decorator in reversed(decorators):
-        func = decorator(func)
-    return func
+def _file(value: str) -> str:
+    """A file path option: refuse a directory before the job runs."""
+    if os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is a directory")
+    return value
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="kunz")
-def main() -> None:
-    """Exact positive-characteristic singularity measurements."""
+_COMMANDS = (
+    ("hk", "Normalized Frobenius colengths of a local ring."),
+    ("fsig", "Splitting numbers with the same tail analysis."),
+    ("fedder", "F-purity verdict, optionally with a purity exponent."),
+    ("tame", "Invariants and discriminant of a tame branch curve."),
+    ("scan", "Pointwise invariants and semicontinuity verdicts."),
+    ("verify-bounds", "Pair bounds for relative colengths."),
+)
+
+_OPTIONS = (
+    ("--input", dict(dest="input_path", required=True, type=_file,
+                     metavar="FILE",
+                     help="Job file in the statement format.")),
+    ("--emax", dict(type=int, help="Largest Frobenius exponent e to sample.")),
+    ("--json", dict(dest="json_path", type=_file, metavar="FILE",
+                    help="Write the result document here instead of stdout.")),
+    ("--csv", dict(dest="csv_path", type=_file, metavar="FILE",
+                   help="Also write the tabular view as CSV.")),
+    ("--budget-pairs", dict(type=int,
+                            help="Cap on critical pairs across the whole job.")),
+    ("--precision", dict(type=int,
+                         help="Series truncation order for curve commands.")),
+)
 
 
-def _register(name: str, help_text: str) -> None:
-    @main.command(name=name, help=help_text)
-    @_shared_options
-    def _command(input_path, emax, json_path, csv_path, budget_pairs,
-                 precision):
-        _execute(name, input_path, emax, json_path, csv_path, budget_pairs,
-                 precision)
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog, add_help=False, allow_abbrev=False,
+        description="Exact positive-characteristic singularity measurements.")
+    parser.add_argument("--version", action="version",
+                        version=f"kunz, version {__version__}",
+                        help="Show the version and exit.")
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+    subparsers = [commands.add_parser(name, help=text, description=text,
+                                      add_help=False, allow_abbrev=False)
+                  for name, text in _COMMANDS]
+    for command in subparsers:
+        for flag, options in _OPTIONS:
+            command.add_argument(flag, **options)
+    # one help flag, --help, and no -h
+    for each in (parser, *subparsers):
+        each.add_argument("--help", action="help",
+                          help="Show this message and exit.")
+    return parser
 
 
-_register("hk", "Normalized Frobenius colengths of a local ring.")
-_register("fsig", "Splitting numbers with the same tail analysis.")
-_register("fedder", "F-purity verdict, optionally with a purity exponent.")
-_register("tame", "Invariants and discriminant of a tame branch curve.")
-_register("scan", "Pointwise invariants and semicontinuity verdicts.")
-_register("verify-bounds", "Pair bounds for relative colengths.")
+class _Main:
+    """The console entry point. Like ``main()``, ``main.main(args=[...],
+    prog_name="kunz")`` runs one command line and ends in SystemExit."""
+
+    def main(self, args: list[str] | None = None,
+             prog_name: str = "kunz") -> NoReturn:
+        _execute(**vars(_parser(prog_name).parse_args(args)))
+        sys.exit(0)
+
+    __call__ = main
+
+
+main = _Main()
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import PreconditionError, PrecisionLossError
@@ -42,8 +41,13 @@ def _normalize_generators(values: Iterable[int], label: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Branch:
+class _Branch(NamedTuple):
+    semigroup_generators: tuple[int, ...]
+    cross_valuations: tuple[int, ...] = ()
+    conductor: int | None = None
+
+
+class Branch(_Branch):
     """One branch: its value semigroup and its cross-vanishing valuations.
 
     semigroup_generators generate the valuations the branch ring realizes in
@@ -53,13 +57,11 @@ class Branch:
     for documentation and is validated against the semigroup.
     """
 
-    semigroup_generators: tuple[int, ...]
-    cross_valuations: tuple[int, ...] = ()
-    conductor: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs) -> Branch:
+        self = super().__new__(cls, *args, **kwargs)
         gens = _normalize_generators(self.semigroup_generators, "semigroup")
-        object.__setattr__(self, "semigroup_generators", gens)
         if math.gcd(*gens) != 1:
             raise PreconditionError(
                 f"semigroup generators {gens} have gcd > 1, the branch "
@@ -67,27 +69,28 @@ class Branch:
         cross = tuple(sorted(int(v) for v in self.cross_valuations))
         if cross and cross[0] < 1:
             raise PreconditionError("cross valuations must be positive")
-        object.__setattr__(self, "cross_valuations", cross)
         computed = semigroup_conductor(gens)
-        if self.conductor is None:
-            object.__setattr__(self, "conductor", computed)
-        elif self.conductor != computed:
+        if self.conductor is not None and self.conductor != computed:
             raise PreconditionError(
                 f"declared conductor {self.conductor} is inconsistent with "
                 f"the semigroup (computed {computed})")
+        return super().__new__(cls, gens, cross, computed)
 
 
-@dataclass(frozen=True)
-class BranchCurve:
-    """A curve over F_p with branches glued at a single point."""
-
+class _BranchCurve(NamedTuple):
     p: int
     branches: tuple[Branch, ...]
 
-    def __post_init__(self):
+
+class BranchCurve(_BranchCurve):
+    """A curve over F_p with branches glued at a single point."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> BranchCurve:
+        self = super().__new__(cls, *args, **kwargs)
         FieldConfig(self.p)
         branches = tuple(self.branches)
-        object.__setattr__(self, "branches", branches)
         if not branches:
             raise PreconditionError("a curve needs at least one branch")
         if len(branches) > MAX_BRANCHES:
@@ -101,6 +104,7 @@ class BranchCurve:
                 raise PreconditionError(
                     "every branch of a multi-branch curve needs cross "
                     "valuations")
+        return super().__new__(cls, self.p, branches)
 
 
 class BranchInvariants(NamedTuple):

@@ -8,7 +8,7 @@ F_p: an incremental row space that also counts ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError, PreconditionError
 
@@ -49,18 +49,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldConfig:
-    """The field F_p. Immutable, safe to share between threads."""
-
+class _FieldConfig(NamedTuple):
     p: int
 
-    def __post_init__(self) -> None:
+
+class FieldConfig(_FieldConfig):
+    """The field F_p. Immutable, safe to share between threads."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> FieldConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.p, int) or not 2 <= self.p < MAX_PRIME:
             raise PreconditionError(
                 f"characteristic must be an integer in [2, 2^31), got {self.p!r}")
         if not is_prime(self.p):
             raise PreconditionError(f"{self.p} is not prime")
+        return self
 
     def inverse(self, value: int) -> int:
         value %= self.p

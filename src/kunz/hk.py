@@ -22,7 +22,6 @@ exercise it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,14 +33,19 @@ from .localring import FrobeniusSample, LocalRingPresentation
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class _RationalInterval(NamedTuple):
     low: Fraction
     high: Fraction
 
-    def __post_init__(self) -> None:
+
+class RationalInterval(_RationalInterval):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RationalInterval:
+        self = super().__new__(cls, *args, **kwargs)
         if self.low > self.high:
             raise PreconditionError("interval bounds out of order")
+        return self
 
     def contains(self, value: Fraction) -> bool:
         return self.low <= value <= self.high

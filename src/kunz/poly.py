@@ -31,8 +31,7 @@ Expression grammar (EBNF), also shown in the README:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import CapacityError, ParseError, PreconditionError
 from .field import FieldConfig
@@ -75,8 +74,12 @@ def _elimination_key(block: int) -> Callable[[Exps], tuple[int, ...]]:
     return key
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class _MonomialOrder(NamedTuple):
+    kind: str
+    block: int | None = None
+
+
+class MonomialOrder(_MonomialOrder):
     """A multiplicative well-order on monomials of a fixed variable count.
 
     ``key`` is the order's key function: a > b in the order exactly when
@@ -86,10 +89,10 @@ class MonomialOrder:
     instead of recomputing them.
     """
 
-    kind: str
-    block: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> MonomialOrder:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (GREVLEX, LEX, ELIMINATION):
             raise PreconditionError(f"unknown monomial order kind {self.kind!r}")
         if self.kind == ELIMINATION:
@@ -97,23 +100,29 @@ class MonomialOrder:
                 raise PreconditionError("elimination order needs a block size >= 1")
         elif self.block is not None:
             raise PreconditionError(f"{self.kind} takes no block size")
+        return self
+
+    @property
+    def key(self) -> Callable[[Exps], tuple[int, ...]]:
         if self.kind == GREVLEX:
-            key = _grevlex_key
-        elif self.kind == LEX:
-            key = tuple  # exponent vectors are tuples, so this is the identity
-        else:
-            key = _elimination_key(self.block)
-        object.__setattr__(self, "key", key)
+            return _grevlex_key
+        if self.kind == LEX:
+            return tuple  # exponent vectors are tuples, so this is the identity
+        return _elimination_key(self.block)
 
 
-@dataclass(frozen=True)
-class PolyRing:
-    """The polynomial ring F_p[variables]; the shared context of an ideal."""
-
+class _PolyRing(NamedTuple):
     field: FieldConfig
     variables: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+
+class PolyRing(_PolyRing):
+    """The polynomial ring F_p[variables]; the shared context of an ideal."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> PolyRing:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.variables:
             raise PreconditionError("a polynomial ring needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
@@ -121,6 +130,7 @@ class PolyRing:
         for name in self.variables:
             if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
                 raise PreconditionError(f"invalid variable name {name!r}")
+        return self
 
     @property
     def nvars(self) -> int:

@@ -16,7 +16,6 @@ constructible neighborhood where constancy holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
@@ -31,8 +30,13 @@ from .poly import PolyRing, Polynomial
 MAX_ENUMERATION_VARS = 4
 
 
-@dataclass(frozen=True)
-class Subvariety:
+class _Subvariety(NamedTuple):
+    generators: tuple[str, ...]
+    witnesses: tuple[Point, ...]
+    parameters: tuple[str, ...]
+
+
+class Subvariety(_Subvariety):
     """A closed subvariety with witness points and parameter lifts.
 
     generators cut the subvariety in the ambient polynomial ring and must
@@ -41,13 +45,13 @@ class Subvariety:
     parameters lift a regular system of parameters of the quotient there.
     """
 
-    generators: tuple[str, ...]
-    witnesses: tuple[Point, ...]
-    parameters: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs) -> Subvariety:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.witnesses:
             raise PreconditionError("a subvariety needs at least one witness")
+        return self
 
 
 class PointRecord(NamedTuple):

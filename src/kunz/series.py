@@ -21,7 +21,7 @@ the same as the schoolbook product's.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError, PrecisionLossError
 
@@ -45,8 +45,7 @@ def _pack(terms: tuple[tuple[int, int], ...], low: int, w: int) -> int:
     return int.from_bytes(b"".join(slots), "little")
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(NamedTuple):
     """f = sum of coeffs[m] * t^m for m < prec, plus O(t^prec)."""
 
     p: int

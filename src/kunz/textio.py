@@ -31,7 +31,6 @@ round-trip losslessly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -120,10 +119,7 @@ class SubvarietySpec(NamedTuple):
     params: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """Everything one run needs, mirroring the text format exactly."""
-
+class _JobSpec(NamedTuple):
     command: str
     p: int
     variables: tuple[str, ...] = ()
@@ -145,11 +141,19 @@ class JobSpec:
     mu: int = 1
     budget_pairs: int | None = None
 
-    def __post_init__(self):
+
+class JobSpec(_JobSpec):
+    """Everything one run needs, mirroring the text format exactly."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> JobSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.command not in COMMANDS:
             raise ParseError(
                 f"unknown command {self.command!r}, expected one of "
                 f"{', '.join(COMMANDS)}")
+        return self
 
 
 def parse_job(text: str, command: str | None = None, **overrides) -> JobSpec:

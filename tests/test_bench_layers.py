@@ -3,9 +3,15 @@
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import kunz
 
 TRACING = Path(__file__).resolve().parent.parent / "kunzbench" / "tracing.py"
 
@@ -37,3 +43,39 @@ def test_traced_pair_counter_resolves():
     # not a layer, so the test above does not cover it
     engine = importlib.import_module("kunz.engine")
     assert engine.BudgetTracker.charge_pair is engine.Budget.charge_pair
+
+
+LOADED_PROBE = """
+import json, sys
+import kunz.cli
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.startswith("kunz."))))
+"""
+
+
+def test_cli_import_loads_every_traced_layer():
+    # tracing.py reads sys.modules["kunz.<layer>"] right after importing
+    # kunz.cli, so no layer may be imported lazily
+    source = str(Path(kunz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": source}
+    out = subprocess.run([sys.executable, "-c", LOADED_PROBE],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    layers = {f"kunz.{module_name}" for module_name, _ in _layers()}
+    assert layers <= set(json.loads(out.stdout))
+
+
+@pytest.mark.parametrize("job, flags, code", [
+    ("p = 5;\nvars = x, y, z;\nideal = x*y - z^2;\n", ["--emax", "1"], 0),
+    ("p = 5;\nvars = x;\nideal\n", [], 2),
+    ("p = 5;\nvars = x, y, z;\nideal = x*y - z^2;\n", ["--emax", "x"], 2),
+], ids=["success", "job_parse_error", "usage_error"])
+def test_traced_call_exits_with_the_job_code(tmp_path, job, flags, code):
+    # the call tracing.py makes: it always ends in SystemExit
+    cli = importlib.import_module("kunz.cli")
+    path = tmp_path / "job.txt"
+    path.write_text(job)
+    with pytest.raises(SystemExit) as stop:
+        cli.main.main(args=["hk", "--input", str(path), *flags],
+                      prog_name="kunz")
+    assert stop.value.code == code

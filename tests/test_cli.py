@@ -5,8 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from typing import NamedTuple
+
 import pytest
-from click.testing import CliRunner
 
 import kunz.cli
 from kunz.cli import main
@@ -18,14 +19,24 @@ CUSP_BOUNDS = ("p = 5;\nvars = x, y;\nideal = y^2 - x^3;\n"
                "inner = x, y;\nsocle = 1;\nm = 2;\nDelta = 9;\n")
 
 
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
 @pytest.fixture()
-def runner():
-    return CliRunner()
+def cli(capsys):
+    """Run one command line in process: its exit code and captured streams.
 
-
-def invoke(runner, args):
-    result = runner.invoke(main, args, catch_exceptions=False)
-    return result
+    Every run, a successful one too, ends in SystemExit.
+    """
+    def invoke(args):
+        with pytest.raises(SystemExit) as stop:
+            main.main(args=args, prog_name="kunz")
+        out, err = capsys.readouterr()
+        return Result(stop.value.code, out, err)
+    return invoke
 
 
 def write(tmp_path, name, text):
@@ -38,9 +49,9 @@ def parse_output(result):
     return json.loads(result.stdout)
 
 
-def test_hk_happy_path(runner, tmp_path):
+def test_hk_happy_path(cli, tmp_path):
     job = write(tmp_path, "cone.job", CONE)
-    result = invoke(runner, ["hk", "--input", job, "--emax", "1"])
+    result = cli(["hk", "--input", job, "--emax", "1"])
     assert result.exit_code == 0
     document = parse_output(result)
     assert document["payload"]["samples"][0]["lambda"] == {
@@ -49,13 +60,13 @@ def test_hk_happy_path(runner, tmp_path):
     assert "content_hash" in document
 
 
-def test_json_and_csv_files(runner, tmp_path):
+def test_json_and_csv_files(cli, tmp_path):
     job = write(tmp_path, "node.job", NODE)
     json_path = tmp_path / "out.json"
     csv_path = tmp_path / "out.csv"
-    result = invoke(runner, ["fsig", "--input", job, "--emax", "2",
-                             "--json", str(json_path),
-                             "--csv", str(csv_path)])
+    result = cli(["fsig", "--input", job, "--emax", "2",
+                 "--json", str(json_path),
+                 "--csv", str(csv_path)])
     assert result.exit_code == 0
     document = json.loads(json_path.read_text())
     assert document["payload"]["samples"][0]["s"] == {"num": "1", "den": "3"}
@@ -65,27 +76,27 @@ def test_json_and_csv_files(runner, tmp_path):
     assert lines[1].endswith("1/3")
 
 
-def test_fsig_on_a_complete_intersection_reaches_level_4(runner, tmp_path):
+def test_fsig_on_a_complete_intersection_reaches_level_4(cli, tmp_path):
     job = write(tmp_path, "ci.job",
                 "p = 3;\nvars = x, y, z, w;\n"
                 "ideal = x*y - z*w, x*z - y*w;\nemax = 4;\n")
-    result = invoke(runner, ["fsig", "--input", job])
+    result = cli(["fsig", "--input", job])
     assert result.exit_code == 0
     samples = parse_output(result)["payload"]["samples"]
     assert [sample["e"] for sample in samples] == [1, 2, 3, 4]
 
 
-def test_fedder_command(runner, tmp_path):
+def test_fedder_command(cli, tmp_path):
     job = write(tmp_path, "fermat.job",
                 "p = 7;\nvars = x, y, z;\nideal = x^3 + y^3 + z^3;\n")
-    result = invoke(runner, ["fedder", "--input", job])
+    result = cli(["fedder", "--input", job])
     assert result.exit_code == 0
     assert parse_output(result)["payload"]["is_F_pure"] is True
 
 
-def test_tame_command(runner, tmp_path):
+def test_tame_command(cli, tmp_path):
     job = write(tmp_path, "cusp.job", "p = 5;\nbranch = 2, 3;\n")
-    result = invoke(runner, ["tame", "--input", job])
+    result = cli(["tame", "--input", job])
     assert result.exit_code == 0
     payload = parse_output(result)["payload"]
     assert payload["delta"] == 2 and payload["Delta"] == 9
@@ -93,10 +104,10 @@ def test_tame_command(runner, tmp_path):
 
 
 def test_tame_refuses_a_characteristic_outside_the_field_range(
-        runner, tmp_path):
+        cli, tmp_path):
     # 151 * 751 * 28351 passes Miller-Rabin to the bases 2, 3, 5 and 7
     job = write(tmp_path, "curve.job", "p = 3215031751;\nbranch = 2, 3;\n")
-    result = invoke(runner, ["tame", "--input", job])
+    result = cli(["tame", "--input", job])
     assert result.exit_code == 3
     error = parse_output(result)["error"]
     assert error["type"] == "PreconditionError"
@@ -105,10 +116,10 @@ def test_tame_refuses_a_characteristic_outside_the_field_range(
 
 @pytest.mark.parametrize("precision", [16, 20])
 def test_tame_extension_degree_is_delta_at_an_explicit_precision(
-        runner, tmp_path, precision):
+        cli, tmp_path, precision):
     job = write(tmp_path, "curve.job",
                 f"p = 11;\nbranch = 4, 5;\nprecision = {precision};\n")
-    result = invoke(runner, ["tame", "--input", job])
+    result = cli(["tame", "--input", job])
     assert result.exit_code == 0
     payload = parse_output(result)["payload"]
     assert payload["delta"] == 12
@@ -117,18 +128,18 @@ def test_tame_extension_degree_is_delta_at_an_explicit_precision(
     assert payload["precision"] == precision
 
 
-def test_scan_command(runner, tmp_path):
+def test_scan_command(cli, tmp_path):
     job = write(tmp_path, "scan.job", NODE + "points = (0,0) (1,0);\n")
-    result = invoke(runner, ["scan", "--input", job, "--emax", "1"])
+    result = cli(["scan", "--input", job, "--emax", "1"])
     assert result.exit_code == 0
     payload = parse_output(result)["payload"]
     assert payload["points"][0]["lambda"][0] == {"num": "5", "den": "3"}
     assert payload["verdicts"]["violations"] == []
 
 
-def test_verify_bounds_command(runner, tmp_path):
+def test_verify_bounds_command(cli, tmp_path):
     job = write(tmp_path, "bounds.job", CUSP_BOUNDS)
-    result = invoke(runner, ["verify-bounds", "--input", job, "--emax", "2"])
+    result = cli(["verify-bounds", "--input", job, "--emax", "2"])
     assert result.exit_code == 0
     payload = parse_output(result)["payload"]
     assert payload["all_passed"] is True
@@ -136,11 +147,11 @@ def test_verify_bounds_command(runner, tmp_path):
     assert len(payload["entries"]) == 3
 
 
-def test_verify_bounds_derives_constants_from_branches(runner, tmp_path):
+def test_verify_bounds_derives_constants_from_branches(cli, tmp_path):
     job = write(tmp_path, "bounds.job",
                 "p = 5;\nvars = x, y;\nideal = y^2 - x^3;\n"
                 "inner = x, y;\nbranch = 2, 3;\n")
-    result = invoke(runner, ["verify-bounds", "--input", job, "--emax", "1"])
+    result = cli(["verify-bounds", "--input", job, "--emax", "1"])
     assert result.exit_code == 0
     payload = parse_output(result)["payload"]
     assert payload["constants"]["m"] == 2
@@ -154,28 +165,28 @@ EMAX_JOBS = {"hk": CONE, "fsig": CONE, "scan": NODE,
 
 @pytest.mark.parametrize("command", list(EMAX_JOBS))
 @pytest.mark.parametrize("route", ["job", "flag"])
-def test_explicit_zero_emax_exits_3(runner, tmp_path, command, route):
+def test_explicit_zero_emax_exits_3(cli, tmp_path, command, route):
     text = EMAX_JOBS[command]
     if route == "job":
         job, flags = write(tmp_path, "zero.job", text + "emax = 0;\n"), []
     else:
         job, flags = write(tmp_path, "zero.job", text), ["--emax", "0"]
-    result = invoke(runner, [command, "--input", job] + flags)
+    result = cli([command, "--input", job] + flags)
     assert result.exit_code == 3
     assert parse_output(result)["error"]["type"] == "PreconditionError"
 
 
-def test_explicit_zero_ecap_exits_3(runner, tmp_path):
+def test_explicit_zero_ecap_exits_3(cli, tmp_path):
     job = write(tmp_path, "zero.job", NODE + "element = x;\necap = 0;\n")
-    result = invoke(runner, ["fedder", "--input", job])
+    result = cli(["fedder", "--input", job])
     assert result.exit_code == 3
     assert "e_cap" in parse_output(result)["error"]["message"]
 
 
-def test_parse_errors_exit_2(runner, tmp_path):
+def test_parse_errors_exit_2(cli, tmp_path):
     text = "p = 5;\nvars = x;\nideal\n"
     job = write(tmp_path, "bad.job", text)
-    result = invoke(runner, ["hk", "--input", job])
+    result = cli(["hk", "--input", job])
     assert result.exit_code == 2
     error = parse_output(result)["error"]
     assert error["type"] == "ParseError"
@@ -183,54 +194,54 @@ def test_parse_errors_exit_2(runner, tmp_path):
     assert error["position"] == text.index("ideal")
 
 
-def test_command_mismatch_exits_2(runner, tmp_path):
+def test_command_mismatch_exits_2(cli, tmp_path):
     job = write(tmp_path, "mismatch.job", "command = hk;\n" + CONE)
-    result = invoke(runner, ["fsig", "--input", job])
+    result = cli(["fsig", "--input", job])
     assert result.exit_code == 2
 
 
-def test_missing_file_exits_2(runner, tmp_path):
-    result = invoke(runner, ["hk", "--input", str(tmp_path / "absent.job")])
+def test_missing_file_exits_2(cli, tmp_path):
+    result = cli(["hk", "--input", str(tmp_path / "absent.job")])
     assert result.exit_code == 2
     assert parse_output(result)["error"]["type"] == "ParseError"
 
 
-def test_budget_exhaustion_exits_4(runner, tmp_path):
+def test_budget_exhaustion_exits_4(cli, tmp_path):
     # the cubic is not diagonal, so it stays on the engine; its e = 1 level
     # takes 5 pairs, and the fourth one breaks the budget
     job = write(tmp_path, "cubic.job", CUBIC_XYZ)
-    result = invoke(runner, ["hk", "--input", job, "--emax", "2",
-                             "--budget-pairs", "3"])
+    result = cli(["hk", "--input", job, "--emax", "2",
+                 "--budget-pairs", "3"])
     assert result.exit_code == 4
     error = parse_output(result)["error"]
     assert error["type"] == "BudgetExceededError"
     assert error["pairs"] == 4
 
 
-def test_pair_budget_spans_the_whole_job(runner, tmp_path):
+def test_pair_budget_spans_the_whole_job(cli, tmp_path):
     # the e = 1 and e = 2 levels take 5 pairs each: each fits in 8,
     # together they do not, so the second level truncates the sequence
     job = write(tmp_path, "cubic.job", CUBIC_XYZ)
-    result = invoke(runner, ["hk", "--input", job, "--emax", "2",
-                             "--budget-pairs", "8"])
+    result = cli(["hk", "--input", job, "--emax", "2",
+                 "--budget-pairs", "8"])
     assert result.exit_code == 0
     payload = parse_output(result)["payload"]
     assert payload["truncated"] is True
     assert len(payload["samples"]) == 1
 
 
-def test_pair_budget_leaves_diagonal_hypersurfaces_alone(runner, tmp_path):
+def test_pair_budget_leaves_diagonal_hypersurfaces_alone(cli, tmp_path):
     # the cone takes Han's route, which computes no Groebner basis
     job = write(tmp_path, "cone.job", CONE)
-    result = invoke(runner, ["hk", "--input", job, "--emax", "2",
-                             "--budget-pairs", "3"])
+    result = cli(["hk", "--input", job, "--emax", "2",
+                 "--budget-pairs", "3"])
     assert result.exit_code == 0
     payload = parse_output(result)["payload"]
     assert payload["truncated"] is False
     assert len(payload["samples"]) == 2
 
 
-def test_csv_on_non_tabular_command_exits_3(runner, tmp_path, monkeypatch):
+def test_csv_on_non_tabular_command_exits_3(cli, tmp_path, monkeypatch):
     # the refusal comes before the job runs: no runner may be called
     called = []
     monkeypatch.setattr(kunz.cli, "_RUNNERS", {
@@ -240,26 +251,79 @@ def test_csv_on_non_tabular_command_exits_3(runner, tmp_path, monkeypatch):
                 "p = 7;\nvars = x, y, z;\nideal = x^3 + y^3 + z^3;\n"
                 "branch = 2, 3;\n")
     for command in ("fedder", "tame"):
-        result = invoke(runner, [command, "--input", job,
-                                 "--csv", str(tmp_path / "x.csv")])
+        result = cli([command, "--input", job,
+                      "--csv", str(tmp_path / "x.csv")])
         assert result.exit_code == 3
         assert "no tabular view" in parse_output(result)["error"]["message"]
     assert called == []
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_identical_jobs_have_identical_payloads(runner, tmp_path):
+def test_identical_jobs_have_identical_payloads(cli, tmp_path):
     job = write(tmp_path, "cone.job", CONE)
-    results = [parse_output(invoke(
-        runner, ["hk", "--input", job, "--emax", "1"])) for _ in range(2)]
+    results = [parse_output(cli(["hk", "--input", job, "--emax", "1"]))
+               for _ in range(2)]
     assert results[0]["payload"] == results[1]["payload"]
     assert results[0]["content_hash"] == results[1]["content_hash"]
 
 
-def test_version_flag(runner):
-    result = invoke(runner, ["--version"])
+def test_version_flag(cli):
+    result = cli(["--version"])
     assert result.exit_code == 0
-    assert "kunz" in result.output
+    assert result.stdout == "kunz, version 0.1.0\n"
+
+
+COMMANDS = ("hk", "fsig", "fedder", "tame", "scan", "verify-bounds")
+OPTIONS = ("--input", "--emax", "--json", "--csv", "--budget-pairs",
+           "--precision")
+
+
+@pytest.mark.parametrize("args, listed", [
+    (["--help"], COMMANDS + ("--version", "--help")),
+    (["hk", "--help"], OPTIONS + ("--help",)),
+], ids=["kunz", "hk"])
+def test_help_lists_the_commands_and_options(cli, args, listed):
+    result = cli(args)
+    assert result.exit_code == 0
+    for name in listed:
+        assert name in result.stdout
+    assert "-h," not in result.stdout
+
+
+USAGE_ERRORS = {
+    "no_command": [],
+    "unknown_command": ["bogus", "--input", "{job}", "--json", "{out}"],
+    "missing_input": ["hk", "--emax", "1", "--json", "{out}"],
+    "emax_not_an_int": ["hk", "--input", "{job}", "--emax", "x",
+                        "--json", "{out}"],
+    "abbreviated_input": ["hk", "--inp", "{job}", "--json", "{out}"],
+    "abbreviated_emax": ["hk", "--input", "{job}", "--em", "1",
+                         "--json", "{out}"],
+    "input_is_a_directory": ["hk", "--input", "{dir}", "--json", "{out}"],
+    "json_is_a_directory": ["hk", "--input", "{job}", "--json", "{dir}"],
+    "csv_is_a_directory": ["hk", "--input", "{job}", "--json", "{out}",
+                           "--csv", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_errors_exit_2_before_the_job_runs(cli, tmp_path, monkeypatch,
+                                                 case):
+    called = []
+    monkeypatch.setattr(kunz.cli, "_RUNNERS", {
+        name: (lambda job, name=name: called.append(name))
+        for name in kunz.cli._RUNNERS})
+    job = write(tmp_path, "cone.job", CONE)
+    (tmp_path / "dir").mkdir()
+    places = {"job": job, "dir": str(tmp_path / "dir"),
+              "out": str(tmp_path / "out.json")}
+    result = cli([arg.format(**places) for arg in USAGE_ERRORS[case]])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: kunz")
+    assert called == []
+    assert sorted(path.name for path in tmp_path.rglob("*")) == [
+        "cone.job", "dir"]
 
 
 def run_child(args, code=None):
@@ -333,14 +397,28 @@ RECORDS = {
 }
 
 
+VALUE_TYPES = {
+    "field": ("FieldConfig",),
+    "poly": ("MonomialOrder", "PolyRing"),
+    "curves": ("Branch", "BranchCurve"),
+    "hk": ("RationalInterval",),
+    "scan": ("Subvariety",),
+    "series": ("TruncatedSeries",),
+    "textio": ("JobSpec",),
+}
+
+
 IMPORT_PROBE = """
-import dataclasses, importlib, json, sys
+import json, sys
 import kunz.cli
-records = json.loads(sys.argv[1])
+loaded = [name for name in ("click", "dataclasses", "inspect", "logging")
+          if name in sys.modules]
+import dataclasses, importlib
+classes = json.loads(sys.argv[1])
 print(json.dumps({
-    "logging": "logging" in sys.modules,
+    "loaded": loaded,
     "dataclasses": [
-        f"{module}.{name}" for module, names in records.items()
+        f"{module}.{name}" for module, names in classes.items()
         for name in names if dataclasses.is_dataclass(
             getattr(importlib.import_module(f"kunz.{module}"), name))],
 }))
@@ -348,8 +426,30 @@ print(json.dumps({
 
 
 def test_cli_import_generates_no_record_code():
-    """Result records are NamedTuples, built without dataclass code
-    generation, and the two stderr lines need no logging import."""
-    out = run_child([json.dumps(RECORDS)], code=IMPORT_PROBE)
+    """Result records and value types are NamedTuples, built without
+    dataclass code generation; the CLI is argparse, not click; and the two
+    stderr lines need no logging import. So `import kunz.cli` loads none of
+    click, dataclasses, inspect or logging."""
+    classes = {module: RECORDS.get(module, ()) + VALUE_TYPES.get(module, ())
+               for module in {**RECORDS, **VALUE_TYPES}}
+    out = run_child([json.dumps(classes)], code=IMPORT_PROBE)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == {"logging": False, "dataclasses": []}
+    assert json.loads(out.stdout) == {"loaded": [], "dataclasses": []}
+
+
+# the content hash of `hk` on the cone at emax = 3, as the click CLI wrote it
+CONE_HK_E3_HASH = (
+    "624744915a72cd52c9185e6f2719d5d5ab3af53237dd4f19c9e5d7aa2912ef9c")
+
+WITHOUT_CLICK = """
+import runpy, sys
+sys.modules["click"] = None  # any `import click` now raises ImportError
+runpy.run_module("kunz.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_cli_runs_without_click(tmp_path):
+    out = run_child(["hk", "--input", write(tmp_path, "cone.job", CONE),
+                     "--emax", "3"], code=WITHOUT_CLICK)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["content_hash"] == CONE_HK_E3_HASH
