@@ -1,7 +1,7 @@
 """Groebner engine over F_p: bases, normal forms, ideal arithmetic, lengths.
 
 Everything here is exact and deterministic. Buchberger's algorithm with the
-Gebauer-Moeller pair filters and normal selection is enough for the ideal
+Gebauer-Moeller pair filters and the sugar strategy is enough for the ideal
 sizes this package targets; pair processing, degree growth and wall time
 are all charged against an explicit budget so every operation terminates
 with either an answer or a budget error.
@@ -93,25 +93,30 @@ def _coprime(a: Exps, b: Exps) -> bool:
 
 
 class _Pair:
-    """A critical pair of basis members; key is the packed order key of
-    lcm, the exponent tuple of the lcm of their leading monomials."""
+    """A critical pair of basis members; lcm is the exponent tuple of the
+    lcm of their leading monomials, key its packed order key, and rank
+    (sugar, key, seq), the order pairs are taken in."""
 
-    __slots__ = ("key", "seq", "f", "g", "lcm")
+    __slots__ = ("key", "seq", "f", "g", "lcm", "rank")
 
-    def __init__(self, key, seq, f, g, lcm):
+    def __init__(self, key, seq, f, g, lcm, sugar):
         self.key = key
         self.seq = seq
         self.f = f
         self.g = g
         self.lcm = lcm
+        self.rank = (sugar, key, seq)
 
 
 def _update(basis, pairs, h, key, seq_counter):
     """Gebauer-Moeller update: fold a new member h into basis and pairs.
 
-    A basis member is a pair (terms, lead): a monic kernel term list and
-    the exponent tuple of its leading monomial, unpacked once when the
-    member is made, so the lcms here need no unpacking.
+    A basis member is a triple (terms, lead, sugar): a monic kernel term
+    list, the exponent tuple of its leading monomial, unpacked once when
+    the member is made, so the lcms here need no unpacking, and its sugar.
+    A pair's sugar is the larger of its members' sugars, each raised by the
+    degree of the cofactor that lifts the member's leading monomial to the
+    lcm.
 
     A candidate (h, g) becomes a pair when g is the first basis member with
     its lcm, no other candidate's lcm properly divides it, and the leading
@@ -125,6 +130,7 @@ def _update(basis, pairs, h, key, seq_counter):
     lm(h) divides are discarded.
     """
     lm_h = h[1]
+    sugar_h = h[2] - sum(lm_h)
     lcms = [_lcm_exps(lm_h, g[1]) for g in basis]
     first: dict[Exps, int] = {}
     for i, lcm in enumerate(lcms):
@@ -141,8 +147,10 @@ def _update(basis, pairs, h, key, seq_counter):
     for i, g in enumerate(basis):
         if i in kept and not _coprime(lm_h, g[1]):
             seq_counter[0] += 1
-            surviving.append(_Pair(kernel.pack(key(lcms[i])), seq_counter[0],
-                                   h, g, lcms[i]))
+            lcm = lcms[i]
+            sugar = sum(lcm) + max(sugar_h, g[2] - sum(g[1]))
+            surviving.append(_Pair(kernel.pack(key(lcm)), seq_counter[0],
+                                   h, g, lcm, sugar))
     new_basis = [g for g in basis if not _divides(lm_h, g[1])]
     new_basis.append(h)
     return new_basis, surviving
@@ -166,37 +174,45 @@ def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
 
 def _minimal_basis(inputs: list[Polynomial], order: MonomialOrder,
                    budget: Budget) -> list[list]:
-    """Buchberger's algorithm: a minimal basis as monic kernel term lists."""
+    """Buchberger's algorithm: a minimal basis as monic kernel term lists.
+
+    Pairs are taken by the sugar strategy (Giovini, Mora, Niesi, Robbiano
+    and Traverso, "One sugar cube, please", ISSAC 1991): smallest
+    (sugar, key(lcm), seq) first. An input's sugar is its total degree and
+    a reduced s-polynomial's is its pair's. For homogeneous inputs under a
+    degree order sugar is the lcm's degree, and the choice is normal
+    selection's; under elimination sugar follows the degrees a homogenized
+    computation would reach, where normal selection runs far ahead of them.
+    """
     ring = inputs[0].ring
     key = order.key
     p, n = ring.p, ring.nvars
     guard = kernel.guard_mask(n)
-    basis: list[tuple[list, Exps]] = []
+    basis: list[tuple[list, Exps, int]] = []
     reducers: list[list] = []
     pairs: list[_Pair] = []
     seq_counter = [0]
 
-    def absorb(reduced):
+    def absorb(reduced, sugar):
         nonlocal basis, reducers, pairs
         h = kernel.make_monic(reduced, p)
-        basis, pairs = _update(basis, pairs, (h, kernel.unpack(h[0][1], n)),
-                               key, seq_counter)
-        reducers = [g for g, _ in basis]
+        basis, pairs = _update(basis, pairs,
+                               (h, kernel.unpack(h[0][1], n), sugar), key,
+                               seq_counter)
+        reducers = [g for g, _, _ in basis]
 
     for f in inputs:
-        budget.observe_degree(f.total_degree())
+        degree = f.total_degree()
+        budget.observe_degree(degree)
         terms = kernel.make_monic(kernel.to_terms(f, order), p)
         reduced, max_deg = kernel.reduce_full(terms, reducers, guard, p,
                                                budget.check_deadline)
         budget.observe_degree(max_deg)
         if reduced:
-            absorb(reduced)
+            absorb(reduced, degree)
 
     while pairs:
-        best = 0
-        for i in range(1, len(pairs)):
-            if (pairs[i].key, pairs[i].seq) < (pairs[best].key, pairs[best].seq):
-                best = i
+        best = min(range(len(pairs)), key=lambda i: pairs[i].rank)
         pair = pairs.pop(best)
         budget.charge_pair()
         budget.observe_degree(sum(pair.lcm))
@@ -206,7 +222,7 @@ def _minimal_basis(inputs: list[Polynomial], order: MonomialOrder,
                                                budget.check_deadline)
         budget.observe_degree(max_deg)
         if reduced:
-            absorb(reduced)
+            absorb(reduced, pair.rank[0])
     return reducers
 
 
@@ -396,18 +412,23 @@ class Ideal:
         """Ideal quotient (self : other).
 
         For a single divisor g this is (self intersect (g)) scaled by 1/g;
-        for several, the intersection of the single-divisor quotients.
+        for several, the intersection of the single-divisor quotients. All
+        of those are computed first and then intersected smallest first, in
+        ascending order of generator count (ties in the divisor's order),
+        since an elimination's cost grows with the generators it starts
+        from. The order cannot change the result: every intersection is
+        returned as the reduced grevlex basis, which is unique.
         """
         self._check_ring(other)
         if other.is_zero():
             return Ideal(self.ring, [self.ring.one()])
         budget = budget or Budget()
-        result: Ideal | None = None
-        for g in other.generators:
-            part = self._colon_single(g, budget)
-            result = part if result is None else result.intersection(
-                part, budget)
-        assert result is not None
+        parts = sorted((self._colon_single(g, budget)
+                        for g in other.generators),
+                       key=lambda part: len(part.generators))
+        result = parts[0]
+        for part in parts[1:]:
+            result = result.intersection(part, budget)
         return result
 
     def _colon_single(self, g: Polynomial, budget: Budget) -> Ideal:

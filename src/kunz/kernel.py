@@ -51,6 +51,8 @@ from __future__ import annotations
 
 import struct
 from functools import cache
+from heapq import heappop, heappush
+from itertools import islice
 
 from .errors import CapacityError
 from .poly import MonomialOrder, Polynomial
@@ -128,22 +130,34 @@ def reduce_full(f, reducers, guard, p, check_deadline):
     divisible by no reducer leading monomial. The reducer chosen at each
     step is the first whose leading monomial divides, so the outcome is
     deterministic in the order reducers are given. guard is
-    guard_mask(n) for the ring's n variables. The work list is walked by
-    index: an irreducible head moves to the result, and a one-term
-    (monomial) reducer just drops the head, so neither copies the list.
-    check_deadline() is called every 64 head reductions; it raises to end
-    a reduction that has run out of time. A head of degree above
-    DEGREE_CAP raises CapacityError.
+    guard_mask(n) for the ring's n variables.
+
+    The work list is a dict from packed order key to [exps, coeff] beside a
+    heap of the negated keys, so the head is the largest key, as in a
+    descending term list (Monagan and Pearce, CASC 2007, use a heap the
+    same way). A head step adds the reducer's shifted tail term by term:
+    a key already present has its coefficient updated in place, a new one
+    is pushed, and nothing else of the work list is touched. A key whose
+    coefficient cancels to zero stays in both until it is popped, then is
+    skipped, so each key sits on the heap at most once. An irreducible
+    head moves to the result, and a one-term (monomial) reducer just drops
+    the head. check_deadline() is called every 64 head reductions; it
+    raises to end a reduction that has run out of time. A head of degree
+    above DEGREE_CAP raises CapacityError.
     """
     leads = [r[0][1] for r in reducers]
-    work = f
-    i = 0
+    work = {k: [e, c] for k, e, c in f}
+    # f is descending, so its negated keys ascend: already a heap
+    heap = [-k for k, _, _ in f]
+    get, pop, push = work.get, heappop, heappush
     result = []
     max_deg = 0
     steps = 0
-    while i < len(work):
-        term = work[i]
-        e0 = term[1]
+    while heap:
+        key0 = -pop(heap)
+        e0, c0 = work.pop(key0)
+        if not c0:
+            continue
         deg = e0 % _DEGREE_MOD
         if deg > max_deg:
             if deg > DEGREE_CAP:
@@ -156,18 +170,23 @@ def reduce_full(f, reducers, guard, p, check_deadline):
             if e0g - lead & guard == guard:
                 break
         else:
-            result.append(term)
-            i += 1
+            result.append((key0, e0, c0))
             continue
         reducer = reducers[j]
-        i += 1
         steps += 1
         if not steps % 64:
             check_deadline()
-        if len(reducer) > 1:
-            work = merge(work[i:], shifted(reducer[1:], term[0] - reducer[0][0],
-                                           e0 - lead, p - term[2], p), p)
-            i = 0
+        key_shift = key0 - reducer[0][0]
+        exp_shift = e0 - lead
+        scale = p - c0
+        for k, e, c in islice(reducer, 1, None):
+            k += key_shift
+            entry = get(k)
+            if entry is None:
+                work[k] = [e + exp_shift, c * scale % p]
+                push(heap, -k)
+            else:
+                entry[1] = (entry[1] + c * scale) % p
     return result, max_deg
 
 

@@ -137,6 +137,44 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def box_colength(gens, q: int, p: int) -> int:
+    """l(S/(J + m^[q])) over F_p for J generated by the polynomials gens,
+    from a Macaulay matrix: q^n minus the rank of the monomial multiples
+    u * g, truncated to the box of exponents below q.
+
+    S/m^[q] has the box monomials as a basis, and the image of J there is
+    spanned by the truncated u * g for u in the box, so its dimension is
+    that rank. Row u of g collects the terms of g that u keeps inside the
+    box, so each term is visited only at the u that keep it. The rank is
+    taken by sparse elimination: each row is reduced against the pivot
+    rows found so far, at its largest column.
+    """
+    n = gens[0].ring.nvars
+    pivots: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for g in gens:
+        rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for exps, c in g:
+            for u in product(*(range(q - e) for e in exps)):
+                m = tuple(a + b for a, b in zip(u, exps))
+                rows.setdefault(u, {})[m] = c % p
+        for row in rows.values():
+            while row:
+                col = max(row)
+                pivot = pivots.get(col)
+                if pivot is None:
+                    inv = pow(row[col], -1, p)
+                    pivots[col] = {m: c * inv % p for m, c in row.items()}
+                    break
+                factor = row[col]
+                for m, c in pivot.items():
+                    value = (row.get(m, 0) - factor * c) % p
+                    if value:
+                        row[m] = value
+                    else:
+                        row.pop(m, None)
+    return q**n - len(pivots)
+
+
 def syzygy_dimension(a: int, b: int, c: int, p: int) -> int:
     """dim k[x,y]/(x^a, y^b, (x+y)^c) over F_p, from graded ranks.
 
@@ -382,11 +420,13 @@ def buchberger(generators, order, p, max_pairs=None, max_degree=None):
     """Reduced Groebner basis by the tuple kernel and pairwise_update.
 
     Runs the engine's algorithm: each generator is reduced by the basis so
-    far, pairs are taken smallest (key(lcm), seq) first, and the minimal
-    basis is tail-reduced in descending order of leading monomials.
-    Returns (basis, pairs processed, max degree seen), where the degrees
-    seen are those the engine charges to its budget: each generator's, each
-    pair's lcm, and each reduction's.
+    far, pairs are taken smallest (sugar, key(lcm), seq) first, and the
+    minimal basis is tail-reduced in descending order of leading monomials.
+    A generator's sugar is its total degree, a reduced s-polynomial's is
+    its pair's, and a pair's is the larger of sugar(f) + deg(lcm) -
+    deg(lm(f)) and the same for g. Returns (basis, pairs processed, max
+    degree seen), where the degrees seen are those the engine charges to
+    its budget: each generator's, each pair's lcm, and each reduction's.
 
     With max_pairs or max_degree, stops where a Budget with those ceilings
     makes the engine raise, and returns None for the basis: the pair after
@@ -397,6 +437,13 @@ def buchberger(generators, order, p, max_pairs=None, max_degree=None):
         return max_degree is not None and degree > max_degree
 
     key = order.key
+    # id of each member term list -> (the list, kept alive; its sugar)
+    sugars = {}
+
+    def pair_sugar(pair):
+        f, g, lcm, _ = pair
+        return sum(lcm) + max(sugars[id(h)][1] - sum(h[0][1]) for h in (f, g))
+
     basis, pairs, seq = [], [], 0
     processed = 0
     todo = [(f.total_degree(), make_monic(tuple_terms(f, order), p))
@@ -405,6 +452,7 @@ def buchberger(generators, order, p, max_pairs=None, max_degree=None):
     while True:
         if todo:
             degree, terms = todo.pop(0)
+            sugar = degree
             seen = max(seen, degree)
             if over(degree):
                 return None, processed, seen
@@ -412,7 +460,9 @@ def buchberger(generators, order, p, max_pairs=None, max_degree=None):
             if processed == max_pairs:
                 return None, processed + 1, seen
             best = min(range(len(pairs)),
-                       key=lambda i: (key(pairs[i][2]), pairs[i][3]))
+                       key=lambda i: (pair_sugar(pairs[i]), key(pairs[i][2]),
+                                      pairs[i][3]))
+            sugar = pair_sugar(pairs[best])
             f, g, lcm, _ = pairs.pop(best)
             processed += 1
             seen = max(seen, sum(lcm))
@@ -426,8 +476,9 @@ def buchberger(generators, order, p, max_pairs=None, max_degree=None):
         if over(degree):
             return None, processed, seen
         if reduced:
-            basis, pairs, seq = pairwise_update(
-                basis, pairs, make_monic(reduced, p), seq)
+            h = make_monic(reduced, p)
+            sugars[id(h)] = (h, sugar)
+            basis, pairs, seq = pairwise_update(basis, pairs, h, seq)
     minimal = sorted(basis, key=lambda g: g[0][0], reverse=True)
     reduced_basis = [
         make_monic(reduce_full(g, minimal[:i] + minimal[i + 1:], p)[0], p)

@@ -11,6 +11,7 @@ import pytest
 
 import kunz.cli
 from kunz.cli import main
+from kunz.engine import Budget
 
 CONE = "p = 5;\nvars = x, y, z;\nideal = x*y - z^2;\n"
 NODE = "p = 3;\nvars = x, y;\nideal = x*y;\n"
@@ -380,6 +381,38 @@ def test_heavy_hypersurface_jobs_keep_their_hashes(tmp_path, command, text,
                      "--emax", str(emax)])
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["content_hash"] == content_hash
+
+
+# the twisted cubic as the benchmark writes it at seed 0
+TWISTED_CUBIC = ("p = 3;\nvars = x, y, z, w;\n"
+                 "ideal = x*z + 2*y^2, x*w + 2*y*z, y*w + 2*z^2;\n")
+
+# Jobs on the general route: the twisted cubic's twist colons by
+# elimination, and Groebner bases of (f) + m^[q] for the cubic. Both hashes
+# were computed by the engine under normal pair selection with a merged
+# work list, in 21 and 120 s on a 2-vCPU host.
+GENERAL_ROUTE_HASHES = [
+    ("fsig", TWISTED_CUBIC,
+     "c67cf4cfab058c895980441f650d1934fd76b89c091e7764e1cc3326ab738e4e"),
+    ("hk", CUBIC_XYZ,
+     "4a1208c8568975104ef68a0c0646ba0ab832f7c2c79f2383dc94f3b98c14e17b"),
+]
+
+
+@pytest.mark.parametrize("command, text, content_hash", GENERAL_ROUTE_HASHES,
+                         ids=["fsig_twisted_cubic", "hk_cubic_xyz"])
+def test_general_route_jobs_keep_their_hashes(tmp_path, monkeypatch, cli,
+                                              command, text, content_hash):
+    """At emax = 4, each under a 30 s job deadline: a job slowed past it
+    fails (fsig) or truncates (hk), and so changes the hash, instead of
+    running for minutes. Both take about 2 s; with a merged work list the
+    hk job takes 120 s, and truncates here."""
+    monkeypatch.setattr(kunz.cli, "_budget",
+                        lambda job: Budget(deadline_seconds=30))
+    result = cli([command, "--input", write(tmp_path, "general.job", text),
+                  "--emax", "4"])
+    assert result.exit_code == 0, result.stdout
+    assert json.loads(result.stdout)["content_hash"] == content_hash
 
 
 RECORDS = {

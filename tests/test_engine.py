@@ -1,7 +1,8 @@
 import functools
+import itertools
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -253,6 +254,48 @@ def test_ideal_queries_match_the_reduced_basis(data):
     assert budget.max_degree_seen == seen
 
 
+@st.composite
+def colon_by_several(draw):
+    """J = I^[q] + (f) and the divisor ideal I, with 2 or 3 generators of
+    degree at most 2 in 2 or 3 variables, at q = p."""
+    p = draw(st.sampled_from([2, 3]))
+    nvars = draw(st.integers(2, 3))
+    ring = ring_of(p, "xyz"[:nvars])
+
+    def poly():
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * nvars).filter(any),
+            st.integers(1, p - 1), min_size=1, max_size=3))
+        return sum((ring.monomial(e, c) for e, c in terms.items()),
+                   ring.zero())
+
+    divisors = [poly() for _ in range(draw(st.integers(2, 3)))]
+    outer = Ideal(ring, divisors).bracket_power(p).sum_with(
+        Ideal(ring, [poly()]))
+    return ring, outer, divisors
+
+
+@given(colon_by_several())
+@settings(max_examples=40)
+def test_colon_does_not_depend_on_the_divisor_order(data):
+    """Ideal.colon intersects its single-divisor colons smallest first; the
+    result is a reduced basis, so no order of the divisor's generators can
+    change it. Each permutation runs under its own ceiling, and a draw is
+    rejected when one reaches it."""
+    ring, outer, divisors = data
+    results = []
+    try:
+        for order in itertools.permutations(divisors):
+            results.append(outer.colon(Ideal(ring, list(order)), ceiling())
+                           .generators)
+    except BudgetExceededError:
+        reject()
+    assert all(gens == results[0] for gens in results)
+    for c in results[0]:
+        for g in divisors:
+            assert outer.contains(c * g)
+
+
 def test_lengths_and_membership_skip_tail_reduction(monkeypatch):
     ring = ring_of(5, "xyz")
     gens = [ring.parse(text) for text in ("x*y - z^2", "x^5", "y^5", "z^5")]
@@ -396,15 +439,18 @@ def test_update_matches_the_pairwise_filter(sequence):
     for exps in sequence:
         h = [(pack(key(exps)), pack(exps), 1)]
         twin[id(h)] = [(key(exps), exps, 1)]
-        basis, pairs = _update(basis, pairs, (h, exps), key, seq)
+        basis, pairs = _update(basis, pairs, (h, exps, sum(exps)), key, seq)
         old_basis, old_pairs, old_seq = pairwise_update(
             old_basis, old_pairs, twin[id(h)], old_seq)
-        assert [id(twin[id(g)]) for g, _ in basis] == [id(g) for g in old_basis]
-        assert all(lead == unpack(g[0][1], len(exps)) for g, lead in basis)
+        assert [id(twin[id(g)]) for g, _, _ in basis] == [
+            id(g) for g in old_basis]
+        assert all(lead == unpack(g[0][1], len(exps)) for g, lead, _ in basis)
         assert [(id(twin[id(pr.f[0])]), id(twin[id(pr.g[0])]), pr.lcm, pr.seq)
                 for pr in pairs] == [(id(f), id(g), lcm, s)
                                      for f, g, lcm, s in old_pairs]
         assert all(pr.key == pack(key(pr.lcm)) for pr in pairs)
+        # members of sugar equal to their degree give pairs the lcm's
+        assert all(pr.rank == (sum(pr.lcm), pr.key, pr.seq) for pr in pairs)
         assert seq[0] == old_seq
 
 

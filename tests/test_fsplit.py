@@ -13,7 +13,7 @@ from kunz.fsplit import (box_powers, fedder_test, fpurity_exponent,
                          splitting_number, twist_colon_ideal)
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing, Polynomial
-from oracles import node_splitting
+from oracles import box_colength, node_splitting
 
 
 def present(p, variables, gens, point=None):
@@ -157,6 +157,49 @@ def test_fedder_route_matches_the_general_colon(drawn, data):
     except BudgetExceededError:
         reject()
     assert fedder == general
+
+
+@st.composite
+def general_route_ideal(draw):
+    """Two or three generators in 2 or 3 variables, with terms of degree 1
+    or 2, kept only when they are not a complete intersection, so that
+    splitting_number takes the general colon."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([2, 3]))
+    ring = PolyRing(FieldConfig(p), ("x", "y", "z")[:n])
+    exponents = st.tuples(*[st.integers(0, 2)] * n).filter(
+        lambda exps: 1 <= sum(exps) <= 2)
+    gens = [Polynomial(ring, draw(st.dictionaries(
+                exponents, st.integers(1, p - 1), min_size=1, max_size=3)))
+            for _ in range(draw(st.sampled_from([2, 3])))]
+    pres = LocalRingPresentation(ring, Ideal(ring, gens))
+    assume(not is_complete_intersection(pres))
+    return pres
+
+
+@given(general_route_ideal())
+@settings(max_examples=30)
+def test_general_route_matches_the_macaulay_matrix(pres):
+    """At e = 1 the splitting colength q^n - l(S/(J + m^[q])), J the twist
+    colon, matches q^n minus the rank-based length of the box oracle."""
+    budget = Budget(max_pairs=REFERENCE_PAIRS)
+    try:
+        sample = splitting_number(pres, 1, budget)
+    except BudgetExceededError:
+        reject()
+    q, n = pres.p, pres.ring.nvars
+    twist = twist_colon_ideal(pres, 1)
+    assert sample.colength == q**n - box_colength(
+        list(twist.generators), q, pres.p)
+
+
+def test_twisted_cubic_matches_the_macaulay_matrix():
+    pres = present(*DUALITY_RINGS["twisted_cubic"])
+    for e, expected in [(1, 3), (2, 27), (3, 243)]:
+        q = 3**e
+        twist = twist_colon_ideal(pres, e)
+        assert q**4 - box_colength(list(twist.generators), q, 3) == expected
+        assert splitting_number(pres, e).colength == expected
 
 
 @pytest.mark.parametrize("p, variables, gens, expected", [

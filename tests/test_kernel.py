@@ -103,6 +103,56 @@ def test_packed_kernel_matches_the_tuple_kernel(data):
             assert div_exact(dividend, g) == as_polynomial(old, ring)
 
 
+@st.composite
+def long_reductions(draw):
+    """A dividend of up to 12 terms, or its square, and up to 4 monic
+    grevlex reducers in 3 variables. The reducers need not form a Groebner
+    basis: reduction by any list is deterministic. A squared dividend
+    reaches degree 12, so the work list grows, cancels and refills."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ring = PolyRing(FieldConfig(p), ("x", "y", "z"))
+
+    def poly(max_degree, max_size):
+        return Polynomial(ring, draw(st.dictionaries(
+            st.tuples(*[st.integers(0, max_degree)] * 3),
+            st.integers(1, p - 1), min_size=1, max_size=max_size)))
+
+    return ring, poly(2, 12) ** draw(st.integers(1, 2)), [
+        poly(2, 5) for _ in range(draw(st.integers(1, 4)))]
+
+
+@given(long_reductions())
+@settings(max_examples=100)
+def test_heap_work_list_matches_the_tuple_kernel(data):
+    ring, f, basis = data
+    p = ring.p
+    grevlex = ring.default_order()
+    reducers = [kernel.make_monic(kernel.to_terms(g, grevlex), p)
+                for g in basis]
+    nf, degree = kernel.reduce_full(kernel.to_terms(f, grevlex), reducers,
+                                    kernel.guard_mask(3), p, no_deadline)
+    old_nf, old_degree = oracles.reduce_full(
+        oracles.tuple_terms(f, grevlex),
+        [oracles.make_monic(oracles.tuple_terms(g, grevlex), p)
+         for g in basis], p)
+    assert nf == [(kernel.pack(k), kernel.pack(e), c) for k, e, c in old_nf]
+    assert degree == old_degree
+
+
+def test_reduction_polls_the_deadline_every_64_steps():
+    ring = PolyRing(FieldConfig(5), ("x", "y"))
+    order = ring.default_order()
+    polls = []
+    # x^200 -> x^199*y -> ... -> y^200 takes 200 head reductions
+    nf, degree = kernel.reduce_full(
+        kernel.to_terms(ring.parse("x^200"), order),
+        [kernel.to_terms(ring.parse("x - y"), order)], kernel.guard_mask(2),
+        5, lambda: polls.append(None))
+    assert kernel.from_terms(nf, ring) == ring.parse("y^200")
+    assert degree == 200
+    assert len(polls) == 200 // 64
+
+
 EDGE = MAX_EXPONENT
 near_edge = st.one_of(st.integers(0, 3), st.integers(EDGE - 3, EDGE))
 
