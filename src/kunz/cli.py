@@ -326,9 +326,8 @@ def _fail(err: KunzError, json_path: str | None) -> None:
     sys.exit(code)
 
 
-def _execute(command: str, input_path: str, emax: int | None,
-             json_path: str | None, csv_path: str | None,
-             budget_pairs: int | None, precision: int | None) -> None:
+def _execute(command: str, input_path: str, json_path: str | None,
+             csv_path: str | None, **overrides: int | None) -> None:
     timings: dict[str, float] = {}
     started = time.perf_counter()
     try:
@@ -337,8 +336,7 @@ def _execute(command: str, input_path: str, emax: int | None,
                 text = handle.read()
         except OSError as exc:
             raise ParseError(f"cannot read input file: {exc}") from exc
-        job = parse_job(text, command=command, e_max=emax,
-                        budget_pairs=budget_pairs, precision=precision)
+        job = parse_job(text, command=command, **overrides)
         timings["parse"] = time.perf_counter() - started
         if csv_path is not None:
             require_tabular(command)
@@ -376,7 +374,8 @@ _OPTIONS = (
     ("--input", dict(dest="input_path", required=True, type=_file,
                      metavar="FILE",
                      help="Job file in the statement format.")),
-    ("--emax", dict(type=int, help="Largest Frobenius exponent e to sample.")),
+    ("--emax", dict(dest="e_max", type=int, metavar="EMAX",
+                    help="Largest Frobenius exponent e to sample.")),
     ("--json", dict(dest="json_path", type=_file, metavar="FILE",
                     help="Write the result document here instead of stdout.")),
     ("--csv", dict(dest="csv_path", type=_file, metavar="FILE",

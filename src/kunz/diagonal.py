@@ -45,9 +45,9 @@ def diagonal_degrees(generators: tuple[Polynomial, ...]
                      ) -> tuple[int, ...] | None:
     """The exponents d_i, sorted, of a single generator that is, up to a
     linear change of coordinates, sum c_i y_i^(d_i) in at most 4 of its
-    variables; None for every other ideal.
+    variables; None for every other ideal, the zero polynomial included.
     """
-    if len(generators) != 1:
+    if len(generators) != 1 or generators[0].is_zero():
         return None
     (f,) = generators
     p = f.ring.p

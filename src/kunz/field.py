@@ -67,12 +67,6 @@ class FieldConfig(_FieldConfig):
             raise PreconditionError(f"{self.p} is not prime")
         return self
 
-    def inverse(self, value: int) -> int:
-        value %= self.p
-        if value == 0:
-            raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
-        return pow(value, -1, self.p)
-
     def __repr__(self) -> str:
         return f"FieldConfig(p={self.p})"
 

@@ -25,7 +25,8 @@ q^n - colength(m^[q] + (f^(q-1))) is the number of Jordan blocks of size
 q. Han's closed form for D(a, b, c) = dim k[x,y]/(x^a, y^b, (x+y)^c)
 counts them (C. Han, thesis, Brandeis 1991; Han and Monsky, "Some
 surprising Hilbert-Kunz functions", Math. Z. 214, 1993); see the diagonal
-module. fedder_test keeps the box route below, since it needs a witness.
+module. fedder_test still takes a basis of the full colon, since its
+witness is a reduced basis element.
 
 Complete intersections skip the colon. If I = (f_1..f_c) is generated by a
 regular sequence in a regular local ring, Fedder's lemma gives
@@ -53,10 +54,13 @@ I^[q] lies in the monomial ideal m^[q], and
 Both s_e and the purity exponent therefore need h^(q-1) only modulo m^[q]:
 its terms in the box of exponents below q. Since
 h^(q-1) = prod_{i<e} (h^[p^i])^(p-1), and m^[q] is a monomial ideal, every
-partial product may drop its terms with an exponent >= q; box_powers
-multiplies the factors from the highest Frobenius power down, so most terms
-leave the box early. No Groebner basis of a colon is computed. Every other
-ideal takes the general colon, by elimination (engine.Ideal.colon).
+partial product may drop its terms with an exponent >= q; the products run
+from the highest Frobenius power down, so most terms leave the box early.
+No Groebner basis of a colon is computed. Every other ideal takes the
+general colon, by elimination (engine.Ideal.colon). twist_levels yields
+either one as polynomials J_e with (I^[q] : I) + m^[q] = (J_e) + m^[q], for
+splitting_number and fpurity_exponent; localring.bracket_colength counts
+(J_e) + m^[q].
 """
 
 from __future__ import annotations
@@ -66,11 +70,11 @@ from math import prod
 from typing import NamedTuple
 
 from .diagonal import jordan_counts
-from .engine import Budget, Ideal, maximal_ideal
+from .engine import Budget, Ideal
 from .errors import PreconditionError
 from .field import frobenius_exponent
 from .hk import RationalInterval, describe_presentation, tail_interval
-from .localring import LocalRingPresentation
+from .localring import LocalRingPresentation, bracket_colength
 from .poly import Polynomial
 
 
@@ -121,19 +125,27 @@ def _in_box(f: Polynomial, q: int, budget: Budget) -> Polynomial:
     return box
 
 
-def box_powers(presentation: LocalRingPresentation, e_top: int,
-               budget: Budget | None = None):
-    """Yield h^(q-1) modulo m^[q], for q = p, p^2, .., p^e_top.
+def twist_levels(presentation: LocalRingPresentation, e_top: int,
+                 budget: Budget | None = None):
+    """Yield, for q = p, p^2, .., p^e_top, polynomials J_e with
+    (I^[q] : I) + m^[q] = (J_e) + m^[q].
 
-    h is the product of the generators of I. The level q = p^e comes from
-    the one before by h^(pq'-1) = h^(p-1) * (h^(q'-1))^[p], q = pq', which
-    unrolls to prod_{i<e} (h^[p^i])^(p-1) with the highest Frobenius power
+    Every ideal other than a complete intersection yields the generators of
+    its general colon, from twist_colon_ideal. A complete intersection
+    yields h^(q-1) modulo m^[q], h the product of the generators of I, or no
+    polynomial where that is zero. The level q = p^e comes from the one
+    before by h^(pq'-1) = h^(p-1) * (h^(q'-1))^[p], q = pq', which unrolls
+    to prod_{i<e} (h^[p^i])^(p-1) with the highest Frobenius power
     multiplied first. Every product, including those building h and
     h^(p-1), drops the terms with an exponent of at least p^e_top, and each
     level keeps its terms below its own q; both are exact, since m^[q] is a
     monomial ideal.
     """
     budget = budget or Budget()
+    if not is_complete_intersection(presentation, budget):
+        for e in range(1, e_top + 1):
+            yield twist_colon_ideal(presentation, e, budget).generators
+        return
     p = presentation.p
     top = frobenius_exponent(p, e_top)
     h = presentation.ring.one()
@@ -147,7 +159,7 @@ def box_powers(presentation: LocalRingPresentation, e_top: int,
     for _ in range(e_top):
         q *= p
         level = _in_box(factor * level.frobenius_power(p), q, budget)
-        yield level
+        yield (level,) if level else ()
 
 
 class SplittingSample(NamedTuple):
@@ -161,7 +173,12 @@ class SplittingSample(NamedTuple):
 
 def splitting_number(presentation: LocalRingPresentation, e: int,
                      budget: Budget | None = None) -> SplittingSample:
-    """s_e = (q^n - colength(m^[q] + (I^[q] : I))) / q^d, exactly."""
+    """s_e = (q^n - colength(m^[q] + (I^[q] : I))) / q^d, exactly.
+
+    The numerator is Han's count of Jordan blocks of size q for a diagonal
+    hypersurface, and otherwise q^n - colength(m^[q] + (J_e)) for the level
+    J_e of twist_levels.
+    """
     if e < 1:
         raise PreconditionError(f"splitting level must be >= 1, got {e}")
     q = frobenius_exponent(presentation.p, e)
@@ -170,14 +187,8 @@ def splitting_number(presentation: LocalRingPresentation, e: int,
     if counts is not None:
         colength = counts[1]
     else:
-        m_bracket = maximal_ideal(ring).bracket_power(q)
-        if is_complete_intersection(presentation, budget):
-            *_, box = box_powers(presentation, e, budget)
-            total = m_bracket.sum_with(Ideal(ring, [box]))
-        else:
-            total = twist_colon_ideal(presentation, e, budget).sum_with(
-                m_bracket)
-        colength = q**ring.nvars - total.colength(budget)
+        *_, level = twist_levels(presentation, e, budget)
+        colength = q**ring.nvars - bracket_colength(ring, level, q, budget)
     d = presentation.dimension(budget)
     return SplittingSample(e=e, q=q, colength=colength,
                            s=Fraction(colength, q**d))
@@ -220,27 +231,19 @@ def fpurity_exponent(presentation: LocalRingPresentation, c: Polynomial,
 
     None means the cap was exhausted; the true value may be larger or may
     not exist at all. m^[q] is a monomial ideal, so c * g lies outside it
-    exactly when c * g keeps a term in the box of exponents below q. For a
-    complete intersection c * I^[q] lies in m^[q], so the test is on
-    c * h^(q-1): one truncated product per level. Otherwise it is on c * g
-    for each generator g of the colon (I^[q] : I).
+    exactly when c * g keeps a term in the box of exponents below q. Since
+    (I^[q] : I) + m^[q] = (J_e) + m^[q] for the level J_e of twist_levels,
+    and c * m^[q] lies in m^[q], the test runs over the g in J_e.
     """
     if e_cap < 1:
         raise PreconditionError(f"e_cap must be >= 1, got {e_cap}")
     if c.ring != presentation.ring:
         raise PreconditionError("c must live in the ambient ring")
     budget = budget or Budget()
-    if is_complete_intersection(presentation, budget):
-        levels = box_powers(presentation, e_cap, budget)
-        for e, box in enumerate(levels, start=1):
-            q = frobenius_exponent(presentation.p, e)
-            if _in_box(c * box, q, budget):
-                return e
-        return None
-    for e in range(1, e_cap + 1):
+    levels = twist_levels(presentation, e_cap, budget)
+    for e, level in enumerate(levels, start=1):
         q = frobenius_exponent(presentation.p, e)
-        colon = twist_colon_ideal(presentation, e, budget)
-        if any(_in_box(c * g, q, budget) for g in colon.generators):
+        if any(_in_box(c * g, q, budget) for g in level):
             return e
     return None
 

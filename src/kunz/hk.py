@@ -12,8 +12,8 @@ nested ideals I and I + (u) differing by a single socle generator u. Each
 l_e is computed once, and the constants m and Delta are supplied by the
 caller (for realized curve data they come from the curves module).
 hypersurface_bound checks the colength of a principal ideal plus a bracket
-power of the maximal ideal against n * q^(d-1); a diagonal F takes the
-diagonal module's route, every other F the engine.
+power of the maximal ideal against n * q^(d-1), taken by
+localring.bracket_colength as every Frobenius colength is.
 
 verify_basic_lengths is a library check of the paper's colon/quotient
 length identity. No command calls it; the tests and the acceptance suite
@@ -25,11 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .diagonal import jordan_counts
-from .engine import Budget, Ideal, maximal_ideal
+from .engine import Budget, Ideal
 from .errors import BudgetExceededError, PreconditionError
 from .field import frobenius_exponent
-from .localring import FrobeniusSample, LocalRingPresentation
+from .localring import (FrobeniusSample, LocalRingPresentation,
+                        bracket_colength)
 from .poly import Polynomial
 
 
@@ -282,14 +282,7 @@ def hypersurface_bound(F: Polynomial, n: int, e: int,
         raise PreconditionError(
             f"every term of F has total degree above n = {n} (order {order})")
     ring = F.ring
-    p = ring.p
-    q = frobenius_exponent(p, e)
-    d = ring.nvars
-    counts = jordan_counts((F,), q, budget)
-    if counts is None:
-        total = Ideal(ring, [F]).sum_with(maximal_ideal(ring).bracket_power(q))
-        colength = total.colength(budget)
-    else:
-        colength = counts[0]
+    q = frobenius_exponent(ring.p, e)
+    colength = bracket_colength(ring, (F,), q, budget)
     return HypersurfaceBoundCheck(n=n, e=e, q=q, colength=colength,
-                                  bound=n * q ** (d - 1))
+                                  bound=n * q ** (ring.nvars - 1))

@@ -14,8 +14,11 @@ takes no Groebner basis: with T acting as f, S/m^[q] is a tensor product
 of the k[T]-modules k[x_i]/(x_i^q), and length(S/(m^[q] + (f))) is its
 number of Jordan blocks, a sum of Han's D(a, b, c) = dim k[x,y]/(x^a, y^b,
 (x+y)^c) (C. Han, thesis, Brandeis 1991; Han and Monsky, "Some surprising
-Hilbert-Kunz functions", Math. Z. 214, 1993). The diagonal module holds
-the reduction; every other ring takes the engine.
+Hilbert-Kunz functions", Math. Z. 214, 1993). bracket_colength makes this
+choice for every colength length(S/(J + m^[q])): the samples here,
+hk.hypersurface_bound and the splitting numbers of fsplit all call it.
+Han's count takes each J the diagonal module accepts; every other J takes
+the engine.
 """
 
 from __future__ import annotations
@@ -30,6 +33,18 @@ from .field import FieldConfig, RowSpace, frobenius_exponent
 from .poly import PolyRing, Polynomial
 
 Point = tuple[int, ...]
+
+
+def bracket_colength(ring: PolyRing, generators: tuple[Polynomial, ...],
+                     q: int, budget: Budget | None = None) -> int:
+    """length(S/((generators) + m^[q])): Han's count of Jordan blocks when
+    the diagonal module accepts the generators, else the engine on the
+    generators followed by m^[q]."""
+    counts = jordan_counts(generators, q, budget)
+    if counts is not None:
+        return counts[0]
+    m_bracket = maximal_ideal(ring).bracket_power(q)
+    return Ideal(ring, list(generators)).sum_with(m_bracket).colength(budget)
 
 
 def translate_to_origin(generators: list[Polynomial], point: Point) -> list[Polynomial]:
@@ -117,12 +132,8 @@ class LocalRingPresentation:
         if cached is not None:
             return cached
         q = frobenius_exponent(self.p, e)
-        counts = jordan_counts(self.ideal.generators, q, budget)
-        if counts is None:
-            m_bracket = maximal_ideal(self.ring).bracket_power(q)
-            colength = self.ideal.sum_with(m_bracket).colength(budget)
-        else:
-            colength = counts[0]
+        colength = bracket_colength(self.ring, self.ideal.generators, q,
+                                    budget)
         d = self.dimension(budget)
         sample = FrobeniusSample(e, q, colength, Fraction(colength, q**d))
         self._samples[e] = sample

@@ -376,18 +376,16 @@ class Polynomial:
 # -- printing ------------------------------------------------------------
 
 
-def format_polynomial(f: Polynomial, order: MonomialOrder | None = None) -> str:
+def format_polynomial(f: Polynomial) -> str:
     """Canonical text form: descending terms, explicit '^', coefficients in [0, p).
 
     parse(format(f)) == f, which the test suite checks as a fixed point.
     """
     if f.is_zero():
         return "0"
-    if order is None:
-        order = f.ring.default_order()
     parts = []
     names = f.ring.variables
-    for exps, c in f.ordered_terms(order):
+    for exps, c in f.ordered_terms(f.ring.default_order()):
         factors = [f"{names[i]}^{e}" if e > 1 else names[i]
                    for i, e in enumerate(exps) if e]
         if not factors:

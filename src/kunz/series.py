@@ -3,9 +3,10 @@
 A TruncatedSeries holds the coefficients of f below its precision; prec
 None means the series is an exact polynomial. Arithmetic propagates the
 weakest precision of the operands (shifted by valuations for products), so
-a valuation query either returns a certified answer or raises a precision
-error carrying a retry hint. This is the carrier for the trace-form and
-discriminant computations on realized curve branches.
+a coefficient read or a determinant valuation either returns a certified
+answer or raises a precision error carrying a retry hint. This is the
+carrier for the trace-form and discriminant computations on realized curve
+branches.
 
 Products use Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
@@ -24,9 +25,6 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import PreconditionError, PrecisionLossError
-
-INFINITE = None
-
 
 def _min_prec(a: int | None, b: int | None) -> int | None:
     if a is None:
@@ -94,20 +92,6 @@ class TruncatedSeries(NamedTuple):
         if self.coeffs:
             return self.coeffs[0][0]
         return self.prec
-
-    def valuation(self) -> int | None:
-        """Exact valuation; None means the series is exactly zero.
-
-        Raises a precision error when every known coefficient vanishes but
-        the tail is unknown.
-        """
-        if self.coeffs:
-            return self.coeffs[0][0]
-        if self.prec is None:
-            return INFINITE
-        raise PrecisionLossError(
-            f"valuation not certified below precision {self.prec}",
-            required=2 * max(self.prec, 1))
 
     # -- arithmetic ------------------------------------------------------
 

@@ -24,8 +24,13 @@ Statement keys by command:
                m and Delta (explicit constants), or branch/cross lines to
                derive them from the tame model
 
-parse_job and render_job are mutually inverse on well-formed jobs, so specs
-round-trip losslessly.
+_STATEMENTS is the key list: it maps every key but branch, cross and
+sub.N.* to its JobSpec field, parser and renderer. parse_job refuses any
+key outside it and those three, and parses each value with the key's
+parser. render_job writes one line per key, in the table's order, when the
+value differs from the field's default (command and p always), and the
+branch, cross and sub.N.* lines after points. parse_job and render_job are
+mutually inverse on well-formed jobs, so specs round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .errors import ParseError
 COMMANDS = ("hk", "fsig", "fedder", "tame", "scan", "verify-bounds")
 
 _KEY_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.-]*$")
+_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _COMMENT_RE = re.compile(r"#[^\r\n]*")
 
 
@@ -69,6 +75,10 @@ def parse_statements(text: str) -> list[tuple[str, str]]:
     return statements
 
 
+def _text(value: str, key: str) -> str:
+    return value
+
+
 def _int(value: str, key: str) -> int:
     try:
         return int(value)
@@ -76,28 +86,22 @@ def _int(value: str, key: str) -> int:
         raise ParseError(f"{key} expects an integer, got {value!r}") from None
 
 
+def _expr_list(value: str, key: str) -> tuple[str, ...]:
+    """The comma-separated parts of value, stripped; () when it is empty."""
+    parts = tuple(v.strip() for v in value.split(","))
+    return () if parts == ("",) else parts
+
+
 def _int_list(value: str, key: str) -> tuple[int, ...]:
-    parts = [v.strip() for v in value.split(",")]
-    if parts == [""]:
-        return ()
-    return tuple(_int(v, key) for v in parts)
+    return tuple(_int(v, key) for v in _expr_list(value, key))
 
 
-def _name_list(value: str) -> tuple[str, ...]:
-    parts = [v.strip() for v in value.split(",")]
-    if parts == [""]:
-        return ()
-    for name in parts:
-        if not re.match(r"^[A-Za-z][A-Za-z0-9_]*$", name):
+def _name_list(value: str, key: str) -> tuple[str, ...]:
+    names = _expr_list(value, key)
+    for name in names:
+        if not _NAME_RE.match(name):
             raise ParseError(f"bad variable name {name!r}")
-    return tuple(parts)
-
-
-def _expr_list(value: str) -> tuple[str, ...]:
-    parts = [v.strip() for v in value.split(",")]
-    if parts == [""]:
-        return ()
-    return tuple(parts)
+    return names
 
 
 _POINT_RE = re.compile(r"\(([^()]*)\)")
@@ -111,6 +115,14 @@ def _point_list(value: str, key: str) -> tuple[tuple[int, ...], ...]:
             f"leftover {rest!r}")
     return tuple(_int_list(m.group(1), key)
                  for m in _POINT_RE.finditer(value))
+
+
+def _join(values: tuple) -> str:
+    return ", ".join(str(v) for v in values)
+
+
+def _points(points: tuple[tuple[int, ...], ...]) -> str:
+    return " ".join("(" + ",".join(str(a) for a in pt) + ")" for pt in points)
 
 
 class SubvarietySpec(NamedTuple):
@@ -156,6 +168,28 @@ class JobSpec(_JobSpec):
         return self
 
 
+# statement key -> (JobSpec field, parser, renderer), in render_job's order
+_STATEMENTS = {
+    "command": ("command", _text, str),
+    "p": ("p", _int, str),
+    "vars": ("variables", _name_list, _join),
+    "ideal": ("ideal", _expr_list, _join),
+    "point": ("point", _int_list, _join),
+    "points": ("points", _point_list, _points),
+    "inner": ("inner", _expr_list, _join),
+    "socle": ("socle", _text, str),
+    "element": ("element", _text, str),
+    "m": ("m_constant", _int, str),
+    "Delta": ("delta_constant", _int, str),
+    "emax": ("e_max", _int, str),
+    "ecap": ("e_cap", _int, str),
+    "precision": ("precision", _int, str),
+    "seed": ("seed", _int, str),
+    "mu": ("mu", _int, str),
+    "budget_pairs": ("budget_pairs", _int, str),
+}
+
+
 def parse_job(text: str, command: str | None = None, **overrides) -> JobSpec:
     """Build a JobSpec from job text; explicit arguments win over the text."""
     statements = parse_statements(text)
@@ -187,14 +221,8 @@ def parse_job(text: str, command: str | None = None, **overrides) -> JobSpec:
             raise ParseError(f"duplicate statement key {key!r}")
         seen[key] = value
 
-    known = {
-        "command": str, "p": int, "vars": None, "ideal": None,
-        "point": None, "points": None, "inner": None, "socle": str,
-        "element": str, "m": int, "Delta": int, "emax": int, "ecap": int,
-        "precision": int, "seed": int, "mu": int, "budget_pairs": int,
-    }
     for key in seen:
-        if key not in known:
+        if key not in _STATEMENTS:
             raise ParseError(f"unknown statement key {key!r}")
 
     declared = seen.get("command")
@@ -221,100 +249,49 @@ def parse_job(text: str, command: str | None = None, **overrides) -> JobSpec:
                 f"subvariety {index} needs sub.{index}.ideal and "
                 f"sub.{index}.witnesses")
         sub_specs.append(SubvarietySpec(
-            _expr_list(block["ideal"]),
+            _expr_list(block["ideal"], f"sub.{index}.ideal"),
             _point_list(block["witnesses"], f"sub.{index}.witnesses"),
-            _expr_list(block.get("params", ""))))
+            _expr_list(block.get("params", ""), f"sub.{index}.params")))
 
-    values = dict(
-        command=cmd,
-        p=_int(seen["p"], "p"),
-        variables=_name_list(seen.get("vars", "")),
-        ideal=_expr_list(seen.get("ideal", "")),
-        point=_int_list(seen["point"], "point") if "point" in seen else None,
-        points=(_point_list(seen["points"], "points")
-                if "points" in seen else None),
-        branches=tuple(branches),
-        cross=cross,
-        subvarieties=tuple(sub_specs),
-        inner=_expr_list(seen.get("inner", "")),
-        socle=seen.get("socle"),
-        element=seen.get("element"),
-        m_constant=_int(seen["m"], "m") if "m" in seen else None,
-        delta_constant=_int(seen["Delta"], "Delta") if "Delta" in seen else None,
-        e_max=_int(seen["emax"], "emax") if "emax" in seen else None,
-        e_cap=_int(seen["ecap"], "ecap") if "ecap" in seen else None,
-        precision=(_int(seen["precision"], "precision")
-                   if "precision" in seen else None),
-        seed=_int(seen.get("seed", "0"), "seed"),
-        mu=_int(seen.get("mu", "1"), "mu"),
-        budget_pairs=(_int(seen["budget_pairs"], "budget_pairs")
-                      if "budget_pairs" in seen else None),
-    )
+    values = {field: parse(seen[key], key)
+              for key, (field, parse, _) in _STATEMENTS.items() if key in seen}
+    values.update(command=cmd, branches=tuple(branches), cross=cross,
+                  subvarieties=tuple(sub_specs))
     for key, value in overrides.items():
         if value is not None:
             values[key] = value
+    job = JobSpec(**values)
 
-    nvars = len(values["variables"])
+    nvars = len(job.variables)
     if nvars:
-        labeled = [("point", values["point"])] if values["point"] else []
-        if values["points"]:
-            labeled += [("points", pt) for pt in values["points"]]
-        for spec in values["subvarieties"]:
+        labeled = [("point", job.point)] if job.point else []
+        if job.points:
+            labeled += [("points", pt) for pt in job.points]
+        for spec in job.subvarieties:
             labeled += [("witnesses", w) for w in spec.witnesses]
         for label, coords in labeled:
             if len(coords) != nvars:
                 raise ParseError(
                     f"{label} entry {coords} has {len(coords)} coordinates "
                     f"but there are {nvars} variables")
-    return JobSpec(**values)
+    return job
 
 
 def render_job(job: JobSpec) -> str:
     """Canonical text for a JobSpec; parse_job inverts it."""
-    lines = [f"command = {job.command};", f"p = {job.p};"]
-    if job.variables:
-        lines.append(f"vars = {', '.join(job.variables)};")
-    if job.ideal:
-        lines.append(f"ideal = {', '.join(job.ideal)};")
-    if job.point is not None:
-        lines.append(f"point = {', '.join(str(a) for a in job.point)};")
-    if job.points is not None:
-        rendered = " ".join(
-            "(" + ",".join(str(a) for a in pt) + ")" for pt in job.points)
-        lines.append(f"points = {rendered};")
-    for gens in job.branches:
-        lines.append(f"branch = {', '.join(str(g) for g in gens)};")
-    for i, vals in enumerate(job.cross):
-        if vals:
-            lines.append(
-                f"cross = {i + 1}: {', '.join(str(v) for v in vals)};")
-    for i, sub in enumerate(job.subvarieties, start=1):
-        lines.append(f"sub.{i}.ideal = {', '.join(sub.ideal)};")
-        rendered = " ".join(
-            "(" + ",".join(str(a) for a in pt) + ")" for pt in sub.witnesses)
-        lines.append(f"sub.{i}.witnesses = {rendered};")
-        if sub.params:
-            lines.append(f"sub.{i}.params = {', '.join(sub.params)};")
-    if job.inner:
-        lines.append(f"inner = {', '.join(job.inner)};")
-    if job.socle is not None:
-        lines.append(f"socle = {job.socle};")
-    if job.element is not None:
-        lines.append(f"element = {job.element};")
-    if job.m_constant is not None:
-        lines.append(f"m = {job.m_constant};")
-    if job.delta_constant is not None:
-        lines.append(f"Delta = {job.delta_constant};")
-    if job.e_max is not None:
-        lines.append(f"emax = {job.e_max};")
-    if job.e_cap is not None:
-        lines.append(f"ecap = {job.e_cap};")
-    if job.precision is not None:
-        lines.append(f"precision = {job.precision};")
-    if job.seed != 0:
-        lines.append(f"seed = {job.seed};")
-    if job.mu != 1:
-        lines.append(f"mu = {job.mu};")
-    if job.budget_pairs is not None:
-        lines.append(f"budget_pairs = {job.budget_pairs};")
+    defaults = JobSpec._field_defaults
+    lines = []
+    for key, (field, _, render) in _STATEMENTS.items():
+        value = getattr(job, field)
+        if field not in defaults or value != defaults[field]:
+            lines.append(f"{key} = {render(value)};")
+        if key == "points":
+            lines += [f"branch = {_join(gens)};" for gens in job.branches]
+            lines += [f"cross = {i}: {_join(vals)};"
+                      for i, vals in enumerate(job.cross, start=1) if vals]
+            for i, sub in enumerate(job.subvarieties, start=1):
+                lines.append(f"sub.{i}.ideal = {_join(sub.ideal)};")
+                lines.append(f"sub.{i}.witnesses = {_points(sub.witnesses)};")
+                if sub.params:
+                    lines.append(f"sub.{i}.params = {_join(sub.params)};")
     return "\n".join(lines) + "\n"

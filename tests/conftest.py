@@ -32,6 +32,6 @@ def cusp5() -> LocalRingPresentation:
 def engine_only(monkeypatch):
     """Turn off Han's route for diagonal hypersurfaces, so every colength
     comes from the Groebner engine."""
-    from kunz import fsplit, hk, localring
-    for module in (localring, fsplit, hk):
+    from kunz import fsplit, localring
+    for module in (localring, fsplit):
         monkeypatch.setattr(module, "jordan_counts", lambda *args: None)

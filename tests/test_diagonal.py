@@ -90,6 +90,7 @@ def test_the_route_matches_the_engine(data):
     (3, "x, y, z, w", ["x*y - z^2", "z*w - x^2"]),  # two generators
     (5, "a, b, c, d, e", ["a^2 + b^2 + c^3 + d^3 + e^5"]),  # five factors
     (5, "a, b, c, d, e", ["a*b + c*d + e^2"]),  # a quadric of rank 5
+    (3, "x, y", ["0"]),  # the zero polynomial
 ])
 def test_other_rings_stay_on_the_engine(p, variables, gens):
     ring = PolyRing(FieldConfig(p), tuple(variables.split(", ")))

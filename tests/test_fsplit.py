@@ -8,9 +8,9 @@ import pytest
 from kunz.engine import Budget, Ideal, maximal_ideal
 from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
-from kunz.fsplit import (box_powers, fedder_test, fpurity_exponent,
-                         fsplit_report, is_complete_intersection,
-                         splitting_number, twist_colon_ideal)
+from kunz.fsplit import (fedder_test, fpurity_exponent, fsplit_report,
+                         is_complete_intersection, splitting_number,
+                         twist_colon_ideal, twist_levels)
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing, Polynomial
 from oracles import box_colength, node_splitting
@@ -193,6 +193,19 @@ def test_general_route_matches_the_macaulay_matrix(pres):
         list(twist.generators), q, pres.p)
 
 
+def test_twisted_cubic_levels_are_the_colon_generators():
+    """Off the complete intersections a level is the general colon's
+    generators; with m^[q] they give the pinned colengths 3, 27, 243."""
+    pres = present(*DUALITY_RINGS["twisted_cubic"])
+    levels = twist_levels(pres, 3)
+    for e, (level, expected) in enumerate(zip(levels, [3, 27, 243]), start=1):
+        q = 3**e
+        assert level == twist_colon_ideal(pres, e).generators
+        m_bracket = maximal_ideal(pres.ring).bracket_power(q)
+        total = Ideal(pres.ring, list(level)).sum_with(m_bracket)
+        assert q**4 - total.colength() == expected
+
+
 def test_twisted_cubic_matches_the_macaulay_matrix():
     pres = present(*DUALITY_RINGS["twisted_cubic"])
     for e, expected in [(1, 3), (2, 27), (3, 243)]:
@@ -248,7 +261,7 @@ def test_box_power_polls_the_deadline():
     with pytest.raises(BudgetExceededError) as caught:
         splitting_number(pres, 2, Budget(deadline_seconds=0))
     frames = [frame.name for frame in traceback.extract_tb(caught.tb)]
-    assert "box_powers" in frames
+    assert "twist_levels" in frames
 
 
 def test_box_powers_are_truncated_powers():
@@ -256,11 +269,18 @@ def test_box_powers_are_truncated_powers():
     generators, against the power taken in S and then truncated."""
     pres = present(3, ["x", "y", "z", "w"], ["x*y - z^2", "z*w - x^2"])
     h = pres.ideal.generators[0] * pres.ideal.generators[1]
-    for e, box in enumerate(box_powers(pres, 3), start=1):
+    for e, (box,) in enumerate(twist_levels(pres, 3), start=1):
         q = 3**e
         full = h ** (q - 1)
         assert box.terms == {exps: c for exps, c in full.terms.items()
                              if max(exps) < q}
+
+
+def test_an_empty_box_yields_no_generator(cusp5):
+    """(y^2 - x^3)^(q-1) has no term below q in both exponents, so the cusp
+    is not F-pure at any level and every level is empty."""
+    assert list(twist_levels(cusp5, 2)) == [(), ()]
+    assert splitting_number(cusp5, 2).colength == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

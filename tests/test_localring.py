@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from kunz.engine import Ideal, maximal_ideal
 from kunz.errors import PreconditionError
 from kunz.field import FieldConfig
-from kunz.localring import (LocalRingPresentation, matrix_rank_mod_p,
-                            translate_to_origin)
+from kunz.localring import (LocalRingPresentation, bracket_colength,
+                            matrix_rank_mod_p, translate_to_origin)
 from kunz.poly import PolyRing
 
 
@@ -120,3 +121,18 @@ def test_fermat_cubic_hilbert_kunz_function(p, e):
 def test_fermat_cubic_hilbert_kunz_function_on_the_engine(p, e, engine_only):
     q = p**e
     assert 4 * fermat_cubic_colength(p, e) == 9 * q**2 - 5
+
+
+@pytest.mark.parametrize("p, gens, q", [
+    (5, ["x*y - z^2"], 25),  # Han's count
+    (7, ["x^3 + y^3 + z^3"], 7),  # Han's count
+    (3, ["x*y - z^2", "z*w - x^2"], 9),  # the engine
+    (5, ["x^3 + y^3 + z^3 + x*y*z"], 5),  # the engine
+    (3, ["0"], 9),  # no generator: the colength of m^[q] alone
+])
+def test_bracket_colength_matches_the_engine(p, gens, q):
+    ring = PolyRing(FieldConfig(p), ("x", "y", "z", "w"))
+    generators = tuple(ring.parse(g) for g in gens)
+    m_bracket = maximal_ideal(ring).bracket_power(q)
+    total = Ideal(ring, list(generators)).sum_with(m_bracket)
+    assert bracket_colength(ring, generators, q) == total.colength()

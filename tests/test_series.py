@@ -85,16 +85,6 @@ def test_exact_series_stay_exact():
     assert (a + a).prec is None
 
 
-def test_valuation_certification():
-    a = TruncatedSeries.make(5, {7: 2}, prec=9)
-    assert a.valuation() == 7
-    assert TruncatedSeries.zero(5).valuation() is None
-    truncated_zero = TruncatedSeries.make(5, {}, prec=4)
-    with pytest.raises(PrecisionLossError) as err:
-        truncated_zero.valuation()
-    assert err.value.required == 8
-
-
 def test_shift_refuses_poles():
     a = TruncatedSeries.make(5, {2: 1}, prec=6)
     assert a.shift(-2).coefficient(0) == 1
