@@ -4,13 +4,17 @@ A curve is described by its branches. Each branch is a numerical semigroup
 (the valuations realized on that branch) plus, when there are several
 branches, the valuations of elements vanishing on all other branches. From
 this data the module computes the per-branch constants gamma0, beta, gamma
-and the global delta and Delta, and certifies the discriminant valuation of
-the tame extension by an exact truncated-series trace computation.
+and the global delta and Delta.
 
-Two facts come from theorems rather than computation: the parameter
-valuations are the gammas (tame_report), and the trace form is block
-diagonal with one block per branch, so the discriminant valuation is a sum
-of per-branch block valuations (discriminant_valuation).
+Three facts come from theorems rather than computation: the parameter
+valuations are the gammas, the extension degree is delta
+(extension_degree), and the discriminant valuation of the tame extension
+is Delta (tame_report). The trace form is block diagonal with one block per
+branch, and on branch b the block of x, ..., x^gamma_b, x = s^(gamma_b+1)
+times any unit, has valuation (gamma_b + 1)^2, so the valuations sum to
+Delta. The truncated-series route (discriminant_valuation), which realizes
+each branch and takes the determinants of its trace blocks, is kept as the
+oracle of that theorem.
 
 root_closure_check, split_reduction_check, piece_generators and
 tame_trial_valuation are library checks of the paper's lemmas. No command
@@ -23,13 +27,15 @@ import math
 import random
 from typing import Iterable, NamedTuple
 
-from .errors import PreconditionError, PrecisionLossError
+from .errors import CapacityError, PreconditionError, PrecisionLossError
 from .field import FieldConfig, RowSpace
 from .series import (TruncatedSeries, determinant_valuation, tame_trace)
 
 MAX_BRANCHES = 4
 MAX_PRECISION = 1 << 20
 MAX_DOUBLINGS = 6
+# Python's default limit on int-to-decimal conversion, which JSON output obeys.
+MAX_BOUND_DIGITS = 4300
 
 
 def _normalize_generators(values: Iterable[int], label: str) -> tuple[int, ...]:
@@ -291,30 +297,37 @@ def _trace_block(x: TruncatedSeries,
 
 def discriminant_valuation(curve: BranchCurve, precision: int | None = None,
                            seed: int = 0) -> int:
-    """T-adic valuation of the trace-form determinant; expected Delta.
+    """T-adic valuation of the trace-form determinant, by truncated series.
 
+    The oracle of the block theorem (tame_report): the answer is Delta.
     Products of elements on different branches vanish, so the trace matrix
     of the whole family is block diagonal with one block per branch, and
     its determinant is the product of the blocks' determinants: the
     valuation is the sum over the branches of the block valuations.
 
-    Starts at the default precision (or the given one, which must be at
-    least the default) and doubles on precision errors, up to MAX_DOUBLINGS
-    times.
+    Each block starts at the given precision, which must be at least the
+    default, or else at twice its own valuation (gamma + 1)^2 plus 2, and
+    doubles on precision errors, up to MAX_DOUBLINGS times. Blocks that ask
+    for the same precision share one realization of the curve.
     """
     minimum = default_precision(curve)
-    if precision is None:
-        n = minimum
-    elif precision < minimum:
+    if precision is not None and precision < minimum:
         raise PreconditionError(
             f"precision {precision} is below the required {minimum}")
-    else:
-        n = precision
-    return _with_doublings(
-        lambda n: sum(
-            determinant_valuation(_trace_block(br.basis_element, br.gamma))
-            for br in realize_curve(curve, n, seed)),
-        n, "discriminant valuation")
+    realized: dict[int, tuple[BranchRealization, ...]] = {}
+
+    def block(index: int, n: int) -> int:
+        if n not in realized:
+            realized[n] = realize_curve(curve, n, seed)
+        br = realized[n][index]
+        return determinant_valuation(_trace_block(br.basis_element, br.gamma))
+
+    return sum(
+        _with_doublings(
+            lambda n, index=index: block(index, n),
+            2 * (binv.gamma + 1) ** 2 + 2 if precision is None else precision,
+            "discriminant valuation")
+        for index, binv in enumerate(tame_invariants(curve).per_branch))
 
 
 # -- module rank and generator counts --------------------------------------
@@ -354,12 +367,22 @@ def generator_bound_check(curve: BranchCurve, count: int,
     """Compare a generator count of the realized module with delta^mu.
 
     The count is computed by the caller, normally as extension_degree (the
-    piece module is free); this function does no rank work.
+    piece module is free); this function does no rank work. A bound of
+    more than MAX_BOUND_DIGITS decimal digits is refused before the power
+    is built.
     """
     if mu < 1:
         raise PreconditionError("mu must be at least 1")
     inv = tame_invariants(curve)
-    bound = inv.delta ** mu
+    # delta^mu has at least mu * log10(delta) digits, so a power far past
+    # the limit is refused unbuilt and one near it is compared exactly.
+    far = (inv.delta > 1
+           and mu > (MAX_BOUND_DIGITS + 1) / math.log10(inv.delta))
+    bound = 0 if far else inv.delta ** mu
+    if far or bound >= 10 ** MAX_BOUND_DIGITS:
+        raise CapacityError(
+            f"generator bound delta^mu = {inv.delta}^{mu} exceeds "
+            f"{MAX_BOUND_DIGITS} digits")
     return GeneratorBoundCheck(count, inv.delta, mu, bound, count <= bound)
 
 
@@ -574,12 +597,16 @@ def tame_report(curve: BranchCurve, precision: int | None = None,
     each branch, and gamma lies in the branch piece because gamma - beta is
     past the conductor. Truncated at the precision, t^gamma must survive,
     so the precision must exceed every gamma; a lower one is refused with
-    a retry precision, at least double it, that does. The curve is realized
-    once, for the discriminant; the extension degree and the generator count
-    are delta (extension_degree).
+    a retry precision, at least double it, that does. The discriminant
+    valuation is Delta by the block theorem (module docstring), and the
+    extension degree and the generator count are delta (extension_degree),
+    so no branch is realized. A precision past MAX_PRECISION, given or
+    the default, is refused as the series route (discriminant_valuation,
+    the oracle) would refuse it.
     """
     inv = tame_invariants(curve)
-    n = default_precision(curve) if precision is None else precision
+    default = default_precision(curve)
+    n = default if precision is None else precision
     if n < 1:
         raise PreconditionError("precision must be positive")
     gammas = tuple(b.gamma for b in inv.per_branch)
@@ -587,11 +614,12 @@ def tame_report(curve: BranchCurve, precision: int | None = None,
         raise PrecisionLossError(
             f"valuation not certified below precision {n}",
             required=max(2 * n, max(gammas) + 1))
-    disc = discriminant_valuation(curve, max(n, default_precision(curve)),
-                                  seed)
+    top = max(n, default)
+    if top > MAX_PRECISION:
+        raise PreconditionError(f"precision {top} exceeds {MAX_PRECISION}")
     degree = extension_degree(curve)
     bound = generator_bound_check(curve, degree, mu)
     return TameReport(curve.p,
                       tuple(b.semigroup_generators for b in curve.branches),
-                      inv, gammas, disc, degree,
+                      inv, gammas, inv.Delta, degree,
                       degree, bound, n, seed)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from typing import NamedTuple
@@ -127,6 +128,51 @@ def test_tame_extension_degree_is_delta_at_an_explicit_precision(
     assert payload["extension_degree"] == payload["generator_count"] == 12
     assert payload["generator_bound"]["count"] == 12
     assert payload["precision"] == precision
+
+
+@pytest.mark.parametrize("text, top", [
+    ("p = 5;\nbranch = 2, 3;\nprecision = 1048577;\n", 1048577),
+    ("p = 7;\nbranch = 40, 41;\n", 4873444),
+], ids=["given", "default"])
+def test_tame_refuses_a_precision_past_the_cap(cli, tmp_path, text, top):
+    job = write(tmp_path, "curve.job", text)
+    result = cli(["tame", "--input", job])
+    assert result.exit_code == 3
+    assert result.stdout == (
+        '{"error":{"exit_code":3,"message":"precision %d exceeds 1048576",'
+        '"type":"PreconditionError"},"schema_version":1}\n' % top)
+
+
+def test_tame_answers_a_high_precision_at_once(cli, tmp_path):
+    job = write(tmp_path, "cusp.job",
+                "p = 5;\nbranch = 2, 3;\nprecision = 200000;\n")
+    start = time.perf_counter()
+    result = cli(["tame", "--input", job])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 0
+    payload = parse_output(result)["payload"]
+    assert payload["discriminant_valuation"] == 9
+    assert payload["precision"] == 200000
+
+
+def test_tame_generator_bound_at_a_large_mu(cli, tmp_path):
+    job = write(tmp_path, "cusp.job", "p = 5;\nbranch = 2, 3;\nmu = 100;\n")
+    result = cli(["tame", "--input", job])
+    assert result.exit_code == 0
+    bound = parse_output(result)["payload"]["generator_bound"]
+    assert bound["bound"] == 2 ** 100 and bound["passed"]
+
+
+def test_tame_refuses_a_bound_too_long_to_write(cli, tmp_path):
+    """2^100000 has 30103 digits, past what JSON output can write."""
+    job = write(tmp_path, "cusp.job",
+                "p = 5;\nbranch = 2, 3;\nmu = 100000;\n")
+    result = cli(["tame", "--input", job])
+    assert result.exit_code == 5
+    assert result.stdout == (
+        '{"error":{"exit_code":5,"message":"generator bound delta^mu = '
+        '2^100000 exceeds 4300 digits","type":"CapacityError"},'
+        '"schema_version":1}\n')
 
 
 def test_scan_command(cli, tmp_path):

@@ -13,7 +13,7 @@ from kunz.curves import (MAX_DOUBLINGS, Branch, BranchCurve, _series_row,
                          semigroup_conductor, semigroup_membership,
                          split_reduction_check, tame_invariants, tame_report,
                          tame_trial_valuation)
-from kunz.errors import PrecisionLossError, PreconditionError
+from kunz.errors import CapacityError, PrecisionLossError, PreconditionError
 from kunz.field import RowSpace
 from kunz.series import TruncatedSeries, determinant_valuation
 from oracles import semigroup_conductor_brute, semigroup_elements
@@ -497,12 +497,47 @@ def test_tame_report_of_the_node():
     assert report.extension_degree == 2
 
 
-def test_tame_report_realizes_the_curve_once(monkeypatch):
+def test_tame_report_realizes_no_curve(monkeypatch):
+    """The discriminant is Delta by the block theorem, so the report runs
+    none of the series route."""
     seen = _record_precisions(monkeypatch)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the series route ran")
+
+    for name in ("discriminant_valuation", "determinant_valuation"):
+        monkeypatch.setattr(kunz.curves, name, unused)
     report = tame_report(cusp_curve(5))
     assert report.generator_count == report.extension_degree == 2
-    # only the discriminant needs a realization
-    assert seen == [default_precision(cusp_curve(5))]
+    assert report.discriminant_valuation == 9
+    assert seen == []
+
+
+@given(tame_curves(), st.integers(0, 9), st.data())
+@settings(max_examples=15, deadline=None)
+def test_tame_report_agrees_with_the_series_oracle(curve, seed, data):
+    """At any accepted precision n, the reported discriminant is the one
+    the series route certifies at max(n, default)."""
+    top = max(b.gamma for b in tame_invariants(curve).per_branch)
+    default = default_precision(curve)
+    n = data.draw(st.integers(top + 1, default + 10), label="precision")
+    report = tame_report(curve, precision=n, seed=seed)
+    assert report.discriminant_valuation == discriminant_valuation(
+        curve, max(n, default), seed)
+
+
+def test_generator_bound_refuses_a_bound_too_long_to_write():
+    """2^14284 has 4300 digits and 2^14285 one more; no power of 2 with
+    more digits is built."""
+    check = generator_bound_check(cusp_curve(5), 2, mu=14284)
+    assert check.bound == 2 ** 14284 and len(str(check.bound)) == 4300
+    for mu in (14285, 10 ** 12, 10 ** 400):
+        with pytest.raises(CapacityError) as err:
+            generator_bound_check(cusp_curve(5), 2, mu=mu)
+        assert str(err.value) == (
+            f"generator bound delta^mu = 2^{mu} exceeds 4300 digits")
+    smooth = BranchCurve(5, (SMOOTH,))
+    assert generator_bound_check(smooth, 1, mu=10 ** 12).bound == 1
 
 
 def test_reports_are_deterministic_per_seed():
