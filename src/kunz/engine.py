@@ -14,6 +14,7 @@ monomials and normal forms need no tail reduction; a reduced basis does.
 from __future__ import annotations
 
 import time
+from heapq import heappop, heappush
 from operator import le
 
 from . import kernel
@@ -277,11 +278,18 @@ def div_exact(f: Polynomial, g: Polynomial,
               budget: Budget | None = None) -> Polynomial:
     """Quotient f/g when g divides f exactly; raises otherwise.
 
-    Long division on kernel term lists under grevlex: each step records
-    the quotient term lm(r)/lm(g) with coefficient lc(r)/lc(g) and merges
-    the tail of g, shifted and scaled, into the rest of r. One Polynomial
-    is built at the end. Polls the budget's deadline every 64 quotient
-    terms.
+    Long division on kernel term lists under grevlex. The remainder is a
+    work list as in kernel.reduce_full (Monagan and Pearce, CASC 2007): a
+    dict from packed order key to [exps, coeff] beside a heap of the
+    negated keys, so the head is the largest key. Each step pops the head,
+    records the quotient term lm(r)/lm(g) with coefficient lc(r)/lc(g) and
+    adds the tail of g, shifted and scaled, term by term: a key already
+    present has its coefficient updated in place, a new one is pushed, and
+    nothing else of the remainder is touched or copied. A key whose
+    coefficient cancels stays until it is popped, then is skipped. A head
+    that lm(g) does not divide ends the division: g does not divide f. One
+    Polynomial is built at the end. Polls the budget's deadline every 64
+    quotient terms.
     """
     ring = f.ring
     if g.ring != ring:
@@ -294,18 +302,32 @@ def div_exact(f: Polynomial, g: Polynomial,
     guard = kernel.guard_mask(ring.nvars)
     (key_g, lm_g, lc_g), *tail = kernel.to_terms(g, order)
     inv = pow(lc_g, -1, p)
-    rest = kernel.to_terms(f, order)
+    terms = kernel.to_terms(f, order)
+    work = {k: [e, c] for k, e, c in terms}
+    # terms is descending, so its negated keys ascend: already a heap
+    heap = [-k for k, _, _ in terms]
+    get = work.get
     quotient = []
-    while rest:
-        key_r, lm_r, lc_r = rest[0]
+    while heap:
+        key_r = -heappop(heap)
+        lm_r, lc_r = work.pop(key_r)
+        if not lc_r:
+            continue
         if not kernel.divides(lm_g, lm_r, guard):
             raise PreconditionError("exact division failed: remainder is nonzero")
         key_q = key_r - key_g
         lm_q = lm_r - lm_g
         lc_q = lc_r * inv % p
         quotient.append((key_q, lm_q, lc_q))
-        scaled = kernel.shifted(tail, key_q, lm_q, p - lc_q, p)
-        rest = kernel.merge(rest[1:], scaled, p)
+        scale = p - lc_q
+        for k, e, c in tail:
+            k += key_q
+            entry = get(k)
+            if entry is None:
+                work[k] = [e + lm_q, c * scale % p]
+                heappush(heap, -k)
+            else:
+                entry[1] = (entry[1] + c * scale) % p
         if len(quotient) % 64 == 0:
             budget.check_deadline()
     return kernel.from_terms(quotient, ring)
@@ -411,19 +433,49 @@ class Ideal:
     def colon(self, other: Ideal, budget: Budget | None = None) -> Ideal:
         """Ideal quotient (self : other).
 
-        For a single divisor g this is (self intersect (g)) scaled by 1/g;
-        for several, the intersection of the single-divisor quotients. All
-        of those are computed first and then intersected smallest first, in
-        ascending order of generator count (ties in the divisor's order),
-        since an elimination's cost grows with the generators it starts
-        from. The order cannot change the result: every intersection is
-        returned as the reduced grevlex basis, which is unique.
+        For a single divisor g this is (self intersect (g)) scaled by 1/g
+        (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, 4.4).
+        For several, (A : (g_1..g_k)) is the intersection of the (A : g_i),
+        and the route depends on whether every generator of self and of
+        other is homogeneous.
+
+        Homogeneous: successive restriction. M_1 = (A : g_1), and
+        M_i = (A intersect g_i*M_(i-1)) / g_i. Since S is a domain, c lies
+        in M_(i-1) with c*g_i in A exactly when c*g_i lies in
+        A intersect g_i*M_(i-1), so M_k = (A : (g_1..g_k)). On the twisted
+        cubic's twist colons at p = 3 this takes 54 pairs at q = 27, 81
+        and 243, where the route below takes 302, 734 and 2030. The
+        divisors are taken in a fixed order, descending by grevlex term
+        list, so the generators returned do not depend on the order given.
+        They are the quotients by g_k of the last meet's reduced basis,
+        not tail-reduced: lm(g*h) = lm(g)*lm(h), so they are a minimal
+        Groebner basis of the colon.
+
+        Otherwise: the single-divisor colons are computed first and then
+        intersected smallest first, in ascending order of generator count
+        (ties in the divisor's order), since an elimination's cost grows
+        with the generators it starts from. Every intersection is returned
+        as the reduced grevlex basis, which is unique, so the order cannot
+        change the result. Successive restriction is not used here because
+        on non-homogeneous input it can cost far more: over F_3, the colon
+        (I^[9] : I) for I = (2x^2yz^2 + 2xz^2 + z, xy^2z + xy^2 + 2x) takes
+        544 pairs and about 38 s by the meets of single-divisor colons on a
+        2-vCPU host, and ran past 200 s by successive restriction in both
+        divisor orders.
         """
         self._check_ring(other)
         if other.is_zero():
             return Ideal(self.ring, [self.ring.one()])
         budget = budget or Budget()
-        parts = sorted((self._colon_single(g, budget)
+        if all(map(_is_homogeneous, self.generators + other.generators)):
+            order = self.ring.default_order()
+            result = Ideal(self.ring, [self.ring.one()])  # M_0
+            for g in sorted(other.generators, reverse=True,
+                            key=lambda g: kernel.to_terms(g, order)):
+                result = self._meet_divided(
+                    [g * h for h in result.generators], g, budget)
+            return result
+        parts = sorted((self._meet_divided([g], g, budget)
                         for g in other.generators),
                        key=lambda part: len(part.generators))
         result = parts[0]
@@ -431,10 +483,13 @@ class Ideal:
             result = result.intersection(part, budget)
         return result
 
-    def _colon_single(self, g: Polynomial, budget: Budget) -> Ideal:
-        meet = self.intersection(Ideal(self.ring, [g]), budget)
-        gens = [div_exact(f, g, budget) for f in meet.generators]
-        return Ideal(self.ring, gens)
+    def _meet_divided(self, multiples: list[Polynomial], g: Polynomial,
+                      budget: Budget) -> Ideal:
+        """(self intersect (multiples)) / g, where g divides every multiple:
+        the quotients of the meet's reduced basis."""
+        meet = self.intersection(Ideal(self.ring, multiples), budget)
+        return Ideal(self.ring,
+                     [div_exact(f, g, budget) for f in meet.generators])
 
     def _check_ring(self, other: Ideal) -> None:
         if self.ring != other.ring:
@@ -538,6 +593,10 @@ def _slice_count(gens: list[Exps], n: int, budget: Budget) -> int:
             total += ((after[last] - e[last])
                       * _slice_count(slice_, last, budget))
     return total
+
+
+def _is_homogeneous(f: Polynomial) -> bool:
+    return len({sum(e) for e in f.terms}) == 1
 
 
 def _fresh_variable_name(names: tuple[str, ...]) -> str:

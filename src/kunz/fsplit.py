@@ -57,10 +57,11 @@ h^(q-1) = prod_{i<e} (h^[p^i])^(p-1), and m^[q] is a monomial ideal, every
 partial product may drop its terms with an exponent >= q; the products run
 from the highest Frobenius power down, so most terms leave the box early.
 No Groebner basis of a colon is computed. Every other ideal takes the
-general colon, by elimination (engine.Ideal.colon). twist_levels yields
-either one as polynomials J_e with (I^[q] : I) + m^[q] = (J_e) + m^[q], for
-splitting_number and fpurity_exponent; localring.bracket_colength counts
-(J_e) + m^[q].
+general colon, by elimination (engine.Ideal.colon): for homogeneous I by
+restriction to one generator of I at a time, otherwise by intersecting the
+colons by each generator. twist_levels yields either one as polynomials
+J_e with (I^[q] : I) + m^[q] = (J_e) + m^[q], for splitting_number and
+fpurity_exponent; localring.bracket_colength counts (J_e) + m^[q].
 """
 
 from __future__ import annotations

@@ -514,3 +514,48 @@ def elimination_intersection(first, second, ring, max_pairs=None,
     kept = [Polynomial(ring, {e[1:]: c for _, e, c in g}) for g in basis
             if all(e[0] == 0 for _, e, _ in g)]
     return kept, processed, seen
+
+
+def colon_by_meets(generators, divisors, ring, max_pairs=None,
+                   max_degree=None):
+    """Reduced grevlex basis of (generators) : (divisors) by the meets of
+    single-divisor colons, the route Ideal.colon keeps for non-homogeneous
+    input: each (A : g) is (A intersect (g)) / g, by
+    elimination_intersection and divide_exact above, and the colons are
+    then intersected smallest first (ties in the divisors' order). Takes
+    at least two divisors, so the last step is an intersection, which
+    gives the reduced basis. ring must not name a variable t.
+
+    max_pairs and max_degree bound the whole computation, as one Budget
+    does across the engine's calls; returns None where a ceiling stops it.
+    """
+    from kunz.poly import GREVLEX, MonomialOrder, Polynomial
+
+    grevlex = MonomialOrder(GREVLEX)
+    used = 0
+
+    def left():
+        return None if max_pairs is None else max_pairs - used
+
+    def quotient(f, g):
+        terms = divide_exact(tuple_terms(f, grevlex), tuple_terms(g, grevlex),
+                             ring.p)
+        return Polynomial(ring, {e: c for _, e, c in terms})
+
+    parts = []
+    for g in divisors:
+        meet, processed, _ = elimination_intersection(
+            generators, [g], ring, left(), max_degree)
+        used += processed
+        if meet is None:
+            return None
+        parts.append([quotient(f, g) for f in meet])
+    parts.sort(key=len)
+    result = parts[0]
+    for part in parts[1:]:
+        result, processed, _ = elimination_intersection(
+            result, part, ring, left(), max_degree)
+        used += processed
+        if result is None:
+            return None
+    return result

@@ -434,29 +434,38 @@ TWISTED_CUBIC = ("p = 3;\nvars = x, y, z, w;\n"
                  "ideal = x*z + 2*y^2, x*w + 2*y*z, y*w + 2*z^2;\n")
 
 # Jobs on the general route: the twisted cubic's twist colons by
-# elimination, and Groebner bases of (f) + m^[q] for the cubic. Both hashes
-# were computed by the engine under normal pair selection with a merged
-# work list, in 21 and 120 s on a 2-vCPU host.
+# elimination, and Groebner bases of (f) + m^[q] for the cubic. The emax = 4
+# hashes were computed by the engine under normal pair selection with a
+# merged work list, in 21 and 120 s on a 2-vCPU host; the emax = 5 hash of
+# the twisted cubic by the meets of single-divisor colons, in 27 s there.
 GENERAL_ROUTE_HASHES = [
-    ("fsig", TWISTED_CUBIC,
+    ("fsig", TWISTED_CUBIC, 4, 30,
      "c67cf4cfab058c895980441f650d1934fd76b89c091e7764e1cc3326ab738e4e"),
-    ("hk", CUBIC_XYZ,
+    ("hk", CUBIC_XYZ, 4, 30,
      "4a1208c8568975104ef68a0c0646ba0ab832f7c2c79f2383dc94f3b98c14e17b"),
+    ("fsig", TWISTED_CUBIC, 5, 10,
+     "664a30124dbe27cc15b99ed73766bf6e2ab6b7a8c728c077d08de527091e9349"),
 ]
 
 
-@pytest.mark.parametrize("command, text, content_hash", GENERAL_ROUTE_HASHES,
-                         ids=["fsig_twisted_cubic", "hk_cubic_xyz"])
+@pytest.mark.parametrize("command, text, emax, deadline, content_hash",
+                         GENERAL_ROUTE_HASHES,
+                         ids=["fsig_twisted_cubic", "hk_cubic_xyz",
+                              "fsig_twisted_cubic_emax5"])
 def test_general_route_jobs_keep_their_hashes(tmp_path, monkeypatch, cli,
-                                              command, text, content_hash):
-    """At emax = 4, each under a 30 s job deadline: a job slowed past it
-    fails (fsig) or truncates (hk), and so changes the hash, instead of
-    running for minutes. Both take about 2 s; with a merged work list the
-    hk job takes 120 s, and truncates here."""
+                                              command, text, emax, deadline,
+                                              content_hash):
+    """Each under a job deadline: a job slowed past it fails (fsig) or
+    truncates (hk), and so changes the hash, instead of running for
+    minutes. At emax = 4, under 30 s, the fsig job takes about 0.4 s and
+    the hk job 2 to 3 s; with a merged work list the hk job takes 120 s,
+    and truncates here. At emax = 5, under 10 s, the fsig job takes about
+    3 to 4.5 s; by the meets of single-divisor colons it took 22 to 27 s,
+    and fails here."""
     monkeypatch.setattr(kunz.cli, "_budget",
-                        lambda job: Budget(deadline_seconds=30))
+                        lambda job: Budget(deadline_seconds=deadline))
     result = cli([command, "--input", write(tmp_path, "general.job", text),
-                  "--emax", "4"])
+                  "--emax", str(emax)])
     assert result.exit_code == 0, result.stdout
     assert json.loads(result.stdout)["content_hash"] == content_hash
 

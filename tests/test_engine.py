@@ -2,7 +2,7 @@ import functools
 import itertools
 import math
 
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -254,15 +254,32 @@ def test_ideal_queries_match_the_reduced_basis(data):
     assert budget.max_degree_seen == seen
 
 
+def homogeneous(draw, ring, degree, max_terms):
+    """A homogeneous polynomial of the given degree with 1 to max_terms
+    terms."""
+    monomials = [e for e in itertools.product(range(degree + 1),
+                                              repeat=ring.nvars)
+                 if sum(e) == degree]
+    terms = draw(st.dictionaries(st.sampled_from(monomials),
+                                 st.integers(1, ring.p - 1),
+                                 min_size=1, max_size=max_terms))
+    return sum((ring.monomial(e, c) for e, c in terms.items()), ring.zero())
+
+
 @st.composite
 def colon_by_several(draw):
     """J = I^[q] + (f) and the divisor ideal I, with 2 or 3 generators of
-    degree at most 2 in 2 or 3 variables, at q = p."""
+    degree at most 2 in 2 or 3 variables, at q = p. Half the draws make
+    every generator homogeneous, which sends Ideal.colon down its
+    successive restriction route."""
     p = draw(st.sampled_from([2, 3]))
     nvars = draw(st.integers(2, 3))
     ring = ring_of(p, "xyz"[:nvars])
+    homogeneous_only = draw(st.booleans())
 
     def poly():
+        if homogeneous_only:
+            return homogeneous(draw, ring, draw(st.integers(1, 2)), 3)
         terms = draw(st.dictionaries(
             st.tuples(*[st.integers(0, 2)] * nvars).filter(any),
             st.integers(1, p - 1), min_size=1, max_size=3))
@@ -275,13 +292,27 @@ def colon_by_several(draw):
     return ring, outer, divisors
 
 
+def parsed(ring, *texts):
+    return [ring.parse(text) for text in texts]
+
+
+# Successive restriction returns the quotients of the last meet without
+# tail reduction, so its generators depend on which divisor comes last; on
+# this case they differ unless the divisors are taken in a fixed order.
+ORDER_CASE = ring_of(2)
+
+
 @given(colon_by_several())
+@example((ORDER_CASE, Ideal(ORDER_CASE, parsed(ORDER_CASE, "y^2",
+                                               "x^2 + y^2", "y")),
+          parsed(ORDER_CASE, "y", "x + y")))
 @settings(max_examples=40)
 def test_colon_does_not_depend_on_the_divisor_order(data):
-    """Ideal.colon intersects its single-divisor colons smallest first; the
-    result is a reduced basis, so no order of the divisor's generators can
-    change it. Each permutation runs under its own ceiling, and a draw is
-    rejected when one reaches it."""
+    """Ideal.colon either intersects its single-divisor colons smallest
+    first, whose result is a reduced basis, or restricts by the divisors in
+    a fixed order; either way no order of the divisor's generators can
+    change the generators returned. Each permutation runs under its own
+    ceiling, and a draw is rejected when one reaches it."""
     ring, outer, divisors = data
     results = []
     try:
@@ -294,6 +325,48 @@ def test_colon_does_not_depend_on_the_divisor_order(data):
     for c in results[0]:
         for g in divisors:
             assert outer.contains(c * g)
+
+
+@st.composite
+def homogeneous_twist_colon(draw):
+    """The divisors of a twist colon (I^[p] : I): 2 or 3 homogeneous
+    generators of degree 2 or 3, each with 1 to 3 terms, in 3 or 4
+    variables."""
+    ring = ring_of(draw(st.sampled_from([2, 3])),
+                   "xyzw"[:draw(st.integers(3, 4))])
+    return ring, [homogeneous(draw, ring, draw(st.integers(2, 3)), 3)
+                  for _ in range(draw(st.integers(2, 3)))]
+
+
+# a ceiling on all the pairs of one colon, both routes' meets together
+COLON_PAIRS = 200
+
+
+@given(homogeneous_twist_colon())
+@settings(max_examples=40)
+def test_homogeneous_colon_matches_the_meets_of_single_divisor_colons(data):
+    """Successive restriction gives the colon that the meets of
+    single-divisor colons give, and its generators, the quotients of the
+    last meet's reduced basis, are a minimal Groebner basis: their leading
+    monomials are those of the oracle's reduced basis, each once."""
+    ring, divisors = data
+    outer = Ideal(ring, divisors).bracket_power(ring.p)
+    try:
+        colon = outer.colon(Ideal(ring, divisors),
+                            Budget(max_pairs=COLON_PAIRS, max_degree=MAX_DEGREE))
+    except BudgetExceededError:
+        reject()
+    expected = oracles.colon_by_meets(list(outer.generators), divisors, ring,
+                                      COLON_PAIRS, MAX_DEGREE)
+    if expected is None:
+        reject()
+    assert colon.groebner_basis() == expected
+    grevlex = ring.default_order()
+
+    def leads(polys):
+        return sorted(f.ordered_terms(grevlex)[0][0] for f in polys)
+
+    assert leads(colon.generators) == leads(expected)
 
 
 def test_lengths_and_membership_skip_tail_reduction(monkeypatch):
@@ -361,6 +434,18 @@ def test_colength_calls_on_one_budget_add_up():
     assert shared.max_degree_seen == max(b.max_degree_seen for b in alone)
 
 
+class PollCounter(Budget):
+    """A budget that counts its deadline polls."""
+
+    def __init__(self):
+        super().__init__()
+        self.polls = 0
+
+    def check_deadline(self):
+        self.polls += 1
+        super().check_deadline()
+
+
 def test_div_exact_polls_the_deadline():
     ring = ring_of(5, "xyz")
     g = ring.parse("x*y - z^2")
@@ -370,6 +455,12 @@ def test_div_exact_polls_the_deadline():
     with pytest.raises(BudgetExceededError):
         div_exact(f, g, Budget(deadline_seconds=0))
     assert div_exact(f, g) == quotient
+    # one poll every 64 quotient terms
+    big = ring.parse("(x + y + z + 1)^13")
+    assert len(big.terms) == 200
+    counter = PollCounter()
+    assert div_exact(big * g, g, counter) == big
+    assert counter.polls == 3
 
 
 def test_normal_form_polls_the_deadline():
@@ -410,7 +501,8 @@ def test_div_exact_inverts_multiplication(data):
         if not all(a <= b for a, b in zip(lm_g, exps)):
             r = r + ring.monomial(exps, c)
     assume(not r.is_zero())
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError,
+                       match="^exact division failed: remainder is nonzero$"):
         div_exact(f * g + r, g)
 
 
