@@ -19,7 +19,7 @@ from .errors import (
     PrecisionLossError,
 )
 from .field import FieldConfig, frobenius_exponent, is_prime
-from .poly import MonomialOrder, PolyRing, Polynomial, parse_polynomial
+from .poly import PolyRing, Polynomial, parse_polynomial
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "FieldConfig",
     "Ideal",
     "KunzError",
-    "MonomialOrder",
     "ParseError",
     "PolyRing",
     "Polynomial",

@@ -355,9 +355,12 @@ def _execute(command: str, input_path: str, json_path: str | None,
 
 
 def _file(value: str) -> str:
-    """A file path option: refuse a directory before the job runs."""
+    """A file path option: refuse a directory, or a path in a directory
+    that does not exist, before the job runs."""
     if os.path.isdir(value):
         raise argparse.ArgumentTypeError(f"{value!r} is a directory")
+    if not os.path.isdir(os.path.dirname(value) or "."):
+        raise argparse.ArgumentTypeError(f"no directory holds {value!r}")
     return value
 
 

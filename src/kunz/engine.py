@@ -14,12 +14,13 @@ monomials and normal forms need no tail reduction; a reduced basis does.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from heapq import heappop, heappush
 from operator import le
 
 from . import kernel
 from .errors import BudgetExceededError, PreconditionError
-from .poly import ELIMINATION, MonomialOrder, PolyRing, Polynomial
+from .poly import PolyRing, Polynomial, grevlex_key
 
 Exps = tuple[int, ...]
 
@@ -157,25 +158,27 @@ def _update(basis, pairs, h, key, seq_counter):
     return new_basis, surviving
 
 
-def groebner(generators: list[Polynomial], order: MonomialOrder | None = None,
+def groebner(generators: list[Polynomial],
              budget: Budget | None = None) -> list[Polynomial]:
-    """Reduced monic Groebner basis, sorted descending by leading monomial.
+    """Reduced monic grevlex Groebner basis, sorted descending by leading
+    monomial.
 
-    The reduced basis is unique for the order, which makes it usable as a
-    canonical form for ideal equality.
+    The reduced basis is unique, which makes it usable as a canonical form
+    for ideal equality.
     """
     inputs = [f for f in generators if not f.is_zero()]
     if not inputs:
         return []
-    ring = inputs[0].ring
-    budget = budget or Budget()
-    basis = _minimal_basis(inputs, order or ring.default_order(), budget)
-    return _reduce_basis(basis, ring, budget)
+    return Ideal(inputs[0].ring, inputs).groebner_basis(budget)
 
 
-def _minimal_basis(inputs: list[Polynomial], order: MonomialOrder,
+def _minimal_basis(inputs: Iterable[list], key, n: int, p: int,
                    budget: Budget) -> list[list]:
     """Buchberger's algorithm: a minimal basis as monic kernel term lists.
+
+    inputs are nonzero descending term lists in n variables over F_p, and
+    key maps an exponent tuple to the order key their packed keys hold:
+    poly.grevlex_key, or the elimination key of _meet.
 
     Pairs are taken by the sugar strategy (Giovini, Mora, Niesi, Robbiano
     and Traverso, "One sugar cube, please", ISSAC 1991): smallest
@@ -185,9 +188,6 @@ def _minimal_basis(inputs: list[Polynomial], order: MonomialOrder,
     selection's; under elimination sugar follows the degrees a homogenized
     computation would reach, where normal selection runs far ahead of them.
     """
-    ring = inputs[0].ring
-    key = order.key
-    p, n = ring.p, ring.nvars
     guard = kernel.guard_mask(n)
     basis: list[tuple[list, Exps, int]] = []
     reducers: list[list] = []
@@ -203,10 +203,10 @@ def _minimal_basis(inputs: list[Polynomial], order: MonomialOrder,
         reducers = [g for g, _, _ in basis]
 
     for f in inputs:
-        degree = f.total_degree()
+        degree = kernel.degree(f)
         budget.observe_degree(degree)
-        terms = kernel.make_monic(kernel.to_terms(f, order), p)
-        reduced, max_deg = kernel.reduce_full(terms, reducers, guard, p,
+        reduced, max_deg = kernel.reduce_full(kernel.make_monic(f, p),
+                                               reducers, guard, p,
                                                budget.check_deadline)
         budget.observe_degree(max_deg)
         if reduced:
@@ -227,38 +227,71 @@ def _minimal_basis(inputs: list[Polynomial], order: MonomialOrder,
     return reducers
 
 
-def _reduce_basis(basis, ring, budget: Budget) -> list[Polynomial]:
-    """Tail-reduce each member of a minimal basis of monic term lists.
+def _reduce_basis(basis: list[list], n: int, p: int,
+                  budget: Budget) -> list[list]:
+    """Tail-reduce each member of a minimal basis of monic term lists in n
+    variables: the reduced basis, sorted descending by leading monomial.
 
     The basis is already minimal: every new member is fully reduced by the
     basis before _update adds it, and _update drops each member whose
     leading monomial the new one divides, so no leading monomial divides
-    another, and tail reduction keeps each leading term.
-
-    The list given is emptied, and each reduced member is dropped once it
-    is rebuilt as a Polynomial, so the packed terms are freed as the
-    polynomials are built instead of being held beside all of them.
+    another, and tail reduction keeps each leading term. The list given is
+    emptied.
     """
-    guard = kernel.guard_mask(ring.nvars)
+    guard = kernel.guard_mask(n)
     basis.sort(key=lambda g: g[0][0], reverse=True)
     reduced = []
     for i, g in enumerate(basis):
-        nf, _ = kernel.reduce_full(g, basis[:i] + basis[i + 1:], guard,
-                                   ring.p, budget.check_deadline)
-        reduced.append(kernel.make_monic(nf, ring.p))
+        nf, _ = kernel.reduce_full(g, basis[:i] + basis[i + 1:], guard, p,
+                                   budget.check_deadline)
+        reduced.append(kernel.make_monic(nf, p))
     basis.clear()
+    return reduced
+
+
+def _polynomials(basis: list[list], ring: PolyRing) -> list[Polynomial]:
+    """The term lists as Polynomials of ring, in order. The list given is
+    emptied as they are built, so the packed terms are not held beside all
+    of them."""
     polys = []
-    while reduced:
-        polys.append(kernel.from_terms(reduced.pop(), ring))
+    while basis:
+        polys.append(kernel.from_terms(basis.pop(), ring))
     return polys[::-1]
+
+
+def _meet(first: list[list], second: list[list], n: int, p: int,
+          budget: Budget) -> list[list]:
+    """Reduced grevlex basis of (first) intersect (second), for term lists
+    in n variables; empty when either is.
+
+    Keeps the members of a minimal basis of t*first + (1-t)*second whose
+    leading monomial is free of t, under the elimination of t (Cox, Little
+    and O'Shea, 4.3). t sits in one more top slot (see kernel), so such a
+    member has packed leading exponents below T = 1 << (64 n), and is then
+    already a grevlex term list in n variables. Every reducer of its terms
+    is free of t too, so tail-reducing them among themselves gives the
+    t-free members of the reduced basis.
+    """
+    if not first or not second:
+        return []
+    top = 1 << (kernel.SLOT_BITS * n)
+    t = [(top, top, 1)]
+    one_minus_t = [(top, top, p - 1), (0, 0, 1)]
+    gens = [kernel.multiply(t, f, p) for f in first]
+    gens += [kernel.multiply(one_minus_t, g, p) for g in second]
+    basis = _minimal_basis(gens, _eliminating_key, n + 1, p, budget)
+    return _reduce_basis([g for g in basis if g[0][1] < top], n, p, budget)
+
+
+def _eliminating_key(exps: Exps) -> tuple[int, ...]:
+    """The order key of t^a x^e, for exps = (a, *e): a, then grevlex."""
+    return (exps[0], *grevlex_key(exps[1:]))
 
 
 def normal_form(f: Polynomial, basis: list[Polynomial],
                 budget: Budget | None = None) -> Polynomial:
     """Remainder of f on full grevlex reduction by a Groebner basis."""
-    ring = f.ring
-    order = ring.default_order()
-    reducers = [kernel.make_monic(kernel.to_terms(g, order), ring.p)
+    reducers = [kernel.make_monic(kernel.to_terms(g), f.ring.p)
                 for g in basis if not g.is_zero()]
     return _normal_form(f, reducers, budget or Budget())
 
@@ -267,8 +300,8 @@ def _normal_form(f: Polynomial, reducers: list[list],
                  budget: Budget) -> Polynomial:
     """Remainder of f on full grevlex reduction by monic term lists."""
     ring = f.ring
-    nf, max_deg = kernel.reduce_full(kernel.to_terms(f, ring.default_order()),
-                                     reducers, kernel.guard_mask(ring.nvars),
+    nf, max_deg = kernel.reduce_full(kernel.to_terms(f), reducers,
+                                     kernel.guard_mask(ring.nvars),
                                      ring.p, budget.check_deadline)
     budget.observe_degree(max_deg)
     return kernel.from_terms(nf, ring)
@@ -276,36 +309,36 @@ def _normal_form(f: Polynomial, reducers: list[list],
 
 def div_exact(f: Polynomial, g: Polynomial,
               budget: Budget | None = None) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises otherwise.
-
-    Long division on kernel term lists under grevlex. The remainder is a
-    work list as in kernel.reduce_full (Monagan and Pearce, CASC 2007): a
-    dict from packed order key to [exps, coeff] beside a heap of the
-    negated keys, so the head is the largest key. Each step pops the head,
-    records the quotient term lm(r)/lm(g) with coefficient lc(r)/lc(g) and
-    adds the tail of g, shifted and scaled, term by term: a key already
-    present has its coefficient updated in place, a new one is pushed, and
-    nothing else of the remainder is touched or copied. A key whose
-    coefficient cancels stays until it is popped, then is skipped. A head
-    that lm(g) does not divide ends the division: g does not divide f. One
-    Polynomial is built at the end. Polls the budget's deadline every 64
-    quotient terms.
-    """
+    """Quotient f/g when g divides f exactly; raises otherwise (see
+    _divide)."""
     ring = f.ring
     if g.ring != ring:
         raise PreconditionError("polynomials from different rings")
     if g.is_zero():
         raise PreconditionError("division by the zero polynomial")
-    budget = budget or Budget()
-    order = ring.default_order()
-    p = ring.p
-    guard = kernel.guard_mask(ring.nvars)
-    (key_g, lm_g, lc_g), *tail = kernel.to_terms(g, order)
+    quotient = _divide(kernel.to_terms(f), kernel.to_terms(g), ring.nvars,
+                       ring.p, budget or Budget())
+    return kernel.from_terms(quotient, ring)
+
+
+def _divide(f: list, g: list, n: int, p: int, budget: Budget) -> list:
+    """Quotient f/g of term lists in n variables, for g nonzero, when g
+    divides f exactly; raises PreconditionError otherwise.
+
+    Long division on grevlex term lists, with the remainder kept as
+    kernel.reduce_full keeps its work list (Monagan and Pearce, CASC 2007).
+    Each step pops the head, records the quotient term lm(r)/lm(g) with
+    coefficient lc(r)/lc(g) and adds the tail of g, shifted and scaled,
+    touching no other term of the remainder. A head that lm(g) does not
+    divide ends the division: g does not divide f. Polls the budget's
+    deadline every 64 quotient terms.
+    """
+    guard = kernel.guard_mask(n)
+    (key_g, lm_g, lc_g), *tail = g
     inv = pow(lc_g, -1, p)
-    terms = kernel.to_terms(f, order)
-    work = {k: [e, c] for k, e, c in terms}
-    # terms is descending, so its negated keys ascend: already a heap
-    heap = [-k for k, _, _ in terms]
+    work = {k: [e, c] for k, e, c in f}
+    # f is descending, so its negated keys ascend: already a heap
+    heap = [-k for k, _, _ in f]
     get = work.get
     quotient = []
     while heap:
@@ -330,7 +363,7 @@ def div_exact(f: Polynomial, g: Polynomial,
                 entry[1] = (entry[1] + c * scale) % p
         if len(quotient) % 64 == 0:
             budget.check_deadline()
-    return kernel.from_terms(quotient, ring)
+    return quotient
 
 
 # -- Ideal ----------------------------------------------------------------
@@ -352,16 +385,23 @@ class Ideal:
 
     def _minimal(self, budget: Budget) -> list[list]:
         if self._basis is None:
-            self._basis = (_minimal_basis(list(self.generators),
-                                          self.ring.default_order(), budget)
-                           if self.generators else [])
+            ring = self.ring
+            # flattened lazily: a large ideal's terms are not all held at once
+            self._basis = _minimal_basis(map(kernel.to_terms, self.generators),
+                                         grevlex_key, ring.nvars, ring.p,
+                                         budget)
         return self._basis
+
+    def _terms(self) -> list[list]:
+        return [kernel.to_terms(g) for g in self.generators]
 
     def groebner_basis(self, budget: Budget | None = None) -> list[Polynomial]:
         """The reduced monic grevlex basis, sorted descending by leading
         monomial, tail-reduced from a copy of the cached minimal basis."""
         budget = budget or Budget()
-        return _reduce_basis(list(self._minimal(budget)), self.ring, budget)
+        ring = self.ring
+        return _polynomials(_reduce_basis(list(self._minimal(budget)),
+                                          ring.nvars, ring.p, budget), ring)
 
     def normal_form(self, f: Polynomial,
                     budget: Budget | None = None) -> Polynomial:
@@ -407,28 +447,13 @@ class Ideal:
 
     def intersection(self, other: Ideal,
                      budget: Budget | None = None) -> Ideal:
-        """Intersection via a single auxiliary variable and elimination.
-
-        Keeps the members of a minimal basis of (t*I + (1-t)*J) in
-        F_p[t, x...] whose leading monomial is free of t. Under elimination
-        such a member, and every reducer of its terms, is free of t; so
-        tail-reducing them among themselves gives the t-free members of the
-        reduced basis, and their packed exponents unpack without t.
-        """
+        """Intersection by the elimination of one auxiliary variable (see
+        _meet), as its reduced grevlex basis."""
         self._check_ring(other)
-        if self.is_zero() or other.is_zero():
-            return Ideal(self.ring, [])
         ring = self.ring
-        aux = _fresh_variable_name(ring.variables)
-        big = PolyRing(ring.field, (aux,) + ring.variables)
-        t = big.variable(aux)
-        one_minus_t = big.one() - t
-        gens = [t * _lift(f, big) for f in self.generators]
-        gens += [one_minus_t * _lift(g, big) for g in other.generators]
-        budget = budget or Budget()
-        basis = _minimal_basis(gens, MonomialOrder(ELIMINATION, 1), budget)
-        kept = [g for g in basis if kernel.unpack(g[0][1], big.nvars)[0] == 0]
-        return Ideal(ring, _reduce_basis(kept, ring, budget))
+        meet = _meet(self._terms(), other._terms(), ring.nvars, ring.p,
+                     budget or Budget())
+        return Ideal(ring, _polynomials(meet, ring))
 
     def colon(self, other: Ideal, budget: Budget | None = None) -> Ideal:
         """Ideal quotient (self : other).
@@ -437,7 +462,9 @@ class Ideal:
         (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, 4.4).
         For several, (A : (g_1..g_k)) is the intersection of the (A : g_i),
         and the route depends on whether every generator of self and of
-        other is homogeneous.
+        other is homogeneous. Both routes keep every ideal they pass
+        through as grevlex term lists, and build Polynomials only for the
+        result.
 
         Homogeneous: successive restriction. M_1 = (A : g_1), and
         M_i = (A intersect g_i*M_(i-1)) / g_i. Since S is a domain, c lies
@@ -464,32 +491,28 @@ class Ideal:
         divisor orders.
         """
         self._check_ring(other)
+        ring = self.ring
         if other.is_zero():
-            return Ideal(self.ring, [self.ring.one()])
+            return Ideal(ring, [ring.one()])
         budget = budget or Budget()
-        if all(map(_is_homogeneous, self.generators + other.generators)):
-            order = self.ring.default_order()
-            result = Ideal(self.ring, [self.ring.one()])  # M_0
-            for g in sorted(other.generators, reverse=True,
-                            key=lambda g: kernel.to_terms(g, order)):
-                result = self._meet_divided(
-                    [g * h for h in result.generators], g, budget)
-            return result
-        parts = sorted((self._meet_divided([g], g, budget)
-                        for g in other.generators),
-                       key=lambda part: len(part.generators))
-        result = parts[0]
-        for part in parts[1:]:
-            result = result.intersection(part, budget)
-        return result
+        n, p = ring.nvars, ring.p
+        base = self._terms()
 
-    def _meet_divided(self, multiples: list[Polynomial], g: Polynomial,
-                      budget: Budget) -> Ideal:
-        """(self intersect (multiples)) / g, where g divides every multiple:
-        the quotients of the meet's reduced basis."""
-        meet = self.intersection(Ideal(self.ring, multiples), budget)
-        return Ideal(self.ring,
-                     [div_exact(f, g, budget) for f in meet.generators])
+        def divided(multiples, g):
+            return [_divide(f, g, n, p, budget)
+                    for f in _meet(base, multiples, n, p, budget)]
+
+        if all(map(_is_homogeneous, self.generators + other.generators)):
+            result = [[(0, 0, 1)]]  # M_0 = (1)
+            for g in sorted(other._terms(), reverse=True):
+                result = divided([kernel.multiply(g, h, p) for h in result],
+                                 g)
+        else:
+            parts = sorted((divided([g], g) for g in other._terms()), key=len)
+            result = parts[0]
+            for part in parts[1:]:
+                result = _meet(result, part, n, p, budget)
+        return Ideal(ring, _polynomials(result, ring))
 
     def _check_ring(self, other: Ideal) -> None:
         if self.ring != other.ring:
@@ -597,20 +620,6 @@ def _slice_count(gens: list[Exps], n: int, budget: Budget) -> int:
 
 def _is_homogeneous(f: Polynomial) -> bool:
     return len({sum(e) for e in f.terms}) == 1
-
-
-def _fresh_variable_name(names: tuple[str, ...]) -> str:
-    base = "t"
-    if base not in names:
-        return base
-    i = 0
-    while f"{base}{i}" in names:
-        i += 1
-    return f"{base}{i}"
-
-
-def _lift(f: Polynomial, big: PolyRing) -> Polynomial:
-    return Polynomial(big, {(0,) + e: c for e, c in f.terms.items()})
 
 
 def maximal_ideal(ring: PolyRing) -> Ideal:

@@ -23,28 +23,31 @@ stays below 2^63 (see Capacity), slots never carry or borrow, so:
 * the total degree of a packed exponent vector m is m % (2^64 - 1), since
   2^64 = 1 modulo 2^64 - 1 and the degree is below 2^64 - 1.
 
-Every MonomialOrder.key is additive, key(a + b) = key(a) + key(b)
-componentwise, and its entries are nonnegative linear forms in the
-exponents. So the kernel shifts a term by a monomial by adding the packed
-key and packed exponents of the monomial to the term's, and the shift
-between a term and a leading monomial dividing it is the difference of
-their packed ints, which borrows nowhere because every entry of
-key(b) - key(a) = key(b - a) is nonnegative. In this module only to_terms
-calls the key function.
+Two key layouts are used, both built on poly.grevlex_key: the grevlex key
+of S = F_p[x_1..x_n], and the key (a, *grevlex_key(e)) of t^a x^e by which
+the engine's intersection eliminates t. t takes one more top slot of key
+and exponents, so multiplying by t adds T = 1 << (64 n) to both, and a
+term free of t has its ints in S. Both keys are additive,
+key(a + b) = key(a) + key(b) componentwise, with entries nonnegative
+linear forms in the exponents. So the kernel shifts a term by a monomial
+by adding the packed key and packed exponents of the monomial to the
+term's, and the shift between a term and a leading monomial dividing it
+is the difference of their packed ints, which borrows nowhere because
+every entry of key(b) - key(a) = key(b - a) is nonnegative. In this module
+only to_terms calls the key function.
 
-Capacity. Every key entry of a term is a sum of some of its exponents (a
-partial sum for grevlex and elimination, one exponent for lex), so no slot
-of a term exceeds the term's total degree. Parsed, multiplied and
+Capacity. Every key entry of a term is a partial sum of its exponents, so
+no slot of a term exceeds the term's total degree. Parsed, multiplied and
 Frobenius-powered polynomials keep exponents and total degrees at most
 poly.MAX_EXPONENT = 2^40 (poly._check_exponent,
-Polynomial._check_capacity), but a reduction can raise degrees (under lex,
-x^a reduced by x - y^b gives y^(ab)). So the kernel enforces its own
-ceiling DEGREE_CAP = 2^60: to_terms refuses a polynomial above it, and
-reduce_full refuses a head term above it, which also bounds its result and
-so every basis member. A term built in reduce_full is a head shifted down
-to a reducer term, both at most 2^60; an s-polynomial term is an lcm of
-degree at most 2^61 times a tail term. Every degree stays below 2^62, and
-every slot below the guard bit.
+Polynomial._check_capacity, multiply), but a reduction can raise degrees
+(eliminating t, t^a reduced by t - y^b gives y^(ab)). So the kernel
+enforces its own ceiling DEGREE_CAP = 2^60: to_terms refuses a polynomial
+above it, and reduce_full refuses a head term above it, which also bounds
+its result and so every basis member. A term built in reduce_full is a
+head shifted down to a reducer term, both at most 2^60; an s-polynomial
+term is an lcm of degree at most 2^61 times a tail term. Every degree
+stays below 2^62, and every slot below the guard bit.
 """
 
 from __future__ import annotations
@@ -52,10 +55,11 @@ from __future__ import annotations
 import struct
 from functools import cache
 from heapq import heappop, heappush
+from heapq import merge as heapq_merge
 from itertools import islice
 
 from .errors import CapacityError
-from .poly import MonomialOrder, Polynomial
+from .poly import MAX_EXPONENT, Polynomial, grevlex_key
 
 SLOT_BITS = 64
 DEGREE_CAP = 2**60
@@ -212,13 +216,51 @@ def make_monic(terms, p):
     return [(k, e, c * inv % p) for k, e, c in terms]
 
 
-def to_terms(poly: Polynomial, order: MonomialOrder) -> list:
-    """Flatten a polynomial into the kernel term representation."""
+def degree(terms) -> int:
+    """Total degree of a nonempty term list."""
+    return max(e % _DEGREE_MOD for _, e, _ in terms)
+
+
+def multiply(f, g, p):
+    """Product of two descending term lists of one layout: the copies of the
+    longer shifted by each term of the shorter, merged lazily. Raises
+    CapacityError where Polynomial.__mul__ does: the product's degree is
+    deg f + deg g, as the ring is a domain, and bounds every exponent."""
+    if not f or not g:
+        return []
+    total = degree(f) + degree(g)
+    if total > MAX_EXPONENT:
+        raise CapacityError(f"total degree {total} exceeds the 2^40 capacity")
+    if len(f) > len(g):
+        f, g = g, f
+    out = []
+    key = exps = None
+    coeff = 0
+    for k, e, c in heapq_merge(*(_times(g, *term) for term in f),
+                               reverse=True):
+        if k == key:
+            coeff += c
+            continue
+        if coeff % p:
+            out.append((key, exps, coeff % p))
+        key, exps, coeff = k, e, c
+    if coeff % p:
+        out.append((key, exps, coeff % p))
+    return out
+
+
+def _times(terms, key, exps, coeff):
+    """The terms shifted by one term, coefficients not reduced mod p."""
+    for k, e, c in terms:
+        yield k + key, e + exps, c * coeff
+
+
+def to_terms(poly: Polynomial) -> list:
+    """Flatten a polynomial into a grevlex kernel term list."""
     if poly.total_degree() > DEGREE_CAP:
         raise CapacityError(
             f"degree {poly.total_degree()} exceeds the kernel's 2^60 capacity")
-    key = order.key
-    return [(pack(key(e)), pack(e), c) for e, c in poly.ordered_terms(order)]
+    return [(pack(grevlex_key(e)), pack(e), c) for e, c in poly.ordered_terms()]
 
 
 def from_terms(terms: list, ring) -> Polynomial:

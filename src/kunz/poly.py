@@ -1,21 +1,12 @@
-"""Sparse multivariate polynomials over F_p with monomial orders and a parser.
+"""Sparse multivariate polynomials over F_p in grevlex order, and a parser.
 
 A Polynomial is an immutable sparse map from exponent vectors to nonzero
 coefficients in [1, p). Ordered term lists are sorted on request; the
 Groebner engine reduces in the packed form of kernel.py, not here.
 
-Monomial orders are realized as key functions mapping an exponent vector to
-an integer tuple compared lexicographically. MonomialOrder.key is the only
-place these layouts are written; the reduction kernel and ordered_terms
-both call it:
-
-* grevlex: (total degree, e_1+...+e_{n-1}, ..., e_1). Comparing these
-  tuples reproduces "higher total degree wins, ties broken by the last
-  nonzero entry of a-b being negative for a > b".
-* lex: the exponent vector itself.
-* elimination(k): grevlex key of the first k variables followed by the
-  grevlex key of the rest, making every monomial containing one of the
-  first k variables larger than every monomial in the others.
+The one monomial order is grevlex. grevlex_key is the only place its key
+layout is written; the reduction kernel, the engine's elimination of one
+variable and ordered_terms all call it.
 
 Expression grammar (EBNF), also shown in the README:
 
@@ -31,7 +22,7 @@ Expression grammar (EBNF), also shown in the README:
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import CapacityError, ParseError, PreconditionError
 from .field import FieldConfig
@@ -51,12 +42,13 @@ def _check_exponent(e: int) -> int:
     return e
 
 
-GREVLEX = "grevlex"
-LEX = "lex"
-ELIMINATION = "elimination"
-
-
-def _grevlex_key(exps: Exps) -> tuple[int, ...]:
+def grevlex_key(exps: Exps) -> tuple[int, ...]:
+    """(total degree, e_1+...+e_{n-1}, ..., e_1): comparing these tuples
+    reproduces grevlex, "higher total degree wins, ties broken by the last
+    nonzero entry of a-b being negative for a > b". The key is additive,
+    grevlex_key(a + b) = grevlex_key(a) + grevlex_key(b) componentwise, and
+    the reduction kernel relies on it to shift keys instead of recomputing
+    them."""
     total = 0
     prefix = []
     for e in exps:
@@ -66,49 +58,6 @@ def _grevlex_key(exps: Exps) -> tuple[int, ...]:
         prefix.pop()
     prefix.reverse()
     return (total, *prefix)
-
-
-def _elimination_key(block: int) -> Callable[[Exps], tuple[int, ...]]:
-    def key(exps: Exps) -> tuple[int, ...]:
-        return _grevlex_key(exps[:block]) + _grevlex_key(exps[block:])
-    return key
-
-
-class _MonomialOrder(NamedTuple):
-    kind: str
-    block: int | None = None
-
-
-class MonomialOrder(_MonomialOrder):
-    """A multiplicative well-order on monomials of a fixed variable count.
-
-    ``key`` is the order's key function: a > b in the order exactly when
-    key(a) > key(b) as tuples. Every key is additive, key(a + b) = key(a) +
-    key(b) componentwise (grevlex and lex are linear maps, elimination
-    concatenates two), and the reduction kernel relies on it to shift keys
-    instead of recomputing them.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> MonomialOrder:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in (GREVLEX, LEX, ELIMINATION):
-            raise PreconditionError(f"unknown monomial order kind {self.kind!r}")
-        if self.kind == ELIMINATION:
-            if self.block is None or self.block < 1:
-                raise PreconditionError("elimination order needs a block size >= 1")
-        elif self.block is not None:
-            raise PreconditionError(f"{self.kind} takes no block size")
-        return self
-
-    @property
-    def key(self) -> Callable[[Exps], tuple[int, ...]]:
-        if self.kind == GREVLEX:
-            return _grevlex_key
-        if self.kind == LEX:
-            return tuple  # exponent vectors are tuples, so this is the identity
-        return _elimination_key(self.block)
 
 
 class _PolyRing(NamedTuple):
@@ -173,9 +122,6 @@ class PolyRing(_PolyRing):
     def parse(self, text: str) -> Polynomial:
         return parse_polynomial(text, self)
 
-    def default_order(self) -> MonomialOrder:
-        return MonomialOrder(GREVLEX)
-
 
 class Polynomial:
     """Immutable sparse polynomial. Do not mutate ``terms`` after creation."""
@@ -217,10 +163,9 @@ class Polynomial:
             return -1
         return min(sum(e) for e in self.terms)
 
-    def ordered_terms(self, order: MonomialOrder) -> list[tuple[Exps, int]]:
-        """Terms in descending order."""
-        key = order.key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]),
+    def ordered_terms(self) -> list[tuple[Exps, int]]:
+        """Terms in descending grevlex order."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
                       reverse=True)
 
     def coefficient(self, exps: Exps) -> int:
@@ -385,7 +330,7 @@ def format_polynomial(f: Polynomial) -> str:
         return "0"
     parts = []
     names = f.ring.variables
-    for exps, c in f.ordered_terms(f.ring.default_order()):
+    for exps, c in f.ordered_terms():
         factors = [f"{names[i]}^{e}" if e > 1 else names[i]
                    for i, e in enumerate(exps) if e]
         if not factors:

@@ -248,14 +248,6 @@ def grevlex_greater(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return False
 
 
-def lex_greater(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """a > b in lex: the first nonzero entry of a - b is positive."""
-    for x, y in zip(a, b):
-        if x != y:
-            return x > y
-    return False
-
-
 def elimination_greater(a: tuple[int, ...], b: tuple[int, ...], k: int) -> bool:
     """a > b in the elimination order for the first k variables: grevlex on
     the first block, ties broken by grevlex on the rest."""
@@ -324,10 +316,24 @@ def pairwise_update(basis, pairs, h, seq):
 # step: the same normal forms, degrees, pairs and bases.
 
 
-def tuple_terms(poly, order):
-    """A Polynomial as a descending tuple term list under order."""
-    key = order.key
-    return [(key(e), e, c) for e, c in poly.ordered_terms(order)]
+def grevlex_key(exps):
+    """A tuple key of grevlex: the total degree, then the degrees of ever
+    shorter prefixes exps[:n-1], ..., exps[:1]. Comparing keys as tuples
+    orders monomials as grevlex_greater does, and keys add as the
+    exponents do."""
+    return tuple(sum(exps[:k]) for k in range(len(exps), 0, -1))
+
+
+def elimination_key(exps):
+    """A tuple key of the elimination order for the first variable, as
+    elimination_greater with k = 1 orders monomials."""
+    return grevlex_key(exps[:1]) + grevlex_key(exps[1:])
+
+
+def tuple_terms(poly, key):
+    """A Polynomial as a tuple term list, descending by the order key."""
+    return sorted(((key(e), e, c) for e, c in poly.terms.items()),
+                  reverse=True)
 
 
 def merge(a, b, p):
@@ -416,7 +422,7 @@ def divide_exact(f, g, p):
     return quotient
 
 
-def buchberger(generators, order, p, max_pairs=None, max_degree=None):
+def buchberger(generators, key, p, max_pairs=None, max_degree=None):
     """Reduced Groebner basis by the tuple kernel and pairwise_update.
 
     Runs the engine's algorithm: each generator is reduced by the basis so
@@ -436,7 +442,6 @@ def buchberger(generators, order, p, max_pairs=None, max_degree=None):
     def over(degree):
         return max_degree is not None and degree > max_degree
 
-    key = order.key
     # id of each member term list -> (the list, kept alive; its sugar)
     sugars = {}
 
@@ -446,7 +451,7 @@ def buchberger(generators, order, p, max_pairs=None, max_degree=None):
 
     basis, pairs, seq = [], [], 0
     processed = 0
-    todo = [(f.total_degree(), make_monic(tuple_terms(f, order), p))
+    todo = [(f.total_degree(), make_monic(tuple_terms(f, key), p))
             for f in generators if f]
     seen = 0
     while True:
@@ -497,7 +502,7 @@ def elimination_intersection(first, second, ring, max_pairs=None,
     Returns (generators, pairs processed, max degree seen), with None for
     the generators where a ceiling stopped buchberger.
     """
-    from kunz.poly import ELIMINATION, MonomialOrder, PolyRing, Polynomial
+    from kunz.poly import PolyRing, Polynomial
 
     big = PolyRing(ring.field, ("t",) + ring.variables)
     t = big.variable("t")
@@ -507,8 +512,8 @@ def elimination_intersection(first, second, ring, max_pairs=None,
 
     gens = [t * lift(f) for f in first]
     gens += [(big.one() - t) * lift(g) for g in second]
-    basis, processed, seen = buchberger(gens, MonomialOrder(ELIMINATION, 1),
-                                        ring.p, max_pairs, max_degree)
+    basis, processed, seen = buchberger(gens, elimination_key, ring.p,
+                                        max_pairs, max_degree)
     if basis is None:
         return None, processed, seen
     kept = [Polynomial(ring, {e[1:]: c for _, e, c in g}) for g in basis
@@ -529,17 +534,16 @@ def colon_by_meets(generators, divisors, ring, max_pairs=None,
     max_pairs and max_degree bound the whole computation, as one Budget
     does across the engine's calls; returns None where a ceiling stops it.
     """
-    from kunz.poly import GREVLEX, MonomialOrder, Polynomial
+    from kunz.poly import Polynomial
 
-    grevlex = MonomialOrder(GREVLEX)
     used = 0
 
     def left():
         return None if max_pairs is None else max_pairs - used
 
     def quotient(f, g):
-        terms = divide_exact(tuple_terms(f, grevlex), tuple_terms(g, grevlex),
-                             ring.p)
+        terms = divide_exact(tuple_terms(f, grevlex_key),
+                             tuple_terms(g, grevlex_key), ring.p)
         return Polynomial(ring, {e: c for _, e, c in terms})
 
     parts = []

@@ -350,6 +350,10 @@ USAGE_ERRORS = {
     "json_is_a_directory": ["hk", "--input", "{job}", "--json", "{dir}"],
     "csv_is_a_directory": ["hk", "--input", "{job}", "--json", "{out}",
                            "--csv", "{dir}"],
+    "json_directory_is_missing": ["hk", "--input", "{job}",
+                                  "--json", "{missing}"],
+    "csv_directory_is_missing": ["hk", "--input", "{job}",
+                                 "--csv", "{missing}"],
 }
 
 
@@ -363,7 +367,8 @@ def test_usage_errors_exit_2_before_the_job_runs(cli, tmp_path, monkeypatch,
     job = write(tmp_path, "cone.job", CONE)
     (tmp_path / "dir").mkdir()
     places = {"job": job, "dir": str(tmp_path / "dir"),
-              "out": str(tmp_path / "out.json")}
+              "out": str(tmp_path / "out.json"),
+              "missing": str(tmp_path / "missing" / "out")}
     result = cli([arg.format(**places) for arg in USAGE_ERRORS[case]])
     assert result.exit_code == 2
     assert result.stdout == ""
@@ -487,7 +492,7 @@ RECORDS = {
 
 VALUE_TYPES = {
     "field": ("FieldConfig",),
-    "poly": ("MonomialOrder", "PolyRing"),
+    "poly": ("PolyRing",),
     "curves": ("Branch", "BranchCurve"),
     "hk": ("RationalInterval",),
     "scan": ("Subvariety",),

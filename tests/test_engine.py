@@ -13,7 +13,7 @@ from kunz.engine import monomial_colength as engine_monomial_colength
 from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
 from kunz.kernel import pack, unpack
-from kunz.poly import GREVLEX, MonomialOrder, PolyRing
+from kunz.poly import PolyRing, grevlex_key
 import oracles
 from oracles import (box_bounds, bracket, monomial_colength,
                      pairwise_update, peeling_colength)
@@ -52,7 +52,7 @@ def test_groebner_basis_contains_its_generators(data):
     for g in ideal.generators:
         assert ideal.normal_form(g).is_zero()
     for b in basis:
-        assert b.ordered_terms(ring.default_order())[0][1] == 1  # monic
+        assert b.ordered_terms()[0][1] == 1  # monic
 
 
 @given(random_ideal())
@@ -230,15 +230,14 @@ def test_ideal_queries_match_the_reduced_basis(data):
     ring, first, second, f = data
     ideal = Ideal(ring, first)
     try:
-        basis = groebner(first, None, ceiling())
+        basis = groebner(first, ceiling())
     except BudgetExceededError:
         with pytest.raises(BudgetExceededError):
             ideal.leading_term_ideal(ceiling())
     else:
-        grevlex = ring.default_order()
         # a minimal basis has the reduced basis's leads, each once
         assert sorted(ideal.leading_term_ideal(ceiling())) == sorted(
-            g.ordered_terms(grevlex)[0][0] for g in basis)
+            g.ordered_terms()[0][0] for g in basis)
         assert ideal.normal_form(f) == normal_form(f, basis)
 
     expected, pairs, seen = oracles.elimination_intersection(
@@ -361,10 +360,8 @@ def test_homogeneous_colon_matches_the_meets_of_single_divisor_colons(data):
     if expected is None:
         reject()
     assert colon.groebner_basis() == expected
-    grevlex = ring.default_order()
-
     def leads(polys):
-        return sorted(f.ordered_terms(grevlex)[0][0] for f in polys)
+        return sorted(f.ordered_terms()[0][0] for f in polys)
 
     assert leads(colon.generators) == leads(expected)
 
@@ -372,14 +369,13 @@ def test_homogeneous_colon_matches_the_meets_of_single_divisor_colons(data):
 def test_lengths_and_membership_skip_tail_reduction(monkeypatch):
     ring = ring_of(5, "xyz")
     gens = [ring.parse(text) for text in ("x*y - z^2", "x^5", "y^5", "z^5")]
-    leads = [g.ordered_terms(ring.default_order())[0][0]
-             for g in groebner(gens)]
+    leads = [g.ordered_terms()[0][0] for g in groebner(gens)]
     calls = []
     reduce_basis = engine._reduce_basis
 
-    def counting(basis, ring, budget):
+    def counting(basis, *rest):
         calls.append(len(basis))
-        return reduce_basis(basis, ring, budget)
+        return reduce_basis(basis, *rest)
 
     monkeypatch.setattr(engine, "_reduce_basis", counting)
     assert Ideal(ring, gens).colength() == peeling_colength(leads)
@@ -495,7 +491,7 @@ def test_div_exact_inverts_multiplication(data):
     assert div_exact(f * g, g) == f
     # r keeps the terms of noise that lm(g) does not divide, so lm(r) is
     # not a multiple of lm(g), g cannot divide r, and so not f*g + r
-    lm_g = g.ordered_terms(ring.default_order())[0][0]
+    lm_g = g.ordered_terms()[0][0]
     r = ring.zero()
     for exps, c in noise:
         if not all(a <= b for a, b in zip(lm_g, exps)):
@@ -522,7 +518,7 @@ def leading_monomial_sequence(draw):
 @given(leading_monomial_sequence())
 @settings(max_examples=150)
 def test_update_matches_the_pairwise_filter(sequence):
-    key = MonomialOrder(GREVLEX).key
+    key = grevlex_key
     basis, pairs, seq = [], [], [0]
     old_basis, old_pairs, old_seq = [], [], 0
     # each packed term list h fed to _update has a tuple twin fed to the
@@ -551,3 +547,36 @@ def test_degree_budget_is_enforced():
     ideal = maximal_ideal(ring).bracket_power(5)
     with pytest.raises(BudgetExceededError):
         ideal.colength(budget=Budget(max_degree=2))
+
+
+# (A, B, operation, generators of A operation B, pairs charged) over
+# F_3[x, y]: I is homogeneous and N is not, so the colons take both routes.
+# A zero ideal on either side, the colon by zero and the colon of the unit
+# ideal charge no pair; (I : (1)) and (N : (x)) run their eliminations.
+ZERO_AND_UNIT_CASES = [
+    ("0", "I", "colon", [], 0),
+    ("0", "N", "colon", [], 0),
+    ("I", "0", "colon", ["1"], 0),
+    ("I", "0", "intersection", [], 0),
+    ("0", "I", "intersection", [], 0),
+    ("I", "1", "colon", ["x^2", "x*y"], 3),
+    ("N", "x", "colon", ["1"], 5),
+    ("1", "I", "colon", ["1"], 0),
+]
+
+
+@pytest.mark.parametrize("a, b, operation, generators, pairs",
+                         ZERO_AND_UNIT_CASES)
+def test_zero_and_unit_cases_of_meets_and_colons(a, b, operation, generators,
+                                                 pairs):
+    ring = ring_of(3)
+    texts = {"0": [], "1": ["1"], "x": ["x"], "I": ["x*y", "x^2"],
+             "N": ["x*y + x", "y^2"]}
+
+    def ideal(name):
+        return Ideal(ring, parsed(ring, *texts[name]))
+
+    budget = Budget()
+    result = getattr(ideal(a), operation)(ideal(b), budget)
+    assert result.generators == tuple(parsed(ring, *generators))
+    assert budget.pairs == pairs

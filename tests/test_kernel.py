@@ -1,17 +1,19 @@
 """The packed reduction kernel against the tuple kernel in oracles.py, and
 the slot capacity at its edge."""
 
+from functools import cmp_to_key
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from kunz import kernel
-from kunz.engine import Budget, div_exact, groebner, normal_form
+from kunz.engine import (Budget, _eliminating_key, div_exact, groebner,
+                         normal_form)
 from kunz.errors import (BudgetExceededError, CapacityError,
                          PreconditionError)
 from kunz.field import FieldConfig
-from kunz.poly import (ELIMINATION, GREVLEX, LEX, MAX_EXPONENT, MonomialOrder,
-                       PolyRing, Polynomial)
+from kunz.poly import MAX_EXPONENT, PolyRing, Polynomial, grevlex_key
 import oracles
 
 
@@ -28,9 +30,6 @@ def small_ideals(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
     nvars = draw(st.integers(1, 4))
     ring = PolyRing(FieldConfig(p), tuple("xyzw"[:nvars]))
-    kind = draw(st.sampled_from([GREVLEX, LEX, ELIMINATION]))
-    order = (MonomialOrder(kind, draw(st.integers(1, nvars)))
-             if kind == ELIMINATION else MonomialOrder(kind))
 
     def poly():
         terms = draw(st.dictionaries(
@@ -40,13 +39,11 @@ def small_ideals(draw):
                    ring.zero())
 
     gens = [poly() for _ in range(draw(st.integers(1, 3)))]
-    return ring, order, gens, [poly() for _ in range(2)]
+    return ring, gens, [poly() for _ in range(2)]
 
 
-# Lex and elimination bases of three small generators in four variables can
-# take minutes (degree 552 after 800 pairs over F_2), so both kernels run
-# under one pair and degree ceiling and must stop at the same point when
-# they reach it. About 1 in 100 drawn ideals reaches it.
+# Both kernels run under one pair and degree ceiling, which bounds the
+# test's time, and must stop at the same point when they reach it.
 MAX_PAIRS = 100
 MAX_DEGREE = 40
 
@@ -54,39 +51,35 @@ MAX_DEGREE = 40
 @given(small_ideals())
 @settings(max_examples=150)
 def test_packed_kernel_matches_the_tuple_kernel(data):
-    ring, order, gens, others = data
+    ring, gens, others = data
     p = ring.p
+    key = oracles.grevlex_key
     budget = Budget(max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE)
-    expected, pairs, seen = oracles.buchberger(gens, order, p, MAX_PAIRS,
+    expected, pairs, seen = oracles.buchberger(gens, key, p, MAX_PAIRS,
                                                MAX_DEGREE)
     if expected is None:
         with pytest.raises(BudgetExceededError):
-            groebner(gens, order, budget)
+            groebner(gens, budget)
         basis = gens
     else:
-        basis = groebner(gens, order, budget)
+        basis = groebner(gens, budget)
         assert basis == [as_polynomial(g, ring) for g in expected]
     assert budget.pairs == pairs
     assert budget.max_degree_seen == seen
 
     # normal forms by the basis (by the generators where a ceiling
-    # stopped it), under its order and under grevlex, where the basis
-    # members need scaling to be monic again
-    grevlex = ring.default_order()
+    # stopped it, whose members need scaling to be monic)
     guard = kernel.guard_mask(ring.nvars)
     for f in others:
-        for o in (order, grevlex):
-            reducers = [kernel.make_monic(kernel.to_terms(g, o), p)
-                        for g in basis]
-            nf, degree = kernel.reduce_full(kernel.to_terms(f, o), reducers,
-                                            guard, p, no_deadline)
-            old_nf, old_degree = oracles.reduce_full(
-                oracles.tuple_terms(f, o),
-                [oracles.make_monic(oracles.tuple_terms(g, o), p)
-                 for g in basis], p)
-            assert kernel.from_terms(nf, ring) == as_polynomial(old_nf, ring)
-            assert degree == old_degree
-        # old_nf and old_degree are the grevlex ones, as normal_form uses
+        reducers = [kernel.make_monic(kernel.to_terms(g), p) for g in basis]
+        nf, degree = kernel.reduce_full(kernel.to_terms(f), reducers, guard,
+                                        p, no_deadline)
+        old_nf, old_degree = oracles.reduce_full(
+            oracles.tuple_terms(f, key),
+            [oracles.make_monic(oracles.tuple_terms(g, key), p)
+             for g in basis], p)
+        assert kernel.from_terms(nf, ring) == as_polynomial(old_nf, ring)
+        assert degree == old_degree
         nf_budget = Budget()
         assert normal_form(f, basis, nf_budget) == as_polynomial(old_nf, ring)
         assert nf_budget.max_degree_seen == old_degree
@@ -94,8 +87,8 @@ def test_packed_kernel_matches_the_tuple_kernel(data):
     # exact quotients, and the same refusal of a remainder
     f, g = others
     for dividend in (f * g, f * g + f):
-        old = oracles.divide_exact(oracles.tuple_terms(dividend, grevlex),
-                                   oracles.tuple_terms(g, grevlex), p)
+        old = oracles.divide_exact(oracles.tuple_terms(dividend, key),
+                                   oracles.tuple_terms(g, key), p)
         if old is None:
             with pytest.raises(PreconditionError):
                 div_exact(dividend, g)
@@ -126,14 +119,13 @@ def long_reductions(draw):
 def test_heap_work_list_matches_the_tuple_kernel(data):
     ring, f, basis = data
     p = ring.p
-    grevlex = ring.default_order()
-    reducers = [kernel.make_monic(kernel.to_terms(g, grevlex), p)
-                for g in basis]
-    nf, degree = kernel.reduce_full(kernel.to_terms(f, grevlex), reducers,
+    key = oracles.grevlex_key
+    reducers = [kernel.make_monic(kernel.to_terms(g), p) for g in basis]
+    nf, degree = kernel.reduce_full(kernel.to_terms(f), reducers,
                                     kernel.guard_mask(3), p, no_deadline)
     old_nf, old_degree = oracles.reduce_full(
-        oracles.tuple_terms(f, grevlex),
-        [oracles.make_monic(oracles.tuple_terms(g, grevlex), p)
+        oracles.tuple_terms(f, key),
+        [oracles.make_monic(oracles.tuple_terms(g, key), p)
          for g in basis], p)
     assert nf == [(kernel.pack(k), kernel.pack(e), c) for k, e, c in old_nf]
     assert degree == old_degree
@@ -141,12 +133,11 @@ def test_heap_work_list_matches_the_tuple_kernel(data):
 
 def test_reduction_polls_the_deadline_every_64_steps():
     ring = PolyRing(FieldConfig(5), ("x", "y"))
-    order = ring.default_order()
     polls = []
     # x^200 -> x^199*y -> ... -> y^200 takes 200 head reductions
     nf, degree = kernel.reduce_full(
-        kernel.to_terms(ring.parse("x^200"), order),
-        [kernel.to_terms(ring.parse("x - y"), order)], kernel.guard_mask(2),
+        kernel.to_terms(ring.parse("x^200")),
+        [kernel.to_terms(ring.parse("x - y"))], kernel.guard_mask(2),
         5, lambda: polls.append(None))
     assert kernel.from_terms(nf, ring) == ring.parse("y^200")
     assert degree == 200
@@ -157,17 +148,16 @@ EDGE = MAX_EXPONENT
 near_edge = st.one_of(st.integers(0, 3), st.integers(EDGE - 3, EDGE))
 
 
-@given(st.integers(1, 5), st.lists(near_edge, min_size=5, max_size=5))
-def test_vectors_at_the_exponent_cap_round_trip(block, vector):
-    order = MonomialOrder(ELIMINATION, block)
+@given(st.lists(near_edge, min_size=5, max_size=5))
+def test_vectors_at_the_exponent_cap_round_trip(vector):
     exps = tuple(vector)
     assert kernel.unpack(kernel.pack(exps), 5) == exps
-    key = order.key(exps)  # block 5 appends the empty block's key (0,)
-    assert kernel.unpack(kernel.pack(key), len(key)) == key
+    key = grevlex_key(exps)
+    assert kernel.unpack(kernel.pack(key), 5) == key
     assert kernel.pack(exps) % (2**64 - 1) == sum(exps)
     ring = PolyRing(FieldConfig(7), tuple("abcde"))
     f = ring.monomial(exps, 3) + ring.monomial((EDGE,) * 5, 2)
-    assert kernel.from_terms(kernel.to_terms(f, order), ring) == f
+    assert kernel.from_terms(kernel.to_terms(f), ring) == f
 
 
 @given(st.lists(st.tuples(near_edge, near_edge), min_size=1, max_size=5))
@@ -190,15 +180,86 @@ def test_normal_form_at_the_exponent_cap_is_exact():
                      budget) == ring.monomial((0, 2))
 
 
+def eliminating_terms(terms):
+    """A term list in (t, y), {exps: coeff}, under the elimination of t that
+    Ideal.intersection runs: there the key of t^a y^b is (a, b)."""
+    return sorted(((kernel.pack(_eliminating_key(e)), kernel.pack(e), c)
+                   for e, c in terms.items()), reverse=True)
+
+
 def test_degrees_past_the_kernel_cap_are_refused():
     ring = PolyRing(FieldConfig(5), ("x", "y"))
-    lex = MonomialOrder(LEX)
     with pytest.raises(CapacityError):
-        kernel.to_terms(ring.monomial((0, kernel.DEGREE_CAP + 1)), lex)
-    # under lex, reducing x^2 by x - y^k gives y^(2k): past the cap, though
-    # each input is below it
+        kernel.to_terms(ring.monomial((0, kernel.DEGREE_CAP + 1)))
+    # eliminating t, reducing t^2 by t - y^k gives y^(2k): past the cap,
+    # though each input is below it
     k = kernel.DEGREE_CAP // 2 + 1
-    reducer = kernel.to_terms(ring.monomial((1, 0)) - ring.monomial((0, k)), lex)
+    reducer = eliminating_terms({(1, 0): 1, (0, k): 4})
     with pytest.raises(CapacityError):
-        kernel.reduce_full(kernel.to_terms(ring.monomial((2, 0)), lex),
-                           [reducer], kernel.guard_mask(2), 5, no_deadline)
+        kernel.reduce_full(eliminating_terms({(2, 0): 1}), [reducer],
+                           kernel.guard_mask(2), 5, no_deadline)
+
+
+@st.composite
+def factors(draw):
+    """Two polynomials in up to 3 variables, each of total degree at most
+    MAX_EXPONENT; with near_cap their products may pass it."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nvars = draw(st.integers(1, 3))
+    ring = PolyRing(FieldConfig(p), tuple("xyz"[:nvars]))
+    edge = MAX_EXPONENT // nvars
+    entry = (st.sampled_from([0, 1, edge - 1, edge]) if draw(st.booleans())
+             else st.integers(0, 3))
+
+    def poly():
+        return Polynomial(ring, draw(st.dictionaries(
+            st.tuples(*[entry] * nvars), st.integers(1, p - 1),
+            min_size=1, max_size=5)))
+
+    return ring, poly(), poly()
+
+
+def outcome(compute):
+    """compute()'s value, or CapacityError where it raises one."""
+    try:
+        return compute()
+    except CapacityError:
+        return CapacityError
+
+
+@given(factors())
+@settings(max_examples=150)
+def test_term_list_products_and_lifts_match_polynomial_products(data):
+    ring, f, g = data
+    p = ring.p
+    terms_f, terms_g = kernel.to_terms(f), kernel.to_terms(g)
+    assert outcome(lambda: kernel.from_terms(
+        kernel.multiply(terms_f, terms_g, p), ring)) == outcome(lambda: f * g)
+    assert outcome(lambda: kernel.multiply(terms_f, terms_g, p)) == outcome(
+        lambda: kernel.to_terms(f * g))
+
+    # the lift of Ideal.intersection: t * f and (1 - t) * g in (t, x, ...)
+    n = ring.nvars
+    big = PolyRing(ring.field, ("t",) + ring.variables)
+    t = big.variable("t")
+
+    def lifted(h):
+        return Polynomial(big, {(0,) + e: c for e, c in h.terms.items()})
+
+    top = 1 << (kernel.SLOT_BITS * n)
+    greater = cmp_to_key(lambda a, b: oracles.elimination_greater(a, b, 1)
+                         - oracles.elimination_greater(b, a, 1))
+    for factor, h in (([(top, top, 1)], f),
+                      ([(top, top, p - 1), (0, 0, 1)], g)):
+        terms = outcome(lambda: kernel.multiply(factor, kernel.to_terms(h), p))
+        expected = outcome(lambda: kernel.from_terms(factor, big) * lifted(h))
+        if expected is CapacityError:
+            assert terms is CapacityError
+            continue
+        assert kernel.from_terms(terms, big) == expected
+        # descending in the textbook elimination order, with the packed key
+        # the elimination layout gives each term
+        exps = [kernel.unpack(e, n + 1) for _, e, _ in terms]
+        assert exps == sorted(exps, key=greater, reverse=True)
+        assert [k for k, _, _ in terms] == [
+            kernel.pack(_eliminating_key(e)) for e in exps]

@@ -1,4 +1,4 @@
-from functools import cmp_to_key, partial
+from functools import cmp_to_key
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,9 +7,8 @@ import pytest
 from kunz.errors import CapacityError, ParseError
 from kunz.field import FieldConfig
 from kunz.kernel import from_terms, pack, to_terms, unpack
-from kunz.poly import (ELIMINATION, GREVLEX, LEX, MAX_EXPONENT, MonomialOrder,
-                       PolyRing)
-from oracles import elimination_greater, grevlex_greater, lex_greater
+from kunz.poly import MAX_EXPONENT, PolyRing, grevlex_key
+from oracles import grevlex_greater
 
 primes = st.sampled_from([2, 3, 5, 7])
 
@@ -136,60 +135,49 @@ def test_total_degree():
 
 
 @st.composite
-def order_and_exponents(draw):
+def exponent_vectors(draw):
     nvars = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from([GREVLEX, LEX, ELIMINATION]))
-    if kind == ELIMINATION:
-        k = draw(st.integers(1, nvars))
-        order = MonomialOrder(kind, k)
-        greater = partial(elimination_greater, k=k)
-    else:
-        order = MonomialOrder(kind)
-        greater = grevlex_greater if kind == GREVLEX else lex_greater
-    vectors = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars),
-                            min_size=1, max_size=12, unique=True))
-    return order, greater, vectors
+    return draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars),
+                         min_size=1, max_size=12, unique=True))
 
 
-@given(order_and_exponents(), primes)
-def test_order_keys_match_the_textbook_orders(data, p):
-    order, greater, vectors = data
+@given(exponent_vectors(), primes)
+def test_order_keys_match_the_textbook_orders(vectors, p):
     by_oracle = sorted(vectors, key=cmp_to_key(
-        lambda a, b: greater(a, b) - greater(b, a)), reverse=True)
-    assert sorted(vectors, key=order.key, reverse=True) == by_oracle
+        lambda a, b: grevlex_greater(a, b) - grevlex_greater(b, a)),
+        reverse=True)
+    assert sorted(vectors, key=grevlex_key, reverse=True) == by_oracle
 
     n = len(vectors[0])
     ring = PolyRing(FieldConfig(p), tuple("xyzw"[:n]))
     f = ring.zero()
     for i, exps in enumerate(vectors):
         f = f + ring.monomial(exps, 1 + i % (p - 1))
-    terms = to_terms(f, order)
+    terms = to_terms(f)
     # the terms come in the textbook order, and their packed keys, compared
     # as ints, strictly descend along it
     assert [unpack(e, n) for _, e, _ in terms] == by_oracle
     assert all(a[0] > b[0] for a, b in zip(terms, terms[1:]))
-    assert all(k == pack(order.key(unpack(e, n))) for k, e, _ in terms)
+    assert all(k == pack(grevlex_key(unpack(e, n))) for k, e, _ in terms)
     assert from_terms(terms, ring) == f
 
 
 @st.composite
-def order_and_exponent_pair(draw):
+def exponent_pair(draw):
     nvars = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from([GREVLEX, LEX, ELIMINATION]))
-    order = (MonomialOrder(kind, draw(st.integers(1, nvars)))
-             if kind == ELIMINATION else MonomialOrder(kind))
     vector = st.tuples(*[st.integers(0, 20)] * nvars)
-    return order, draw(vector), draw(vector)
+    return draw(vector), draw(vector)
 
 
-@given(order_and_exponent_pair())
-def test_order_keys_are_additive(data):
+@given(exponent_pair())
+def test_order_keys_are_additive(pair):
     # the kernel shifts a term's key by a monomial's key instead of
     # recomputing it, which is sound only because keys are additive
-    order, a, b = data
+    a, b = pair
     total = tuple(x + y for x, y in zip(a, b))
-    assert order.key(total) == tuple(
-        x + y for x, y in zip(order.key(a), order.key(b)))
+    assert grevlex_key(total) == tuple(
+        x + y for x, y in zip(grevlex_key(a), grevlex_key(b)))
     # so packed keys and exponents add as ints
-    assert pack(order.key(total)) == pack(order.key(a)) + pack(order.key(b))
+    assert pack(grevlex_key(total)) == (pack(grevlex_key(a))
+                                        + pack(grevlex_key(b)))
     assert pack(total) == pack(a) + pack(b)

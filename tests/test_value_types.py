@@ -1,4 +1,4 @@
-"""The nine value types: immutable, compared and hashed by value, and
+"""The eight value types: immutable, compared and hashed by value, and
 validated on construction."""
 
 from fractions import Fraction
@@ -9,14 +9,13 @@ from kunz.curves import Branch, BranchCurve
 from kunz.errors import ParseError, PreconditionError
 from kunz.field import FieldConfig
 from kunz.hk import RationalInterval
-from kunz.poly import MonomialOrder, PolyRing
+from kunz.poly import PolyRing
 from kunz.scan import Subvariety
 from kunz.series import TruncatedSeries
 from kunz.textio import JobSpec
 
 VALUES = {
     "FieldConfig": lambda: FieldConfig(5),
-    "MonomialOrder": lambda: MonomialOrder("elimination", 2),
     "PolyRing": lambda: PolyRing(FieldConfig(5), ("x",)),
     "Branch": lambda: Branch((3, 2), (4,)),
     "BranchCurve": lambda: BranchCurve(
@@ -52,9 +51,6 @@ def test_construction_normalizes_and_fills_defaults():
     assert branch == Branch(semigroup_generators=(2, 3),
                             cross_valuations=(4,), conductor=2)
     assert BranchCurve(5, [Branch((2, 3))]).branches == (Branch((2, 3)),)
-    assert MonomialOrder("grevlex").block is None
-    assert MonomialOrder("lex").key((1, 2)) == (1, 2)
-    assert MonomialOrder("elimination", 1).key((1, 2)) == (1, 2)
     job = JobSpec("tame", 7)
     assert (job.seed, job.mu, job.variables, job.e_max) == (0, 1, (), None)
     assert repr(FieldConfig(7)) == "FieldConfig(p=7)"
@@ -63,11 +59,6 @@ def test_construction_normalizes_and_fills_defaults():
 @pytest.mark.parametrize("build, error, match", [
     (lambda: FieldConfig(4), PreconditionError, "4 is not prime"),
     (lambda: FieldConfig(2**31), PreconditionError, r"\[2, 2\^31\)"),
-    (lambda: MonomialOrder("deglex"), PreconditionError,
-     "unknown monomial order kind 'deglex'"),
-    (lambda: MonomialOrder("elimination"), PreconditionError,
-     "needs a block size"),
-    (lambda: MonomialOrder("lex", 1), PreconditionError, "takes no block"),
     (lambda: PolyRing(FieldConfig(5), ("x", "x")), PreconditionError,
      "duplicate variable names"),
     (lambda: PolyRing(FieldConfig(5), ()), PreconditionError,
