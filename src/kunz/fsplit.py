@@ -28,6 +28,11 @@ surprising Hilbert-Kunz functions", Math. Z. 214, 1993); see the diagonal
 module. fedder_test still takes a basis of the full colon, since its
 witness is a reduced basis element.
 
+A regular origin skips them too: where the r generators of I vanish at the
+origin with independent linear parts, F^e_* R is free of rank q^(n - r) by
+Kunz's theorem, and that rank is the splitting numerator (see
+localring.regular_count).
+
 Complete intersections skip the colon. If I = (f_1..f_c) is generated by a
 regular sequence in a regular local ring, Fedder's lemma gives
 
@@ -75,7 +80,7 @@ from .engine import Budget, Ideal
 from .errors import PreconditionError
 from .field import frobenius_exponent
 from .hk import RationalInterval, describe_presentation, tail_interval
-from .localring import LocalRingPresentation, bracket_colength
+from .localring import LocalRingPresentation, bracket_colength, regular_count
 from .poly import Polynomial
 
 
@@ -177,16 +182,23 @@ def splitting_number(presentation: LocalRingPresentation, e: int,
     """s_e = (q^n - colength(m^[q] + (I^[q] : I))) / q^d, exactly.
 
     The numerator is Han's count of Jordan blocks of size q for a diagonal
-    hypersurface, and otherwise q^n - colength(m^[q] + (J_e)) for the level
-    J_e of twist_levels.
+    hypersurface; q^(n - r) where localring.regular_count finds the r
+    generators of I regular at the origin, since F^e_* A is then free of
+    that rank by Kunz's theorem (Huneke-Leuschke: s(A) = 1 exactly when A
+    is regular); and otherwise q^n - colength(m^[q] + (J_e)) for the level
+    J_e of twist_levels. Neither of the first two builds a colon or charges
+    pairs.
     """
     if e < 1:
         raise PreconditionError(f"splitting level must be >= 1, got {e}")
     q = frobenius_exponent(presentation.p, e)
     ring = presentation.ring
-    counts = jordan_counts(presentation.ideal.generators, q, budget)
+    generators = presentation.ideal.generators
+    counts = jordan_counts(generators, q, budget)
     if counts is not None:
         colength = counts[1]
+    elif (regular := regular_count(ring, generators, q)) is not None:
+        colength = regular
     else:
         *_, level = twist_levels(presentation, e, budget)
         colength = q**ring.nvars - bracket_colength(ring, level, q, budget)

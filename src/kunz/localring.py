@@ -14,11 +14,24 @@ takes no Groebner basis: with T acting as f, S/m^[q] is a tensor product
 of the k[T]-modules k[x_i]/(x_i^q), and length(S/(m^[q] + (f))) is its
 number of Jordan blocks, a sum of Han's D(a, b, c) = dim k[x,y]/(x^a, y^b,
 (x+y)^c) (C. Han, thesis, Brandeis 1991; Han and Monsky, "Some surprising
-Hilbert-Kunz functions", Math. Z. 214, 1993). bracket_colength makes this
-choice for every colength length(S/(J + m^[q])): the samples here,
+Hilbert-Kunz functions", Math. Z. 214, 1993). bracket_colength picks the
+route for every colength length(S/(J + m^[q])): the samples here,
 hk.hypersurface_bound and the splitting numbers of fsplit all call it.
-Han's count takes each J the diagonal module accepts; every other J takes
-the engine.
+
+It tries three routes in order. Han's count takes each J the diagonal
+module accepts. Next, regular_count takes each J whose r generators vanish
+at the origin with linearly independent linear parts. Then S_m/J is regular
+of dimension n - r, and Kunz's theorem (Amer. J. Math. 91, 1969) makes its
+Frobenius flat, so
+
+    length(S/(J + m^[q])) = q^(n - r).
+
+Flatness also makes F^e_* A free of rank q^(n - r) over a regular A, as
+F_p is perfect, so the splitting count of fsplit is q^(n - r) as well;
+Huneke and Leuschke (Math. Ann. 324, 2002) show s(A) = 1 exactly when A is
+regular. This route reads the constant and linear coefficients only, and
+charges no pairs. Every other J takes the engine on J + m^[q], which stays
+the tests' oracle for the other two.
 """
 
 from __future__ import annotations
@@ -38,11 +51,15 @@ Point = tuple[int, ...]
 def bracket_colength(ring: PolyRing, generators: tuple[Polynomial, ...],
                      q: int, budget: Budget | None = None) -> int:
     """length(S/((generators) + m^[q])): Han's count of Jordan blocks when
-    the diagonal module accepts the generators, else the engine on the
-    generators followed by m^[q]."""
+    the diagonal module accepts the generators, q^(n - r) by Kunz's theorem
+    when regular_count does, else the engine on the generators followed by
+    m^[q]. Only the engine charges pairs to the budget."""
     counts = jordan_counts(generators, q, budget)
     if counts is not None:
         return counts[0]
+    regular = regular_count(ring, generators, q)
+    if regular is not None:
+        return regular
     m_bracket = maximal_ideal(ring).bracket_power(q)
     return Ideal(ring, list(generators)).sum_with(m_bracket).colength(budget)
 
@@ -150,10 +167,15 @@ class LocalRingPresentation:
         return matrix_rank_mod_p(rows, p)
 
     def smoothness_report(self, budget: Budget | None = None) -> SmoothnessReport:
-        """Jacobian-criterion check at the origin.
+        """The Jacobian rank at the origin against n - dim(S/I).
 
-        For the smooth reference points used in scans, the Jacobian rank must
-        equal the codimension.
+        dimension is that of S/I, not of the local ring A at the origin,
+        and the two differ where a component of larger dimension misses
+        the origin. The Jacobian rank is at most n - dim(A), with equality
+        exactly when A is regular, so smooth means regular only where
+        dim(A) = dim(S/I). For p = 5 and I = (x^3 - 2x^2 + x, xy) at
+        (1, 0), A is k[x]/(x^2), of dimension 0 and not regular, yet
+        dim(S/I) = 1 and the rank is 1, so smooth is true.
         """
         d = self.dimension(budget)
         codim = self.ring.nvars - d
@@ -167,6 +189,29 @@ class SmoothnessReport(NamedTuple):
     codimension: int
     jacobian_rank: int
     smooth: bool
+
+
+def regular_count(ring: PolyRing, generators: tuple[Polynomial, ...],
+                  q: int) -> int | None:
+    """q^(n - r) when the r generators vanish at the origin and their linear
+    parts are linearly independent; None otherwise, a zero generator
+    included.
+
+    Then S_m/(generators) is regular of dimension n - r, and q^(n - r) is
+    both length(S/((generators) + m^[q])) and the splitting count a_e (see
+    the module docstring). Only the constant and the n linear coefficients
+    of each generator are read, never its other terms.
+    """
+    n = ring.nvars
+    units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    rows = []
+    for g in generators:
+        if g.constant_coefficient():
+            return None
+        rows.append([g.coefficient(u) for u in units])
+    if matrix_rank_mod_p(rows, ring.p) < len(rows):
+        return None
+    return q ** (n - len(rows))
 
 
 def matrix_rank_mod_p(rows: list[list[int]], p: int) -> int:

@@ -55,6 +55,10 @@ class Subvariety(_Subvariety):
 
 
 class PointRecord(NamedTuple):
+    """Invariants at one point. dimension is that of S/I, not of the local
+    ring at the point, and smooth is LocalRingPresentation.smoothness_report's
+    verdict, which means regular only where the two dimensions agree."""
+
     point: Point
     dimension: int
     smooth: bool

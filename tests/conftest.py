@@ -30,8 +30,9 @@ def cusp5() -> LocalRingPresentation:
 
 @pytest.fixture()
 def engine_only(monkeypatch):
-    """Turn off Han's route for diagonal hypersurfaces, so every colength
-    comes from the Groebner engine."""
+    """Turn off Han's route for diagonal hypersurfaces and Kunz's route for
+    regular points, so every colength comes from the Groebner engine."""
     from kunz import fsplit, localring
     for module in (localring, fsplit):
         monkeypatch.setattr(module, "jordan_counts", lambda *args: None)
+        monkeypatch.setattr(module, "regular_count", lambda *args: None)

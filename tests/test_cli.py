@@ -453,10 +453,22 @@ GENERAL_ROUTE_HASHES = [
 ]
 
 
+# Scans whose smooth points took the engine on I + m^[q] and the twist
+# colon until Kunz's theorem gave their colengths: the hashes were computed
+# that way, in 42 s (cusp) and 27 s (cone) on a 2-vCPU host.
+REGULAR_POINT_SCAN_HASHES = [
+    ("scan", "p = 5;\nvars = x, y;\nideal = y^2 - x^3;\n", 4, 10,
+     "1db9618b9671c389b486832b237b8963d963489ec08c8002a44757646281614f"),
+    ("scan", "p = 3;\nvars = x, y, z;\nideal = x*z - y^2;\n", 4, 10,
+     "20794835afd050e232dc19616630606b1796d0a4c4fe13d09c25d9fe11a7b3f7"),
+]
+
+
 @pytest.mark.parametrize("command, text, emax, deadline, content_hash",
-                         GENERAL_ROUTE_HASHES,
+                         GENERAL_ROUTE_HASHES + REGULAR_POINT_SCAN_HASHES,
                          ids=["fsig_twisted_cubic", "hk_cubic_xyz",
-                              "fsig_twisted_cubic_emax5"])
+                              "fsig_twisted_cubic_emax5", "scan_cusp_p5",
+                              "scan_cone_xz_p3"])
 def test_general_route_jobs_keep_their_hashes(tmp_path, monkeypatch, cli,
                                               command, text, emax, deadline,
                                               content_hash):
@@ -466,7 +478,8 @@ def test_general_route_jobs_keep_their_hashes(tmp_path, monkeypatch, cli,
     the hk job 2 to 3 s; with a merged work list the hk job takes 120 s,
     and truncates here. At emax = 5, under 10 s, the fsig job takes about
     3 to 4.5 s; by the meets of single-divisor colons it took 22 to 27 s,
-    and fails here."""
+    and fails here. The scans take about 10 ms each under 10 s, and fail
+    here if a smooth point goes back to the engine."""
     monkeypatch.setattr(kunz.cli, "_budget",
                         lambda job: Budget(deadline_seconds=deadline))
     result = cli([command, "--input", write(tmp_path, "general.job", text),

@@ -1,13 +1,17 @@
 from fractions import Fraction
 
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 import pytest
 
-from kunz.engine import Ideal, maximal_ideal
-from kunz.errors import PreconditionError
+from kunz.engine import Budget, Ideal, maximal_ideal
+from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
+from kunz.fsplit import splitting_number, twist_levels
 from kunz.localring import (LocalRingPresentation, bracket_colength,
-                            matrix_rank_mod_p, translate_to_origin)
-from kunz.poly import PolyRing
+                            matrix_rank_mod_p, regular_count,
+                            translate_to_origin)
+from kunz.poly import PolyRing, Polynomial
 
 
 def test_from_texts_accepts_points_on_the_zero_set():
@@ -123,16 +127,99 @@ def test_fermat_cubic_hilbert_kunz_function_on_the_engine(p, e, engine_only):
     assert 4 * fermat_cubic_colength(p, e) == 9 * q**2 - 5
 
 
+def engine_colength(ring, generators, q, budget=None):
+    m_bracket = maximal_ideal(ring).bracket_power(q)
+    return Ideal(ring, list(generators)).sum_with(m_bracket).colength(budget)
+
+
 @pytest.mark.parametrize("p, gens, q", [
     (5, ["x*y - z^2"], 25),  # Han's count
     (7, ["x^3 + y^3 + z^3"], 7),  # Han's count
     (3, ["x*y - z^2", "z*w - x^2"], 9),  # the engine
     (5, ["x^3 + y^3 + z^3 + x*y*z"], 5),  # the engine
     (3, ["0"], 9),  # no generator: the colength of m^[q] alone
+    (5, ["x + y^2", "z - x*w"], 25),  # Kunz's count
 ])
 def test_bracket_colength_matches_the_engine(p, gens, q):
     ring = PolyRing(FieldConfig(p), ("x", "y", "z", "w"))
     generators = tuple(ring.parse(g) for g in gens)
-    m_bracket = maximal_ideal(ring).bracket_power(q)
-    total = Ideal(ring, list(generators)).sum_with(m_bracket)
-    assert bracket_colength(ring, generators, q) == total.colength()
+    assert (bracket_colength(ring, generators, q)
+            == engine_colength(ring, generators, q))
+
+
+@st.composite
+def regular_point(draw):
+    """r <= n generators vanishing at the origin whose linear parts are an
+    echelon matrix of rank r, rows scaled by units, plus up to three terms
+    of degree 2 or 3 each; and a level e <= 2."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, n))
+    ring = PolyRing(FieldConfig(p), ("x", "y", "z")[:n])
+    pivots = draw(st.permutations(range(n)))[:r]
+    units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    higher = st.tuples(*[st.integers(0, 3)] * n).filter(
+        lambda exps: 2 <= sum(exps) <= 3)
+    gens = []
+    for pivot in pivots:
+        terms = draw(st.dictionaries(higher, st.integers(1, p - 1),
+                                     max_size=3))
+        for j in range(n):
+            if j not in pivots:
+                terms[units[j]] = draw(st.integers(0, p - 1))
+        terms[units[pivot]] = 1
+        scale = draw(st.integers(1, p - 1))
+        gens.append(Polynomial(ring, terms).scale(scale))
+    return ring, tuple(gens), draw(st.integers(1, 2))
+
+
+# the engine and the twist colon at q = 25 have a long tail on drawn
+# non-homogeneous ideals; a draw is rejected when they reach the ceilings
+ORACLE_PAIRS = 400
+ORACLE_SECONDS = 3
+
+
+@given(regular_point())
+@settings(max_examples=100)
+def test_regular_route_matches_the_engine_and_the_twist_route(drawn):
+    ring, gens, e = drawn
+    q = ring.p**e
+    expected = q ** (ring.nvars - len(gens))
+    assert regular_count(ring, gens, q) == expected
+    assert bracket_colength(ring, gens, q) == expected
+    pres = LocalRingPresentation(ring, Ideal(ring, list(gens)))
+    assert splitting_number(pres, e).colength == expected
+    # the routes splitting_number takes with Han's and Kunz's counts off
+    budget = Budget(max_pairs=ORACLE_PAIRS, deadline_seconds=ORACLE_SECONDS)
+    try:
+        engine = engine_colength(ring, gens, q, budget)
+        *_, level = twist_levels(pres, e, budget)
+        twist = q**ring.nvars - engine_colength(ring, level, q, budget)
+    except BudgetExceededError:
+        reject()
+    assert (engine, twist) == (expected, expected)
+
+
+def fat_point_generators():
+    # V(x^3 - 2x^2 + x, xy) over F_5 is the line x = 0 and a double point
+    # at (1, 0), whose local ring is k[x]/(x^2)
+    ring = PolyRing(FieldConfig(5), ("x", "y"))
+    gens = [ring.parse("x^3 - 2*x^2 + x"), ring.parse("x*y")]
+    return ring, tuple(translate_to_origin(gens, (1, 0)))
+
+
+def parsed(p, variables, texts):
+    ring = PolyRing(FieldConfig(p), variables)
+    return ring, tuple(ring.parse(t) for t in texts)
+
+
+@pytest.mark.parametrize("ring, gens, q", [
+    (*parsed(5, ("x", "y"), ["x + 1", "y"]), 5),  # a nonzero constant
+    (*parsed(3, ("x", "y"), ["x", "0"]), 9),  # a zero generator
+    (*parsed(3, ("x", "y", "z"), ["x + y^2", "2*x + z^2"]), 3),  # dependent
+    (*fat_point_generators(), 5),  # no linear part in x^3 + x^2
+    (*fat_point_generators(), 25),
+], ids=["constant", "zero", "dependent", "fat_point_q5", "fat_point_q25"])
+def test_irregular_generators_fall_through_to_the_engine(ring, gens, q):
+    assert regular_count(ring, gens, q) is None
+    assert bracket_colength(ring, gens, q) == engine_colength(ring, gens, q)
