@@ -51,15 +51,16 @@ def diagonal_degrees(generators: tuple[Polynomial, ...]
         return None
     (f,) = generators
     p = f.ring.p
-    supports = [[i for i, e in enumerate(exps) if e] for exps in f.terms]
+    terms = list(f)
+    supports = [[i for i, e in enumerate(exps) if e] for exps, _ in terms]
     if (all(len(s) == 1 for s in supports)
             and len({s[0] for s in supports}) == len(supports)):
-        degrees = [exps[s[0]] for exps, s in zip(f.terms, supports)]
-    elif p != 2 and all(sum(exps) == 2 for exps in f.terms):
+        degrees = [exps[s[0]] for (exps, _), s in zip(terms, supports)]
+    elif p != 2 and f.total_degree() == f.order_of_vanishing() == 2:
         n = f.ring.nvars
         gram = [[0] * n for _ in range(n)]
         half = pow(2, -1, p)
-        for (exps, c), support in zip(f.terms.items(), supports):
+        for (exps, c), support in zip(terms, supports):
             i, j = support * 2 if len(support) == 1 else support
             gram[i][j] = gram[j][i] = c if i == j else c * half % p
         space = RowSpace(p)

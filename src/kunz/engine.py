@@ -249,16 +249,6 @@ def _reduce_basis(basis: list[list], n: int, p: int,
     return reduced
 
 
-def _polynomials(basis: list[list], ring: PolyRing) -> list[Polynomial]:
-    """The term lists as Polynomials of ring, in order. The list given is
-    emptied as they are built, so the packed terms are not held beside all
-    of them."""
-    polys = []
-    while basis:
-        polys.append(kernel.from_terms(basis.pop(), ring))
-    return polys[::-1]
-
-
 def _meet(first: list[list], second: list[list], n: int, p: int,
           budget: Budget) -> list[list]:
     """Reduced grevlex basis of (first) intersect (second), for term lists
@@ -291,7 +281,7 @@ def _eliminating_key(exps: Exps) -> tuple[int, ...]:
 def normal_form(f: Polynomial, basis: list[Polynomial],
                 budget: Budget | None = None) -> Polynomial:
     """Remainder of f on full grevlex reduction by a Groebner basis."""
-    reducers = [kernel.make_monic(kernel.to_terms(g), f.ring.p)
+    reducers = [kernel.make_monic(g.terms, f.ring.p)
                 for g in basis if not g.is_zero()]
     return _normal_form(f, reducers, budget or Budget())
 
@@ -300,11 +290,11 @@ def _normal_form(f: Polynomial, reducers: list[list],
                  budget: Budget) -> Polynomial:
     """Remainder of f on full grevlex reduction by monic term lists."""
     ring = f.ring
-    nf, max_deg = kernel.reduce_full(kernel.to_terms(f), reducers,
+    nf, max_deg = kernel.reduce_full(f.terms, reducers,
                                      kernel.guard_mask(ring.nvars),
                                      ring.p, budget.check_deadline)
     budget.observe_degree(max_deg)
-    return kernel.from_terms(nf, ring)
+    return Polynomial.wrap(ring, nf)
 
 
 def div_exact(f: Polynomial, g: Polynomial,
@@ -316,9 +306,8 @@ def div_exact(f: Polynomial, g: Polynomial,
         raise PreconditionError("polynomials from different rings")
     if g.is_zero():
         raise PreconditionError("division by the zero polynomial")
-    quotient = _divide(kernel.to_terms(f), kernel.to_terms(g), ring.nvars,
-                       ring.p, budget or Budget())
-    return kernel.from_terms(quotient, ring)
+    return Polynomial.wrap(ring, _divide(f.terms, g.terms, ring.nvars, ring.p,
+                                         budget or Budget()))
 
 
 def _divide(f: list, g: list, n: int, p: int, budget: Budget) -> list:
@@ -386,22 +375,19 @@ class Ideal:
     def _minimal(self, budget: Budget) -> list[list]:
         if self._basis is None:
             ring = self.ring
-            # flattened lazily: a large ideal's terms are not all held at once
-            self._basis = _minimal_basis(map(kernel.to_terms, self.generators),
+            self._basis = _minimal_basis([g.terms for g in self.generators],
                                          grevlex_key, ring.nvars, ring.p,
                                          budget)
         return self._basis
-
-    def _terms(self) -> list[list]:
-        return [kernel.to_terms(g) for g in self.generators]
 
     def groebner_basis(self, budget: Budget | None = None) -> list[Polynomial]:
         """The reduced monic grevlex basis, sorted descending by leading
         monomial, tail-reduced from a copy of the cached minimal basis."""
         budget = budget or Budget()
         ring = self.ring
-        return _polynomials(_reduce_basis(list(self._minimal(budget)),
-                                          ring.nvars, ring.p, budget), ring)
+        return [Polynomial.wrap(ring, g)
+                for g in _reduce_basis(list(self._minimal(budget)),
+                                       ring.nvars, ring.p, budget)]
 
     def normal_form(self, f: Polynomial,
                     budget: Budget | None = None) -> Polynomial:
@@ -451,9 +437,10 @@ class Ideal:
         _meet), as its reduced grevlex basis."""
         self._check_ring(other)
         ring = self.ring
-        meet = _meet(self._terms(), other._terms(), ring.nvars, ring.p,
+        meet = _meet([g.terms for g in self.generators],
+                     [g.terms for g in other.generators], ring.nvars, ring.p,
                      budget or Budget())
-        return Ideal(ring, _polynomials(meet, ring))
+        return Ideal(ring, [Polynomial.wrap(ring, g) for g in meet])
 
     def colon(self, other: Ideal, budget: Budget | None = None) -> Ideal:
         """Ideal quotient (self : other).
@@ -463,8 +450,8 @@ class Ideal:
         For several, (A : (g_1..g_k)) is the intersection of the (A : g_i),
         and the route depends on whether every generator of self and of
         other is homogeneous. Both routes keep every ideal they pass
-        through as grevlex term lists, and build Polynomials only for the
-        result.
+        through as grevlex term lists, and wrap the result's lists as
+        Polynomials.
 
         Homogeneous: successive restriction. M_1 = (A : g_1), and
         M_i = (A intersect g_i*M_(i-1)) / g_i. Since S is a domain, c lies
@@ -496,7 +483,7 @@ class Ideal:
             return Ideal(ring, [ring.one()])
         budget = budget or Budget()
         n, p = ring.nvars, ring.p
-        base = self._terms()
+        base = [g.terms for g in self.generators]
 
         def divided(multiples, g):
             return [_divide(f, g, n, p, budget)
@@ -504,15 +491,17 @@ class Ideal:
 
         if all(map(_is_homogeneous, self.generators + other.generators)):
             result = [[(0, 0, 1)]]  # M_0 = (1)
-            for g in sorted(other._terms(), reverse=True):
+            for g in sorted((g.terms for g in other.generators),
+                            reverse=True):
                 result = divided([kernel.multiply(g, h, p) for h in result],
                                  g)
         else:
-            parts = sorted((divided([g], g) for g in other._terms()), key=len)
+            parts = sorted((divided([g.terms], g.terms)
+                            for g in other.generators), key=len)
             result = parts[0]
             for part in parts[1:]:
                 result = _meet(result, part, n, p, budget)
-        return Ideal(ring, _polynomials(result, ring))
+        return Ideal(ring, [Polynomial.wrap(ring, g) for g in result])
 
     def _check_ring(self, other: Ideal) -> None:
         if self.ring != other.ring:
@@ -619,7 +608,7 @@ def _slice_count(gens: list[Exps], n: int, budget: Budget) -> int:
 
 
 def _is_homogeneous(f: Polynomial) -> bool:
-    return len({sum(e) for e in f.terms}) == 1
+    return f.total_degree() == f.order_of_vanishing()
 
 
 def maximal_ideal(ring: PolyRing) -> Ideal:

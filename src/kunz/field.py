@@ -107,7 +107,7 @@ def frobenius_exponent(p: int, e: int) -> int:
     Downstream monomial exponents scale with q, so an oversized q is
     refused here with a CapacityError (exit code 5) before any computation
     starts. Polynomial exponents have their own, lower cap
-    (poly.MAX_EXPONENT).
+    (kernel.MAX_EXPONENT).
     """
     if e < 0:
         raise PreconditionError(f"Frobenius exponent must be non-negative, got {e}")

@@ -31,7 +31,8 @@ witness is a reduced basis element.
 A regular origin skips them too: where the r generators of I vanish at the
 origin with independent linear parts, F^e_* R is free of rank q^(n - r) by
 Kunz's theorem, and that rank is the splitting numerator (see
-localring.regular_count).
+localring.regular_count). localring.theorem_counts tries both routes, in
+that order.
 
 Complete intersections skip the colon. If I = (f_1..f_c) is generated by a
 regular sequence in a regular local ring, Fedder's lemma gives
@@ -75,12 +76,12 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
-from .diagonal import jordan_counts
+from . import kernel
 from .engine import Budget, Ideal
 from .errors import PreconditionError
 from .field import frobenius_exponent
 from .hk import RationalInterval, describe_presentation, tail_interval
-from .localring import LocalRingPresentation, bracket_colength, regular_count
+from .localring import LocalRingPresentation, bracket_colength, theorem_counts
 from .poly import Polynomial
 
 
@@ -120,13 +121,17 @@ def twist_colon_ideal(presentation: LocalRingPresentation, e: int,
 
 
 def _in_box(f: Polynomial, q: int, budget: Budget) -> Polynomial:
-    """f modulo m^[q]: the terms of f with every exponent below q.
+    """f modulo m^[q]: the terms of f with every exponent below q, those
+    whose monomial divides the corner (x_1...x_n)^(q-1).
 
     Checks the budget's deadline and records the degree of the result.
     """
     budget.check_deadline()
-    box = Polynomial(f.ring, {exps: c for exps, c in f.terms.items()
-                              if max(exps) < q})
+    n = f.ring.nvars
+    corner = kernel.pack([q - 1] * n)
+    guard = kernel.guard_mask(n)
+    box = Polynomial.wrap(f.ring, [term for term in f.terms
+                                   if kernel.divides(term[1], corner, guard)])
     budget.observe_degree(box.total_degree())
     return box
 
@@ -181,24 +186,22 @@ def splitting_number(presentation: LocalRingPresentation, e: int,
                      budget: Budget | None = None) -> SplittingSample:
     """s_e = (q^n - colength(m^[q] + (I^[q] : I))) / q^d, exactly.
 
-    The numerator is Han's count of Jordan blocks of size q for a diagonal
-    hypersurface; q^(n - r) where localring.regular_count finds the r
-    generators of I regular at the origin, since F^e_* A is then free of
-    that rank by Kunz's theorem (Huneke-Leuschke: s(A) = 1 exactly when A
-    is regular); and otherwise q^n - colength(m^[q] + (J_e)) for the level
-    J_e of twist_levels. Neither of the first two builds a colon or charges
-    pairs.
+    The numerator is localring.theorem_counts' where a theorem gives it:
+    Han's count of Jordan blocks of size q for a diagonal hypersurface, or
+    q^(n - r) where the r generators of I are regular at the origin, since
+    F^e_* A is then free of that rank by Kunz's theorem (Huneke-Leuschke:
+    s(A) = 1 exactly when A is regular). Otherwise it is
+    q^n - colength(m^[q] + (J_e)) for the level J_e of twist_levels.
+    Neither theorem builds a colon or charges pairs.
     """
     if e < 1:
         raise PreconditionError(f"splitting level must be >= 1, got {e}")
     q = frobenius_exponent(presentation.p, e)
     ring = presentation.ring
     generators = presentation.ideal.generators
-    counts = jordan_counts(generators, q, budget)
+    counts = theorem_counts(ring, generators, q, budget)
     if counts is not None:
         colength = counts[1]
-    elif (regular := regular_count(ring, generators, q)) is not None:
-        colength = regular
     else:
         *_, level = twist_levels(presentation, e, budget)
         colength = q**ring.nvars - bracket_colength(ring, level, q, budget)

@@ -24,30 +24,30 @@ stays below 2^63 (see Capacity), slots never carry or borrow, so:
   2^64 = 1 modulo 2^64 - 1 and the degree is below 2^64 - 1.
 
 Two key layouts are used, both built on poly.grevlex_key: the grevlex key
-of S = F_p[x_1..x_n], and the key (a, *grevlex_key(e)) of t^a x^e by which
-the engine's intersection eliminates t. t takes one more top slot of key
-and exponents, so multiplying by t adds T = 1 << (64 n) to both, and a
-term free of t has its ints in S. Both keys are additive,
-key(a + b) = key(a) + key(b) componentwise, with entries nonnegative
-linear forms in the exponents. So the kernel shifts a term by a monomial
-by adding the packed key and packed exponents of the monomial to the
-term's, and the shift between a term and a leading monomial dividing it
-is the difference of their packed ints, which borrows nowhere because
-every entry of key(b) - key(a) = key(b - a) is nonnegative. In this module
-only to_terms calls the key function.
+of S = F_p[x_1..x_n], the layout of every Polynomial's term list, and the
+key (a, *grevlex_key(e)) of t^a x^e by which the engine's intersection
+eliminates t. t takes one more top slot of key and exponents, so
+multiplying by t adds T = 1 << (64 n) to both, and a term free of t has
+its ints in S. Both keys are additive, key(a + b) = key(a) + key(b)
+componentwise, with entries nonnegative linear forms in the exponents. So
+the kernel shifts a term by a monomial by adding the packed key and packed
+exponents of the monomial to the term's, and the shift between a term and
+a leading monomial dividing it is the difference of their packed ints,
+which borrows nowhere because every entry of key(b) - key(a) = key(b - a)
+is nonnegative. This module never calls a key function: keys arrive
+packed, built by the Polynomial constructor or the engine.
 
 Capacity. Every key entry of a term is a partial sum of its exponents, so
-no slot of a term exceeds the term's total degree. Parsed, multiplied and
-Frobenius-powered polynomials keep exponents and total degrees at most
-poly.MAX_EXPONENT = 2^40 (poly._check_exponent,
-Polynomial._check_capacity, multiply), but a reduction can raise degrees
+no slot of a term exceeds the term's total degree. Products keep total
+degrees at most MAX_EXPONENT = 2^40 (multiply; Polynomial.frobenius_power
+and the parser check against it too), but a reduction can raise degrees
 (eliminating t, t^a reduced by t - y^b gives y^(ab)). So the kernel
-enforces its own ceiling DEGREE_CAP = 2^60: to_terms refuses a polynomial
-above it, and reduce_full refuses a head term above it, which also bounds
-its result and so every basis member. A term built in reduce_full is a
-head shifted down to a reducer term, both at most 2^60; an s-polynomial
-term is an lcm of degree at most 2^61 times a tail term. Every degree
-stays below 2^62, and every slot below the guard bit.
+enforces its own ceiling DEGREE_CAP = 2^60: the Polynomial constructor
+refuses a term above it, and reduce_full refuses a head term above it,
+which also bounds its result and so every basis member. A term built in
+reduce_full is a head shifted down to a reducer term, both at most 2^60;
+an s-polynomial term is an lcm of degree at most 2^61 times a tail term.
+Every degree stays below 2^62, and every slot below the guard bit.
 """
 
 from __future__ import annotations
@@ -55,15 +55,14 @@ from __future__ import annotations
 import struct
 from functools import cache
 from heapq import heappop, heappush
-from heapq import merge as heapq_merge
 from itertools import islice
 
 from .errors import CapacityError
-from .poly import MAX_EXPONENT, Polynomial, grevlex_key
 
 SLOT_BITS = 64
+MAX_EXPONENT = 2**40
 DEGREE_CAP = 2**60
-_DEGREE_MOD = 2**SLOT_BITS - 1
+DEGREE_MOD = 2**SLOT_BITS - 1
 
 
 def pack(vector) -> int:
@@ -162,7 +161,7 @@ def reduce_full(f, reducers, guard, p, check_deadline):
         e0, c0 = work.pop(key0)
         if not c0:
             continue
-        deg = e0 % _DEGREE_MOD
+        deg = e0 % DEGREE_MOD
         if deg > max_deg:
             if deg > DEGREE_CAP:
                 raise CapacityError(
@@ -218,14 +217,15 @@ def make_monic(terms, p):
 
 def degree(terms) -> int:
     """Total degree of a nonempty term list."""
-    return max(e % _DEGREE_MOD for _, e, _ in terms)
+    return max(e % DEGREE_MOD for _, e, _ in terms)
 
 
 def multiply(f, g, p):
-    """Product of two descending term lists of one layout: the copies of the
-    longer shifted by each term of the shorter, merged lazily. Raises
-    CapacityError where Polynomial.__mul__ does: the product's degree is
-    deg f + deg g, as the ring is a domain, and bounds every exponent."""
+    """Product of two descending term lists of one layout: the longer
+    shifted by each term of the shorter, summed in a dict from packed key
+    to [exps, coeff], as reduce_full keeps its work list, then sorted.
+    Raises CapacityError when the product's total degree, deg f + deg g as
+    the ring is a domain, is above MAX_EXPONENT; it bounds every exponent."""
     if not f or not g:
         return []
     total = degree(f) + degree(g)
@@ -233,37 +233,20 @@ def multiply(f, g, p):
         raise CapacityError(f"total degree {total} exceeds the 2^40 capacity")
     if len(f) > len(g):
         f, g = g, f
+    work = {}
+    get = work.get
+    for key, exps, coeff in f:
+        for k, e, c in g:
+            k += key
+            entry = get(k)
+            if entry is None:
+                work[k] = [e + exps, c * coeff]
+            else:
+                entry[1] += c * coeff
     out = []
-    key = exps = None
-    coeff = 0
-    for k, e, c in heapq_merge(*(_times(g, *term) for term in f),
-                               reverse=True):
-        if k == key:
-            coeff += c
-            continue
-        if coeff % p:
-            out.append((key, exps, coeff % p))
-        key, exps, coeff = k, e, c
-    if coeff % p:
-        out.append((key, exps, coeff % p))
+    for k in sorted(work, reverse=True):
+        e, c = work[k]
+        c %= p
+        if c:
+            out.append((k, e, c))
     return out
-
-
-def _times(terms, key, exps, coeff):
-    """The terms shifted by one term, coefficients not reduced mod p."""
-    for k, e, c in terms:
-        yield k + key, e + exps, c * coeff
-
-
-def to_terms(poly: Polynomial) -> list:
-    """Flatten a polynomial into a grevlex kernel term list."""
-    if poly.total_degree() > DEGREE_CAP:
-        raise CapacityError(
-            f"degree {poly.total_degree()} exceeds the kernel's 2^60 capacity")
-    return [(pack(grevlex_key(e)), pack(e), c) for e, c in poly.ordered_terms()]
-
-
-def from_terms(terms: list, ring) -> Polynomial:
-    """Rebuild a polynomial from a kernel term list."""
-    n = ring.nvars
-    return Polynomial(ring, {unpack(e, n): c for _, e, c in terms})

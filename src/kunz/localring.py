@@ -18,7 +18,8 @@ Hilbert-Kunz functions", Math. Z. 214, 1993). bracket_colength picks the
 route for every colength length(S/(J + m^[q])): the samples here,
 hk.hypersurface_bound and the splitting numbers of fsplit all call it.
 
-It tries three routes in order. Han's count takes each J the diagonal
+It tries three routes in order, the first two in theorem_counts, which
+fsplit.splitting_number calls too. Han's count takes each J the diagonal
 module accepts. Next, regular_count takes each J whose r generators vanish
 at the origin with linearly independent linear parts. Then S_m/J is regular
 of dimension n - r, and Kunz's theorem (Amer. J. Math. 91, 1969) makes its
@@ -29,9 +30,9 @@ Frobenius flat, so
 Flatness also makes F^e_* A free of rank q^(n - r) over a regular A, as
 F_p is perfect, so the splitting count of fsplit is q^(n - r) as well;
 Huneke and Leuschke (Math. Ann. 324, 2002) show s(A) = 1 exactly when A is
-regular. This route reads the constant and linear coefficients only, and
-charges no pairs. Every other J takes the engine on J + m^[q], which stays
-the tests' oracle for the other two.
+regular. This route reads the constant and linear coefficients only (see
+linear_parts), and charges no pairs. Every other J takes the engine on
+J + m^[q], which stays the tests' oracle for the other two.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import kernel
 from .diagonal import jordan_counts
 from .engine import Budget, Ideal, maximal_ideal
 from .errors import PreconditionError
@@ -48,18 +50,31 @@ from .poly import PolyRing, Polynomial
 Point = tuple[int, ...]
 
 
-def bracket_colength(ring: PolyRing, generators: tuple[Polynomial, ...],
-                     q: int, budget: Budget | None = None) -> int:
-    """length(S/((generators) + m^[q])): Han's count of Jordan blocks when
-    the diagonal module accepts the generators, q^(n - r) by Kunz's theorem
-    when regular_count does, else the engine on the generators followed by
-    m^[q]. Only the engine charges pairs to the budget."""
+def theorem_counts(ring: PolyRing, generators: tuple[Polynomial, ...],
+                   q: int, budget: Budget | None = None
+                   ) -> tuple[int, int] | None:
+    """(length(S/((generators) + m^[q])), the splitting numerator of
+    S/(generators) at level q) where a theorem gives both: Han's count of
+    Jordan blocks when the diagonal module accepts the generators, else
+    q^(n - r) for both by Kunz's theorem when regular_count does; None
+    otherwise. Charges no pairs."""
     counts = jordan_counts(generators, q, budget)
     if counts is not None:
-        return counts[0]
+        return counts
     regular = regular_count(ring, generators, q)
     if regular is not None:
-        return regular
+        return regular, regular
+    return None
+
+
+def bracket_colength(ring: PolyRing, generators: tuple[Polynomial, ...],
+                     q: int, budget: Budget | None = None) -> int:
+    """length(S/((generators) + m^[q])): by theorem_counts where a theorem
+    gives it, else the engine on the generators followed by m^[q]. Only the
+    engine charges pairs to the budget."""
+    counts = theorem_counts(ring, generators, q, budget)
+    if counts is not None:
+        return counts[0]
     m_bracket = maximal_ideal(ring).bracket_power(q)
     return Ideal(ring, list(generators)).sum_with(m_bracket).colength(budget)
 
@@ -156,16 +171,6 @@ class LocalRingPresentation:
         self._samples[e] = sample
         return sample
 
-    def jacobian_matrix(self) -> list[list[Polynomial]]:
-        return [[g.derivative(i) for i in range(self.ring.nvars)]
-                for g in self.ideal.generators]
-
-    def jacobian_rank_at_origin(self) -> int:
-        p = self.p
-        rows = [[entry.constant_coefficient() for entry in row]
-                for row in self.jacobian_matrix()]
-        return matrix_rank_mod_p(rows, p)
-
     def smoothness_report(self, budget: Budget | None = None) -> SmoothnessReport:
         """The Jacobian rank at the origin against n - dim(S/I).
 
@@ -179,7 +184,8 @@ class LocalRingPresentation:
         """
         d = self.dimension(budget)
         codim = self.ring.nvars - d
-        rank = self.jacobian_rank_at_origin()
+        rank = matrix_rank_mod_p(
+            linear_parts(self.ring, self.ideal.generators), self.p)
         return SmoothnessReport(dimension=d, codimension=codim,
                                 jacobian_rank=rank, smooth=(rank == codim))
 
@@ -199,19 +205,36 @@ def regular_count(ring: PolyRing, generators: tuple[Polynomial, ...],
 
     Then S_m/(generators) is regular of dimension n - r, and q^(n - r) is
     both length(S/((generators) + m^[q])) and the splitting count a_e (see
-    the module docstring). Only the constant and the n linear coefficients
-    of each generator are read, never its other terms.
+    the module docstring).
+    """
+    rows = linear_parts(ring, generators)
+    if rows is None or matrix_rank_mod_p(rows, ring.p) < len(rows):
+        return None
+    return q ** (ring.nvars - len(rows))
+
+
+def linear_parts(ring: PolyRing, generators: tuple[Polynomial, ...]
+                 ) -> list[list[int]] | None:
+    """The Jacobian matrix of the generators at the origin, one row
+    [dg/dx_i(0) for each i] per generator g; None when some g has a nonzero
+    constant term.
+
+    dg/dx_i(0) is the coefficient of x_i in g. Grevlex compares total
+    degree first, so the terms of degree 1, and the constant after them,
+    end each term list: only those at most n + 1 terms of g are read.
     """
     n = ring.nvars
-    units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
     rows = []
     for g in generators:
-        if g.constant_coefficient():
-            return None
-        rows.append([g.coefficient(u) for u in units])
-    if matrix_rank_mod_p(rows, ring.p) < len(rows):
-        return None
-    return q ** (n - len(rows))
+        row = [0] * n
+        for _, exps, c in reversed(g.terms):
+            if not exps:
+                return None
+            if exps % kernel.DEGREE_MOD > 1:
+                break
+            row[kernel.unpack(exps, n).index(1)] = c
+        rows.append(row)
+    return rows
 
 
 def matrix_rank_mod_p(rows: list[list[int]], p: int) -> int:

@@ -1,12 +1,15 @@
 """Sparse multivariate polynomials over F_p in grevlex order, and a parser.
 
-A Polynomial is an immutable sparse map from exponent vectors to nonzero
-coefficients in [1, p). Ordered term lists are sorted on request; the
-Groebner engine reduces in the packed form of kernel.py, not here.
+A Polynomial is an immutable kernel term list (see kernel.py): its terms as
+(packed grevlex key, packed exponents, coefficient) triples, strictly
+descending by key, with every coefficient in [1, p). Sums are kernel.merge,
+products kernel.multiply, and the Groebner engine reduces the same lists,
+so no polynomial is ever converted. Iterating a polynomial yields its terms
+unpacked, as (exponent tuple, coefficient) pairs, in descending order.
 
 The one monomial order is grevlex. grevlex_key is the only place its key
-layout is written; the reduction kernel, the engine's elimination of one
-variable and ordered_terms all call it.
+layout is written; the Polynomial constructor and the engine's elimination
+of one variable call it.
 
 Expression grammar (EBNF), also shown in the README:
 
@@ -24,22 +27,11 @@ from __future__ import annotations
 import re
 from typing import Iterator, NamedTuple
 
+from . import kernel
 from .errors import CapacityError, ParseError, PreconditionError
 from .field import FieldConfig
 
-# Monomial exponents (and total degrees) are capped so products can never
-# silently wrap; 2^40 leaves ample room above the default degree budget.
-MAX_EXPONENT = 2**40
-
 Exps = tuple[int, ...]
-
-
-def _check_exponent(e: int) -> int:
-    if e < 0:
-        raise PreconditionError(f"negative exponent {e}")
-    if e > MAX_EXPONENT:
-        raise CapacityError(f"exponent {e} exceeds the 2^40 capacity")
-    return e
 
 
 def grevlex_key(exps: Exps) -> tuple[int, ...]:
@@ -90,7 +82,7 @@ class PolyRing(_PolyRing):
         return self.field.p
 
     def zero(self) -> Polynomial:
-        return Polynomial(self, {})
+        return Polynomial.wrap(self, [])
 
     def one(self) -> Polynomial:
         return self.constant(1)
@@ -99,21 +91,23 @@ class PolyRing(_PolyRing):
         c %= self.p
         if c == 0:
             return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial.wrap(self, [(0, 0, c)])
 
     def variable(self, name: str) -> Polynomial:
         i = self.variables.index(name)
         return self.monomial({i: 1})
 
     def monomial(self, exps: dict[int, int] | Exps, coeff: int = 1) -> Polynomial:
+        """coeff * x^exps, exps a vector or {index: exponent}; refuses an
+        exponent above kernel.MAX_EXPONENT."""
         if isinstance(exps, dict):
             vec = [0] * self.nvars
             for i, e in exps.items():
-                vec[i] = _check_exponent(e)
-            exps = tuple(vec)
-        coeff %= self.p
-        if coeff == 0:
-            return self.zero()
+                vec[i] = e
+            exps = vec
+        for e in exps:
+            if e > kernel.MAX_EXPONENT:
+                raise CapacityError(f"exponent {e} exceeds the 2^40 capacity")
         return Polynomial(self, {tuple(exps): coeff})
 
     def gens(self) -> list[Polynomial]:
@@ -124,21 +118,45 @@ class PolyRing(_PolyRing):
 
 
 class Polynomial:
-    """Immutable sparse polynomial. Do not mutate ``terms`` after creation."""
+    """Immutable sparse polynomial: ring and its kernel term list, terms.
+
+    terms is strictly descending by packed grevlex key, every coefficient
+    is in [1, p), and nothing mutates it after creation."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict[Exps, int]) -> None:
-        self.ring = ring
-        clean: dict[Exps, int] = {}
+        """The polynomial sum c x^exps over terms. Refuses an exponent
+        vector of the wrong length or with a negative entry, and a degree
+        above kernel.DEGREE_CAP."""
+        n, p = ring.nvars, ring.p
+        packed = []
         for exps, c in terms.items():
-            if len(exps) != ring.nvars:
+            if len(exps) != n:
                 raise PreconditionError(
-                    f"exponent vector {exps} does not match {ring.nvars} variables")
-            c %= ring.p
+                    f"exponent vector {exps} does not match {n} variables")
+            if min(exps) < 0:
+                raise PreconditionError(f"negative exponent {min(exps)}")
+            c %= p
             if c:
-                clean[exps] = c
-        self.terms = clean
+                key = grevlex_key(exps)
+                if key[0] > kernel.DEGREE_CAP:
+                    raise CapacityError(
+                        f"degree {key[0]} exceeds the kernel's 2^60 capacity")
+                packed.append((kernel.pack(key), kernel.pack(exps), c))
+        packed.sort(reverse=True)
+        self.ring = ring
+        self.terms = packed
+
+    @classmethod
+    def wrap(cls, ring: PolyRing, terms: list) -> Polynomial:
+        """The polynomial whose term list is terms, which must already be a
+        grevlex kernel term list of ring with coefficients in [1, p). The
+        list is not copied, so no one may mutate it afterwards."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.terms = terms
+        return self
 
     # -- basic queries -------------------------------------------------
 
@@ -152,30 +170,30 @@ class Polynomial:
         return len(self.terms)
 
     def total_degree(self) -> int:
-        """Degree of the polynomial, -1 for the zero polynomial."""
+        """Degree of the polynomial, -1 for the zero polynomial. Grevlex
+        compares total degrees first, so it is the first term's."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return self.terms[0][1] % kernel.DEGREE_MOD
 
     def order_of_vanishing(self) -> int:
-        """Smallest total degree of a term; -1 for the zero polynomial."""
+        """Smallest total degree of a term, the last term's; -1 for the
+        zero polynomial."""
         if not self.terms:
             return -1
-        return min(sum(e) for e in self.terms)
-
-    def ordered_terms(self) -> list[tuple[Exps, int]]:
-        """Terms in descending grevlex order."""
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
-                      reverse=True)
-
-    def coefficient(self, exps: Exps) -> int:
-        return self.terms.get(tuple(exps), 0)
+        return self.terms[-1][1] % kernel.DEGREE_MOD
 
     def constant_coefficient(self) -> int:
-        return self.terms.get((0,) * self.ring.nvars, 0)
+        """The coefficient of 1, which grevlex puts last."""
+        if self.terms and not self.terms[-1][1]:
+            return self.terms[-1][2]
+        return 0
 
     def __iter__(self) -> Iterator[tuple[Exps, int]]:
-        return iter(self.terms.items())
+        """(exponent tuple, coefficient) per term, descending in grevlex."""
+        n = self.ring.nvars
+        for _, exps, c in self.terms:
+            yield kernel.unpack(exps, n), c
 
     # -- arithmetic ----------------------------------------------------
 
@@ -185,54 +203,31 @@ class Polynomial:
 
     def __add__(self, other: Polynomial) -> Polynomial:
         self._check_ring(other)
-        p = self.ring.p
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = (out.get(exps, 0) + c) % p
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return Polynomial(self.ring, out)
+        return Polynomial.wrap(self.ring, kernel.merge(self.terms, other.terms,
+                                                       self.ring.p))
 
     def __neg__(self) -> Polynomial:
         p = self.ring.p
-        return Polynomial(self.ring, {e: p - c for e, c in self.terms.items()})
+        return Polynomial.wrap(self.ring, [(k, e, p - c)
+                                           for k, e, c in self.terms])
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
 
     def __mul__(self, other: Polynomial) -> Polynomial:
+        """The product; raises CapacityError past total degree 2^40 (see
+        kernel.multiply)."""
         self._check_ring(other)
-        p = self.ring.p
-        out: dict[Exps, int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                s = (out.get(exps, 0) + ca * cb) % p
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
-        poly = Polynomial(self.ring, out)
-        poly._check_capacity()
-        return poly
-
-    def _check_capacity(self) -> None:
-        for exps in self.terms:
-            total = 0
-            for e in exps:
-                total += _check_exponent(e)
-            if total > MAX_EXPONENT:
-                raise CapacityError(
-                    f"total degree {total} exceeds the 2^40 capacity")
+        return Polynomial.wrap(self.ring, kernel.multiply(
+            self.terms, other.terms, self.ring.p))
 
     def scale(self, c: int) -> Polynomial:
-        c %= self.ring.p
+        p = self.ring.p
+        c %= p
         if c == 0:
             return self.ring.zero()
-        p = self.ring.p
-        return Polynomial(self.ring, {e: k * c % p for e, k in self.terms.items()})
+        return Polynomial.wrap(self.ring, [(k, e, x * c % p)
+                                           for k, e, x in self.terms])
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
@@ -250,33 +245,23 @@ class Polynomial:
         """Raise to the q-th power for q a power of the characteristic.
 
         Frobenius is a ring map, so this just scales every exponent vector
-        by q (coefficients are fixed by x -> x^p on F_p).
+        by q (coefficients are fixed by x -> x^p on F_p). The packed key is
+        linear in the exponents, so scaling it by q keeps the order; a
+        result of total degree past 2^40 raises CapacityError, as a product
+        does.
         """
-        out = {tuple(e * q for e in exps): c for exps, c in self.terms.items()}
-        poly = Polynomial(self.ring, out)
-        poly._check_capacity()
-        return poly
-
-    def derivative(self, index: int) -> Polynomial:
-        """Formal partial derivative with respect to the index-th variable."""
-        p = self.ring.p
-        out: dict[Exps, int] = {}
-        for exps, c in self.terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            nc = c * (e % p) % p
-            if nc == 0:
-                continue
-            ne = exps[:index] + (e - 1,) + exps[index + 1:]
-            out[ne] = (out.get(ne, 0) + nc) % p
-        return Polynomial(self.ring, out)
+        total = self.total_degree() * q
+        if total > kernel.MAX_EXPONENT:
+            raise CapacityError(
+                f"total degree {total} exceeds the 2^40 capacity")
+        return Polynomial.wrap(self.ring, [(k * q, e * q, c)
+                                           for k, e, c in self.terms])
 
     def evaluate(self, point: tuple[int, ...]) -> int:
         """Evaluate at a point with coordinates in F_p."""
         p = self.ring.p
         total = 0
-        for exps, c in self.terms.items():
+        for exps, c in self:
             v = c
             for x, e in zip(point, exps):
                 if e:
@@ -294,7 +279,7 @@ class Polynomial:
             if a % ring.p:
                 v = v + ring.constant(a)
             shifted_vars.append(v)
-        for exps, c in self.terms.items():
+        for exps, c in self:
             term = ring.constant(c)
             for i, e in enumerate(exps):
                 if e:
@@ -309,7 +294,7 @@ class Polynomial:
                 and self.terms == other.terms)
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, tuple(self.terms)))
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -330,7 +315,7 @@ def format_polynomial(f: Polynomial) -> str:
         return "0"
     parts = []
     names = f.ring.variables
-    for exps, c in f.ordered_terms():
+    for exps, c in f:
         factors = [f"{names[i]}^{e}" if e > 1 else names[i]
                    for i, e in enumerate(exps) if e]
         if not factors:
@@ -439,7 +424,7 @@ class _Parser:
             if etok[0] != "int":
                 raise ParseError("exponent must be an integer literal", etok[2])
             e = int(etok[1])
-            if e > MAX_EXPONENT:
+            if e > kernel.MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the 2^40 capacity", etok[2])
             return base**e
         return base

@@ -34,5 +34,4 @@ def engine_only(monkeypatch):
     regular points, so every colength comes from the Groebner engine."""
     from kunz import fsplit, localring
     for module in (localring, fsplit):
-        monkeypatch.setattr(module, "jordan_counts", lambda *args: None)
-        monkeypatch.setattr(module, "regular_count", lambda *args: None)
+        monkeypatch.setattr(module, "theorem_counts", lambda *args: None)

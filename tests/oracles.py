@@ -211,6 +211,34 @@ def naive_series_product(a: dict[int, int], b: dict[int, int], p: int,
     return {k: v for k, v in out.items() if v}
 
 
+def naive_polynomial_product(a: dict[tuple[int, ...], int],
+                             b: dict[tuple[int, ...], int],
+                             p: int) -> dict[tuple[int, ...], int]:
+    """Product of {exponent vector: coeff} dicts modulo p, term by term."""
+    out: dict[tuple[int, ...], int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            out[exps] = (out.get(exps, 0) + ca * cb) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def jacobian_at_origin(terms: dict[tuple[int, ...], int], n: int,
+                       p: int) -> list[int]:
+    """[dg/dx_i(0) for each i] for g = {exponent vector: coeff} over F_p:
+    each formal partial derivative in full, then its constant term."""
+    row = []
+    for i in range(n):
+        derivative: dict[tuple[int, ...], int] = {}
+        for exps, c in terms.items():
+            if exps[i]:
+                lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+                derivative[lowered] = (derivative.get(lowered, 0)
+                                       + c * exps[i]) % p
+        row.append(derivative.get((0,) * n, 0))
+    return row
+
+
 def semigroup_elements(generators: tuple[int, ...], bound: int) -> set[int]:
     """All semigroup elements below the bound, by saturation."""
     elements = {0}
@@ -332,7 +360,7 @@ def elimination_key(exps):
 
 def tuple_terms(poly, key):
     """A Polynomial as a tuple term list, descending by the order key."""
-    return sorted(((key(e), e, c) for e, c in poly.terms.items()),
+    return sorted(((key(e), e, c) for e, c in poly),
                   reverse=True)
 
 
@@ -508,7 +536,7 @@ def elimination_intersection(first, second, ring, max_pairs=None,
     t = big.variable("t")
 
     def lift(f):
-        return Polynomial(big, {(0,) + e: c for e, c in f.terms.items()})
+        return Polynomial(big, {(0,) + e: c for e, c in f})
 
     gens = [t * lift(f) for f in first]
     gens += [(big.one() - t) * lift(g) for g in second]

@@ -8,9 +8,9 @@ import pytest
 from kunz.engine import Budget, Ideal, maximal_ideal
 from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
-from kunz.fsplit import (fedder_test, fpurity_exponent, fsplit_report,
-                         is_complete_intersection, splitting_number,
-                         twist_colon_ideal, twist_levels)
+from kunz.fsplit import (_in_box, fedder_test, fpurity_exponent,
+                         fsplit_report, is_complete_intersection,
+                         splitting_number, twist_colon_ideal, twist_levels)
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing, Polynomial
 from oracles import box_colength, node_splitting
@@ -272,8 +272,23 @@ def test_box_powers_are_truncated_powers():
     for e, (box,) in enumerate(twist_levels(pres, 3), start=1):
         q = 3**e
         full = h ** (q - 1)
-        assert box.terms == {exps: c for exps, c in full.terms.items()
-                             if max(exps) < q}
+        assert dict(box) == {exps: c for exps, c in full if max(exps) < q}
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
+def test_box_keeps_the_terms_below_q(p, n, data):
+    """_in_box against the filter max(exps) < q, at exponents on both sides
+    of q - 1."""
+    q = p ** data.draw(st.integers(1, 3))
+    ring = PolyRing(FieldConfig(p), tuple("xyz"[:n]))
+    exponent = st.sampled_from([0, 1, q - 2, q - 1, q, q + 1, 3 * q])
+    terms = data.draw(st.dictionaries(st.tuples(*[exponent] * n),
+                                      st.integers(1, p - 1), max_size=8))
+    f = Polynomial(ring, terms)
+    budget = Budget()
+    box = _in_box(f, q, budget)
+    assert dict(box) == {e: c for e, c in f if max(e) < q}
+    assert budget.max_degree_seen == max(box.total_degree(), 0)
 
 
 def test_an_empty_box_yields_no_generator(cusp5):

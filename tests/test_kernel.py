@@ -13,7 +13,8 @@ from kunz.engine import (Budget, _eliminating_key, div_exact, groebner,
 from kunz.errors import (BudgetExceededError, CapacityError,
                          PreconditionError)
 from kunz.field import FieldConfig
-from kunz.poly import MAX_EXPONENT, PolyRing, Polynomial, grevlex_key
+from kunz.kernel import MAX_EXPONENT
+from kunz.poly import PolyRing, Polynomial, grevlex_key
 import oracles
 
 
@@ -71,14 +72,14 @@ def test_packed_kernel_matches_the_tuple_kernel(data):
     # stopped it, whose members need scaling to be monic)
     guard = kernel.guard_mask(ring.nvars)
     for f in others:
-        reducers = [kernel.make_monic(kernel.to_terms(g), p) for g in basis]
-        nf, degree = kernel.reduce_full(kernel.to_terms(f), reducers, guard,
-                                        p, no_deadline)
+        reducers = [kernel.make_monic(g.terms, p) for g in basis]
+        nf, degree = kernel.reduce_full(f.terms, reducers, guard, p,
+                                        no_deadline)
         old_nf, old_degree = oracles.reduce_full(
             oracles.tuple_terms(f, key),
             [oracles.make_monic(oracles.tuple_terms(g, key), p)
              for g in basis], p)
-        assert kernel.from_terms(nf, ring) == as_polynomial(old_nf, ring)
+        assert Polynomial.wrap(ring, nf) == as_polynomial(old_nf, ring)
         assert degree == old_degree
         nf_budget = Budget()
         assert normal_form(f, basis, nf_budget) == as_polynomial(old_nf, ring)
@@ -120,9 +121,9 @@ def test_heap_work_list_matches_the_tuple_kernel(data):
     ring, f, basis = data
     p = ring.p
     key = oracles.grevlex_key
-    reducers = [kernel.make_monic(kernel.to_terms(g), p) for g in basis]
-    nf, degree = kernel.reduce_full(kernel.to_terms(f), reducers,
-                                    kernel.guard_mask(3), p, no_deadline)
+    reducers = [kernel.make_monic(g.terms, p) for g in basis]
+    nf, degree = kernel.reduce_full(f.terms, reducers, kernel.guard_mask(3), p,
+                                    no_deadline)
     old_nf, old_degree = oracles.reduce_full(
         oracles.tuple_terms(f, key),
         [oracles.make_monic(oracles.tuple_terms(g, key), p)
@@ -136,10 +137,9 @@ def test_reduction_polls_the_deadline_every_64_steps():
     polls = []
     # x^200 -> x^199*y -> ... -> y^200 takes 200 head reductions
     nf, degree = kernel.reduce_full(
-        kernel.to_terms(ring.parse("x^200")),
-        [kernel.to_terms(ring.parse("x - y"))], kernel.guard_mask(2),
-        5, lambda: polls.append(None))
-    assert kernel.from_terms(nf, ring) == ring.parse("y^200")
+        ring.parse("x^200").terms, [ring.parse("x - y").terms],
+        kernel.guard_mask(2), 5, lambda: polls.append(None))
+    assert Polynomial.wrap(ring, nf) == ring.parse("y^200")
     assert degree == 200
     assert len(polls) == 200 // 64
 
@@ -157,7 +157,11 @@ def test_vectors_at_the_exponent_cap_round_trip(vector):
     assert kernel.pack(exps) % (2**64 - 1) == sum(exps)
     ring = PolyRing(FieldConfig(7), tuple("abcde"))
     f = ring.monomial(exps, 3) + ring.monomial((EDGE,) * 5, 2)
-    assert kernel.from_terms(kernel.to_terms(f), ring) == f
+    expected = {(EDGE,) * 5: 2}
+    expected[exps] = (expected.get(exps, 0) + 3) % 7
+    assert dict(f) == {e: c for e, c in expected.items() if c}
+    assert f.terms == sorted(((kernel.pack(grevlex_key(e)), kernel.pack(e), c)
+                              for e, c in dict(f).items()), reverse=True)
 
 
 @given(st.lists(st.tuples(near_edge, near_edge), min_size=1, max_size=5))
@@ -189,8 +193,9 @@ def eliminating_terms(terms):
 
 def test_degrees_past_the_kernel_cap_are_refused():
     ring = PolyRing(FieldConfig(5), ("x", "y"))
-    with pytest.raises(CapacityError):
-        kernel.to_terms(ring.monomial((0, kernel.DEGREE_CAP + 1)))
+    Polynomial(ring, {(1, kernel.DEGREE_CAP - 1): 1})
+    with pytest.raises(CapacityError, match="2\\^60"):
+        Polynomial(ring, {(1, kernel.DEGREE_CAP): 1})
     # eliminating t, reducing t^2 by t - y^k gives y^(2k): past the cap,
     # though each input is below it
     k = kernel.DEGREE_CAP // 2 + 1
@@ -232,34 +237,35 @@ def outcome(compute):
 def test_term_list_products_and_lifts_match_polynomial_products(data):
     ring, f, g = data
     p = ring.p
-    terms_f, terms_g = kernel.to_terms(f), kernel.to_terms(g)
-    assert outcome(lambda: kernel.from_terms(
-        kernel.multiply(terms_f, terms_g, p), ring)) == outcome(lambda: f * g)
-    assert outcome(lambda: kernel.multiply(terms_f, terms_g, p)) == outcome(
-        lambda: kernel.to_terms(f * g))
+
+    def naive(a, b):
+        """The schoolbook product of two {exps: coeff} dicts, or
+        CapacityError where its total degree passes MAX_EXPONENT."""
+        product = oracles.naive_polynomial_product(a, b, p)
+        if max(map(sum, product), default=0) > MAX_EXPONENT:
+            return CapacityError
+        return product
+
+    assert outcome(lambda: dict(f * g)) == naive(dict(f), dict(g))
 
     # the lift of Ideal.intersection: t * f and (1 - t) * g in (t, x, ...)
     n = ring.nvars
-    big = PolyRing(ring.field, ("t",) + ring.variables)
-    t = big.variable("t")
-
-    def lifted(h):
-        return Polynomial(big, {(0,) + e: c for e, c in h.terms.items()})
-
     top = 1 << (kernel.SLOT_BITS * n)
     greater = cmp_to_key(lambda a, b: oracles.elimination_greater(a, b, 1)
                          - oracles.elimination_greater(b, a, 1))
-    for factor, h in (([(top, top, 1)], f),
-                      ([(top, top, p - 1), (0, 0, 1)], g)):
-        terms = outcome(lambda: kernel.multiply(factor, kernel.to_terms(h), p))
-        expected = outcome(lambda: kernel.from_terms(factor, big) * lifted(h))
+    t = (1,) + (0,) * n
+    for factor, cofactor, h in (([(top, top, 1)], {t: 1}, f),
+                                ([(top, top, p - 1), (0, 0, 1)],
+                                 {t: p - 1, (0,) * (n + 1): 1}, g)):
+        terms = outcome(lambda: kernel.multiply(factor, h.terms, p))
+        expected = naive(cofactor, {(0,) + e: c for e, c in h})
         if expected is CapacityError:
             assert terms is CapacityError
             continue
-        assert kernel.from_terms(terms, big) == expected
         # descending in the textbook elimination order, with the packed key
         # the elimination layout gives each term
-        exps = [kernel.unpack(e, n + 1) for _, e, _ in terms]
-        assert exps == sorted(exps, key=greater, reverse=True)
+        assert [(kernel.unpack(e, n + 1), c) for _, e, c in terms] == sorted(
+            expected.items(), key=lambda term: greater(term[0]), reverse=True)
         assert [k for k, _, _ in terms] == [
-            kernel.pack(_eliminating_key(e)) for e in exps]
+            kernel.pack(_eliminating_key(kernel.unpack(e, n + 1)))
+            for _, e, _ in terms]

@@ -9,9 +9,10 @@ from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
 from kunz.fsplit import splitting_number, twist_levels
 from kunz.localring import (LocalRingPresentation, bracket_colength,
-                            matrix_rank_mod_p, regular_count,
+                            linear_parts, matrix_rank_mod_p, regular_count,
                             translate_to_origin)
 from kunz.poly import PolyRing, Polynomial
+from oracles import jacobian_at_origin
 
 
 def test_from_texts_accepts_points_on_the_zero_set():
@@ -85,10 +86,33 @@ def test_smoothness_report_at_a_smooth_point():
     assert report.smooth
 
 
-def test_jacobian_matrix_shape(node3):
-    rows = node3.jacobian_matrix()
-    assert len(rows) == 1 and len(rows[0]) == 2
-    assert node3.jacobian_rank_at_origin() == 0
+@st.composite
+def vanishing_generators(draw):
+    """Up to three generators with no constant term in up to 3 variables,
+    their exponents drawn from 0, 1, 2, p and p + 1, so x^p terms, whose
+    derivative vanishes, occur."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    ring = PolyRing(FieldConfig(p), tuple("xyz"[:n]))
+    exponent = st.sampled_from([0, 1, 2, p, p + 1])
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        terms = draw(st.dictionaries(st.tuples(*[exponent] * n),
+                                     st.integers(0, 2 * p), max_size=6))
+        terms.pop((0,) * n, None)
+        gens.append(Polynomial(ring, terms))
+    return ring, tuple(gens)
+
+
+@given(vanishing_generators(), st.integers(1, 4))
+def test_linear_parts_match_the_jacobian_at_the_origin(data, constant):
+    ring, gens = data
+    n, p = ring.nvars, ring.p
+    assert linear_parts(ring, gens) == [jacobian_at_origin(dict(g), n, p)
+                                        for g in gens]
+    if gens and constant % p:
+        moved = gens[:-1] + (gens[-1] + ring.constant(constant),)
+        assert linear_parts(ring, moved) is None
 
 
 def test_matrix_rank_mod_p():

@@ -4,11 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from kunz.errors import CapacityError, ParseError
+from kunz.errors import CapacityError, ParseError, PreconditionError
 from kunz.field import FieldConfig
-from kunz.kernel import from_terms, pack, to_terms, unpack
-from kunz.poly import MAX_EXPONENT, PolyRing, grevlex_key
-from oracles import grevlex_greater
+from kunz.kernel import DEGREE_CAP, MAX_EXPONENT, pack, unpack
+from kunz.poly import PolyRing, Polynomial, grevlex_key
+from oracles import grevlex_greater, naive_polynomial_product
 
 primes = st.sampled_from([2, 3, 5, 7])
 
@@ -67,13 +67,8 @@ def test_frobenius_power_is_qth_power(data, e):
     ring, (f,) = data
     q = ring.p**e
     assert f.frobenius_power(q) == f**q
-
-
-@given(ring_and_polys(count=2))
-def test_derivative_product_rule(data):
-    ring, (f, g) = data
-    for i in range(ring.nvars):
-        assert (f * g).derivative(i) == f.derivative(i) * g + f * g.derivative(i)
+    assert_canonical(f.frobenius_power(q),
+                     {tuple(x * q for x in exps): c for exps, c in f})
 
 
 @given(ring_and_polys(count=2))
@@ -153,13 +148,10 @@ def test_order_keys_match_the_textbook_orders(vectors, p):
     f = ring.zero()
     for i, exps in enumerate(vectors):
         f = f + ring.monomial(exps, 1 + i % (p - 1))
-    terms = to_terms(f)
     # the terms come in the textbook order, and their packed keys, compared
     # as ints, strictly descend along it
-    assert [unpack(e, n) for _, e, _ in terms] == by_oracle
-    assert all(a[0] > b[0] for a, b in zip(terms, terms[1:]))
-    assert all(k == pack(grevlex_key(unpack(e, n))) for k, e, _ in terms)
-    assert from_terms(terms, ring) == f
+    assert [exps for exps, _ in f] == by_oracle
+    assert all(a[0] > b[0] for a, b in zip(f.terms, f.terms[1:]))
 
 
 @st.composite
@@ -181,3 +173,77 @@ def test_order_keys_are_additive(pair):
     assert pack(grevlex_key(total)) == (pack(grevlex_key(a))
                                         + pack(grevlex_key(b)))
     assert pack(total) == pack(a) + pack(b)
+
+
+def assert_canonical(f, expected):
+    """f's term list is the canonical form of the dict expected: keys
+    strictly descend and are the packed grevlex keys of the packed
+    exponents, every coefficient lies in [1, p), and the terms read back
+    as expected with its zero coefficients dropped. The degrees and the
+    constant term read from the ends of the list are the dict's."""
+    n, p = f.ring.nvars, f.ring.p
+    keys = [k for k, _, _ in f.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    assert all(k == pack(grevlex_key(unpack(e, n))) for k, e, _ in f.terms)
+    assert all(0 < c < p for _, _, c in f.terms)
+    terms = {e: c % p for e, c in expected.items() if c % p}
+    assert dict(f) == terms
+    assert f.total_degree() == max(map(sum, terms), default=-1)
+    assert f.order_of_vanishing() == min(map(sum, terms), default=-1)
+    assert f.constant_coefficient() == terms.get((0,) * n, 0)
+
+
+@st.composite
+def raw_terms(draw):
+    """A ring and two {exps: coeff} dicts whose coefficients may be zero,
+    negative or at least p."""
+    p = draw(primes)
+    nvars = draw(st.integers(1, 3))
+    ring = PolyRing(FieldConfig(p), tuple("xyz"[:nvars]))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * nvars),
+                            st.integers(-2 * p, 2 * p), max_size=6)
+    return ring, draw(terms), draw(terms)
+
+
+@given(raw_terms())
+def test_term_lists_are_canonical(data):
+    ring, f_terms, g_terms = data
+    p = ring.p
+    f, g = Polynomial(ring, f_terms), Polynomial(ring, g_terms)
+    assert_canonical(f, f_terms)
+    # sums, negations, scalings and products keep the canonical form
+    total = dict(f_terms)
+    for e, c in g_terms.items():
+        total[e] = total.get(e, 0) + c
+    assert_canonical(f + g, total)
+    assert_canonical(-f, {e: -c for e, c in f_terms.items()})
+    assert_canonical(f - f, {})
+    assert_canonical(f.scale(3), {e: 3 * c for e, c in f_terms.items()})
+    assert_canonical(f * g, naive_polynomial_product(dict(f), dict(g), p))
+
+
+def test_constructor_refusals():
+    ring = PolyRing(FieldConfig(5), ("x", "y"))
+    with pytest.raises(PreconditionError, match="does not match"):
+        Polynomial(ring, {(1,): 1})
+    with pytest.raises(PreconditionError, match="negative exponent"):
+        Polynomial(ring, {(2, -1): 1})
+    Polynomial(ring, {(0, DEGREE_CAP): 1})
+    with pytest.raises(CapacityError, match="2\\^60"):
+        Polynomial(ring, {(1, DEGREE_CAP): 1})
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_products_and_frobenius_powers_past_the_capacity(nvars):
+    """Total degree MAX_EXPONENT is the last one a product or a Frobenius
+    power may reach."""
+    ring = PolyRing(FieldConfig(3), tuple("xyz"[:nvars]))
+    x, z = ring.gens()[0], ring.gens()[-1]
+    edge = ring.monomial((MAX_EXPONENT - 1,) + (0,) * (nvars - 1))
+    assert (edge * z).total_degree() == MAX_EXPONENT
+    with pytest.raises(CapacityError, match="total degree .* 2\\^40"):
+        edge * z * x
+    third = MAX_EXPONENT // 3
+    assert (z**third + x).frobenius_power(3).total_degree() == 3 * third
+    with pytest.raises(CapacityError, match="total degree .* 2\\^40"):
+        (z**third * x + x).frobenius_power(3)
