@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from typing import Iterable
 
 from .errors import CapacityError, PreconditionError, PrecisionLossError
 from .field import FieldConfig, RowSpace
@@ -47,10 +48,9 @@ def _normalize_generators(values: Iterable[int], label: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _Branch(NamedTuple):
-    semigroup_generators: tuple[int, ...]
-    cross_valuations: tuple[int, ...] = ()
-    conductor: int | None = None
+_Branch = namedtuple(
+    "_Branch", "semigroup_generators cross_valuations conductor",
+    defaults=((), None))
 
 
 class Branch(_Branch):
@@ -60,7 +60,9 @@ class Branch(_Branch):
     its normalization F_p[[t]]. cross_valuations lists the valuations, on
     this branch, of elements vanishing on every other branch; it is required
     exactly when the curve has more than one branch. conductor may be given
-    for documentation and is validated against the semigroup.
+    for documentation and is validated against the semigroup. Both
+    valuation fields are sorted tuples of ints; conductor is an int, and
+    None on input means "compute it".
     """
 
     __slots__ = ()
@@ -83,13 +85,14 @@ class Branch(_Branch):
         return super().__new__(cls, gens, cross, computed)
 
 
-class _BranchCurve(NamedTuple):
-    p: int
-    branches: tuple[Branch, ...]
+_BranchCurve = namedtuple("_BranchCurve", "p branches")
 
 
 class BranchCurve(_BranchCurve):
-    """A curve over F_p with branches glued at a single point."""
+    """A curve over F_p with branches glued at a single point.
+
+    branches is a tuple of Branch.
+    """
 
     __slots__ = ()
 
@@ -113,16 +116,16 @@ class BranchCurve(_BranchCurve):
         return super().__new__(cls, self.p, branches)
 
 
-class BranchInvariants(NamedTuple):
-    gamma0: int
-    beta: int
-    gamma: int
+class BranchInvariants(namedtuple("BranchInvariants", "gamma0 beta gamma")):
+    """The ints gamma0, beta and gamma of one branch."""
+
+    __slots__ = ()
 
 
-class TameInvariants(NamedTuple):
-    per_branch: tuple[BranchInvariants, ...]
-    delta: int
-    Delta: int
+class TameInvariants(namedtuple("TameInvariants", "per_branch delta Delta")):
+    """per_branch is a tuple of BranchInvariants; delta and Delta are ints."""
+
+    __slots__ = ()
 
 
 def semigroup_membership(generators: tuple[int, ...], bound: int) -> list[bool]:
@@ -219,19 +222,19 @@ def piece_generators(curve: BranchCurve, index: int, gamma: int,
 # -- realized branches and their trace blocks -------------------------------
 
 
-class BranchRealization(NamedTuple):
+class BranchRealization(namedtuple("BranchRealization",
+                                   "gamma s basis_element")):
     """One branch realized in F_p[t]/(t^N) with a re-uniformized coordinate.
 
     s = t * u^(1/gamma), for a random unit u with residue 1, is the
     coordinate with s^gamma = t^gamma * u, the branch component of the
     realized parameter. basis_element is x = s^(gamma+1) * (unit with
     residue 1), kept as a series in s; its powers x, x^2, ..., x^gamma are
-    the family whose trace block is measured.
+    the family whose trace block is measured. gamma is an int; s and
+    basis_element are TruncatedSeries.
     """
 
-    gamma: int
-    s: TruncatedSeries
-    basis_element: TruncatedSeries
+    __slots__ = ()
 
 
 def _random_unit(rng: random.Random, p: int, degree: int) -> TruncatedSeries:
@@ -354,12 +357,11 @@ def extension_degree(curve: BranchCurve) -> int:
     return tame_invariants(curve).delta
 
 
-class GeneratorBoundCheck(NamedTuple):
-    count: int
-    delta: int
-    mu: int
-    bound: int
-    passed: bool
+class GeneratorBoundCheck(namedtuple("GeneratorBoundCheck",
+                                     "count delta mu bound passed")):
+    """Ints count, delta, mu and bound, and the bool passed."""
+
+    __slots__ = ()
 
 
 def generator_bound_check(curve: BranchCurve, count: int,
@@ -443,11 +445,10 @@ def _series_row(series: TruncatedSeries, offset: int, width: int,
     return row
 
 
-class RootClosureCheck(NamedTuple):
-    p: int
-    m: int
-    tested: int
-    passed: bool
+class RootClosureCheck(namedtuple("RootClosureCheck", "p m tested passed")):
+    """Ints p, m and tested, and the bool passed."""
+
+    __slots__ = ()
 
 
 def root_closure_check(curve: BranchCurve, m: int = 1,
@@ -531,11 +532,12 @@ def root_closure_check(curve: BranchCurve, m: int = 1,
     return RootClosureCheck(p, m, tested, True)
 
 
-class SplitReductionCheck(NamedTuple):
-    p: int
-    discriminant_reduction: int
-    reduced_discriminant: int
-    passed: bool
+class SplitReductionCheck(namedtuple(
+        "SplitReductionCheck",
+        "p discriminant_reduction reduced_discriminant passed")):
+    """Three ints and the bool passed."""
+
+    __slots__ = ()
 
 
 def split_reduction_check(p: int, seed: int = 0) -> SplitReductionCheck:
@@ -576,17 +578,18 @@ def split_reduction_check(p: int, seed: int = 0) -> SplitReductionCheck:
 # -- aggregate report -------------------------------------------------------
 
 
-class TameReport(NamedTuple):
-    p: int
-    semigroups: tuple[tuple[int, ...], ...]
-    invariants: TameInvariants
-    parameter_valuations: tuple[int, ...]
-    discriminant_valuation: int
-    extension_degree: int
-    generator_count: int
-    generator_bound: GeneratorBoundCheck
-    precision: int
-    seed: int
+class TameReport(namedtuple(
+        "TameReport",
+        "p semigroups invariants parameter_valuations discriminant_valuation "
+        "extension_degree generator_count generator_bound precision seed")):
+    """The tame command's result.
+
+    semigroups is a tuple of int tuples, one per branch, and
+    parameter_valuations a tuple of ints; invariants is a TameInvariants
+    and generator_bound a GeneratorBoundCheck. Every other field is an int.
+    """
+
+    __slots__ = ()
 
 
 def tame_report(curve: BranchCurve, precision: int | None = None,

@@ -8,7 +8,7 @@ F_p: an incremental row space that also counts ranks.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import CapacityError, PreconditionError
 
@@ -49,12 +49,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class _FieldConfig(NamedTuple):
-    p: int
+_FieldConfig = namedtuple("_FieldConfig", "p")
 
 
 class FieldConfig(_FieldConfig):
-    """The field F_p. Immutable, safe to share between threads."""
+    """The field F_p, p an int. Immutable, safe to share between threads."""
 
     __slots__ = ()
 

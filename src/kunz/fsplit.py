@@ -72,15 +72,15 @@ fpurity_exponent; localring.bracket_colength counts (J_e) + m^[q].
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
-from typing import NamedTuple
 
 from . import kernel
 from .engine import Budget, Ideal
 from .errors import PreconditionError
 from .field import frobenius_exponent
-from .hk import RationalInterval, describe_presentation, tail_interval
+from .hk import describe_presentation, tail_interval
 from .localring import LocalRingPresentation, bracket_colength, theorem_counts
 from .poly import Polynomial
 
@@ -173,13 +173,11 @@ def twist_levels(presentation: LocalRingPresentation, e_top: int,
         yield (level,) if level else ()
 
 
-class SplittingSample(NamedTuple):
-    """One splitting-number measurement."""
+class SplittingSample(namedtuple("SplittingSample", "e q colength s")):
+    """One splitting-number measurement: ints e, q = p^e and colength, and
+    the Fraction s = colength / q^d."""
 
-    e: int
-    q: int
-    colength: int
-    s: Fraction
+    __slots__ = ()
 
 
 def splitting_number(presentation: LocalRingPresentation, e: int,
@@ -210,10 +208,11 @@ def splitting_number(presentation: LocalRingPresentation, e: int,
                            s=Fraction(colength, q**d))
 
 
-class PurityVerdict(NamedTuple):
-    is_F_pure: bool
-    witness: Polynomial | None
-    detail: str
+class PurityVerdict(namedtuple("PurityVerdict", "is_F_pure witness detail")):
+    """Fedder's verdict: a bool, the witness Polynomial or None, and the
+    detail text."""
+
+    __slots__ = ()
 
 
 def fedder_test(presentation: LocalRingPresentation,
@@ -264,16 +263,17 @@ def fpurity_exponent(presentation: LocalRingPresentation, c: Polynomial,
     return None
 
 
-class FSplitReport(NamedTuple):
-    """Splitting-number sequence with the same tail analysis as for lambda."""
+class FSplitReport(namedtuple(
+        "FSplitReport",
+        "presentation_id p dimension samples empirical_C interval verdict")):
+    """Splitting-number sequence with the same tail analysis as for lambda.
 
-    presentation_id: str
-    p: int
-    dimension: int
-    samples: tuple[SplittingSample, ...]
-    empirical_C: Fraction
-    interval: RationalInterval
-    verdict: PurityVerdict
+    samples is a tuple of SplittingSample, empirical_C a Fraction, interval
+    a RationalInterval and verdict a PurityVerdict; p and dimension are
+    ints and presentation_id is text.
+    """
+
+    __slots__ = ()
 
 
 def fsplit_report(presentation: LocalRingPresentation, e_max: int,

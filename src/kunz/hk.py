@@ -22,8 +22,8 @@ exercise it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .engine import Budget, Ideal
 from .errors import BudgetExceededError, PreconditionError
@@ -33,12 +33,12 @@ from .localring import (FrobeniusSample, LocalRingPresentation,
 from .poly import Polynomial
 
 
-class _RationalInterval(NamedTuple):
-    low: Fraction
-    high: Fraction
+_RationalInterval = namedtuple("_RationalInterval", "low high")
 
 
 class RationalInterval(_RationalInterval):
+    """The closed interval [low, high] between two Fractions."""
+
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> RationalInterval:
@@ -51,17 +51,17 @@ class RationalInterval(_RationalInterval):
         return self.low <= value <= self.high
 
 
-class HKReport(NamedTuple):
-    """Sequence report: exact samples, gap constant, and the tail interval."""
+class HKReport(namedtuple(
+        "HKReport", "presentation_id p dimension samples empirical_C interval "
+        "stabilization_index truncated")):
+    """Sequence report: exact samples, gap constant, and the tail interval.
 
-    presentation_id: str
-    p: int
-    dimension: int
-    samples: tuple[FrobeniusSample, ...]
-    empirical_C: Fraction
-    interval: RationalInterval
-    stabilization_index: int
-    truncated: bool
+    samples is a tuple of FrobeniusSample, empirical_C a Fraction and
+    interval a RationalInterval; p, dimension and stabilization_index are
+    ints, truncated is a bool and presentation_id is text.
+    """
+
+    __slots__ = ()
 
 
 def describe_presentation(presentation: LocalRingPresentation) -> str:
@@ -135,29 +135,27 @@ def hk_sequence(presentation: LocalRingPresentation, e_max: int,
 # -- pair bounds -----------------------------------------------------------
 
 
-class BoundConstants(NamedTuple):
-    """Constants entering the pair bound rhs m * Delta * p^-e."""
+class BoundConstants(namedtuple("BoundConstants", "m Delta")):
+    """The int constants entering the pair bound rhs m * Delta * p^-e."""
 
-    m: int
-    Delta: int
+    __slots__ = ()
 
 
-class PairBoundEntry(NamedTuple):
-    e: int
-    e_prime: int
-    lhs: Fraction
-    rhs: Fraction
+class PairBoundEntry(namedtuple("PairBoundEntry", "e e_prime lhs rhs")):
+    """One pair of ints (e, e_prime) and the Fraction sides of its bound."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.lhs <= self.rhs
 
 
-class BoundCheck(NamedTuple):
-    """A batch of pair-bound verifications sharing one constant set."""
+class BoundCheck(namedtuple("BoundCheck", "constants entries")):
+    """A batch of pair-bound verifications sharing one constant set:
+    BoundConstants and a tuple of PairBoundEntry."""
 
-    constants: BoundConstants
-    entries: tuple[PairBoundEntry, ...]
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:
@@ -222,15 +220,16 @@ def verify_pair_bounds(presentation: LocalRingPresentation, inner: Ideal,
     return BoundCheck(constants=constants, entries=entries)
 
 
-class BasicLengthsCheck(NamedTuple):
+class BasicLengthsCheck(namedtuple("BasicLengthsCheck",
+                                   "q colon_side quotient_side")):
     """Two independently computed sides of the colon/quotient length identity
 
-    l(R / (I^[q] : u^q)) = l((I + (u))^[q] / I^[q]).
+    l(R / (I^[q] : u^q)) = l((I + (u))^[q] / I^[q]),
+
+    both ints, like q.
     """
 
-    q: int
-    colon_side: int
-    quotient_side: int
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -254,12 +253,11 @@ def verify_basic_lengths(presentation: LocalRingPresentation, inner: Ideal,
 # -- hypersurface bound ----------------------------------------------------
 
 
-class HypersurfaceBoundCheck(NamedTuple):
-    n: int
-    e: int
-    q: int
-    colength: int
-    bound: int
+class HypersurfaceBoundCheck(namedtuple("HypersurfaceBoundCheck",
+                                        "n e q colength bound")):
+    """The ints n, e, q, colength and bound of one hypersurface check."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

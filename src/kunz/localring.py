@@ -37,8 +37,8 @@ J + m^[q], which stays the tests' oracle for the other two.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import kernel
 from .diagonal import jordan_counts
@@ -98,13 +98,12 @@ def translate_to_origin(generators: list[Polynomial], point: Point) -> list[Poly
     return [g.substitute_shift(point) for g in generators]
 
 
-class FrobeniusSample(NamedTuple):
-    """One Frobenius colength measurement of a local ring."""
+class FrobeniusSample(namedtuple("FrobeniusSample",
+                                 "e q colength normalized")):
+    """One Frobenius colength measurement of a local ring: ints e, q = p^e
+    and colength, and the Fraction normalized = colength / q^d."""
 
-    e: int
-    q: int
-    colength: int
-    normalized: Fraction
+    __slots__ = ()
 
 
 class LocalRingPresentation:
@@ -190,11 +189,11 @@ class LocalRingPresentation:
                                 jacobian_rank=rank, smooth=(rank == codim))
 
 
-class SmoothnessReport(NamedTuple):
-    dimension: int
-    codimension: int
-    jacobian_rank: int
-    smooth: bool
+class SmoothnessReport(namedtuple(
+        "SmoothnessReport", "dimension codimension jacobian_rank smooth")):
+    """Three ints, and the bool smooth: jacobian_rank == codimension."""
+
+    __slots__ = ()
 
 
 def regular_count(ring: PolyRing, generators: tuple[Polynomial, ...],

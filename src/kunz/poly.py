@@ -25,11 +25,11 @@ Expression grammar (EBNF), also shown in the README:
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from typing import Iterator
 
 from . import kernel
 from .errors import CapacityError, ParseError, PreconditionError
-from .field import FieldConfig
 
 Exps = tuple[int, ...]
 
@@ -52,13 +52,14 @@ def grevlex_key(exps: Exps) -> tuple[int, ...]:
     return (total, *prefix)
 
 
-class _PolyRing(NamedTuple):
-    field: FieldConfig
-    variables: tuple[str, ...]
+_PolyRing = namedtuple("_PolyRing", "field variables")
 
 
 class PolyRing(_PolyRing):
-    """The polynomial ring F_p[variables]; the shared context of an ideal."""
+    """The polynomial ring F_p[variables]; the shared context of an ideal.
+
+    field is a FieldConfig and variables a tuple of names.
+    """
 
     __slots__ = ()
 

@@ -6,20 +6,23 @@ floats and never lose precision. A run record wraps the payload with the
 job, the package version, per-operation timings, and a content hash; the
 hash covers the job, version, and payload but never the timings, so
 repeated runs of one job hash identically.
+
+RunRecord, like every record class of the package, is a
+collections.namedtuple subclass, and encode_value writes any tuple as a
+JSON list. Only csv_text imports csv, since only --csv needs it.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import __version__
 from .errors import PreconditionError
-from .textio import JobSpec, render_job
+from .textio import render_job
 
 SCHEMA_VERSION = 1
 
@@ -57,10 +60,10 @@ def content_hash(job_text: str, payload) -> str:
     return digest.hexdigest()
 
 
-class RunRecord(NamedTuple):
-    job: JobSpec
-    payload: dict
-    timings: dict[str, float]
+class RunRecord(namedtuple("RunRecord", "job payload timings")):
+    """A JobSpec, its payload dict, and the dict of timings in seconds."""
+
+    __slots__ = ()
 
     def to_document(self) -> dict:
         job_text = render_job(self.job)
@@ -120,6 +123,7 @@ def csv_rows(command: str, payload: dict) -> tuple[list[str], list[list]]:
 
 
 def csv_text(command: str, payload: dict) -> str:
+    import csv  # only --csv needs it, so a JSON-only run never loads it
     header, rows = csv_rows(command, payload)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -16,9 +16,9 @@ constructible neighborhood where constancy holds.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
 
 from .engine import Budget, Ideal
 from .errors import PreconditionError
@@ -30,10 +30,7 @@ from .poly import PolyRing, Polynomial
 MAX_ENUMERATION_VARS = 4
 
 
-class _Subvariety(NamedTuple):
-    generators: tuple[str, ...]
-    witnesses: tuple[Point, ...]
-    parameters: tuple[str, ...]
+_Subvariety = namedtuple("_Subvariety", "generators witnesses parameters")
 
 
 class Subvariety(_Subvariety):
@@ -43,6 +40,8 @@ class Subvariety(_Subvariety):
     generate an ideal containing the presentation ideal. witnesses are
     rational points of the subvariety at which the quotient is smooth;
     parameters lift a regular system of parameters of the quotient there.
+    generators and parameters are tuples of polynomial texts, witnesses a
+    tuple of points.
     """
 
     __slots__ = ()
@@ -54,46 +53,48 @@ class Subvariety(_Subvariety):
         return self
 
 
-class PointRecord(NamedTuple):
+class PointRecord(namedtuple(
+        "PointRecord", "point dimension smooth lambda_values s_values")):
     """Invariants at one point. dimension is that of S/I, not of the local
     ring at the point, and smooth is LocalRingPresentation.smoothness_report's
-    verdict, which means regular only where the two dimensions agree."""
+    verdict, which means regular only where the two dimensions agree.
+    lambda_values and s_values are tuples of Fractions, one per e."""
 
-    point: Point
-    dimension: int
-    smooth: bool
-    lambda_values: tuple[Fraction, ...]
-    s_values: tuple[Fraction, ...]
+    __slots__ = ()
 
 
-class WitnessValues(NamedTuple):
-    witness: Point
-    values: tuple[Fraction, ...]
+class WitnessValues(namedtuple("WitnessValues", "witness values")):
+    """A witness point and its tuple of Fraction values."""
+
+    __slots__ = ()
 
 
-class SubvarietyRecord(NamedTuple):
-    generators: tuple[str, ...]
-    height: int
-    parameter_count: int
-    witness_values: tuple[WitnessValues, ...]
-    agreement: bool
+class SubvarietyRecord(namedtuple(
+        "SubvarietyRecord",
+        "generators height parameter_count witness_values agreement")):
+    """generators is a tuple of polynomial texts, height and parameter_count
+    are ints, witness_values is a tuple of WitnessValues, and agreement is
+    a bool."""
+
+    __slots__ = ()
 
 
-class ScanVerdicts(NamedTuple):
-    upper_semicontinuous_lambda: bool
-    lower_semicontinuous_s: bool
-    generic_constancy: bool
-    violations: tuple[str, ...]
+class ScanVerdicts(namedtuple(
+        "ScanVerdicts", "upper_semicontinuous_lambda lower_semicontinuous_s "
+        "generic_constancy violations")):
+    """Three bools and the tuple of violation texts."""
+
+    __slots__ = ()
 
 
-class ScanReport(NamedTuple):
-    p: int
-    variables: tuple[str, ...]
-    ideal_generators: tuple[str, ...]
-    e_values: tuple[int, ...]
-    points: tuple[PointRecord, ...]
-    subvarieties: tuple[SubvarietyRecord, ...]
-    verdicts: ScanVerdicts
+class ScanReport(namedtuple(
+        "ScanReport", "p variables ideal_generators e_values points "
+        "subvarieties verdicts")):
+    """The scan command's result: the int p; tuples of variable names,
+    generator texts and int e values; tuples of PointRecord and
+    SubvarietyRecord; and the ScanVerdicts."""
+
+    __slots__ = ()
 
 
 def enumerate_points(ring: PolyRing, generators: list[Polynomial]) -> list[Point]:
@@ -110,14 +111,15 @@ def enumerate_points(ring: PolyRing, generators: list[Polynomial]) -> list[Point
     return points
 
 
-class _WitnessContext(NamedTuple):
-    """A validated witness: the ideals and parameters translated to it."""
+class _WitnessContext(namedtuple(
+        "_WitnessContext", "base_ideal sub_ideal params height h")):
+    """A validated witness: the ideals and parameters translated to it.
 
-    base_ideal: Ideal
-    sub_ideal: Ideal
-    params: list[Polynomial]
-    height: int
-    h: int
+    base_ideal and sub_ideal are Ideals, params a list of Polynomials, and
+    height and h ints.
+    """
+
+    __slots__ = ()
 
 
 def _generic_context(ring: PolyRing, ideal_generators: list[Polynomial],

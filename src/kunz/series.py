@@ -22,7 +22,7 @@ the same as the schoolbook product's.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import PreconditionError, PrecisionLossError
 
@@ -43,12 +43,15 @@ def _pack(terms: tuple[tuple[int, int], ...], low: int, w: int) -> int:
     return int.from_bytes(b"".join(slots), "little")
 
 
-class TruncatedSeries(NamedTuple):
-    """f = sum of coeffs[m] * t^m for m < prec, plus O(t^prec)."""
+class TruncatedSeries(namedtuple("TruncatedSeries", "p coeffs prec",
+                                 defaults=(None,))):
+    """f = sum of coeffs[m] * t^m for m < prec, plus O(t^prec).
 
-    p: int
-    coeffs: tuple[tuple[int, int], ...]
-    prec: int | None = None
+    coeffs is a tuple of (m, c) int pairs, ascending in m, with every c in
+    [1, p). prec is an int, or None for an exact polynomial.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def make(cls, p: int, coeffs: dict[int, int],

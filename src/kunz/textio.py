@@ -36,7 +36,7 @@ mutually inverse on well-formed jobs, so specs round-trip losslessly.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ParseError
 
@@ -125,37 +125,35 @@ def _points(points: tuple[tuple[int, ...], ...]) -> str:
     return " ".join("(" + ",".join(str(a) for a in pt) + ")" for pt in points)
 
 
-class SubvarietySpec(NamedTuple):
-    ideal: tuple[str, ...]
-    witnesses: tuple[tuple[int, ...], ...]
-    params: tuple[str, ...]
+class SubvarietySpec(namedtuple("SubvarietySpec", "ideal witnesses params")):
+    """One `sub.<i>` block: tuples of the ideal's and the parameters'
+    polynomial texts, and a tuple of int tuples for the witness points."""
+
+    __slots__ = ()
 
 
-class _JobSpec(NamedTuple):
-    command: str
-    p: int
-    variables: tuple[str, ...] = ()
-    ideal: tuple[str, ...] = ()
-    point: tuple[int, ...] | None = None
-    points: tuple[tuple[int, ...], ...] | None = None
-    branches: tuple[tuple[int, ...], ...] = ()
-    cross: tuple[tuple[int, ...], ...] = ()
-    subvarieties: tuple[SubvarietySpec, ...] = ()
-    inner: tuple[str, ...] = ()
-    socle: str | None = None
-    element: str | None = None
-    m_constant: int | None = None
-    delta_constant: int | None = None
-    e_max: int | None = None
-    e_cap: int | None = None
-    precision: int | None = None
-    seed: int = 0
-    mu: int = 1
-    budget_pairs: int | None = None
+# every JobSpec field after command and p, at its "not given" default
+_JOB_DEFAULTS = {
+    "variables": (), "ideal": (), "point": None, "points": None,
+    "branches": (), "cross": (), "subvarieties": (), "inner": (),
+    "socle": None, "element": None, "m_constant": None,
+    "delta_constant": None, "e_max": None, "e_cap": None, "precision": None,
+    "seed": 0, "mu": 1, "budget_pairs": None,
+}
+
+_JobSpec = namedtuple("_JobSpec", ("command", "p", *_JOB_DEFAULTS),
+                      defaults=_JOB_DEFAULTS.values())
 
 
 class JobSpec(_JobSpec):
-    """Everything one run needs, mirroring the text format exactly."""
+    """Everything one run needs, mirroring the text format exactly.
+
+    command is the command name and p an int. variables, ideal and inner
+    are tuples of texts; point is an int tuple and points, branches and
+    cross are tuples of int tuples; subvarieties is a tuple of
+    SubvarietySpec; socle and element are polynomial texts; the other
+    fields are ints. A field at its default was not given.
+    """
 
     __slots__ = ()
 

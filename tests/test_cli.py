@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 from typing import NamedTuple
@@ -532,7 +534,7 @@ print(json.dumps({
 
 
 def test_cli_import_generates_no_record_code():
-    """Result records and value types are NamedTuples, built without
+    """Result records and value types are namedtuples, built without
     dataclass code generation; the CLI is argparse, not click; and the two
     stderr lines need no logging import. So `import kunz.cli` loads none of
     click, dataclasses, inspect or logging."""
@@ -559,3 +561,47 @@ def test_cli_runs_without_click(tmp_path):
                      "--emax", "3"], code=WITHOUT_CLICK)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["content_hash"] == CONE_HK_E3_HASH
+
+
+def test_main_freezes_the_imports_and_keeps_the_collector(cli, tmp_path):
+    """main freezes what the imports made instead of disabling the
+    collector: after an in-process call, a cycle made later is reclaimed."""
+    result = cli(["hk", "--input", write(tmp_path, "cone.job", CONE),
+                  "--emax", "1"])
+    assert result.exit_code == 0
+    assert gc.get_freeze_count() > 0
+    assert gc.isenabled()
+
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
+
+
+CSV_PROBE = """
+import json, sys
+import kunz.cli
+print(json.dumps("csv" in sys.modules))
+"""
+
+# `kunz hk --csv` on the cone at emax = 3, as the CLI wrote it when records
+# imported csv at module level
+CONE_HK_E3_CSV = ("e,q,colength,lambda\n1,5,37,37/25\n2,25,937,937/625\n"
+                  "3,125,23437,23437/15625\n")
+
+
+def test_csv_loads_only_for_a_csv_view(tmp_path):
+    probe = run_child([], code=CSV_PROBE)
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) is False
+    out_path = tmp_path / "out.csv"
+    out = run_child(["hk", "--input", write(tmp_path, "cone.job", CONE),
+                     "--emax", "3", "--csv", str(out_path)])
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["content_hash"] == CONE_HK_E3_HASH
+    assert out_path.read_bytes() == CONE_HK_E3_CSV.encode()

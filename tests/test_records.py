@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction
 
@@ -84,3 +85,98 @@ def test_non_tabular_commands_have_no_csv():
     for command in ("fedder", "tame"):
         with pytest.raises(PreconditionError):
             csv_text(command, {})
+
+
+# Every record class of the package, by module: its fields in order and its
+# defaults. The payload builders read records by field, encode_value writes
+# them as lists, and render_job omits a JobSpec field at its default.
+_JOB_DEFAULTS = {
+    "variables": (), "ideal": (), "point": None, "points": None,
+    "branches": (), "cross": (), "subvarieties": (), "inner": (),
+    "socle": None, "element": None, "m_constant": None,
+    "delta_constant": None, "e_max": None, "e_cap": None, "precision": None,
+    "seed": 0, "mu": 1, "budget_pairs": None}
+_JOB_FIELDS = ("command p variables ideal point points branches cross "
+               "subvarieties inner socle element m_constant delta_constant "
+               "e_max e_cap precision seed mu budget_pairs")
+_BRANCH = ("semigroup_generators cross_valuations conductor",
+           {"cross_valuations": (), "conductor": None})
+RECORD_SHAPES = {
+    "curves": {
+        "_Branch": _BRANCH,
+        "Branch": _BRANCH,
+        "_BranchCurve": ("p branches", {}),
+        "BranchCurve": ("p branches", {}),
+        "BranchInvariants": ("gamma0 beta gamma", {}),
+        "TameInvariants": ("per_branch delta Delta", {}),
+        "BranchRealization": ("gamma s basis_element", {}),
+        "GeneratorBoundCheck": ("count delta mu bound passed", {}),
+        "RootClosureCheck": ("p m tested passed", {}),
+        "SplitReductionCheck": (
+            "p discriminant_reduction reduced_discriminant passed", {}),
+        "TameReport": (
+            "p semigroups invariants parameter_valuations "
+            "discriminant_valuation extension_degree generator_count "
+            "generator_bound precision seed", {}),
+    },
+    "field": {"_FieldConfig": ("p", {}), "FieldConfig": ("p", {})},
+    "fsplit": {
+        "SplittingSample": ("e q colength s", {}),
+        "PurityVerdict": ("is_F_pure witness detail", {}),
+        "FSplitReport": ("presentation_id p dimension samples empirical_C "
+                         "interval verdict", {}),
+    },
+    "hk": {
+        "_RationalInterval": ("low high", {}),
+        "RationalInterval": ("low high", {}),
+        "HKReport": ("presentation_id p dimension samples empirical_C "
+                     "interval stabilization_index truncated", {}),
+        "BoundConstants": ("m Delta", {}),
+        "PairBoundEntry": ("e e_prime lhs rhs", {}),
+        "BoundCheck": ("constants entries", {}),
+        "BasicLengthsCheck": ("q colon_side quotient_side", {}),
+        "HypersurfaceBoundCheck": ("n e q colength bound", {}),
+    },
+    "localring": {
+        "FrobeniusSample": ("e q colength normalized", {}),
+        "SmoothnessReport": ("dimension codimension jacobian_rank smooth",
+                             {}),
+    },
+    "poly": {"_PolyRing": ("field variables", {}),
+             "PolyRing": ("field variables", {})},
+    "records": {"RunRecord": ("job payload timings", {})},
+    "scan": {
+        "_Subvariety": ("generators witnesses parameters", {}),
+        "Subvariety": ("generators witnesses parameters", {}),
+        "PointRecord": ("point dimension smooth lambda_values s_values", {}),
+        "WitnessValues": ("witness values", {}),
+        "SubvarietyRecord": ("generators height parameter_count "
+                             "witness_values agreement", {}),
+        "ScanVerdicts": ("upper_semicontinuous_lambda lower_semicontinuous_s "
+                         "generic_constancy violations", {}),
+        "ScanReport": ("p variables ideal_generators e_values points "
+                       "subvarieties verdicts", {}),
+        "_WitnessContext": ("base_ideal sub_ideal params height h", {}),
+    },
+    "series": {"TruncatedSeries": ("p coeffs prec", {"prec": None})},
+    "textio": {
+        "SubvarietySpec": ("ideal witnesses params", {}),
+        "_JobSpec": (_JOB_FIELDS, _JOB_DEFAULTS),
+        "JobSpec": (_JOB_FIELDS, _JOB_DEFAULTS),
+    },
+}
+
+
+@pytest.mark.parametrize("module_name", list(RECORD_SHAPES))
+def test_record_classes_keep_their_shape(module_name):
+    module = importlib.import_module(f"kunz.{module_name}")
+    found = {name: cls for name, cls in vars(module).items()
+             if isinstance(cls, type) and issubclass(cls, tuple)
+             and cls.__module__ == module.__name__}
+    assert set(found) == set(RECORD_SHAPES[module_name])
+    for name, (fields, defaults) in RECORD_SHAPES[module_name].items():
+        cls = found[name]
+        assert cls._fields == tuple(fields.split()), name
+        assert cls._field_defaults == defaults, name
+        # no per-instance __dict__: records stay plain immutable tuples
+        assert "__dict__" not in dir(cls), name
