@@ -31,7 +31,7 @@ from .hk import BoundConstants, hk_sequence, verify_pair_bounds
 from .localring import LocalRingPresentation
 from .records import (SCHEMA_VERSION, RunRecord, canonical_json, csv_text,
                       require_tabular)
-from .scan import Subvariety, scan_points
+from .scan import scan_points
 from .textio import JobSpec, parse_job
 
 EXIT_PARSE = 2
@@ -57,10 +57,6 @@ def exit_code_for(err: KunzError) -> int:
 
 
 # -- payload builders --------------------------------------------------------
-
-
-def _interval(interval) -> dict:
-    return {"low": interval.low, "high": interval.high}
 
 
 def _presentation(job: JobSpec) -> LocalRingPresentation:
@@ -95,7 +91,7 @@ def run_hk(job: JobSpec) -> dict:
             for s in report.samples
         ],
         "empirical_gap_constant": report.empirical_C,
-        "interval": _interval(report.interval),
+        "interval": report.interval._asdict(),
         "stabilization_index": report.stabilization_index,
         "truncated": report.truncated,
     }
@@ -108,12 +104,9 @@ def run_fsig(job: JobSpec) -> dict:
         "p": report.p,
         "presentation": report.presentation_id,
         "dimension": report.dimension,
-        "samples": [
-            {"e": s.e, "q": s.q, "colength": s.colength, "s": s.s}
-            for s in report.samples
-        ],
+        "samples": [s._asdict() for s in report.samples],
         "empirical_gap_constant": report.empirical_C,
-        "interval": _interval(report.interval),
+        "interval": report.interval._asdict(),
         "is_F_pure": report.verdict.is_F_pure,
         "purity_witness": (None if report.verdict.witness is None
                            else str(report.verdict.witness)),
@@ -159,9 +152,7 @@ def _tame_payload(curve: BranchCurve, report: TameReport) -> dict:
                 "semigroup": list(report.semigroups[i]),
                 "cross": list(branch.cross_valuations),
                 "conductor": branch.conductor,
-                "gamma0": inv.gamma0,
-                "beta": inv.beta,
-                "gamma": inv.gamma,
+                **inv._asdict(),
             }
             for i, (branch, inv) in enumerate(
                 zip(curve.branches, report.invariants.per_branch))
@@ -172,13 +163,7 @@ def _tame_payload(curve: BranchCurve, report: TameReport) -> dict:
         "discriminant_valuation": report.discriminant_valuation,
         "extension_degree": report.extension_degree,
         "generator_count": report.generator_count,
-        "generator_bound": {
-            "count": report.generator_bound.count,
-            "delta": report.generator_bound.delta,
-            "mu": report.generator_bound.mu,
-            "bound": report.generator_bound.bound,
-            "passed": report.generator_bound.passed,
-        },
+        "generator_bound": report.generator_bound._asdict(),
         "precision": report.precision,
         "seed": report.seed,
     }
@@ -194,13 +179,10 @@ def run_tame(job: JobSpec) -> dict:
 def run_scan(job: JobSpec) -> dict:
     if not job.variables:
         raise PreconditionError("the job needs a `vars = ...;` statement")
-    subvarieties = tuple(
-        Subvariety(spec.ideal, spec.witnesses, spec.params)
-        for spec in job.subvarieties)
     points = None if job.points is None else list(job.points)
     report = scan_points(job.p, job.variables, list(job.ideal),
                          points=points, e_max=_e_max(job, 2),
-                         subvarieties=subvarieties, budget=_budget(job))
+                         subvarieties=job.subvarieties, budget=_budget(job))
     return {
         "p": report.p,
         "variables": list(report.variables),
@@ -229,13 +211,7 @@ def run_scan(job: JobSpec) -> dict:
             }
             for record in report.subvarieties
         ],
-        "verdicts": {
-            "upper_semicontinuous_lambda":
-                report.verdicts.upper_semicontinuous_lambda,
-            "lower_semicontinuous_s": report.verdicts.lower_semicontinuous_s,
-            "generic_constancy": report.verdicts.generic_constancy,
-            "violations": list(report.verdicts.violations),
-        },
+        "verdicts": report.verdicts._asdict(),
     }
 
 
@@ -270,14 +246,10 @@ def run_verify_bounds(job: JobSpec) -> dict:
         "socle": str(socle),
         # b and e0, the filtration step count and nilpotency index of the
         # module variant, are fixed by the reduced rank-one case checked here
-        "constants": {"m": constants.m, "Delta": constants.Delta,
-                      "b": 1, "e0": 0},
+        "constants": {**constants._asdict(), "b": 1, "e0": 0},
         "conditional": conditional,
-        "entries": [
-            {"e": entry.e, "e_prime": entry.e_prime, "lhs": entry.lhs,
-             "rhs": entry.rhs, "passed": entry.passed}
-            for entry in check.entries
-        ],
+        "entries": [{**entry._asdict(), "passed": entry.passed}
+                    for entry in check.entries],
         "all_passed": check.all_passed,
     }
 

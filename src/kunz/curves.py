@@ -452,7 +452,6 @@ class RootClosureCheck(namedtuple("RootClosureCheck", "p m tested passed")):
 
 
 def root_closure_check(curve: BranchCurve, m: int = 1,
-                       precision: int | None = None,
                        seed: int = 0) -> RootClosureCheck:
     """Discriminant times q-th roots stays in the ring the roots of the base
     and the branch algebra generate, q = p^m, checked on a spanning set.

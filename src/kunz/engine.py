@@ -20,6 +20,7 @@ from operator import le
 
 from . import kernel
 from .errors import BudgetExceededError, PreconditionError
+from .field import require_frobenius_power
 from .poly import PolyRing, Polynomial, grevlex_key
 
 Exps = tuple[int, ...]
@@ -27,6 +28,8 @@ Exps = tuple[int, ...]
 DEFAULT_MAX_PAIRS = 10**6
 DEFAULT_MAX_DEGREE = 10**6
 DEFAULT_DEADLINE_SECONDS = 600.0
+# steps of a loop whose length the input sets between two deadline checks
+DEADLINE_STRIDE = 4096
 
 
 class Budget:
@@ -420,15 +423,7 @@ class Ideal:
         Over a polynomial ring Frobenius is flat, so generator-wise powers
         do generate the bracket power.
         """
-        p = self.ring.p
-        m = q
-        while m > 1:
-            if m % p:
-                raise PreconditionError(
-                    f"{q} is not a power of the characteristic {p}")
-            m //= p
-        if q < 1:
-            raise PreconditionError(f"{q} is not a power of the characteristic {p}")
+        require_frobenius_power(self.ring.p, q)
         return Ideal(self.ring, [g.frobenius_power(q) for g in self.generators])
 
     def intersection(self, other: Ideal,
@@ -521,8 +516,10 @@ class Ideal:
 
         A variable subset U is independent when no leading monomial lives
         entirely in U; the dimension is the largest independent size. The
-        variable counts here are small, so subsets are enumerated directly.
+        variable counts here are small, so subsets are enumerated directly,
+        with the budget's deadline checked every DEADLINE_STRIDE subsets.
         """
+        budget = budget or Budget()
         leads = self.leading_term_ideal(budget)
         if any(sum(e) == 0 for e in leads):
             raise PreconditionError("the unit ideal has no dimension")
@@ -531,6 +528,8 @@ class Ideal:
                     for exps in leads]
         best = 0
         for mask in range(2**n):
+            if not mask % DEADLINE_STRIDE:
+                budget.check_deadline()
             size = mask.bit_count()
             if size <= best:
                 continue

@@ -115,3 +115,12 @@ def frobenius_exponent(p: int, e: int) -> int:
         raise CapacityError(
             f"p^e = {p}^{e} exceeds the {EXPONENT_CAPACITY_BITS}-bit capacity")
     return q
+
+
+def require_frobenius_power(p: int, q: int) -> None:
+    """Refuse q unless it is p^e for some e >= 0."""
+    m = q
+    while m > 1 and m % p == 0:
+        m //= p
+    if m != 1:
+        raise PreconditionError(f"{q} is not a power of the characteristic {p}")

@@ -65,9 +65,10 @@ from the highest Frobenius power down, so most terms leave the box early.
 No Groebner basis of a colon is computed. Every other ideal takes the
 general colon, by elimination (engine.Ideal.colon): for homogeneous I by
 restriction to one generator of I at a time, otherwise by intersecting the
-colons by each generator. twist_levels yields either one as polynomials
-J_e with (I^[q] : I) + m^[q] = (J_e) + m^[q], for splitting_number and
-fpurity_exponent; localring.bracket_colength counts (J_e) + m^[q].
+colons by each generator. twist_levels yields either one modulo m^[q] as
+polynomials J_e with (I^[q] : I) + m^[q] = (J_e) + m^[q], for
+splitting_number and fpurity_exponent; localring.bracket_colength counts
+(J_e) + m^[q].
 """
 
 from __future__ import annotations
@@ -142,7 +143,8 @@ def twist_levels(presentation: LocalRingPresentation, e_top: int,
     (I^[q] : I) + m^[q] = (J_e) + m^[q].
 
     Every ideal other than a complete intersection yields the generators of
-    its general colon, from twist_colon_ideal. A complete intersection
+    its general colon, from twist_colon_ideal, each modulo m^[q], leaving
+    out those that lie in m^[q]. A complete intersection
     yields h^(q-1) modulo m^[q], h the product of the generators of I, or no
     polynomial where that is zero. The level q = p^e comes from the one
     before by h^(pq'-1) = h^(p-1) * (h^(q'-1))^[p], q = pq', which unrolls
@@ -153,11 +155,14 @@ def twist_levels(presentation: LocalRingPresentation, e_top: int,
     monomial ideal.
     """
     budget = budget or Budget()
+    p = presentation.p
     if not is_complete_intersection(presentation, budget):
         for e in range(1, e_top + 1):
-            yield twist_colon_ideal(presentation, e, budget).generators
+            q = frobenius_exponent(p, e)
+            colon = twist_colon_ideal(presentation, e, budget)
+            yield tuple(box for g in colon.generators
+                        if (box := _in_box(g, q, budget)))
         return
-    p = presentation.p
     top = frobenius_exponent(p, e_top)
     h = presentation.ring.one()
     for f in presentation.ideal.generators:

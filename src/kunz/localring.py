@@ -109,7 +109,7 @@ class FrobeniusSample(namedtuple("FrobeniusSample",
 class LocalRingPresentation:
     """A = (S/I) localized at the origin, with cached invariants."""
 
-    __slots__ = ("ring", "ideal", "twist_colons", "_dimension", "_samples")
+    __slots__ = ("ring", "ideal", "twist_colons", "_dimension")
 
     def __init__(self, ring: PolyRing, ideal: Ideal) -> None:
         if ideal.ring != ring:
@@ -123,7 +123,6 @@ class LocalRingPresentation:
         # e -> (I^[p^e] : I), filled by fsplit.twist_colon_ideal
         self.twist_colons: dict[int, Ideal] = {}
         self._dimension: int | None = None
-        self._samples: dict[int, FrobeniusSample] = {}
 
     @classmethod
     def from_texts(cls, p: int, variables: tuple[str, ...],
@@ -134,11 +133,6 @@ class LocalRingPresentation:
         if point is not None:
             gens = translate_to_origin(gens, point)
         return cls(ring, Ideal(ring, gens))
-
-    @classmethod
-    def at_point(cls, ring: PolyRing, generators: list[Polynomial],
-                 point: Point) -> LocalRingPresentation:
-        return cls(ring, Ideal(ring, translate_to_origin(generators, point)))
 
     @property
     def p(self) -> int:
@@ -159,16 +153,11 @@ class LocalRingPresentation:
     def sample(self, e: int, budget: Budget | None = None) -> FrobeniusSample:
         if e < 0:
             raise PreconditionError(f"Frobenius index must be >= 0, got {e}")
-        cached = self._samples.get(e)
-        if cached is not None:
-            return cached
         q = frobenius_exponent(self.p, e)
         colength = bracket_colength(self.ring, self.ideal.generators, q,
                                     budget)
         d = self.dimension(budget)
-        sample = FrobeniusSample(e, q, colength, Fraction(colength, q**d))
-        self._samples[e] = sample
-        return sample
+        return FrobeniusSample(e, q, colength, Fraction(colength, q**d))
 
     def smoothness_report(self, budget: Budget | None = None) -> SmoothnessReport:
         """The Jacobian rank at the origin against n - dim(S/I).

@@ -30,6 +30,7 @@ from typing import Iterator
 
 from . import kernel
 from .errors import CapacityError, ParseError, PreconditionError
+from .field import require_frobenius_power
 
 Exps = tuple[int, ...]
 
@@ -243,7 +244,8 @@ class Polynomial:
         return result
 
     def frobenius_power(self, q: int) -> Polynomial:
-        """Raise to the q-th power for q a power of the characteristic.
+        """Raise to the q-th power for q a power of the characteristic; any
+        other q raises PreconditionError.
 
         Frobenius is a ring map, so this just scales every exponent vector
         by q (coefficients are fixed by x -> x^p on F_p). The packed key is
@@ -251,6 +253,7 @@ class Polynomial:
         result of total degree past 2^40 raises CapacityError, as a product
         does.
         """
+        require_frobenius_power(self.ring.p, q)
         total = self.total_degree() * q
         if total > kernel.MAX_EXPONENT:
             raise CapacityError(

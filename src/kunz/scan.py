@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
-from .engine import Budget, Ideal
+from .engine import DEADLINE_STRIDE, Budget, Ideal
 from .errors import PreconditionError
 from .field import FieldConfig, frobenius_exponent
 from .fsplit import splitting_number
@@ -28,29 +28,6 @@ from .localring import LocalRingPresentation, Point, translate_to_origin
 from .poly import PolyRing, Polynomial
 
 MAX_ENUMERATION_VARS = 4
-
-
-_Subvariety = namedtuple("_Subvariety", "generators witnesses parameters")
-
-
-class Subvariety(_Subvariety):
-    """A closed subvariety with witness points and parameter lifts.
-
-    generators cut the subvariety in the ambient polynomial ring and must
-    generate an ideal containing the presentation ideal. witnesses are
-    rational points of the subvariety at which the quotient is smooth;
-    parameters lift a regular system of parameters of the quotient there.
-    generators and parameters are tuples of polynomial texts, witnesses a
-    tuple of points.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> Subvariety:
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.witnesses:
-            raise PreconditionError("a subvariety needs at least one witness")
-        return self
 
 
 class PointRecord(namedtuple(
@@ -97,15 +74,23 @@ class ScanReport(namedtuple(
     __slots__ = ()
 
 
-def enumerate_points(ring: PolyRing, generators: list[Polynomial]) -> list[Point]:
-    """All F_p-rational points of the zero set, by brute force scan."""
+def enumerate_points(ring: PolyRing, generators: list[Polynomial],
+                     budget: Budget | None = None) -> list[Point]:
+    """All F_p-rational points of the zero set, by brute force scan.
+
+    There are p^n candidates, so the budget's deadline is checked once
+    every DEADLINE_STRIDE of them.
+    """
+    budget = budget or Budget()
     n = ring.nvars
     if n > MAX_ENUMERATION_VARS:
         raise PreconditionError(
             f"point enumeration supports at most {MAX_ENUMERATION_VARS} "
             f"variables, got {n}")
     points = []
-    for candidate in product(range(ring.p), repeat=n):
+    for i, candidate in enumerate(product(range(ring.p), repeat=n)):
+        if not i % DEADLINE_STRIDE:
+            budget.check_deadline()
         if all(g.evaluate(candidate) == 0 for g in generators):
             points.append(candidate)
     return points
@@ -193,42 +178,44 @@ def generic_value(ring: PolyRing, ideal_generators: list[Polynomial],
 
 def scan_points(p: int, variables: tuple[str, ...],
                 ideal_texts: list[str], points: list[Point] | None = None,
-                e_max: int = 2, subvarieties: tuple[Subvariety, ...] = (),
+                e_max: int = 2, subvarieties: tuple = (),
                 budget: Budget | None = None) -> ScanReport:
     """Per-point invariants, subvariety generic values, and verdicts.
 
-    Points default to every rational point of the zero set. Every smooth
-    point serves as a generic reference: lambda there must not exceed
-    lambda at any other point, and s must not fall below it. Points lying
-    on a declared subvariety are compared against its generic value.
+    subvarieties is a tuple of textio.SubvarietySpec, as the job gives
+    them. Points default to every rational point of the zero set. Every
+    smooth point serves as a generic reference: lambda there must not
+    exceed lambda at any other point, and s must not fall below it. Points
+    lying on a declared subvariety are compared against its generic value.
     """
     if e_max < 1:
         raise PreconditionError(f"e_max must be >= 1, got {e_max}")
     ring = PolyRing(FieldConfig(p), tuple(variables))
     gens = [ring.parse(t) for t in ideal_texts]
     if points is None:
-        points = enumerate_points(ring, gens)
+        points = enumerate_points(ring, gens, budget)
     if not points:
         raise PreconditionError("no points to scan")
     e_values = tuple(range(1, e_max + 1))
 
     records = []
     for point in points:
-        pres = LocalRingPresentation.at_point(ring, gens, tuple(point))
+        pres = LocalRingPresentation(
+            ring, Ideal(ring, translate_to_origin(gens, tuple(point))))
         lam = tuple(pres.lambda_value(e, budget) for e in e_values)
         s = tuple(splitting_number(pres, e, budget).s for e in e_values)
         smooth = pres.smoothness_report(budget).smooth
         records.append(PointRecord(tuple(point), pres.dimension(budget),
                                    smooth, lam, s))
 
+    sub_gens = [[ring.parse(t) for t in sub.ideal] for sub in subvarieties]
     sub_records = []
-    for sub in subvarieties:
-        sub_gens = [ring.parse(t) for t in sub.generators]
-        params = [ring.parse(t) for t in sub.parameters]
+    for sub, generators in zip(subvarieties, sub_gens):
+        params = [ring.parse(t) for t in sub.params]
         witness_values = []
         height = None
         for witness in sub.witnesses:
-            context = _generic_context(ring, gens, sub_gens, tuple(witness),
+            context = _generic_context(ring, gens, generators, tuple(witness),
                                        params, budget)
             values = tuple(_factorized_value(context, e, budget)
                            for e in e_values)
@@ -237,20 +224,21 @@ def scan_points(p: int, variables: tuple[str, ...],
                 height = context.height
         agreement = len({wv.values for wv in witness_values}) == 1
         sub_records.append(SubvarietyRecord(
-            tuple(sub.generators), height, len(sub.parameters),
+            tuple(sub.ideal), height, len(sub.params),
             tuple(witness_values), agreement))
 
-    verdicts = semicontinuity_verdict(ring, gens, e_values, records,
-                                      sub_records)
+    verdicts = semicontinuity_verdict(e_values, records, sub_records,
+                                      sub_gens)
     return ScanReport(p, tuple(variables), tuple(ideal_texts), e_values,
                       tuple(records), tuple(sub_records), verdicts)
 
 
-def semicontinuity_verdict(ring: PolyRing, gens: list[Polynomial],
-                           e_values: tuple[int, ...],
+def semicontinuity_verdict(e_values: tuple[int, ...],
                            records: list[PointRecord],
-                           sub_records: list[SubvarietyRecord]) -> ScanVerdicts:
-    """Exact pairwise comparisons; every failure is listed with its pair."""
+                           sub_records: list[SubvarietyRecord],
+                           sub_gens: list[list[Polynomial]]) -> ScanVerdicts:
+    """Exact pairwise comparisons; every failure is listed with its pair.
+    sub_gens holds the parsed generators of each of sub_records."""
     violations = []
     upper = True
     lower = True
@@ -268,11 +256,10 @@ def semicontinuity_verdict(ring: PolyRing, gens: list[Polynomial],
                     violations.append(
                         f"s_{e} rises from reference {reference.point} "
                         f"to {special.point}")
-    for sub in sub_records:
+    for sub, generators in zip(sub_records, sub_gens):
         generic = sub.witness_values[0].values
-        sub_gens = [ring.parse(t) for t in sub.generators]
         for record in records:
-            if any(g.evaluate(record.point) != 0 for g in sub_gens):
+            if any(g.evaluate(record.point) != 0 for g in generators):
                 continue
             for i, e in enumerate(e_values):
                 if record.lambda_values[i] < generic[i]:

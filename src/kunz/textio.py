@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 
 COMMANDS = ("hk", "fsig", "fedder", "tame", "scan", "verify-bounds")
 
@@ -126,10 +126,18 @@ def _points(points: tuple[tuple[int, ...], ...]) -> str:
 
 
 class SubvarietySpec(namedtuple("SubvarietySpec", "ideal witnesses params")):
-    """One `sub.<i>` block: tuples of the ideal's and the parameters'
-    polynomial texts, and a tuple of int tuples for the witness points."""
+    """One `sub.<i>` block: the ideal texts of a subvariety, containing the
+    presentation ideal; witnesses, int tuples of rational points where it
+    is smooth; and params, texts lifting a regular system of parameters of
+    it there. A subvariety needs at least one witness."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SubvarietySpec:
+        self = super().__new__(cls, *args, **kwargs)
+        if not self.witnesses:
+            raise PreconditionError("a subvariety needs at least one witness")
+        return self
 
 
 # every JobSpec field after command and p, at its "not given" default

@@ -25,7 +25,8 @@ from kunz.hk import (BoundConstants, check_socle_condition, hk_sequence,
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing
 from kunz.records import canonical_json
-from kunz.scan import Subvariety, scan_points
+from kunz.scan import scan_points
+from kunz.textio import SubvarietySpec
 from oracles import node_lambda, node_splitting
 
 
@@ -198,7 +199,8 @@ def test_criterion_09_semicontinuity_scans():
     # node surface: the factorized generic value along the singular line
     node_scan = scan_points(
         3, ("x", "y", "z"), ["x*y"], e_max=2,
-        subvarieties=(Subvariety(("x", "y"), ((0, 0, 0), (0, 0, 1)), ("z",)),))
+        subvarieties=(SubvarietySpec(("x", "y"), ((0, 0, 0), (0, 0, 1)),
+                                     ("z",)),))
     assert node_scan.verdicts.upper_semicontinuous_lambda
     assert node_scan.verdicts.lower_semicontinuous_s
     assert node_scan.verdicts.generic_constancy

@@ -165,6 +165,14 @@ def test_dimension_on_known_quotients():
     assert maximal_ideal(ring2).dimension() == 0
 
 
+def test_dimension_polls_the_deadline():
+    """2^24 variable subsets would take seconds; a spent deadline stops the
+    enumeration at its first check."""
+    ring = PolyRing(FieldConfig(5), tuple(f"x{i}" for i in range(24)))
+    with pytest.raises(BudgetExceededError, match="deadline"):
+        Ideal(ring, [ring.parse("x0")]).dimension(Budget(deadline_seconds=0))
+
+
 def test_bracket_power_of_maximal_ideal():
     ring = ring_of(5, "xyz")
     m = maximal_ideal(ring)

@@ -71,6 +71,17 @@ def test_frobenius_power_is_qth_power(data, e):
                      {tuple(x * q for x in exps): c for exps, c in f})
 
 
+@pytest.mark.parametrize("q", [2, 0])
+def test_frobenius_power_refuses_other_exponents(q):
+    """Scaling exponents by q is the q-th power only for q a power of p:
+    over F_3, (x + y)^2 is not x^2 + y^2, and q = 0 would merge every
+    term into the constant 1 + 1."""
+    f = PolyRing(FieldConfig(3), ("x", "y")).parse("x + y")
+    with pytest.raises(PreconditionError,
+                       match=f"^{q} is not a power of the characteristic 3$"):
+        f.frobenius_power(q)
+
+
 @given(ring_and_polys(count=2))
 def test_evaluate_is_a_homomorphism(data):
     ring, (f, g) = data

@@ -146,8 +146,6 @@ RECORD_SHAPES = {
              "PolyRing": ("field variables", {})},
     "records": {"RunRecord": ("job payload timings", {})},
     "scan": {
-        "_Subvariety": ("generators witnesses parameters", {}),
-        "Subvariety": ("generators witnesses parameters", {}),
         "PointRecord": ("point dimension smooth lambda_values s_values", {}),
         "WitnessValues": ("witness values", {}),
         "SubvarietyRecord": ("generators height parameter_count "

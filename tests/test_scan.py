@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from kunz.errors import PreconditionError
+from kunz.engine import Budget
+from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing
-from kunz.scan import Subvariety, enumerate_points, generic_value, scan_points
+from kunz.scan import enumerate_points, generic_value, scan_points
+from kunz.textio import SubvarietySpec
 
 
 def ring3():
@@ -21,6 +23,14 @@ def test_enumerate_points_counts_the_zero_set():
     assert all(p[0] * p[1] % 3 == 0 for p in points)
     everything = enumerate_points(ring, [])
     assert len(everything) == 27
+
+
+def test_enumeration_polls_the_deadline():
+    """p^2 = 10^12 candidates for p = 1000003; a spent deadline stops the
+    scan at the enumeration's first check."""
+    with pytest.raises(BudgetExceededError, match="deadline"):
+        scan_points(1000003, ("x", "y"), ["x"],
+                    budget=Budget(deadline_seconds=0))
 
 
 def test_enumeration_is_capped():
@@ -79,7 +89,8 @@ def test_generic_value_rejects_singular_witnesses():
 def test_scan_report_on_the_node_surface():
     report = scan_points(
         3, ("x", "y", "z"), ["x*y"], e_max=2,
-        subvarieties=(Subvariety(("x", "y"), ((0, 0, 0), (0, 0, 1)), ("z",)),))
+        subvarieties=(SubvarietySpec(("x", "y"), ((0, 0, 0), (0, 0, 1)),
+                                     ("z",)),))
     assert len(report.points) == 15
     by_point = {record.point: record for record in report.points}
     origin = by_point[(0, 0, 0)]
@@ -115,4 +126,4 @@ def test_scan_rejects_points_off_the_zero_set():
 
 def test_subvariety_requires_witnesses():
     with pytest.raises(PreconditionError):
-        Subvariety(("x",), (), ("y",))
+        SubvarietySpec(("x",), (), ("y",))

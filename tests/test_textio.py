@@ -89,7 +89,9 @@ def job_specs(draw):
     cross = tuple(draw(st.lists(ints, max_size=2).map(tuple))
                   for _ in branches)
     expr_tuples = st.lists(exprs, max_size=3).map(tuple)
-    subvarieties = tuple(SubvarietySpec(draw(expr_tuples), draw(points),
+    # a subvariety needs at least one witness
+    witnesses = st.lists(point, min_size=1, max_size=3).map(tuple)
+    subvarieties = tuple(SubvarietySpec(draw(expr_tuples), draw(witnesses),
                                         draw(expr_tuples))
                          for _ in range(draw(st.integers(0, 2))))
     return JobSpec(

@@ -10,9 +10,8 @@ from kunz.errors import ParseError, PreconditionError
 from kunz.field import FieldConfig
 from kunz.hk import RationalInterval
 from kunz.poly import PolyRing
-from kunz.scan import Subvariety
 from kunz.series import TruncatedSeries
-from kunz.textio import JobSpec
+from kunz.textio import JobSpec, SubvarietySpec
 
 VALUES = {
     "FieldConfig": lambda: FieldConfig(5),
@@ -21,7 +20,7 @@ VALUES = {
     "BranchCurve": lambda: BranchCurve(
         7, [Branch((2, 3), (4,)), Branch((2, 5), (3,))]),
     "RationalInterval": lambda: RationalInterval(Fraction(1, 2), Fraction(1)),
-    "Subvariety": lambda: Subvariety(("x", "y"), ((0, 0),), ()),
+    "SubvarietySpec": lambda: SubvarietySpec(("x", "y"), ((0, 0),), ()),
     "TruncatedSeries": lambda: TruncatedSeries.make(5, {0: 1, 3: 2}, 6),
     "JobSpec": lambda: JobSpec(command="hk", p=5, variables=("x", "y")),
 }
@@ -72,7 +71,7 @@ def test_construction_normalizes_and_fills_defaults():
      "4 is not prime"),
     (lambda: RationalInterval(Fraction(1), Fraction(0)), PreconditionError,
      "out of order"),
-    (lambda: Subvariety(("x",), (), ()), PreconditionError,
+    (lambda: SubvarietySpec(("x",), (), ()), PreconditionError,
      "at least one witness"),
     (lambda: JobSpec(command="bogus", p=5), ParseError,
      "unknown command 'bogus'"),
