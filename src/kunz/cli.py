@@ -4,11 +4,12 @@ Every subcommand reads one job file in the statement format documented in
 textio, runs the matching computation, and emits a RunRecord document as
 JSON (to --json or stdout). Tabular commands can additionally write a CSV
 view with --csv. All diagnostics go to stderr; stdout carries results only.
+Each subcommand offers only the options its command reads (textio.READS).
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 budget
-exhausted, 5 capacity limit, 6 precision loss. Failures still emit a
-machine-readable error document on the JSON channel. Usage errors exit 2
-before any job runs, with the usage message on stderr and nothing on stdout.
+A run exits 0, or with the exit_code of its error type (errors). Failures
+still emit a machine-readable error document on the JSON channel. Usage
+errors exit 2 before any job runs, with the usage message on stderr and
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -24,37 +25,15 @@ from . import __version__
 from .curves import (Branch, BranchCurve, TameReport, tame_invariants,
                      tame_report)
 from .engine import Budget, Ideal
-from .errors import (BudgetExceededError, CapacityError, KunzError,
-                     ParseError, PrecisionLossError, PreconditionError)
+from .errors import (BudgetExceededError, KunzError, ParseError,
+                     PrecisionLossError, PreconditionError)
 from .fsplit import fedder_test, fpurity_exponent, fsplit_report
 from .hk import BoundConstants, hk_sequence, verify_pair_bounds
 from .localring import LocalRingPresentation
-from .records import (SCHEMA_VERSION, RunRecord, canonical_json, csv_text,
-                      require_tabular)
+from .records import (SCHEMA_VERSION, TABULAR_COMMANDS, RunRecord,
+                      canonical_json, csv_text)
 from .scan import scan_points
-from .textio import JobSpec, parse_job
-
-EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
-EXIT_BUDGET = 4
-EXIT_CAPACITY = 5
-EXIT_PRECISION = 6
-
-_EXIT_CODES = (
-    (ParseError, EXIT_PARSE),
-    (PreconditionError, EXIT_PRECONDITION),
-    (BudgetExceededError, EXIT_BUDGET),
-    (CapacityError, EXIT_CAPACITY),
-    (PrecisionLossError, EXIT_PRECISION),
-)
-
-
-def exit_code_for(err: KunzError) -> int:
-    for cls, code in _EXIT_CODES:
-        if isinstance(err, cls):
-            return code
-    return 1
-
+from .textio import READS, JobSpec, parse_job
 
 # -- payload builders --------------------------------------------------------
 
@@ -254,13 +233,16 @@ def run_verify_bounds(job: JobSpec) -> dict:
     }
 
 
-_RUNNERS = {
-    "hk": run_hk,
-    "fsig": run_fsig,
-    "fedder": run_fedder,
-    "tame": run_tame,
-    "scan": run_scan,
-    "verify-bounds": run_verify_bounds,
+# command -> (runner, help text)
+_COMMANDS = {
+    "hk": (run_hk, "Normalized Frobenius colengths of a local ring."),
+    "fsig": (run_fsig, "Splitting numbers with the same tail analysis."),
+    "fedder": (run_fedder,
+               "F-purity verdict, optionally with a purity exponent."),
+    "tame": (run_tame, "Invariants and discriminant of a tame branch curve."),
+    "scan": (run_scan, "Pointwise invariants and semicontinuity verdicts."),
+    "verify-bounds": (run_verify_bounds,
+                      "Pair bounds for relative colengths."),
 }
 
 
@@ -283,9 +265,8 @@ def _log(level: str, message: str) -> None:
 
 
 def _fail(err: KunzError, json_path: str | None) -> None:
-    code = exit_code_for(err)
     detail = {"type": type(err).__name__, "message": str(err),
-              "exit_code": code}
+              "exit_code": err.exit_code}
     if isinstance(err, ParseError) and err.position is not None:
         detail["position"] = err.position
     if isinstance(err, PrecisionLossError) and err.required is not None:
@@ -293,14 +274,18 @@ def _fail(err: KunzError, json_path: str | None) -> None:
     if isinstance(err, BudgetExceededError):
         detail["pairs"] = err.pairs
         detail["max_degree_seen"] = err.max_degree_seen
-    document = {"schema_version": SCHEMA_VERSION, "error": detail}
-    _emit(canonical_json(document), json_path)
+    document = canonical_json({"schema_version": SCHEMA_VERSION,
+                               "error": detail})
+    try:
+        _emit(document, json_path)
+    except OSError:  # the --json path cannot be written: use stdout
+        _emit(document, None)
     _log("ERROR", f"{type(err).__name__}: {err}")
-    sys.exit(code)
+    sys.exit(err.exit_code)
 
 
 def _execute(command: str, input_path: str, json_path: str | None,
-             csv_path: str | None, **overrides: int | None) -> None:
+             csv_path: str | None = None, **overrides: int | None) -> None:
     timings: dict[str, float] = {}
     started = time.perf_counter()
     try:
@@ -311,17 +296,21 @@ def _execute(command: str, input_path: str, json_path: str | None,
             raise ParseError(f"cannot read input file: {exc}") from exc
         job = parse_job(text, command=command, **overrides)
         timings["parse"] = time.perf_counter() - started
-        if csv_path is not None:
-            require_tabular(command)
         compute_start = time.perf_counter()
-        payload = _RUNNERS[command](job)
+        payload = _COMMANDS[command][0](job)
         timings[command] = time.perf_counter() - compute_start
         timings["total"] = time.perf_counter() - started
-        record = RunRecord(job=job, payload=payload, timings=timings)
+        document = RunRecord(job=job, payload=payload,
+                             timings=timings).to_json()
         csv_view = None if csv_path is None else csv_text(command, payload)
-        _emit(record.to_json(), json_path)
-        if csv_view is not None:
-            _emit(csv_view, csv_path)
+        # the CSV view first: if it cannot be written, the JSON channel
+        # still carries only the error document
+        try:
+            if csv_view is not None:
+                _emit(csv_view, csv_path)
+            _emit(document, json_path)
+        except OSError as exc:
+            raise ParseError(f"cannot write output file: {exc}") from exc
         _log("INFO", f"{command} finished in {timings['total']:.3f}s")
     except KunzError as err:
         _fail(err, json_path)
@@ -337,15 +326,6 @@ def _file(value: str) -> str:
     return value
 
 
-_COMMANDS = (
-    ("hk", "Normalized Frobenius colengths of a local ring."),
-    ("fsig", "Splitting numbers with the same tail analysis."),
-    ("fedder", "F-purity verdict, optionally with a purity exponent."),
-    ("tame", "Invariants and discriminant of a tame branch curve."),
-    ("scan", "Pointwise invariants and semicontinuity verdicts."),
-    ("verify-bounds", "Pair bounds for relative colengths."),
-)
-
 _OPTIONS = (
     ("--input", dict(dest="input_path", required=True, type=_file,
                      metavar="FILE",
@@ -356,9 +336,9 @@ _OPTIONS = (
                     help="Write the result document here instead of stdout.")),
     ("--csv", dict(dest="csv_path", type=_file, metavar="FILE",
                    help="Also write the tabular view as CSV.")),
-    ("--budget-pairs", dict(type=int,
+    ("--budget-pairs", dict(dest="budget_pairs", type=int,
                             help="Cap on critical pairs across the whole job.")),
-    ("--precision", dict(type=int,
+    ("--precision", dict(dest="precision", type=int,
                          help="Series truncation order for curve commands.")),
 )
 
@@ -372,14 +352,17 @@ def _parser(prog: str) -> argparse.ArgumentParser:
                         help="Show the version and exit.")
     commands = parser.add_subparsers(dest="command", required=True,
                                      metavar="COMMAND")
-    subparsers = [commands.add_parser(name, help=text, description=text,
+    for name, (_, text) in _COMMANDS.items():
+        command = commands.add_parser(name, help=text, description=text,
                                       add_help=False, allow_abbrev=False)
-                  for name, text in _COMMANDS]
-    for command in subparsers:
+        offered = {"input_path", "json_path", *READS[name]}
+        if name in TABULAR_COMMANDS:
+            offered.add("csv_path")
         for flag, options in _OPTIONS:
-            command.add_argument(flag, **options)
+            if options["dest"] in offered:
+                command.add_argument(flag, **options)
     # one help flag, --help, and no -h
-    for each in (parser, *subparsers):
+    for each in (parser, *commands.choices.values()):
         each.add_argument("--help", action="help",
                           help="Show this message and exit.")
     return parser

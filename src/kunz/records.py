@@ -31,19 +31,20 @@ TABULAR_COMMANDS = ("hk", "fsig", "scan", "verify-bounds")
 
 
 def encode_value(value):
-    """Recursively make a payload JSON-safe; Fractions become num/den."""
+    """Recursively make a payload JSON-safe; Fractions become num/den.
+    Refuses every type but Fraction, bool, None, int, str, dict, list and
+    tuple."""
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
-    if isinstance(value, float):
-        raise PreconditionError(
-            "refusing to serialize a float into a results payload")
     if isinstance(value, dict):
         return {str(k): encode_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
-    return str(value)
+    # a float, a set (hashed in no fixed order) or any other type
+    raise PreconditionError(f"refusing to serialize a {type(value).__name__} "
+                            "into a results payload")
 
 
 def canonical_json(payload) -> str:

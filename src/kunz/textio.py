@@ -9,20 +9,8 @@ Example ring block:
     ideal = y^2 - x^3;
     point = 0, 0;
 
-Statement keys by command:
-
-    all        command (optional), p, emax, ecap, precision, seed, mu,
-               budget_pairs
-    hk/fsig    vars, ideal, point (defaults to the origin)
-    fedder     vars, ideal, element (optional c for the purity exponent)
-    tame       branch (one per branch, semigroup generators),
-               cross (one per branch of a multi-branch curve: `i: v, v'`
-               assigns cross valuations to 1-based branch i)
-    scan       vars, ideal, points = (0,0,0) (0,0,1) ...,
-               sub.N.ideal, sub.N.witnesses, sub.N.params (N = 1, 2, ...)
-    verify-bounds   vars, ideal, inner (ideal generators), socle (element u),
-               m and Delta (explicit constants), or branch/cross lines to
-               derive them from the tame model
+READS names the JobSpec fields each command reads besides command and p;
+JobSpec refuses any other field away from its default.
 
 _STATEMENTS is the key list: it maps every key but branch, cross and
 sub.N.* to its JobSpec field, parser and renderer. parse_job refuses any
@@ -40,7 +28,21 @@ from collections import namedtuple
 
 from .errors import ParseError, PreconditionError
 
-COMMANDS = ("hk", "fsig", "fedder", "tame", "scan", "verify-bounds")
+# command -> the JobSpec fields it reads besides command and p
+READS = {
+    "hk": ("variables", "ideal", "point", "e_max", "budget_pairs"),
+    "fsig": ("variables", "ideal", "point", "e_max", "budget_pairs"),
+    "fedder": ("variables", "ideal", "point", "element", "e_cap",
+               "budget_pairs"),
+    "tame": ("branches", "cross", "precision", "seed", "mu"),
+    "scan": ("variables", "ideal", "points", "subvarieties", "e_max",
+             "budget_pairs"),
+    "verify-bounds": ("variables", "ideal", "point", "inner", "socle",
+                      "m_constant", "delta_constant", "branches", "cross",
+                      "e_max", "budget_pairs"),
+}
+
+COMMANDS = tuple(READS)
 
 _KEY_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.-]*$")
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
@@ -167,10 +169,15 @@ class JobSpec(_JobSpec):
 
     def __new__(cls, *args, **kwargs) -> JobSpec:
         self = super().__new__(cls, *args, **kwargs)
-        if self.command not in COMMANDS:
+        if self.command not in READS:
             raise ParseError(
                 f"unknown command {self.command!r}, expected one of "
                 f"{', '.join(COMMANDS)}")
+        for field, default in _JOB_DEFAULTS.items():
+            if (field not in READS[self.command]
+                    and getattr(self, field) != default):
+                raise ParseError(f"the {self.command} command reads no "
+                                 f"`{_KEYS[field]}` statement")
         return self
 
 
@@ -194,6 +201,10 @@ _STATEMENTS = {
     "mu": ("mu", _int, str),
     "budget_pairs": ("budget_pairs", _int, str),
 }
+
+# JobSpec field -> the statement key that sets it
+_KEYS = {field: key for key, (field, _, _) in _STATEMENTS.items()}
+_KEYS.update(branches="branch", cross="cross", subvarieties="sub.N.*")
 
 
 def parse_job(text: str, command: str | None = None, **overrides) -> JobSpec:

@@ -15,6 +15,7 @@ import pytest
 import kunz.cli
 from kunz.cli import main
 from kunz.engine import Budget
+from kunz.textio import READS
 
 CONE = "p = 5;\nvars = x, y, z;\nideal = x*y - z^2;\n"
 NODE = "p = 3;\nvars = x, y;\nideal = x*y;\n"
@@ -232,6 +233,49 @@ def test_explicit_zero_ecap_exits_3(cli, tmp_path):
     assert "e_cap" in parse_output(result)["error"]["message"]
 
 
+# jobs missing a statement their command needs, with the exact refusal of
+# each
+NO_INNER = "p = 5;\nvars = x, y;\nideal = y^2 - x^3;\n"
+MISSING_STATEMENTS = [
+    ("hk", "p = 5;\nideal = x;\n",
+     "the job needs a `vars = ...;` statement"),
+    ("scan", "p = 5;\nideal = x;\n",
+     "the job needs a `vars = ...;` statement"),
+    ("tame", "p = 5;\n",
+     "the job needs at least one `branch = ...;` statement"),
+    ("verify-bounds", NO_INNER,
+     "verify-bounds needs an `inner = ...;` statement with the generators "
+     "of the inner ideal"),
+    ("verify-bounds",
+     NO_INNER + "inner = x, y;\nbranch = 2, 3;\nm = 2;\nDelta = 9;\n",
+     "give either branch lines or explicit m/Delta, not both"),
+    ("verify-bounds", NO_INNER + "inner = x, y;\n",
+     "verify-bounds needs `m = ...;` and `Delta = ...;` statements, or "
+     "branch lines to derive them from"),
+]
+
+
+@pytest.mark.parametrize("command, text, message", MISSING_STATEMENTS,
+                         ids=["hk_no_vars", "scan_no_vars", "tame_no_branch",
+                              "bounds_no_inner", "bounds_both",
+                              "bounds_neither"])
+def test_a_missing_statement_exits_3(cli, tmp_path, command, text, message):
+    result = cli([command, "--input", write(tmp_path, "short.job", text)])
+    assert result.exit_code == 3
+    assert result.stdout == (
+        '{"error":{"exit_code":3,"message":"%s","type":"PreconditionError"},'
+        '"schema_version":1}\n' % message)
+
+
+def test_a_job_key_the_command_does_not_read_exits_2(cli, tmp_path):
+    job = write(tmp_path, "cone.job", CONE + "branch = 2, 3;\n")
+    result = cli(["hk", "--input", job])
+    assert result.exit_code == 2
+    error = parse_output(result)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == "the hk command reads no `branch` statement"
+
+
 def test_parse_errors_exit_2(cli, tmp_path):
     text = "p = 5;\nvars = x;\nideal\n"
     job = write(tmp_path, "bad.job", text)
@@ -253,6 +297,24 @@ def test_missing_file_exits_2(cli, tmp_path):
     result = cli(["hk", "--input", str(tmp_path / "absent.job")])
     assert result.exit_code == 2
     assert parse_output(result)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("option", ["--json", "--csv"])
+def test_an_output_path_that_cannot_be_written_exits_2(cli, tmp_path,
+                                                       option):
+    """A symlink into a missing directory passes the usage check, and
+    writing through it fails: the run ends with one error line, and stdout
+    holds the error document alone."""
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing" / "out")
+    job = write(tmp_path, "cone.job", CONE)
+    result = cli(["hk", "--input", job, "--emax", "1", option, str(link)])
+    assert result.exit_code == 2
+    error = parse_output(result)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("cannot write output file: ")
+    assert result.stderr == f"ERROR kunz: ParseError: {error['message']}\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_budget_exhaustion_exits_4(cli, tmp_path):
@@ -290,24 +352,6 @@ def test_pair_budget_leaves_diagonal_hypersurfaces_alone(cli, tmp_path):
     assert len(payload["samples"]) == 2
 
 
-def test_csv_on_non_tabular_command_exits_3(cli, tmp_path, monkeypatch):
-    # the refusal comes before the job runs: no runner may be called
-    called = []
-    monkeypatch.setattr(kunz.cli, "_RUNNERS", {
-        name: (lambda job, name=name: called.append(name))
-        for name in kunz.cli._RUNNERS})
-    job = write(tmp_path, "any.job",
-                "p = 7;\nvars = x, y, z;\nideal = x^3 + y^3 + z^3;\n"
-                "branch = 2, 3;\n")
-    for command in ("fedder", "tame"):
-        result = cli([command, "--input", job,
-                      "--csv", str(tmp_path / "x.csv")])
-        assert result.exit_code == 3
-        assert "no tabular view" in parse_output(result)["error"]["message"]
-    assert called == []
-    assert not (tmp_path / "x.csv").exists()
-
-
 def test_identical_jobs_have_identical_payloads(cli, tmp_path):
     job = write(tmp_path, "cone.job", CONE)
     results = [parse_output(cli(["hk", "--input", job, "--emax", "1"]))
@@ -323,13 +367,24 @@ def test_version_flag(cli):
 
 
 COMMANDS = ("hk", "fsig", "fedder", "tame", "scan", "verify-bounds")
-OPTIONS = ("--input", "--emax", "--json", "--csv", "--budget-pairs",
-           "--precision")
+# each command's options besides --help: --input and --json everywhere,
+# --csv where there is a tabular view, and the value options of what the
+# command reads
+SAMPLED = ("--input", "--emax", "--json", "--csv", "--budget-pairs")
+OPTIONS = {
+    "hk": SAMPLED,
+    "fsig": SAMPLED,
+    "fedder": ("--input", "--json", "--budget-pairs"),
+    "tame": ("--input", "--json", "--precision"),
+    "scan": SAMPLED,
+    "verify-bounds": SAMPLED,
+}
+VALUE_OPTIONS = ("--emax", "--budget-pairs", "--precision")
 
 
 @pytest.mark.parametrize("args, listed", [
     (["--help"], COMMANDS + ("--version", "--help")),
-    (["hk", "--help"], OPTIONS + ("--help",)),
+    (["hk", "--help"], OPTIONS["hk"] + ("--help",)),
 ], ids=["kunz", "hk"])
 def test_help_lists_the_commands_and_options(cli, args, listed):
     result = cli(args)
@@ -337,6 +392,18 @@ def test_help_lists_the_commands_and_options(cli, args, listed):
     for name in listed:
         assert name in result.stdout
     assert "-h," not in result.stdout
+
+
+def test_each_command_offers_exactly_its_options(cli):
+    assert set(kunz.cli._COMMANDS) == set(READS)
+    every = {flag for options in OPTIONS.values() for flag in options}
+    offered = {name: {flag for flag in every
+                      if flag in cli([name, "--help"]).stdout}
+               for name in COMMANDS}
+    assert offered == {name: set(options) for name, options in OPTIONS.items()}
+    # (command, value option) pairs: 18 when every command took all three
+    assert sum(len(flags & set(VALUE_OPTIONS))
+               for flags in offered.values()) == 10
 
 
 USAGE_ERRORS = {
@@ -356,6 +423,16 @@ USAGE_ERRORS = {
                                   "--json", "{missing}"],
     "csv_directory_is_missing": ["hk", "--input", "{job}",
                                  "--csv", "{missing}"],
+    # no tabular view, so no --csv
+    "fedder_csv": ["fedder", "--input", "{job}", "--csv", "{csv}"],
+    "tame_csv": ["tame", "--input", "{job}", "--csv", "{csv}"],
+    # value options only where the command reads the value
+    "hk_precision": ["hk", "--input", "{job}", "--precision", "9"],
+    "tame_emax": ["tame", "--input", "{job}", "--emax", "2"],
+    "tame_budget_pairs": ["tame", "--input", "{job}",
+                          "--budget-pairs", "5"],
+    "fedder_emax": ["fedder", "--input", "{job}", "--emax", "2"],
+    "scan_precision": ["scan", "--input", "{job}", "--precision", "9"],
 }
 
 
@@ -363,13 +440,14 @@ USAGE_ERRORS = {
 def test_usage_errors_exit_2_before_the_job_runs(cli, tmp_path, monkeypatch,
                                                  case):
     called = []
-    monkeypatch.setattr(kunz.cli, "_RUNNERS", {
-        name: (lambda job, name=name: called.append(name))
-        for name in kunz.cli._RUNNERS})
+    monkeypatch.setattr(kunz.cli, "_COMMANDS", {
+        name: (lambda job, name=name: called.append(name), text)
+        for name, (_, text) in kunz.cli._COMMANDS.items()})
     job = write(tmp_path, "cone.job", CONE)
     (tmp_path / "dir").mkdir()
     places = {"job": job, "dir": str(tmp_path / "dir"),
               "out": str(tmp_path / "out.json"),
+              "csv": str(tmp_path / "out.csv"),
               "missing": str(tmp_path / "missing" / "out")}
     result = cli([arg.format(**places) for arg in USAGE_ERRORS[case]])
     assert result.exit_code == 2
@@ -507,12 +585,16 @@ RECORD_PAYLOAD_HASHES = [
      "p = 5;\nvars = x, y;\nideal = y^2 + 4*x^3;\ninner = x, y;\n"
      "socle = 1;\nm = 2;\nDelta = 9;\nemax = 3;\n",
      "6785595d401d5ed65fff40eec17d78e9ff17b920061c4d8bf0713a1a8224f68d"),
+    # the purity exponent keys: element, exponent_cap, purity_exponent and
+    # cap_exhausted
+    ("fedder", FERMAT + "element = x;\necap = 2;\n",
+     "84b5237599babf6e327e21bfd942b483d83122e39a1be4a6ab13e35e926c9279"),
 ]
 
 
 @pytest.mark.parametrize("command, text, content_hash", RECORD_PAYLOAD_HASHES,
                          ids=["scan_node_p3", "tame_two_branch_p7_k0",
-                              "bounds_cusp_p5"])
+                              "bounds_cusp_p5", "fedder_fermat_p7"])
 def test_record_payloads_keep_their_hashes(cli, tmp_path, command, text,
                                            content_hash):
     result = cli([command, "--input", write(tmp_path, "anchor.job", text)])

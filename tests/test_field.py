@@ -13,6 +13,12 @@ def test_is_prime_on_known_values():
     assert not is_prime(-7)
 
 
+@pytest.mark.parametrize("n", [1763, 2147117569], ids=["41*43", "46337^2"])
+def test_is_prime_refuses_composites_past_trial_division(n):
+    """No factor up to 37, so Miller-Rabin must find each composite."""
+    assert not is_prime(n)
+
+
 def test_field_config_rejects_non_primes():
     for n in [4, 1, 0, -5]:
         with pytest.raises(PreconditionError):

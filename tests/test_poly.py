@@ -126,6 +126,23 @@ def test_parse_errors_carry_positions():
         ring.parse("x ** 2")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("x $ y", "unexpected character '$'", 2),
+    ("(x y)", "expected ')', found 'y'", 3),
+    ("x y", "trailing input 'y'", 2),
+    ("x^y", "exponent must be an integer literal", 2),
+    ("x^2000000000000", "exponent 2000000000000 exceeds the 2^40 capacity",
+     2),
+])
+def test_parse_errors_name_the_fault_and_its_position(text, message,
+                                                      position):
+    ring = PolyRing(FieldConfig(5), ("x", "y"))
+    with pytest.raises(ParseError) as err:
+        ring.parse(text)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
 def test_parse_accepts_the_documented_surface():
     ring = PolyRing(FieldConfig(7), ("x", "y"))
     f = ring.parse("x^2 - 3*y + 2")

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from kunz.errors import PreconditionError
+from kunz.field import FieldConfig
+from kunz.poly import PolyRing
 from kunz.records import (RunRecord, content_hash, csv_text, encode_value,
                           format_rational)
 from kunz.textio import parse_job, render_job
@@ -35,6 +37,17 @@ def test_floats_are_refused_in_payloads():
         encode_value({"oops": 1.5})
     with pytest.raises(PreconditionError):
         encode_value([0.0])
+
+
+def test_values_of_other_types_are_refused_in_payloads():
+    """No str() fallback: a set would be hashed in an order that varies
+    between processes, and a Polynomial as its display text."""
+    x = PolyRing(FieldConfig(5), ("x",)).variable("x")
+    for value, name in [({1, 2}, "set"), (x, "Polynomial")]:
+        with pytest.raises(PreconditionError) as err:
+            encode_value({"oops": [value]})
+        assert str(err.value) == (
+            f"refusing to serialize a {name} into a results payload")
 
 
 def test_format_rational():

@@ -7,7 +7,9 @@ from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing
-from kunz.scan import enumerate_points, generic_value, scan_points
+from kunz.scan import (PointRecord, ScanVerdicts, SubvarietyRecord,
+                       WitnessValues, enumerate_points, generic_value,
+                       scan_points, semicontinuity_verdict)
 from kunz.textio import SubvarietySpec
 
 
@@ -127,3 +129,43 @@ def test_scan_rejects_points_off_the_zero_set():
 def test_subvariety_requires_witnesses():
     with pytest.raises(PreconditionError):
         SubvarietySpec(("x",), (), ("y",))
+
+
+# hand-built records for semicontinuity_verdict's failure branches, over
+# F_5[x, y] at e = 1: a smooth reference with lambda = s = 1, and a
+# subvariety V(x) with its generic value taken at the witness (0, 1)
+ONE = Fraction(1)
+REFERENCE = PointRecord((1, 0), 1, True, (ONE,), (ONE,))
+X_AXIS = PolyRing(FieldConfig(5), ("x", "y")).parse("x")
+
+
+def special(lam, s):
+    return PointRecord((0, 0), 1, False, (Fraction(lam),), (Fraction(s),))
+
+
+def sub_record(*witness_values):
+    values = [WitnessValues((0, 1 + i), (Fraction(v),))
+              for i, v in enumerate(witness_values)]
+    return SubvarietyRecord(("x",), 1, 1, tuple(values),
+                            len(set(witness_values)) == 1)
+
+
+@pytest.mark.parametrize("records, subs, verdicts", [
+    ([REFERENCE, special("1/2", "1/2")], [],
+     ScanVerdicts(False, True, True, (
+         "lambda_1 drops from reference (1, 0) to (0, 0)",))),
+    ([REFERENCE, special(2, "3/2")], [],
+     ScanVerdicts(True, False, True, (
+         "s_1 rises from reference (1, 0) to (0, 0)",))),
+    ([special("3/2", "1/2")], [sub_record(2)],
+     ScanVerdicts(False, True, True, (
+         "lambda_1 at (0, 0) is below the generic value of ('x',)",))),
+    ([], [sub_record(2, 3)],
+     ScanVerdicts(True, True, False, (
+         "generic values along ('x',) disagree across witnesses: some "
+         "witness lies outside the constructible neighborhood",))),
+], ids=["lambda_drops", "s_rises", "below_generic", "witnesses_disagree"])
+def test_semicontinuity_verdict_lists_each_violation(records, subs,
+                                                     verdicts):
+    assert semicontinuity_verdict(
+        (1,), records, subs, [[X_AXIS]] * len(subs)) == verdicts

@@ -3,8 +3,8 @@ from hypothesis import strategies as st
 import pytest
 
 from kunz.errors import ParseError
-from kunz.textio import (COMMANDS, JobSpec, SubvarietySpec, parse_job,
-                         parse_statements, render_job)
+from kunz.textio import (COMMANDS, READS, JobSpec, SubvarietySpec,
+                         parse_job, parse_statements, render_job)
 
 FULL_SCAN = """
 # a family with one declared subvariety
@@ -80,7 +80,8 @@ exprs = st.text("xyzw0123456789+-*^() ", min_size=1, max_size=12).map(
 
 @st.composite
 def job_specs(draw):
-    """A JobSpec with every field drawn, points sized to the variables."""
+    """A JobSpec with every field drawn, points sized to the variables,
+    then every field its command does not read put back at its default."""
     variables = tuple(draw(st.lists(names, max_size=3)))
     point = st.tuples(*[ints] * len(variables))
     points = st.lists(point, max_size=3).map(tuple)
@@ -94,9 +95,8 @@ def job_specs(draw):
     subvarieties = tuple(SubvarietySpec(draw(expr_tuples), draw(witnesses),
                                         draw(expr_tuples))
                          for _ in range(draw(st.integers(0, 2))))
-    return JobSpec(
-        command=draw(st.sampled_from(COMMANDS)),
-        p=draw(ints),
+    command = draw(st.sampled_from(COMMANDS))
+    fields = dict(
         variables=variables,
         ideal=draw(expr_tuples),
         point=draw(st.none() | point),
@@ -116,6 +116,10 @@ def job_specs(draw):
         mu=draw(ints),
         budget_pairs=draw(optional_ints),
     )
+    defaults = JobSpec._field_defaults
+    return JobSpec(command=command, p=draw(ints), **{
+        field: value if field in READS[command] else defaults[field]
+        for field, value in fields.items()})
 
 
 @given(job_specs())
@@ -172,6 +176,61 @@ def test_overrides_win_only_when_given():
 def test_job_spec_validates_commands():
     with pytest.raises(ParseError):
         JobSpec(command="frobnicate", p=5)
+
+
+# a value away from its default for every JobSpec field but command and p
+AWAY_FROM_DEFAULT = {
+    "variables": ("x",), "ideal": ("x",), "point": (0,), "points": ((0,),),
+    "branches": ((2, 3),), "cross": ((4,),),
+    "subvarieties": (SubvarietySpec(("x",), ((0,),), ()),),
+    "inner": ("x",), "socle": "1", "element": "x", "m_constant": 2,
+    "delta_constant": 9, "e_max": 2, "e_cap": 2, "precision": 9, "seed": 3,
+    "mu": 2, "budget_pairs": 5,
+}
+
+
+def test_job_spec_takes_only_the_fields_its_command_reads():
+    assert COMMANDS == tuple(READS)
+    assert set(AWAY_FROM_DEFAULT) == set(JobSpec._fields) - {"command", "p"}
+    # every field is read by some command, so the round trip covers it
+    assert set().union(*READS.values()) == set(AWAY_FROM_DEFAULT)
+    accepted = set()
+    for command in COMMANDS:
+        for field, value in AWAY_FROM_DEFAULT.items():
+            try:
+                JobSpec(command=command, p=5, **{field: value})
+            except ParseError:
+                continue
+            accepted.add((command, field))
+    assert accepted == {(command, field)
+                        for command, fields in READS.items()
+                        for field in fields}
+    # (command, field) pairs: 6 * 18 = 108 when every command took all
+    assert len(accepted) == 38
+
+
+@pytest.mark.parametrize("text, key", [
+    ("command = hk; p = 5; vars = x; ideal = x; precision = 9;",
+     "precision"),
+    ("command = tame; p = 5; branch = 2, 3; vars = x;", "vars"),
+    ("command = scan; p = 5; vars = x, y; ideal = x*y; point = 0, 0;",
+     "point"),
+    ("command = hk; p = 5; vars = x; ideal = x; branch = 2, 3;", "branch"),
+    ("command = fsig; p = 3; vars = x, y; ideal = x*y; sub.1.ideal = x; "
+     "sub.1.witnesses = (0,0);", "sub.N.*"),
+], ids=["hk_precision", "tame_vars", "scan_point", "hk_branch", "fsig_sub"])
+def test_a_key_the_command_does_not_read_is_refused(text, key):
+    with pytest.raises(ParseError) as err:
+        parse_job(text)
+    command = parse_statements(text)[0][1]
+    assert str(err.value) == (
+        f"the {command} command reads no `{key}` statement")
+
+
+def test_job_spec_refuses_a_field_its_command_does_not_read():
+    with pytest.raises(ParseError) as err:
+        JobSpec(command="hk", p=5, seed=3)
+    assert str(err.value) == "the hk command reads no `seed` statement"
 
 
 def test_subvariety_blocks():
