@@ -96,9 +96,6 @@ class RowSpace:
                 return True
         return False
 
-    def contains(self, row: list[int]) -> bool:
-        return not any(self._reduce(row))
-
 
 def frobenius_exponent(p: int, e: int) -> int:
     """Return q = p^e, refusing results that do not fit in 63 bits.

@@ -108,6 +108,7 @@ def twist_colon_ideal(presentation: LocalRingPresentation, e: int,
     """
     cached = presentation.twist_colons.get(e)
     if cached is None:
+        budget = budget or Budget()
         q = frobenius_exponent(presentation.p, e)
         ideal = presentation.ideal
         bracket = ideal.bracket_power(q)
@@ -199,6 +200,7 @@ def splitting_number(presentation: LocalRingPresentation, e: int,
     """
     if e < 1:
         raise PreconditionError(f"splitting level must be >= 1, got {e}")
+    budget = budget or Budget()
     q = frobenius_exponent(presentation.p, e)
     ring = presentation.ring
     generators = presentation.ideal.generators
@@ -211,6 +213,29 @@ def splitting_number(presentation: LocalRingPresentation, e: int,
     d = presentation.dimension(budget)
     return SplittingSample(e=e, q=q, colength=colength,
                            s=Fraction(colength, q**d))
+
+
+def splitting_samples(presentation: LocalRingPresentation, e_max: int,
+                      budget: Budget | None = None
+                      ) -> tuple[SplittingSample, ...]:
+    """splitting_number at e = 1..e_max, with no twist level past a zero
+    first level.
+
+    F^e factors through F, so a splitting of R -> F^e_* R gives one of
+    R -> F_* R. Once the level-1 numerator is 0 (R is not F-pure, by
+    Fedder's criterion), every later numerator is 0 too, and those levels
+    are filled in without a colon. Their q still passes through
+    frobenius_exponent, so a capacity error fires as it would.
+    """
+    budget = budget or Budget()
+    samples: list[SplittingSample] = []
+    for e in range(1, e_max + 1):
+        if samples and not samples[0].colength:
+            q = frobenius_exponent(presentation.p, e)
+            samples.append(SplittingSample(e, q, 0, Fraction(0)))
+        else:
+            samples.append(splitting_number(presentation, e, budget))
+    return tuple(samples)
 
 
 class PurityVerdict(namedtuple("PurityVerdict", "is_F_pure witness detail")):
@@ -285,9 +310,9 @@ def fsplit_report(presentation: LocalRingPresentation, e_max: int,
                   budget: Budget | None = None) -> FSplitReport:
     if e_max < 1:
         raise PreconditionError(f"e_max must be >= 1, got {e_max}")
+    budget = budget or Budget()
     p = presentation.p
-    samples = tuple(splitting_number(presentation, e, budget)
-                    for e in range(1, e_max + 1))
+    samples = splitting_samples(presentation, e_max, budget)
     c, interval = tail_interval(p, [(s.e, s.s) for s in samples])
     return FSplitReport(
         presentation_id=describe_presentation(presentation),

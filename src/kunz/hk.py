@@ -11,13 +11,10 @@ verify_pair_bounds checks |l_e - l_e'| <= m * Delta * p^-e for every pair
 nested ideals I and I + (u) differing by a single socle generator u. Each
 l_e is computed once, and the constants m and Delta are supplied by the
 caller (for realized curve data they come from the curves module).
-hypersurface_bound checks the colength of a principal ideal plus a bracket
-power of the maximal ideal against n * q^(d-1), taken by
-localring.bracket_colength as every Frobenius colength is.
 
-verify_basic_lengths is a library check of the paper's colon/quotient
-length identity. No command calls it; the tests and the acceptance suite
-exercise it.
+The checks of the colon/quotient length identity and of the hypersurface
+colength bound run in no command, so they live with the tests, in
+tests/lemmas.py.
 """
 
 from __future__ import annotations
@@ -28,8 +25,7 @@ from fractions import Fraction
 from .engine import Budget, Ideal
 from .errors import BudgetExceededError, PreconditionError
 from .field import frobenius_exponent
-from .localring import (FrobeniusSample, LocalRingPresentation,
-                        bracket_colength)
+from .localring import FrobeniusSample, LocalRingPresentation
 from .poly import Polynomial
 
 
@@ -101,6 +97,7 @@ def hk_sequence(presentation: LocalRingPresentation, e_max: int,
     """
     if e_max < 1:
         raise PreconditionError(f"e_max must be >= 1, got {e_max}")
+    budget = budget or Budget()
     p = presentation.p
     samples: list[FrobeniusSample] = []
     truncated = False
@@ -169,6 +166,7 @@ def relative_bracket_colength(presentation: LocalRingPresentation,
 
     Computed as the difference of two colengths modulo the defining ideal.
     """
+    budget = budget or Budget()
     base = presentation.ideal
     inner_q = base.sum_with(inner.bracket_power(q))
     outer_q = inner_q.sum_with(Ideal(presentation.ring,
@@ -184,6 +182,7 @@ def check_socle_condition(presentation: LocalRingPresentation, inner: Ideal,
     in m when no generator has a constant term, and m lies in the colon
     when every variable does.
     """
+    budget = budget or Budget()
     ring = presentation.ring
     colon = presentation.ideal.sum_with(inner).colon(Ideal(ring, [u]), budget)
     if (any(g.constant_coefficient() for g in colon.generators)
@@ -204,6 +203,7 @@ def verify_pair_bounds(presentation: LocalRingPresentation, inner: Ideal,
     """
     if e_max < 1:
         raise PreconditionError(f"e_max must be >= 1, got {e_max}")
+    budget = budget or Budget()
     check_socle_condition(presentation, inner, u, budget)
     p = presentation.p
     d = presentation.dimension(budget)
@@ -218,69 +218,3 @@ def verify_pair_bounds(presentation: LocalRingPresentation, inner: Ideal,
                        rhs=constants.m * constants.Delta * Fraction(1, p**e))
         for e in range(1, e_max + 1) for e_prime in range(e, e_max + 1))
     return BoundCheck(constants=constants, entries=entries)
-
-
-class BasicLengthsCheck(namedtuple("BasicLengthsCheck",
-                                   "q colon_side quotient_side")):
-    """Two independently computed sides of the colon/quotient length identity
-
-    l(R / (I^[q] : u^q)) = l((I + (u))^[q] / I^[q]),
-
-    both ints, like q.
-    """
-
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.colon_side == self.quotient_side
-
-
-def verify_basic_lengths(presentation: LocalRingPresentation, inner: Ideal,
-                         u: Polynomial, q: int,
-                         budget: Budget | None = None) -> BasicLengthsCheck:
-    """Check the length identity for one q, both sides through the engine."""
-    base = presentation.ideal
-    inner_q = base.sum_with(inner.bracket_power(q))
-    colon = inner_q.colon(Ideal(presentation.ring, [u.frobenius_power(q)]),
-                          budget)
-    colon_side = colon.colength(budget)
-    quotient_side = relative_bracket_colength(presentation, inner, u, q, budget)
-    return BasicLengthsCheck(q=q, colon_side=colon_side,
-                             quotient_side=quotient_side)
-
-
-# -- hypersurface bound ----------------------------------------------------
-
-
-class HypersurfaceBoundCheck(namedtuple("HypersurfaceBoundCheck",
-                                        "n e q colength bound")):
-    """The ints n, e, q, colength and bound of one hypersurface check."""
-
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.colength <= self.bound
-
-
-def hypersurface_bound(F: Polynomial, n: int, e: int,
-                       budget: Budget | None = None) -> HypersurfaceBoundCheck:
-    """Check colength((F) + m^[q]) <= n * q^(d-1) in the ambient ring of F.
-
-    The order of vanishing of F must be at most n; a unit F with n = 0 is
-    the degenerate equality 0 <= 0.
-    """
-    if F.is_zero():
-        raise PreconditionError("F must be nonzero")
-    if n < 0:
-        raise PreconditionError(f"n must be >= 0, got {n}")
-    order = F.order_of_vanishing()
-    if order > n:
-        raise PreconditionError(
-            f"every term of F has total degree above n = {n} (order {order})")
-    ring = F.ring
-    q = frobenius_exponent(ring.p, e)
-    colength = bracket_colength(ring, (F,), q, budget)
-    return HypersurfaceBoundCheck(n=n, e=e, q=q, colength=colength,
-                                  bound=n * q ** (ring.nvars - 1))

@@ -15,8 +15,9 @@ of the k[T]-modules k[x_i]/(x_i^q), and length(S/(m^[q] + (f))) is its
 number of Jordan blocks, a sum of Han's D(a, b, c) = dim k[x,y]/(x^a, y^b,
 (x+y)^c) (C. Han, thesis, Brandeis 1991; Han and Monsky, "Some surprising
 Hilbert-Kunz functions", Math. Z. 214, 1993). bracket_colength picks the
-route for every colength length(S/(J + m^[q])): the samples here,
-hk.hypersurface_bound and the splitting numbers of fsplit all call it.
+route for every colength length(S/(J + m^[q])): the samples here and the
+splitting numbers of fsplit call it, and so does the hypersurface bound
+check in tests/lemmas.py.
 
 It tries three routes in order, the first two in theorem_counts, which
 fsplit.splitting_number calls too. Han's count takes each J the diagonal
@@ -72,6 +73,7 @@ def bracket_colength(ring: PolyRing, generators: tuple[Polynomial, ...],
     """length(S/((generators) + m^[q])): by theorem_counts where a theorem
     gives it, else the engine on the generators followed by m^[q]. Only the
     engine charges pairs to the budget."""
+    budget = budget or Budget()
     counts = theorem_counts(ring, generators, q, budget)
     if counts is not None:
         return counts[0]
@@ -153,6 +155,7 @@ class LocalRingPresentation:
     def sample(self, e: int, budget: Budget | None = None) -> FrobeniusSample:
         if e < 0:
             raise PreconditionError(f"Frobenius index must be >= 0, got {e}")
+        budget = budget or Budget()
         q = frobenius_exponent(self.p, e)
         colength = bracket_colength(self.ring, self.ideal.generators, q,
                                     budget)

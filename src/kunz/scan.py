@@ -23,7 +23,7 @@ from itertools import product
 from .engine import DEADLINE_STRIDE, Budget, Ideal
 from .errors import PreconditionError
 from .field import FieldConfig, frobenius_exponent
-from .fsplit import splitting_number
+from .fsplit import splitting_samples
 from .localring import LocalRingPresentation, Point, translate_to_origin
 from .poly import PolyRing, Polynomial
 
@@ -171,6 +171,7 @@ def generic_value(ring: PolyRing, ideal_generators: list[Polynomial],
                   budget: Budget | None = None) -> Fraction:
     """lambda_e at the generic point of the subvariety, computed at a
     smooth witness through the length factorization."""
+    budget = budget or Budget()
     context = _generic_context(ring, ideal_generators, subvariety_generators,
                                witness, parameters, budget)
     return _factorized_value(context, e, budget)
@@ -190,6 +191,7 @@ def scan_points(p: int, variables: tuple[str, ...],
     """
     if e_max < 1:
         raise PreconditionError(f"e_max must be >= 1, got {e_max}")
+    budget = budget or Budget()
     ring = PolyRing(FieldConfig(p), tuple(variables))
     gens = [ring.parse(t) for t in ideal_texts]
     if points is None:
@@ -203,7 +205,8 @@ def scan_points(p: int, variables: tuple[str, ...],
         pres = LocalRingPresentation(
             ring, Ideal(ring, translate_to_origin(gens, tuple(point))))
         lam = tuple(pres.lambda_value(e, budget) for e in e_values)
-        s = tuple(splitting_number(pres, e, budget).s for e in e_values)
+        s = tuple(sample.s
+                  for sample in splitting_samples(pres, e_max, budget))
         smooth = pres.smoothness_report(budget).smooth
         records.append(PointRecord(tuple(point), pres.dimension(budget),
                                    smooth, lam, s))

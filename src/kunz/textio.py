@@ -9,8 +9,9 @@ Example ring block:
     ideal = y^2 - x^3;
     point = 0, 0;
 
-READS names the JobSpec fields each command reads besides command and p;
-JobSpec refuses any other field away from its default.
+READS names the JobSpec fields each command reads besides command and p.
+parse_job refuses a statement of any other field, even one that restates
+the default, and JobSpec refuses any other field away from its default.
 
 _STATEMENTS is the key list: it maps every key but branch, cross and
 sub.N.* to its JobSpec field, parser and renderer. parse_job refuses any
@@ -174,11 +175,16 @@ class JobSpec(_JobSpec):
                 f"unknown command {self.command!r}, expected one of "
                 f"{', '.join(COMMANDS)}")
         for field, default in _JOB_DEFAULTS.items():
-            if (field not in READS[self.command]
-                    and getattr(self, field) != default):
-                raise ParseError(f"the {self.command} command reads no "
-                                 f"`{_KEYS[field]}` statement")
+            if getattr(self, field) != default:
+                _require_read(self.command, field)
         return self
+
+
+def _require_read(command: str, field: str) -> None:
+    """Refuse a JobSpec field the command does not read, by its key."""
+    if field not in READS[command]:
+        raise ParseError(
+            f"the {command} command reads no `{_KEYS[field]}` statement")
 
 
 # statement key -> (JobSpec field, parser, renderer), in render_job's order
@@ -202,9 +208,12 @@ _STATEMENTS = {
     "budget_pairs": ("budget_pairs", _int, str),
 }
 
+# statement key -> the JobSpec field it sets, but for the sub.N.* keys
+_FIELDS = {key: field for key, (field, _, _) in _STATEMENTS.items()}
+_FIELDS.update(branch="branches", cross="cross")
 # JobSpec field -> the statement key that sets it
-_KEYS = {field: key for key, (field, _, _) in _STATEMENTS.items()}
-_KEYS.update(branches="branch", cross="cross", subvarieties="sub.N.*")
+_KEYS = {field: key for key, field in _FIELDS.items()}
+_KEYS.update(subvarieties="sub.N.*")
 
 
 def parse_job(text: str, command: str | None = None, **overrides) -> JobSpec:
@@ -252,6 +261,10 @@ def parse_job(text: str, command: str | None = None, **overrides) -> JobSpec:
         raise ParseError("no command given (flag or `command = ...;`)")
     if "p" not in seen:
         raise ParseError("missing required statement `p = ...;`")
+    if cmd in READS:
+        for key, _ in statements:
+            if key not in ("command", "p"):
+                _require_read(cmd, _FIELDS.get(key, "subvarieties"))
 
     if cross_map and (not branches or max(cross_map) > len(branches)):
         raise ParseError(

@@ -14,19 +14,19 @@ from math import gcd
 from pathlib import Path
 
 import kunz
-from kunz.curves import (Branch, BranchCurve, tame_report,
-                         tame_trial_valuation)
+from kunz.curves import Branch, BranchCurve, tame_report
 from kunz.engine import Ideal, maximal_ideal
 from kunz.field import FieldConfig
 from kunz.fsplit import fedder_test, fsplit_report, splitting_number
 from kunz.hk import (BoundConstants, check_socle_condition, hk_sequence,
-                     hypersurface_bound, verify_basic_lengths,
                      verify_pair_bounds)
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing
 from kunz.records import canonical_json
 from kunz.scan import scan_points
 from kunz.textio import SubvarietySpec
+from lemmas import (hypersurface_bound, tame_trial_valuation,
+                    verify_basic_lengths)
 from oracles import node_lambda, node_splitting
 
 

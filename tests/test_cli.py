@@ -276,6 +276,15 @@ def test_a_job_key_the_command_does_not_read_exits_2(cli, tmp_path):
     assert error["message"] == "the hk command reads no `branch` statement"
 
 
+def test_an_unread_key_at_its_default_exits_2(cli, tmp_path):
+    job = write(tmp_path, "cone.job", CONE + "mu = 1;\n")
+    result = cli(["hk", "--input", job, "--emax", "1"])
+    assert result.exit_code == 2
+    error = parse_output(result)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == "the hk command reads no `mu` statement"
+
+
 def test_parse_errors_exit_2(cli, tmp_path):
     text = "p = 5;\nvars = x;\nideal\n"
     job = write(tmp_path, "bad.job", text)
@@ -604,11 +613,9 @@ def test_record_payloads_keep_their_hashes(cli, tmp_path, command, text,
 
 RECORDS = {
     "curves": ("BranchInvariants", "TameInvariants", "BranchRealization",
-               "GeneratorBoundCheck", "RootClosureCheck",
-               "SplitReductionCheck", "TameReport"),
+               "GeneratorBoundCheck", "TameReport"),
     "fsplit": ("SplittingSample", "PurityVerdict", "FSplitReport"),
-    "hk": ("HKReport", "BoundConstants", "PairBoundEntry", "BoundCheck",
-           "BasicLengthsCheck", "HypersurfaceBoundCheck"),
+    "hk": ("HKReport", "BoundConstants", "PairBoundEntry", "BoundCheck"),
     "localring": ("FrobeniusSample", "SmoothnessReport"),
     "records": ("RunRecord",),
     "scan": ("PointRecord", "WitnessValues", "SubvarietyRecord",

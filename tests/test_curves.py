@@ -5,17 +5,17 @@ from hypothesis import strategies as st
 import pytest
 
 import kunz.curves
-from kunz.curves import (MAX_DOUBLINGS, Branch, BranchCurve, _series_row,
-                         _trace_block, branch_piece_membership,
+from kunz.curves import (MAX_DOUBLINGS, Branch, BranchCurve, _trace_block,
                          default_precision, discriminant_valuation,
                          extension_degree, generator_bound_check,
-                         piece_generators, realize_curve, root_closure_check,
-                         semigroup_conductor, semigroup_membership,
-                         split_reduction_check, tame_invariants, tame_report,
-                         tame_trial_valuation)
+                         realize_curve, semigroup_conductor,
+                         semigroup_membership, tame_invariants, tame_report)
 from kunz.errors import CapacityError, PrecisionLossError, PreconditionError
 from kunz.field import RowSpace
 from kunz.series import TruncatedSeries, determinant_valuation
+from lemmas import (branch_piece_membership, piece_generators,
+                    root_closure_check, series_row, split_reduction_check,
+                    tame_trial_valuation)
 from oracles import semigroup_conductor_brute, semigroup_elements
 
 CUSP = Branch((2, 3))
@@ -199,7 +199,7 @@ def realized_rank_drop(curve, branches, bound):
         s_power = TruncatedSeries.one(curve.p).truncate(bound)
         for v in range(bound):
             if member[v]:
-                row = _series_row(s_power, offset, width, bound)
+                row = series_row(s_power, offset, width, bound)
                 drop += full.add(row)
                 if v >= br.gamma and member[v - br.gamma]:
                     drop -= shifted.add(row)

@@ -12,8 +12,12 @@ from kunz.engine import (Budget, Ideal, _update, div_exact, groebner,
 from kunz.engine import monomial_colength as engine_monomial_colength
 from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
+from kunz.fsplit import fsplit_report, splitting_number
+from kunz.hk import BoundConstants, hk_sequence, verify_pair_bounds
 from kunz.kernel import pack, unpack
+from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing, grevlex_key
+from kunz.scan import scan_points
 import oracles
 from oracles import (box_bounds, bracket, monomial_colength,
                      pairwise_update, peeling_colength)
@@ -588,3 +592,49 @@ def test_zero_and_unit_cases_of_meets_and_colons(a, b, operation, generators,
     result = getattr(ideal(a), operation)(ideal(b), budget)
     assert result.generators == tuple(parsed(ring, *generators))
     assert budget.pairs == pairs
+
+
+# -- one budget per library call ---------------------------------------------
+
+TWISTED_CUBIC = (3, ["x", "y", "z", "w"],
+                 ["x*z - y^2", "x*w - y*z", "y*w - z^2"])
+
+
+def _cusp_pair_bounds(budget):
+    cusp = LocalRingPresentation.from_texts(5, ["x", "y"], ["y^2 - x^3"])
+    return verify_pair_bounds(cusp, maximal_ideal(cusp.ring), cusp.ring.one(),
+                              2, BoundConstants(m=2, Delta=9), budget)
+
+
+LIBRARY_CALLS = {
+    "hk_sequence": lambda budget: hk_sequence(
+        LocalRingPresentation.from_texts(*TWISTED_CUBIC), 3, budget),
+    "fsplit_report": lambda budget: fsplit_report(
+        LocalRingPresentation.from_texts(*TWISTED_CUBIC), 2, budget),
+    "scan_points": lambda budget: scan_points(
+        3, ("x", "y"), ["x*y"], e_max=2, budget=budget),
+    "verify_pair_bounds": _cusp_pair_bounds,
+    "sample": lambda budget: LocalRingPresentation.from_texts(
+        *TWISTED_CUBIC).sample(2, budget),
+    "splitting_number": lambda budget: splitting_number(
+        LocalRingPresentation.from_texts(*TWISTED_CUBIC), 2, budget),
+}
+
+
+@pytest.mark.parametrize("passed", [False, True], ids=["none", "given"])
+@pytest.mark.parametrize("name", sorted(LIBRARY_CALLS))
+def test_a_library_call_builds_one_budget_and_shares_it(name, passed,
+                                                        monkeypatch):
+    """Given no budget, a call builds one and hands it to every callee, so
+    the whole call runs under one pair count and one deadline."""
+    budget = Budget() if passed else None
+    built = []
+    init = Budget.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Budget, "__init__", counting)
+    LIBRARY_CALLS[name](budget)
+    assert len(built) == (0 if passed else 1)

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 import pytest
 
 from kunz.engine import Budget, Ideal, maximal_ideal
-from kunz.errors import BudgetExceededError, PreconditionError
+from kunz.errors import (BudgetExceededError, CapacityError,
+                         PreconditionError)
 from kunz.field import FieldConfig
 from kunz.fsplit import (_in_box, fedder_test, fpurity_exponent,
                          fsplit_report, is_complete_intersection,
-                         splitting_number, twist_colon_ideal, twist_levels)
+                         splitting_number, splitting_samples,
+                         twist_colon_ideal, twist_levels)
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing, Polynomial
 from oracles import box_colength, node_splitting
@@ -438,3 +440,52 @@ def test_fsplit_report_bundles_the_verdict(node3):
     assert report.verdict.is_F_pure
     assert report.interval.low <= 0 <= report.interval.high or \
         report.interval.low >= 0
+
+
+# -- no twist level past a zero first level ----------------------------------
+
+NOT_F_PURE = {
+    # the monomial curve <5,6,7,8>: Gorenstein, not a complete intersection
+    "monomial_curve": ((3, ["x", "y", "z", "w"],
+                        ["y^2 - x*z", "y*w - z^2", "x*w - y*z",
+                         "w^2 - x^2*y", "z*w - x^3"]), 2),
+    # a complete intersection, on Fedder's box route
+    "cusp_with_tail": ((5, ["x", "y"], ["y^2 - x^3 - x^4"]), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_F_PURE))
+def test_splitting_samples_match_splitting_number_per_level(name):
+    ring, e_max = NOT_F_PURE[name]
+    samples = splitting_samples(present(*ring), e_max)
+    assert samples == tuple(splitting_number(present(*ring), e)
+                            for e in range(1, e_max + 1))
+    assert [s.colength for s in samples] == [0] * e_max
+
+
+def test_splitting_samples_stop_at_a_zero_first_level(monkeypatch):
+    import kunz.fsplit
+    levels = []
+    top = {"e": 1}
+
+    def counting(presentation, e, budget=None):
+        levels.append(e)
+        # fail fast: a level past the first costs the monomial curve 6 s
+        # at e = 3 and minutes at e = 4
+        assert e <= top["e"], f"level {e} built a twist colon"
+        return splitting_number(presentation, e, budget)
+
+    monkeypatch.setattr(kunz.fsplit, "splitting_number", counting)
+    ring, _ = NOT_F_PURE["monomial_curve"]
+    samples = splitting_samples(present(*ring), 4)
+    assert levels == [1]
+    assert [(s.e, s.q, s.colength, s.s) for s in samples] == [
+        (e, 3**e, 0, 0) for e in range(1, 5)]
+    # the skipped levels still refuse a q past the exponent capacity
+    with pytest.raises(CapacityError):
+        splitting_samples(present(*ring), 40)  # 3^40 > 2^63
+    # a positive first level takes every level
+    levels.clear()
+    top["e"] = 3
+    splitting_samples(present(3, ["x", "y"], ["x*y"]), 3)
+    assert levels == [1, 2, 3]

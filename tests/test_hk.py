@@ -10,11 +10,11 @@ from kunz.engine import Budget, Ideal, maximal_ideal
 from kunz.errors import PreconditionError
 from kunz.field import FieldConfig
 from kunz.hk import (BoundConstants, PairBoundEntry, check_socle_condition,
-                     empirical_gap_constant, hk_sequence, hypersurface_bound,
-                     relative_bracket_colength, verify_basic_lengths,
-                     verify_pair_bounds)
+                     empirical_gap_constant, hk_sequence,
+                     relative_bracket_colength, verify_pair_bounds)
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing
+from lemmas import hypersurface_bound, verify_basic_lengths
 from oracles import cusp_colength, monomial_colength, node_lambda
 from test_acceptance import hypersurface_draws
 

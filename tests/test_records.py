@@ -124,9 +124,6 @@ RECORD_SHAPES = {
         "TameInvariants": ("per_branch delta Delta", {}),
         "BranchRealization": ("gamma s basis_element", {}),
         "GeneratorBoundCheck": ("count delta mu bound passed", {}),
-        "RootClosureCheck": ("p m tested passed", {}),
-        "SplitReductionCheck": (
-            "p discriminant_reduction reduced_discriminant passed", {}),
         "TameReport": (
             "p semigroups invariants parameter_valuations "
             "discriminant_valuation extension_degree generator_count "
@@ -147,8 +144,6 @@ RECORD_SHAPES = {
         "BoundConstants": ("m Delta", {}),
         "PairBoundEntry": ("e e_prime lhs rhs", {}),
         "BoundCheck": ("constants entries", {}),
-        "BasicLengthsCheck": ("q colon_side quotient_side", {}),
-        "HypersurfaceBoundCheck": ("n e q colength bound", {}),
     },
     "localring": {
         "FrobeniusSample": ("e q colength normalized", {}),

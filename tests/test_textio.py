@@ -218,7 +218,12 @@ def test_job_spec_takes_only_the_fields_its_command_reads():
     ("command = hk; p = 5; vars = x; ideal = x; branch = 2, 3;", "branch"),
     ("command = fsig; p = 3; vars = x, y; ideal = x*y; sub.1.ideal = x; "
      "sub.1.witnesses = (0,0);", "sub.N.*"),
-], ids=["hk_precision", "tame_vars", "scan_point", "hk_branch", "fsig_sub"])
+    # a statement that restates the default is refused all the same
+    ("command = hk; p = 5; vars = x; ideal = x; mu = 1;", "mu"),
+    ("command = hk; p = 5; vars = x; ideal = x; seed = 0;", "seed"),
+    ("command = tame; p = 5; vars = ; branch = 2, 3;", "vars"),
+], ids=["hk_precision", "tame_vars", "scan_point", "hk_branch", "fsig_sub",
+        "hk_default_mu", "hk_default_seed", "tame_empty_vars"])
 def test_a_key_the_command_does_not_read_is_refused(text, key):
     with pytest.raises(ParseError) as err:
         parse_job(text)
