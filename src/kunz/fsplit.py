@@ -274,11 +274,17 @@ def fpurity_exponent(presentation: LocalRingPresentation, c: Polynomial,
                      budget: Budget | None = None) -> int | None:
     """Smallest e <= e_cap with c * (I^[q] : I) not inside m^[q].
 
-    None means the cap was exhausted; the true value may be larger or may
+    None means no e <= e_cap works; the true value may be larger or may
     not exist at all. m^[q] is a monomial ideal, so c * g lies outside it
     exactly when c * g keeps a term in the box of exponents below q. Since
     (I^[q] : I) + m^[q] = (J_e) + m^[q] for the level J_e of twist_levels,
     and c * m^[q] lies in m^[q], the test runs over the g in J_e.
+
+    The walk stops with None at the first empty J_e, building no later
+    level. Then (I^[q] : I) lies in m^[q], so R does not split at level e,
+    and it splits at no later level either, as in splitting_samples: a map
+    phi of F^e'_* R to R with phi(F^e'_* c) = 1, e' > e, gives the map
+    F^e_* r -> phi(F^e'_* (c r^(p^(e' - e)))), which sends F^e_* 1 to 1.
     """
     if e_cap < 1:
         raise PreconditionError(f"e_cap must be >= 1, got {e_cap}")
@@ -287,6 +293,8 @@ def fpurity_exponent(presentation: LocalRingPresentation, c: Polynomial,
     budget = budget or Budget()
     levels = twist_levels(presentation, e_cap, budget)
     for e, level in enumerate(levels, start=1):
+        if not level:
+            return None
         q = frobenius_exponent(presentation.p, e)
         if any(_in_box(c * g, q, budget) for g in level):
             return e

@@ -20,6 +20,12 @@ from kunz.textio import READS
 CONE = "p = 5;\nvars = x, y, z;\nideal = x*y - z^2;\n"
 NODE = "p = 3;\nvars = x, y;\nideal = x*y;\n"
 CUBIC_XYZ = "p = 7;\nvars = x, y, z;\nideal = x^3 + y^3 + z^3 + x*y*z;\n"
+RANK_5 = ("p = 3;\nvars = a, b, c, d, e;\n"
+          "ideal = a^2 + b^2 + c^2 + d^2 + e^2;\n")
+# the monomial curve <5,6,7,8>, which is not F-pure at p = 3
+MONOMIAL_CURVE = ("p = 3;\nvars = x, y, z, w;\n"
+                  "ideal = y^2 - x*z, y*w - z^2, x*w - y*z, w^2 - x^2*y, "
+                  "z*w - x^3;\n")
 CUSP_BOUNDS = ("p = 5;\nvars = x, y;\nideal = y^2 - x^3;\n"
                "inner = x, y;\nsocle = 1;\nm = 2;\nDelta = 9;\n")
 
@@ -361,6 +367,40 @@ def test_pair_budget_leaves_diagonal_hypersurfaces_alone(cli, tmp_path):
     assert len(payload["samples"]) == 2
 
 
+def test_pair_budget_leaves_a_quadric_of_rank_5_alone(cli, tmp_path):
+    # five squares fold into Han's count; the engine needs pairs at e = 1
+    job = write(tmp_path, "rank5.job",
+                RANK_5 + "emax = 4;\nbudget_pairs = 0;\n")
+    result = cli(["hk", "--input", job])
+    assert result.exit_code == 0
+    samples = parse_output(result)["payload"]["samples"]
+    assert [s["colength"] for s in samples] == [97, 7937, 643297, 52109057]
+
+
+def test_fedder_builds_no_twist_level_past_an_empty_one(cli, tmp_path,
+                                                        monkeypatch):
+    # (I^[3] : I) lies in m^[3], so no element splits at any level; the
+    # pinned hash is the one a walk through every level up to ecap gives
+    presentations = []
+    build = kunz.cli._presentation
+
+    def keep(job):
+        presentations.append(build(job))
+        return presentations[-1]
+
+    monkeypatch.setattr(kunz.cli, "_presentation", keep)
+    job = write(tmp_path, "curve.job",
+                MONOMIAL_CURVE + "element = 1;\necap = 3;\n")
+    result = cli(["fedder", "--input", job])
+    assert result.exit_code == 0
+    document = parse_output(result)
+    assert document["content_hash"] == (
+        "55cc78312ba887207bf2796ed7501b5147b8b4949419cc8cdefa7bfd0b4a137d")
+    assert document["payload"]["purity_exponent"] is None
+    (presentation,) = presentations
+    assert sorted(presentation.twist_colons) == [1]
+
+
 def test_identical_jobs_have_identical_payloads(cli, tmp_path):
     job = write(tmp_path, "cone.job", CONE)
     results = [parse_output(cli(["hk", "--input", job, "--emax", "1"]))
@@ -509,12 +549,16 @@ HEAVY_HASHES = [
      "fdfad904a96cdde0b5b8f2b6d802ab06ddc5dad4ddca2b9a5b10270c186ebfde"),
     ("fsig", QUADRIC, 5,
      "4d5aa896129f413af4bfa2ba0bbb5014cf70864fc7212071e59039346304e33d"),
+    ("hk", RANK_5, 3,
+     "2b8d237d63200bc9f868b5678f8d89816560b0f76556f3fe92e3278bd77c1b23"),
+    ("fsig", RANK_5, 2,
+     "10ed7db3ded7b361a780557394989be7165f34677ed0b515186a6ee9c533ee3e"),
 ]
 
 
 @pytest.mark.parametrize("command, text, emax, content_hash", HEAVY_HASHES,
                          ids=["hk_fermat", "fsig_cone", "hk_quadric",
-                              "fsig_quadric"])
+                              "fsig_quadric", "hk_rank_5", "fsig_rank_5"])
 def test_heavy_hypersurface_jobs_keep_their_hashes(tmp_path, command, text,
                                                    emax, content_hash):
     out = run_child([command, "--input", write(tmp_path, "heavy.job", text),

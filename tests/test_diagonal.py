@@ -36,12 +36,15 @@ def test_syzygy_dimension_matches_graded_ranks(p, a, b, c):
 def diagonal_hypersurfaces(draw):
     """A form sum c_i x_i^(d_i) with d_i <= 4, absent variables and linear
     terms included, or, in odd p, any nonzero quadratic form, degenerate ones
-    included; and a level q = p^e <= 9."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    nvars = draw(st.integers(1, 4))
-    ring = PolyRing(FieldConfig(p), tuple("xyzw"[:nvars]))
+    included, in up to 6 variables; and a level q = p^e <= 9. Past 4
+    variables q = p <= 5, and quadratic forms come only at p = 3, so that
+    the engine's f^(q-1) stays small."""
+    nvars = draw(st.integers(1, 6))
+    wide = nvars > 4
+    p = draw(st.sampled_from([2, 3, 5] if wide else [2, 3, 5, 7]))
+    ring = PolyRing(FieldConfig(p), tuple("xyzwuv"[:nvars]))
     f = ring.zero()
-    if p != 2 and draw(st.booleans()):
+    if (p == 3 if wide else p != 2) and draw(st.booleans()):
         for i, j in combinations_with_replacement(range(nvars), 2):
             exps = [0] * nvars
             exps[i] += 1
@@ -55,13 +58,15 @@ def diagonal_hypersurfaces(draw):
                 f = f + ring.monomial(tuple(exps), draw(st.integers(1, p - 1)))
     if f.is_zero():
         reject()
-    e = draw(st.integers(1, 3 if p == 2 else 2 if p == 3 else 1))
+    e = 1 if wide else draw(
+        st.integers(1, 3 if p == 2 else 2 if p == 3 else 1))
     return ring, f, p**e
 
 
 # The engine runs under one pair and degree ceiling, and a draw that
-# reaches it is rejected, so no draw can stall the suite. The costliest of
-# 300 draws took 245 pairs.
+# reaches it is rejected, so no draw can stall the suite. In four runs of
+# 300 draws, the costliest draw that passed took 324 pairs, and the slowest
+# draw, a rejected p = 5 form in 6 variables, 0.13 s on a 2-vCPU Xeon.
 MAX_PAIRS = 400
 MAX_DEGREE = 60
 
@@ -88,8 +93,6 @@ def test_the_route_matches_the_engine(data):
     (2, "x, y", ["x*y"]),  # a quadric in characteristic 2
     (5, "x, y", ["x*y - y^3"]),  # a quadric plus a cubic
     (3, "x, y, z, w", ["x*y - z^2", "z*w - x^2"]),  # two generators
-    (5, "a, b, c, d, e", ["a^2 + b^2 + c^3 + d^3 + e^5"]),  # five factors
-    (5, "a, b, c, d, e", ["a*b + c*d + e^2"]),  # a quadric of rank 5
     (3, "x, y", ["0"]),  # the zero polynomial
 ])
 def test_other_rings_stay_on_the_engine(p, variables, gens):
@@ -103,9 +106,12 @@ def test_other_rings_stay_on_the_engine(p, variables, gens):
     (3, ["x^2 + 2*x*y + y^2"], (2,)),  # (x + y)^2 has rank 1
     (5, ["x*y"], (2, 2)),
     (2, ["x^2 + y^3 + w"], (1, 2, 3)),
+    (5, ["a^2 + b^2 + c^3 + d^3 + e^5"], (2, 2, 3, 3, 5)),  # five factors
+    (5, ["a*b + c*d + e^2"], (2, 2, 2, 2, 2)),  # a quadric of rank 5
 ])
 def test_detection_reads_the_diagonal_form(p, gens, degrees):
-    ring = PolyRing(FieldConfig(p), ("x", "y", "z", "w"))
+    ring = PolyRing(FieldConfig(p), ("x", "y", "z", "w", "a", "b", "c", "d",
+                                     "e"))
     assert diagonal_degrees(tuple(ring.parse(g) for g in gens)) == degrees
 
 
