@@ -45,6 +45,9 @@ class Budget:
     def __init__(self, max_pairs: int = DEFAULT_MAX_PAIRS,
                  max_degree: int = DEFAULT_MAX_DEGREE,
                  deadline_seconds: float = DEFAULT_DEADLINE_SECONDS) -> None:
+        if max_pairs < 0:
+            raise PreconditionError(
+                f"pair budget must be >= 0, got {max_pairs}")
         self.max_pairs = max_pairs
         self.max_degree = max_degree
         self.deadline_seconds = deadline_seconds

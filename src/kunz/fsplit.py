@@ -66,9 +66,11 @@ No Groebner basis of a colon is computed. Every other ideal takes the
 general colon, by elimination (engine.Ideal.colon): for homogeneous I by
 restriction to one generator of I at a time, otherwise by intersecting the
 colons by each generator. twist_levels yields either one modulo m^[q] as
-polynomials J_e with (I^[q] : I) + m^[q] = (J_e) + m^[q], for
-splitting_number and fpurity_exponent; localring.bracket_colength counts
-(J_e) + m^[q].
+polynomials J_e with (I^[q] : I) + m^[q] = (J_e) + m^[q], up to the first
+empty J_e: the ring splits at no later level. splitting_samples and
+fpurity_exponent each read J_1, J_2, .. from one walk, and
+localring.bracket_colength counts (J_e) + m^[q]; splitting_number is the
+last of splitting_samples.
 """
 
 from __future__ import annotations
@@ -141,7 +143,8 @@ def _in_box(f: Polynomial, q: int, budget: Budget) -> Polynomial:
 def twist_levels(presentation: LocalRingPresentation, e_top: int,
                  budget: Budget | None = None):
     """Yield, for q = p, p^2, .., p^e_top, polynomials J_e with
-    (I^[q] : I) + m^[q] = (J_e) + m^[q].
+    (I^[q] : I) + m^[q] = (J_e) + m^[q], up to and including the first
+    empty J_e.
 
     Every ideal other than a complete intersection yields the generators of
     its general colon, from twist_colon_ideal, each modulo m^[q], leaving
@@ -154,29 +157,37 @@ def twist_levels(presentation: LocalRingPresentation, e_top: int,
     h^(p-1), drops the terms with an exponent of at least p^e_top, and each
     level keeps its terms below its own q; both are exact, since m^[q] is a
     monomial ideal.
+
+    The walk ends at the first empty J_e, building no later level. Then
+    (I^[q] : I) lies in m^[q], so R does not split at level e (Fedder's
+    criterion), and it splits at no later level either: a map phi of
+    F^e'_* R to R with phi(F^e'_* c) = 1, e' > e, gives the map
+    F^e_* r -> phi(F^e'_* (c r^(p^(e' - e)))), which sends F^e_* 1 to 1.
     """
     budget = budget or Budget()
     p = presentation.p
-    if not is_complete_intersection(presentation, budget):
-        for e in range(1, e_top + 1):
-            q = frobenius_exponent(p, e)
+    fedder = is_complete_intersection(presentation, budget)
+    if fedder:
+        top = frobenius_exponent(p, e_top)
+        h = presentation.ring.one()
+        for f in presentation.ideal.generators:
+            h = _in_box(h * f, top, budget)
+        factor = h
+        for _ in range(p - 2):
+            factor = _in_box(factor * h, top, budget)
+        power = presentation.ring.one()
+    for e in range(1, e_top + 1):
+        q = frobenius_exponent(p, e)
+        if fedder:
+            power = _in_box(factor * power.frobenius_power(p), q, budget)
+            boxes = (power,)
+        else:
             colon = twist_colon_ideal(presentation, e, budget)
-            yield tuple(box for g in colon.generators
-                        if (box := _in_box(g, q, budget)))
-        return
-    top = frobenius_exponent(p, e_top)
-    h = presentation.ring.one()
-    for f in presentation.ideal.generators:
-        h = _in_box(h * f, top, budget)
-    factor = h
-    for _ in range(p - 2):
-        factor = _in_box(factor * h, top, budget)
-    level = presentation.ring.one()
-    q = 1
-    for _ in range(e_top):
-        q *= p
-        level = _in_box(factor * level.frobenius_power(p), q, budget)
-        yield (level,) if level else ()
+            boxes = (_in_box(g, q, budget) for g in colon.generators)
+        level = tuple(filter(None, boxes))
+        yield level
+        if not level:
+            return
 
 
 class SplittingSample(namedtuple("SplittingSample", "e q colength s")):
@@ -186,56 +197,50 @@ class SplittingSample(namedtuple("SplittingSample", "e q colength s")):
     __slots__ = ()
 
 
-def splitting_number(presentation: LocalRingPresentation, e: int,
-                     budget: Budget | None = None) -> SplittingSample:
-    """s_e = (q^n - colength(m^[q] + (I^[q] : I))) / q^d, exactly.
+def splitting_samples(presentation: LocalRingPresentation, e_max: int,
+                      budget: Budget | None = None
+                      ) -> tuple[SplittingSample, ...]:
+    """s_e = (q^n - colength(m^[q] + (I^[q] : I))) / q^d at e = 1..e_max,
+    exactly.
 
     The numerator is localring.theorem_counts' where a theorem gives it:
     Han's count of Jordan blocks of size q for a diagonal hypersurface, or
     q^(n - r) where the r generators of I are regular at the origin, since
     F^e_* A is then free of that rank by Kunz's theorem (Huneke-Leuschke:
-    s(A) = 1 exactly when A is regular). Otherwise it is
-    q^n - colength(m^[q] + (J_e)) for the level J_e of twist_levels.
-    Neither theorem builds a colon or charges pairs.
+    s(A) = 1 exactly when A is regular). Neither theorem builds a colon or
+    charges pairs, and whether one applies depends on the generators, not
+    on q. Otherwise the numerator is q^n - colength(m^[q] + (J_e)), with
+    every J_e from one walk of twist_levels. Past the end of the walk, an
+    empty level, R splits at no level, so the numerator is 0. Those levels
+    still take q from frobenius_exponent, so a capacity error fires as it
+    would.
     """
-    if e < 1:
-        raise PreconditionError(f"splitting level must be >= 1, got {e}")
+    if e_max < 1:
+        raise PreconditionError(f"e_max must be >= 1, got {e_max}")
     budget = budget or Budget()
-    q = frobenius_exponent(presentation.p, e)
     ring = presentation.ring
     generators = presentation.ideal.generators
-    counts = theorem_counts(ring, generators, q, budget)
-    if counts is not None:
-        colength = counts[1]
-    else:
-        *_, level = twist_levels(presentation, e, budget)
-        colength = q**ring.nvars - bracket_colength(ring, level, q, budget)
-    d = presentation.dimension(budget)
-    return SplittingSample(e=e, q=q, colength=colength,
-                           s=Fraction(colength, q**d))
-
-
-def splitting_samples(presentation: LocalRingPresentation, e_max: int,
-                      budget: Budget | None = None
-                      ) -> tuple[SplittingSample, ...]:
-    """splitting_number at e = 1..e_max, with no twist level past a zero
-    first level.
-
-    F^e factors through F, so a splitting of R -> F^e_* R gives one of
-    R -> F_* R. Once the level-1 numerator is 0 (R is not F-pure, by
-    Fedder's criterion), every later numerator is 0 too, and those levels
-    are filled in without a colon. Their q still passes through
-    frobenius_exponent, so a capacity error fires as it would.
-    """
-    budget = budget or Budget()
+    levels = twist_levels(presentation, e_max, budget)
     samples: list[SplittingSample] = []
     for e in range(1, e_max + 1):
-        if samples and not samples[0].colength:
-            q = frobenius_exponent(presentation.p, e)
-            samples.append(SplittingSample(e, q, 0, Fraction(0)))
+        q = frobenius_exponent(presentation.p, e)
+        counts = theorem_counts(ring, generators, q, budget)
+        if counts is not None:
+            colength = counts[1]
+        elif (level := next(levels, None)) is not None:
+            colength = q**ring.nvars - bracket_colength(ring, level, q, budget)
         else:
-            samples.append(splitting_number(presentation, e, budget))
+            colength = 0
+        d = presentation.dimension(budget)
+        samples.append(SplittingSample(e, q, colength,
+                                       Fraction(colength, q**d)))
     return tuple(samples)
+
+
+def splitting_number(presentation: LocalRingPresentation, e: int,
+                     budget: Budget | None = None) -> SplittingSample:
+    """s_e, the last of splitting_samples(presentation, e, budget)."""
+    return splitting_samples(presentation, e, budget)[-1]
 
 
 class PurityVerdict(namedtuple("PurityVerdict", "is_F_pure witness detail")):
@@ -278,13 +283,9 @@ def fpurity_exponent(presentation: LocalRingPresentation, c: Polynomial,
     not exist at all. m^[q] is a monomial ideal, so c * g lies outside it
     exactly when c * g keeps a term in the box of exponents below q. Since
     (I^[q] : I) + m^[q] = (J_e) + m^[q] for the level J_e of twist_levels,
-    and c * m^[q] lies in m^[q], the test runs over the g in J_e.
-
-    The walk stops with None at the first empty J_e, building no later
-    level. Then (I^[q] : I) lies in m^[q], so R does not split at level e,
-    and it splits at no later level either, as in splitting_samples: a map
-    phi of F^e'_* R to R with phi(F^e'_* c) = 1, e' > e, gives the map
-    F^e_* r -> phi(F^e'_* (c r^(p^(e' - e)))), which sends F^e_* 1 to 1.
+    and c * m^[q] lies in m^[q], the test runs over the g in J_e. The walk
+    of twist_levels ends at the first empty J_e, past which R splits at no
+    level, so no later level is built.
     """
     if e_cap < 1:
         raise PreconditionError(f"e_cap must be >= 1, got {e_cap}")
@@ -293,8 +294,6 @@ def fpurity_exponent(presentation: LocalRingPresentation, c: Polynomial,
     budget = budget or Budget()
     levels = twist_levels(presentation, e_cap, budget)
     for e, level in enumerate(levels, start=1):
-        if not level:
-            return None
         q = frobenius_exponent(presentation.p, e)
         if any(_in_box(c * g, q, budget) for g in level):
             return e
@@ -316,8 +315,6 @@ class FSplitReport(namedtuple(
 
 def fsplit_report(presentation: LocalRingPresentation, e_max: int,
                   budget: Budget | None = None) -> FSplitReport:
-    if e_max < 1:
-        raise PreconditionError(f"e_max must be >= 1, got {e_max}")
     budget = budget or Budget()
     p = presentation.p
     samples = splitting_samples(presentation, e_max, budget)

@@ -20,7 +20,7 @@ splitting numbers of fsplit call it, and so does the hypersurface bound
 check in tests/lemmas.py.
 
 It tries three routes in order, the first two in theorem_counts, which
-fsplit.splitting_number calls too. Han's count takes each J the diagonal
+fsplit.splitting_samples calls too. Han's count takes each J the diagonal
 module accepts. Next, regular_count takes each J whose r generators vanish
 at the origin with linearly independent linear parts. Then S_m/J is regular
 of dimension n - r, and Kunz's theorem (Amer. J. Math. 91, 1969) makes its
@@ -122,7 +122,8 @@ class LocalRingPresentation:
                     f"generator {g} does not vanish at the origin")
         self.ring = ring
         self.ideal = ideal
-        # e -> (I^[p^e] : I), filled by fsplit.twist_colon_ideal
+        # e -> (I^[p^e] : I), filled by fsplit.twist_colon_ideal; level 1
+        # serves both fsplit.fedder_test and the walk of twist_levels
         self.twist_colons: dict[int, Ideal] = {}
         self._dimension: int | None = None
 

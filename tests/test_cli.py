@@ -232,6 +232,23 @@ def test_explicit_zero_emax_exits_3(cli, tmp_path, command, route):
     assert parse_output(result)["error"]["type"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("route", ["job", "flag"])
+def test_a_negative_pair_budget_exits_3(cli, tmp_path, route):
+    if route == "job":
+        text, flags = TWISTED_CUBIC + "budget_pairs = -1;\n", []
+    else:
+        text, flags = TWISTED_CUBIC, ["--budget-pairs", "-1"]
+    job = write(tmp_path, "negative.job", text)
+    result = cli(["fsig", "--input", job] + flags)
+    assert result.exit_code == 3
+    error = parse_output(result)["error"]
+    assert error["type"] == "PreconditionError"
+    assert error["message"] == "pair budget must be >= 0, got -1"
+    # a zero budget stays valid: the cone's hk takes Han's count, no pairs
+    zero = write(tmp_path, "zero.job", CONE + "budget_pairs = 0;\n")
+    assert cli(["hk", "--input", zero]).exit_code == 0
+
+
 def test_explicit_zero_ecap_exits_3(cli, tmp_path):
     job = write(tmp_path, "zero.job", NODE + "element = x;\necap = 0;\n")
     result = cli(["fedder", "--input", job])

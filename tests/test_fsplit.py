@@ -25,8 +25,8 @@ def present(p, variables, gens, point=None):
 def two_colon_colength(presentation, e, budget=None):
     """colength((m^[q] : (I^[q] : I)) + I), the splitting ideal route.
 
-    This is the definition the duality route in `splitting_number` replaces;
-    it takes two colons and a sum with I.
+    This is the definition the duality route in `splitting_samples`
+    replaces; it takes two colons and a sum with I.
     """
     q = presentation.p ** e
     ideal = presentation.ideal
@@ -40,6 +40,8 @@ DUALITY_RINGS = {
     "node": (3, ["x", "y"], ["x*y"], None),
     "cusp": (5, ["x", "y"], ["y^2 - x^3"], None),
     "cusp_at_1_1": (5, ["x", "y"], ["y^2 - x^3"], (1, 1)),
+    # not F-pure and not diagonal: its empty first level ends the walk
+    "cusp_with_tail": (5, ["x", "y"], ["y^2 - x^3 - x^4"], None),
     "double_line": (2, ["x", "y"], ["x^2"], None),
     "cone": (5, ["x", "y", "z"], ["x*y - z^2"], None),
     "quadric": (3, ["x", "y", "z", "w"], ["x*y - z*w"], None),
@@ -54,8 +56,12 @@ DUALITY_RINGS = {
 @pytest.mark.parametrize("e", [1, 2])
 @pytest.mark.parametrize("name", sorted(DUALITY_RINGS))
 def test_duality_route_matches_the_two_colon_route(name, e):
+    """Every sample of one walk to level e. Between them the rings take
+    every route: Kunz's theorem, Han's count, Fedder's box, the general
+    colon, and an empty first level that ends the walk."""
     pres = present(*DUALITY_RINGS[name])
-    assert splitting_number(pres, e).colength == two_colon_colength(pres, e)
+    assert [s.colength for s in splitting_samples(pres, e)] == [
+        two_colon_colength(pres, level) for level in range(1, e + 1)]
 
 
 @st.composite
@@ -300,8 +306,9 @@ def test_box_keeps_the_terms_below_q(p, n, data):
 
 def test_an_empty_box_yields_no_generator(cusp5):
     """(y^2 - x^3)^(q-1) has no term below q in both exponents, so the cusp
-    is not F-pure at any level and every level is empty."""
-    assert list(twist_levels(cusp5, 2)) == [(), ()]
+    is not F-pure at any level: the first level is empty and ends the
+    walk."""
+    assert list(twist_levels(cusp5, 2)) == [()]
     assert splitting_number(cusp5, 2).colength == 0
 
 
@@ -455,11 +462,9 @@ NOT_F_PURE = {
 
 
 @pytest.mark.parametrize("name", sorted(NOT_F_PURE))
-def test_splitting_samples_match_splitting_number_per_level(name):
+def test_splitting_samples_are_zero_on_rings_that_are_not_F_pure(name):
     ring, e_max = NOT_F_PURE[name]
     samples = splitting_samples(present(*ring), e_max)
-    assert samples == tuple(splitting_number(present(*ring), e)
-                            for e in range(1, e_max + 1))
     assert [s.colength for s in samples] == [0] * e_max
 
 
@@ -467,15 +472,16 @@ def test_splitting_samples_stop_at_a_zero_first_level(monkeypatch):
     import kunz.fsplit
     levels = []
     top = {"e": 1}
+    build = kunz.fsplit.twist_colon_ideal
 
     def counting(presentation, e, budget=None):
         levels.append(e)
         # fail fast: a level past the first costs the monomial curve 6 s
         # at e = 3 and minutes at e = 4
         assert e <= top["e"], f"level {e} built a twist colon"
-        return splitting_number(presentation, e, budget)
+        return build(presentation, e, budget)
 
-    monkeypatch.setattr(kunz.fsplit, "splitting_number", counting)
+    monkeypatch.setattr(kunz.fsplit, "twist_colon_ideal", counting)
     ring, _ = NOT_F_PURE["monomial_curve"]
     samples = splitting_samples(present(*ring), 4)
     assert levels == [1]
@@ -484,8 +490,25 @@ def test_splitting_samples_stop_at_a_zero_first_level(monkeypatch):
     # the skipped levels still refuse a q past the exponent capacity
     with pytest.raises(CapacityError):
         splitting_samples(present(*ring), 40)  # 3^40 > 2^63
-    # a positive first level takes every level
+    # a positive first level takes every level, each colon once
     levels.clear()
     top["e"] = 3
-    splitting_samples(present(3, ["x", "y"], ["x*y"]), 3)
+    splitting_samples(present(*DUALITY_RINGS["coordinate_axes"]), 3)
     assert levels == [1, 2, 3]
+
+
+def test_fsplit_report_walks_the_twist_levels_once(monkeypatch):
+    import kunz.fsplit
+    walks, levels = [], []
+    walk = kunz.fsplit.twist_levels
+
+    def counting(presentation, e_top, budget=None):
+        walks.append(e_top)
+        for level in walk(presentation, e_top, budget):
+            levels.append(level)
+            yield level
+
+    monkeypatch.setattr(kunz.fsplit, "twist_levels", counting)
+    fsplit_report(present(*DUALITY_RINGS["twisted_cubic"]), 3)
+    assert walks == [3]
+    assert len(levels) == 3
