@@ -9,7 +9,8 @@ Each subcommand offers only the options its command reads (textio.READS).
 A run exits 0, or with the exit_code of its error type (errors). Failures
 still emit a machine-readable error document on the JSON channel. Usage
 errors exit 2 before any job runs, with the usage message on stderr and
-nothing on stdout.
+nothing on stdout. A stdout that cannot be written ends the run with exit 2
+and no document.
 """
 
 from __future__ import annotations
@@ -250,8 +251,20 @@ _COMMANDS = {
 
 
 def _emit(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when path is None.
+
+    A stdout that cannot take the text (its reader has gone, say) ends the
+    run at once with exit 2 and one error line: nothing can reach stdout
+    any more, so no error document is written. stdout is pointed at
+    os.devnull first, so that the flush at exit does not fail on it again.
+    """
     if path is None:
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _log("ERROR", f"ParseError: output could not be written: {exc}")
+            sys.exit(ParseError.exit_code)
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

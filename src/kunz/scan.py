@@ -2,16 +2,23 @@
 
 scan_points measures lambda_e and s_e at a list of rational points and
 aggregates exact pairwise comparisons into semicontinuity verdicts. Along a
-declared subvariety, generic_value computes lambda_e at the generic point
-through a length factorization: with q = p^e, the quotient by a bracket
-power is filtered by q^h translates of the fiber at a smooth witness, so
+declared subvariety V(P) of dimension h, the generic value of lambda_e is
+the length factorization at a smooth witness w,
 
-    lambda_e(generic) = colength(I + p^[q] + (t_1^q, ..., t_h^q)) / q^(ht + h)
+    lambda_e(generic) = colength(I + P^[q] + (t_1^q..t_h^q)) / q^(ht + h)
 
-where the t_i lift a regular system of parameters of the quotient by p at
-the witness. Witness disagreement is reported, never raised: the generic
-value is only locally constant, and a witness may sit outside the
-constructible neighborhood where constancy holds.
+with q = p^e, where the t_i lift a regular system of parameters of S/P at
+w, ht = dim(S/I) - h is the subvariety's height, and everything is
+translated to w. The witness is accepted only when cut = P + (t - t(w)),
+whose generators all vanish at w, holds every variable: cut is then the
+maximal ideal m of w. Bracket powers are generated by the q-th powers of
+any generating set, so P^[q] + (t)^[q] = cut^[q] = m^[q], and the value is
+colength(I + m^[q]) / q^dim(S/I): lambda_e of the ring at the witness, by
+whichever route localring.bracket_colength picks. The factorized route is
+kept as a test oracle, in tests/oracles.py. Witness disagreement is
+reported, never raised: the generic value is only locally constant, and a
+witness may sit outside the constructible neighborhood where constancy
+holds.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from itertools import product
 
 from .engine import DEADLINE_STRIDE, Budget, Ideal
 from .errors import PreconditionError
-from .field import FieldConfig, frobenius_exponent
+from .field import FieldConfig
 from .fsplit import splitting_samples
 from .localring import LocalRingPresentation, Point, translate_to_origin
 from .poly import PolyRing, Polynomial
@@ -96,37 +103,16 @@ def enumerate_points(ring: PolyRing, generators: list[Polynomial],
     return points
 
 
-class _WitnessContext(namedtuple(
-        "_WitnessContext", "base_ideal sub_ideal params height h")):
-    """A validated witness: the ideals and parameters translated to it.
-
-    base_ideal and sub_ideal are Ideals, params a list of Polynomials, and
-    height and h ints.
-    """
-
-    __slots__ = ()
-
-
 def _generic_context(ring: PolyRing, ideal_generators: list[Polynomial],
                      subvariety_generators: list[Polynomial],
                      witness: Point, parameters: list[Polynomial],
-                     budget: Budget | None) -> _WitnessContext:
-    """Validate a witness and translate everything to it."""
-    sub_shifted = translate_to_origin(subvariety_generators, witness)
-    ideal_shifted = translate_to_origin(ideal_generators, witness)
-    # One declared lift serves every witness: re-center it so the regular
-    # parameter at the witness is t - t(witness).
-    params_shifted = []
-    for t in parameters:
-        if any(a % ring.p for a in witness):
-            t = t.substitute_shift(witness)
-        shifted = t - ring.constant(t.constant_coefficient())
-        if shifted.constant_coefficient() != 0:
-            raise PreconditionError(
-                f"parameter {t} could not be centered at {witness}")
-        params_shifted.append(shifted)
-    sub_ideal = Ideal(ring, sub_shifted)
-    base_ideal = Ideal(ring, ideal_shifted)
+                     budget: Budget | None
+                     ) -> tuple[LocalRingPresentation, int]:
+    """Validate a witness: the ring translated to it, and the height of
+    the subvariety."""
+    sub_ideal = Ideal(ring, translate_to_origin(subvariety_generators,
+                                                witness))
+    base_ideal = Ideal(ring, translate_to_origin(ideal_generators, witness))
     if not sub_ideal.contains_ideal(base_ideal, budget):
         raise PreconditionError(
             "the subvariety ideal does not contain the presentation ideal")
@@ -139,42 +125,29 @@ def _generic_context(ring: PolyRing, ideal_generators: list[Polynomial],
     if not quotient.smoothness_report(budget).smooth:
         raise PreconditionError(
             f"witness rejected: the subvariety is not smooth at {witness}")
-    cut = sub_ideal.sum_with(Ideal(ring, params_shifted))
-    if cut.colength(budget) != 1:
+    # One declared lift serves every witness: the regular parameter at the
+    # witness is t - t(witness).
+    lifts = [t - ring.constant(t.evaluate(witness)) for t in parameters]
+    cut = sub_ideal.sum_with(Ideal(ring, translate_to_origin(lifts, witness)))
+    if not all(cut.contains(x, budget) for x in ring.gens()):
         raise PreconditionError(
             "witness rejected: the parameters do not cut the subvariety "
             f"to its point at {witness}")
-    d = LocalRingPresentation(ring, base_ideal).dimension(budget)
-    height = d - h
-    if height < 0:
-        raise PreconditionError(
-            f"height additivity fails at {witness}: the ring has dimension "
-            f"{d} but the subvariety has dimension {h}")
-    return _WitnessContext(base_ideal, sub_ideal, params_shifted, height, h)
-
-
-def _factorized_value(context: _WitnessContext, e: int,
-                      budget: Budget | None) -> Fraction:
-    """lambda_e through the length factorization at a validated witness."""
-    base_ideal, sub_ideal, params, height, h = context
-    q = frobenius_exponent(base_ideal.ring.p, e)
-    total = base_ideal.sum_with(sub_ideal.bracket_power(q))
-    if params:
-        total = total.sum_with(Ideal(base_ideal.ring, params).bracket_power(q))
-    colength = total.colength(budget)
-    return Fraction(colength, q ** (height + h))
+    presentation = LocalRingPresentation(ring, base_ideal)
+    return presentation, presentation.dimension(budget) - h
 
 
 def generic_value(ring: PolyRing, ideal_generators: list[Polynomial],
                   subvariety_generators: list[Polynomial], witness: Point,
                   parameters: list[Polynomial], e: int,
                   budget: Budget | None = None) -> Fraction:
-    """lambda_e at the generic point of the subvariety, computed at a
-    smooth witness through the length factorization."""
+    """lambda_e at the generic point of the subvariety: lambda_e of the
+    ring at a validated smooth witness (see the module docstring)."""
     budget = budget or Budget()
-    context = _generic_context(ring, ideal_generators, subvariety_generators,
-                               witness, parameters, budget)
-    return _factorized_value(context, e, budget)
+    presentation, _ = _generic_context(ring, ideal_generators,
+                                       subvariety_generators, witness,
+                                       parameters, budget)
+    return presentation.lambda_value(e, budget)
 
 
 def scan_points(p: int, variables: tuple[str, ...],
@@ -216,15 +189,13 @@ def scan_points(p: int, variables: tuple[str, ...],
     for sub, generators in zip(subvarieties, sub_gens):
         params = [ring.parse(t) for t in sub.params]
         witness_values = []
-        height = None
+        # every witness gives the same height: dim(S/I) - h
         for witness in sub.witnesses:
-            context = _generic_context(ring, gens, generators, tuple(witness),
-                                       params, budget)
-            values = tuple(_factorized_value(context, e, budget)
+            presentation, height = _generic_context(
+                ring, gens, generators, tuple(witness), params, budget)
+            values = tuple(presentation.lambda_value(e, budget)
                            for e in e_values)
             witness_values.append(WitnessValues(tuple(witness), values))
-            if height is None:
-                height = context.height
         agreement = len({wv.values for wv in witness_values}) == 1
         sub_records.append(SubvarietyRecord(
             tuple(sub.ideal), height, len(sub.params),

@@ -9,7 +9,7 @@ oracle and the engine is evidence rather than a tautology.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 
@@ -591,3 +591,67 @@ def colon_by_meets(generators, divisors, ring, max_pairs=None,
         if result is None:
             return None
     return result
+
+
+def _leads(generators, p):
+    """Leading exponents of the reduced grevlex basis from buchberger."""
+    basis, _, _ = buchberger(generators, grevlex_key, p)
+    return [g[0][1] for g in basis]
+
+
+def _dimension(leads, n):
+    """Krull dimension of S/J from the leading exponents of a basis of J:
+    the size of the largest variable set that holds no lead's support."""
+    supports = [{i for i, e in enumerate(lead) if e} for lead in leads]
+    return max(k for k in range(n + 1) for subset in combinations(range(n), k)
+               if not any(s <= set(subset) for s in supports))
+
+
+def factorized_generic_value(ideal_generators, subvariety_generators,
+                             parameters, witness, e):
+    """lambda_e at the generic point of the subvariety V(P), by the length
+    factorization scan.generic_value took before it read the witness's own
+    lambda_e: with q = p^e and everything translated to the witness w,
+
+        colength(I + P^[q] + (t_1^q..t_h^q)) / q^(ht + h),
+
+    where t_i - t_i(w) stands for t_i and ht + h = dim(S/I). The q-th
+    powers are plain products, and the colength and the dimension come
+    from the leading terms of buchberger's bases above. Takes an accepted
+    witness, where the colength is finite.
+    """
+    ring = ideal_generators[0].ring
+    q = ring.p ** e
+
+    def at_witness(f):
+        return f.substitute_shift(witness)
+
+    base = [at_witness(f) for f in ideal_generators]
+    lifts = [at_witness(t) - ring.constant(t.evaluate(witness))
+             for t in parameters]
+    powers = [at_witness(f) ** q for f in subvariety_generators]
+    powers += [t ** q for t in lifts]
+    colength = peeling_colength(_leads(base + powers, ring.p))
+    return Fraction(colength, q ** _dimension(_leads(base, ring.p),
+                                              ring.nvars))
+
+
+def socle_by_colon(generators, u, ring):
+    """Whether (J : u) is the maximal ideal m at the origin, for J
+    generated by generators, by the colon hk.check_socle_condition built
+    before it decided by membership: (J intersect (u)) / u, from
+    elimination_intersection and divide_exact above, whose reduced grevlex
+    basis must be the variables. ring must not name a variable t."""
+    from kunz.poly import Polynomial
+
+    meet, _, _ = elimination_intersection(generators, [u], ring)
+    divisor = tuple_terms(u, grevlex_key)
+    quotients = [
+        Polynomial(ring, {e: c for _, e, c in divide_exact(
+            tuple_terms(f, grevlex_key), divisor, ring.p)})
+        for f in meet]
+    basis, _, _ = buchberger(quotients, grevlex_key, ring.p)
+    n = ring.nvars
+    variables = sorted(tuple(int(i == k) for i in range(n)) for k in range(n))
+    return (all(len(g) == 1 for g in basis)
+            and sorted(g[0][1] for g in basis) == variables)

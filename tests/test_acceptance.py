@@ -116,23 +116,30 @@ def test_criterion_05_uniform_pair_bounds():
     watch.check()
 
 
-def test_criterion_06_length_identity_instances():
-    watch = Stopwatch(300)
+def length_identity_draws():
+    """(trial, pres, inner, u) for the 50 seeded socle instances of
+    criterion 6: inner = (x'^a, y^b) after the unimodular change
+    x' = x + c*y, and u = x'^(a-1) y^(b-1), in the polynomial ring."""
     for trial in range(50):
         rng = random.Random(f"acceptance:lengths:{trial}")
         p = rng.choice([2, 3, 5])
         ring = PolyRing(FieldConfig(p), ("x", "y"))
         a, b = rng.randint(1, 4), rng.randint(1, 4)
         c = rng.randrange(p)
-        x = ring.parse("x") + ring.parse("y").scale(c)  # unimodular change
+        x = ring.parse("x") + ring.parse("y").scale(c)
         y = ring.parse("y")
         inner = Ideal(ring, [x**a, y**b])
         u = x ** (a - 1) * y ** (b - 1)
-        pres = LocalRingPresentation(ring, Ideal(ring, []))
+        yield trial, LocalRingPresentation(ring, Ideal(ring, [])), inner, u
+
+
+def test_criterion_06_length_identity_instances():
+    watch = Stopwatch(300)
+    for trial, pres, inner, u in length_identity_draws():
         check_socle_condition(pres, inner, u)  # the draw must satisfy (I:u)=m
-        for q in (p, p * p):
+        for q in (pres.p, pres.p ** 2):
             check = verify_basic_lengths(pres, inner, u, q)
-            assert check.passed, (trial, p, a, b, c, q)
+            assert check.passed, (trial, pres.p, inner, u, q)
     watch.check()
 
 

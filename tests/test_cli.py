@@ -193,6 +193,23 @@ def test_scan_command(cli, tmp_path):
     assert payload["verdicts"]["violations"] == []
 
 
+@pytest.mark.parametrize("param, witness", [("z^2 + z", "0, 0, 0"),
+                                            ("x", "0, 0, 1")],
+                         ids=["length_2", "one_dimensional"])
+def test_a_witness_whose_parameters_miss_its_point_exits_3(cli, tmp_path,
+                                                           param, witness):
+    job = write(tmp_path, "scan.job",
+                "p = 3;\nvars = x, y, z;\nideal = x*y;\npoints = (0,0,0);\n"
+                "sub.1.ideal = x, y;\n"
+                f"sub.1.witnesses = ({witness.replace(' ', '')});\n"
+                f"sub.1.params = {param};\n")
+    result = cli(["scan", "--input", job, "--emax", "1"])
+    assert result.exit_code == 3
+    assert parse_output(result)["error"]["message"] == (
+        "witness rejected: the parameters do not cut the subvariety to its "
+        f"point at ({witness})")
+
+
 def test_verify_bounds_command(cli, tmp_path):
     job = write(tmp_path, "bounds.job", CUSP_BOUNDS)
     result = cli(["verify-bounds", "--input", job, "--emax", "2"])
@@ -275,19 +292,56 @@ MISSING_STATEMENTS = [
     ("verify-bounds", NO_INNER + "inner = x, y;\n",
      "verify-bounds needs `m = ...;` and `Delta = ...;` statements, or "
      "branch lines to derive them from"),
+    ("scan", NODE + "points = ;\n", "no points to scan"),
 ]
 
 
 @pytest.mark.parametrize("command, text, message", MISSING_STATEMENTS,
                          ids=["hk_no_vars", "scan_no_vars", "tame_no_branch",
                               "bounds_no_inner", "bounds_both",
-                              "bounds_neither"])
+                              "bounds_neither", "scan_no_points"])
 def test_a_missing_statement_exits_3(cli, tmp_path, command, text, message):
     result = cli([command, "--input", write(tmp_path, "short.job", text)])
     assert result.exit_code == 3
     assert result.stdout == (
         '{"error":{"exit_code":3,"message":"%s","type":"PreconditionError"},'
         '"schema_version":1}\n' % message)
+
+
+# malformed statements, with the exact refusal of each
+MALFORMED_STATEMENTS = [
+    ("hk", "p = x;\nvars = x;\nideal = x;\n",
+     "p expects an integer, got 'x'"),
+    ("hk", "p = 5;\nvars = x, 1y;\nideal = x;\n", "bad variable name '1y'"),
+    ("hk", "vars = x;\nideal = x;\n",
+     "missing required statement `p = ...;`"),
+    ("scan", NODE + "points = (0,0) 1;\n",
+     "points expects points like (0,0,1) separated by spaces, leftover '1'"),
+]
+
+
+@pytest.mark.parametrize("command, text, message", MALFORMED_STATEMENTS,
+                         ids=["p_not_an_integer", "bad_variable_name",
+                              "no_p", "points_leftover"])
+def test_a_malformed_statement_exits_2(cli, tmp_path, command, text,
+                                       message):
+    result = cli([command, "--input", write(tmp_path, "bad.job", text)])
+    assert result.exit_code == 2
+    assert result.stdout == (
+        '{"error":{"exit_code":2,"message":"%s","type":"ParseError"},'
+        '"schema_version":1}\n' % message)
+
+
+def test_an_uncertified_valuation_exits_6_with_the_precision_to_retry(
+        cli, tmp_path):
+    job = write(tmp_path, "cusp.job",
+                "p = 5;\nbranch = 2, 3;\nprecision = 2;\n")
+    result = cli(["tame", "--input", job])
+    assert result.exit_code == 6
+    assert parse_output(result) == {"schema_version": 1, "error": {
+        "type": "PrecisionLossError", "exit_code": 6, "required_precision": 4,
+        "message": "valuation not certified below precision 2 "
+                   "(retry with precision >= 4)"}}
 
 
 def test_a_job_key_the_command_does_not_read_exits_2(cli, tmp_path):
@@ -524,16 +578,17 @@ def test_usage_errors_exit_2_before_the_job_runs(cli, tmp_path, monkeypatch,
         "cone.job", "dir"]
 
 
-def run_child(args, code=None):
+def run_child(args, code=None, stdout=subprocess.PIPE):
     """python -m kunz.cli in a fresh interpreter (or `-c code` in its
-    place), importing the package from where this process found it."""
+    place), importing the package from where this process found it.
+    stdout is captured unless another file descriptor is given."""
     source = str(Path(kunz.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": source + os.pathsep + path if path else source}
     command = ["-c", code] if code is not None else ["-m", "kunz.cli"]
-    return subprocess.run([sys.executable, *command, *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *command, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env)
 
 
 def test_stderr_carries_one_status_line(tmp_path):
@@ -550,6 +605,25 @@ def test_stderr_carries_one_status_line(tmp_path):
     error = json.loads(bad.stdout)["error"]
     assert error["type"] == "ParseError"
     assert bad.stderr == f"ERROR kunz: ParseError: {error['message']}\n"
+
+
+@pytest.mark.parametrize("text", [CONE, "p = 5;\nvars = x;\nideal\n"],
+                         ids=["result", "error_document"])
+def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, text):
+    """stdout is a pipe whose read end closed before the child started, so
+    its first write fails: the run ends there, with no traceback, no second
+    write and no complaint from the flush at exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = run_child(["hk", "--input", write(tmp_path, "job", text),
+                           "--emax", "1"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 2
+    assert re.fullmatch(
+        r"ERROR kunz: ParseError: output could not be written: .+\n",
+        child.stderr)
 
 
 QUADRIC = "p = 3;\nvars = x, y, z, w;\nideal = x*y - z*w;\n"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -15,8 +16,9 @@ from kunz.hk import (BoundConstants, PairBoundEntry, check_socle_condition,
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing
 from lemmas import hypersurface_bound, verify_basic_lengths
-from oracles import cusp_colength, monomial_colength, node_lambda
-from test_acceptance import hypersurface_draws
+from oracles import (cusp_colength, monomial_colength, node_lambda,
+                     socle_by_colon)
+from test_acceptance import hypersurface_draws, length_identity_draws
 
 # -- frozen sequences --------------------------------------------------------
 
@@ -98,6 +100,64 @@ def test_socle_condition_is_checked(cusp5):
         with pytest.raises(PreconditionError):
             verify_pair_bounds(cusp5, inner, ring.parse(u), 2,
                                BoundConstants(m=2, Delta=9))
+
+
+# (p, presentation ideal, inner ideal, u): (J : u) = m holds for the first
+# three, for J = I + inner; u lies in J for the next two; u lies outside J
+# but some x*u does too for the last three
+SOCLE_CASES = [
+    (5, ["y^2 - x^3"], ["x", "y"], "1"),
+    (5, ["y^2 - x^3"], ["x^2", "y"], "x"),
+    (3, ["x*y"], ["x + y"], "x"),
+    (3, [], ["x^2", "y^3"], "x^2*y"),
+    (3, [], ["x", "y"], "x + y"),
+    (3, ["x*y"], ["x + y"], "1"),
+    (3, [], ["x^2", "y^3"], "x*y"),
+    (5, ["y^2 - x^3"], ["x"], "1"),
+]
+
+
+def socle_draws():
+    """(presentation, inner, u): criterion 6's 50 draws, SOCLE_CASES, and
+    40 seeded draws of inner = (x^a, y^b, g) for a random binomial g, with
+    u a random monomial of the box plus, half the time, a second one."""
+    for _, pres, inner, u in length_identity_draws():
+        yield pres, inner, u
+    for p, ideal, inner, u in SOCLE_CASES:
+        pres = LocalRingPresentation.from_texts(p, ["x", "y"], ideal)
+        ring = pres.ring
+        yield pres, Ideal(ring, [ring.parse(g) for g in inner]), ring.parse(u)
+    for trial in range(40):
+        rng = random.Random(f"socle:{trial}")
+        p = rng.choice([2, 3, 5])
+        ring = PolyRing(FieldConfig(p), ("x", "y"))
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+
+        def monomial():
+            return ring.monomial((rng.randrange(a), rng.randrange(b)),
+                                 rng.randint(1, p - 1))
+
+        g = monomial() + monomial()
+        u = monomial() + (monomial() if rng.random() < 0.5 else ring.zero())
+        if u.is_zero():
+            u = monomial()
+        inner = Ideal(ring, [ring.parse(f"x^{a}"), ring.parse(f"y^{b}"), g])
+        yield LocalRingPresentation(ring, Ideal(ring, [])), inner, u
+
+
+def test_socle_condition_matches_the_colon_route():
+    verdicts = []
+    for pres, inner, u in socle_draws():
+        try:
+            check_socle_condition(pres, inner, u)
+            held = True
+        except PreconditionError:
+            held = False
+        generators = list(pres.ideal.generators + inner.generators)
+        assert held == socle_by_colon(generators, u, pres.ring), (
+            pres.ideal, inner, u)
+        verdicts.append(held)
+    assert verdicts.count(True) >= 50 + 3 and False in verdicts
 
 
 def pair_by_pair(presentation, inner, u, e_max, constants):

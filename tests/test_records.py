@@ -162,7 +162,6 @@ RECORD_SHAPES = {
                          "generic_constancy violations", {}),
         "ScanReport": ("p variables ideal_generators e_values points "
                        "subvarieties verdicts", {}),
-        "_WitnessContext": ("base_ideal sub_ideal params height h", {}),
     },
     "series": {"TruncatedSeries": ("p coeffs prec", {"prec": None})},
     "textio": {

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from kunz.scan import (PointRecord, ScanVerdicts, SubvarietyRecord,
                        WitnessValues, enumerate_points, generic_value,
                        scan_points, semicontinuity_verdict)
 from kunz.textio import SubvarietySpec
+from oracles import factorized_generic_value
 
 
 def ring3():
@@ -86,6 +88,54 @@ def test_generic_value_rejects_singular_witnesses():
     with pytest.raises(PreconditionError):
         generic_value(ring, [ring.parse("x*y")], [ring.parse("x*y")],
                       (0, 0, 0), [ring.parse("y + x"), ring.parse("z")], 1)
+
+
+# (p, variables, ideal, subvariety, parameters, witnesses), each witness
+# accepted: the node line, the cusp cylinder, the z-axis of xyz, a plane
+# through the vertex of xy - zw, a ruling of the twisted cubic cone, and
+# the line and the plane of (xy, xz), each at a singular and another point
+GENERIC_CASES = [
+    (3, "xyz", ["x*y"], ["x", "y"], ["z"], [(0, 0, 0), (0, 0, 2)]),
+    (3, "xyz", ["y^2 - x^3"], ["x", "y"], ["z"], [(0, 0, 0), (0, 0, 1)]),
+    (2, "xyz", ["x*y*z"], ["x", "y"], ["z"], [(0, 0, 1), (0, 0, 0)]),
+    (3, "xyzw", ["x*y - z*w"], ["x", "z"], ["y", "w"],
+     [(0, 1, 0, 0), (0, 0, 0, 0)]),
+    (3, "xyzw", ["y^2 - x*z", "y*z - x*w", "z^2 - y*w"], ["y", "z", "w"],
+     ["x"], [(1, 0, 0, 0), (0, 0, 0, 0)]),
+    (3, "xyz", ["x*y", "x*z"], ["y", "z"], ["x"], [(1, 0, 0), (0, 0, 0)]),
+    (3, "xyz", ["x*y", "x*z"], ["x"], ["y", "z"], [(0, 1, 0), (0, 0, 0)]),
+]
+
+
+@pytest.mark.parametrize(
+    "p, names, ideal, sub, params, witnesses", GENERIC_CASES,
+    ids=["node_line", "cusp_cylinder", "xyz_axis", "quadric_plane",
+         "cubic_cone_ruling", "cross_line", "cross_plane"])
+def test_generic_value_is_the_factorized_colength(p, names, ideal, sub,
+                                                  params, witnesses):
+    ring = PolyRing(FieldConfig(p), tuple(names))
+    ideal, sub, params = ([ring.parse(t) for t in texts]
+                          for texts in (ideal, sub, params))
+    for witness in witnesses:
+        for e in (1, 2, 3):
+            assert generic_value(ring, ideal, sub, witness, params, e) == \
+                factorized_generic_value(ideal, sub, params, witness, e), (
+                    witness, e)
+
+
+# a parameter that cuts the node line to a scheme of length 2, and one that
+# leaves the whole line
+@pytest.mark.parametrize("param, witness", [("z^2 + z", (0, 0, 0)),
+                                            ("x", (0, 0, 1))],
+                         ids=["length_2", "one_dimensional"])
+def test_generic_value_rejects_a_cut_that_is_not_the_point(param, witness):
+    ring = ring3()
+    message = ("witness rejected: the parameters do not cut the subvariety "
+               f"to its point at {witness}")
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        generic_value(ring, [ring.parse("x*y")],
+                      [ring.parse("x"), ring.parse("y")], witness,
+                      [ring.parse(param)], 1)
 
 
 def test_scan_report_on_the_node_surface():
