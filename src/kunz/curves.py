@@ -141,19 +141,19 @@ def semigroup_membership(generators: tuple[int, ...], bound: int) -> list[bool]:
 
 
 def semigroup_conductor(generators: tuple[int, ...]) -> int:
-    """Least c with [c, infinity) contained in the semigroup (gcd must be 1)."""
-    a, b = generators[0], generators[-1]
-    bound = (a - 1) * (b - 1) + b + 1
-    while True:
-        member = semigroup_membership(generators, bound)
-        gaps = [v for v in range(bound) if not member[v]]
-        if not gaps:
-            return 0
-        c = gaps[-1] + 1
-        # A full window of min-generator length certifies the tail.
-        if c + a <= bound and all(member[c:c + a]):
-            return c
-        bound *= 2
+    """Least c with [c, infinity) contained in the semigroup, for sorted
+    generators a_1 < .. < a_k with gcd 1.
+
+    Schur's bound (Brauer, "On a problem of partitions", Amer. J. Math. 64,
+    1942) puts every gap below (a_1 - 1)(a_k - 1), so one sieve to that
+    bound holds them all: c is one past the last gap, or 0 when there is
+    none.
+    """
+    member = semigroup_membership(
+        generators, (generators[0] - 1) * (generators[-1] - 1))
+    if all(member):
+        return 0
+    return len(member) - member[::-1].index(False)
 
 
 def tame_invariants(curve: BranchCurve) -> TameInvariants:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from itertools import combinations, count
 from operator import le
 
 from . import kernel
@@ -100,31 +101,21 @@ def _coprime(a: Exps, b: Exps) -> bool:
     return not any(map(min, a, b))
 
 
-class _Pair:
-    """A critical pair of basis members; lcm is the exponent tuple of the
-    lcm of their leading monomials, key its packed order key, and rank
-    (sugar, key, seq), the order pairs are taken in."""
-
-    __slots__ = ("key", "seq", "f", "g", "lcm", "rank")
-
-    def __init__(self, key, seq, f, g, lcm, sugar):
-        self.key = key
-        self.seq = seq
-        self.f = f
-        self.g = g
-        self.lcm = lcm
-        self.rank = (sugar, key, seq)
-
-
-def _update(basis, pairs, h, key, seq_counter):
+def _update(basis, pairs, h, key, seq):
     """Gebauer-Moeller update: fold a new member h into basis and pairs.
 
     A basis member is a triple (terms, lead, sugar): a monic kernel term
     list, the exponent tuple of its leading monomial, unpacked once when
     the member is made, so the lcms here need no unpacking, and its sugar.
+    A pair is the tuple (sugar, key, seq, lcm, f, g) for members f and g:
+    lcm is the exponent tuple of the lcm of their leading monomials, key
+    its packed order key, and seq its number, drawn from the iterator seq.
     A pair's sugar is the larger of its members' sugars, each raised by the
     degree of the cofactor that lifts the member's leading monomial to the
-    lcm.
+    lcm. pairs is a heap, and so is the list returned: the old pairs that
+    survive, then the new ones, heapified. seq is unique, so comparisons
+    stop at it and pairs come off the heap smallest (sugar, key, seq)
+    first.
 
     A candidate (h, g) becomes a pair when g is the first basis member with
     its lcm, no other candidate's lcm properly divides it, and the leading
@@ -148,20 +139,19 @@ def _update(basis, pairs, h, key, seq_counter):
         if not any(_divides(m, lcm) for m in minimal):
             minimal.append(lcm)
     kept = {first[lcm] for lcm in minimal}
-    surviving = [pair for pair in pairs
-                 if not _divides(lm_h, pair.lcm)
-                 or _lcm_exps(pair.f[1], lm_h) == pair.lcm
-                 or _lcm_exps(pair.g[1], lm_h) == pair.lcm]
+    pairs = [pair for pair in pairs
+             if not _divides(lm_h, pair[3])
+             or _lcm_exps(pair[4][1], lm_h) == pair[3]
+             or _lcm_exps(pair[5][1], lm_h) == pair[3]]
     for i, g in enumerate(basis):
         if i in kept and not _coprime(lm_h, g[1]):
-            seq_counter[0] += 1
             lcm = lcms[i]
-            sugar = sum(lcm) + max(sugar_h, g[2] - sum(g[1]))
-            surviving.append(_Pair(kernel.pack(key(lcm)), seq_counter[0],
-                                   h, g, lcm, sugar))
+            pairs.append((sum(lcm) + max(sugar_h, g[2] - sum(g[1])),
+                          kernel.pack(key(lcm)), next(seq), lcm, h, g))
+    heapify(pairs)
     new_basis = [g for g in basis if not _divides(lm_h, g[1])]
     new_basis.append(h)
-    return new_basis, surviving
+    return new_basis, pairs
 
 
 def groebner(generators: list[Polynomial],
@@ -186,50 +176,45 @@ def _minimal_basis(inputs: Iterable[list], key, n: int, p: int,
     key maps an exponent tuple to the order key their packed keys hold:
     poly.grevlex_key, or the elimination key of _meet.
 
-    Pairs are taken by the sugar strategy (Giovini, Mora, Niesi, Robbiano
-    and Traverso, "One sugar cube, please", ISSAC 1991): smallest
-    (sugar, key(lcm), seq) first. An input's sugar is its total degree and
-    a reduced s-polynomial's is its pair's. For homogeneous inputs under a
-    degree order sugar is the lcm's degree, and the choice is normal
-    selection's; under elimination sugar follows the degrees a homogenized
-    computation would reach, where normal selection runs far ahead of them.
+    Each input, then each pair's s-polynomial, is fully reduced by the
+    basis so far, and a nonzero remainder joins it (see _update). Pairs
+    wait on a heap and are popped by the sugar strategy (Giovini, Mora,
+    Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991):
+    smallest (sugar, key(lcm), seq) first. An input's sugar is its total
+    degree and a reduced s-polynomial's is its pair's. For homogeneous
+    inputs under a degree order sugar is the lcm's degree, and the choice
+    is normal selection's; under elimination sugar follows the degrees a
+    homogenized computation would reach, where normal selection runs far
+    ahead of them.
     """
     guard = kernel.guard_mask(n)
     basis: list[tuple[list, Exps, int]] = []
     reducers: list[list] = []
-    pairs: list[_Pair] = []
-    seq_counter = [0]
+    pairs: list[tuple] = []
+    seq = count(1)
 
-    def absorb(reduced, sugar):
+    def absorb(terms, sugar):
         nonlocal basis, reducers, pairs
-        h = kernel.make_monic(reduced, p)
-        basis, pairs = _update(basis, pairs,
-                               (h, kernel.unpack(h[0][1], n), sugar), key,
-                               seq_counter)
-        reducers = [g for g, _, _ in basis]
+        reduced, max_deg = kernel.reduce_full(terms, reducers, guard, p,
+                                               budget.check_deadline)
+        budget.observe_degree(max_deg)
+        if reduced:
+            h = kernel.make_monic(reduced, p)
+            basis, pairs = _update(basis, pairs,
+                                   (h, kernel.unpack(h[0][1], n), sugar),
+                                   key, seq)
+            reducers = [g for g, _, _ in basis]
 
     for f in inputs:
         degree = kernel.degree(f)
         budget.observe_degree(degree)
-        reduced, max_deg = kernel.reduce_full(kernel.make_monic(f, p),
-                                               reducers, guard, p,
-                                               budget.check_deadline)
-        budget.observe_degree(max_deg)
-        if reduced:
-            absorb(reduced, degree)
+        absorb(kernel.make_monic(f, p), degree)
 
     while pairs:
-        best = min(range(len(pairs)), key=lambda i: pairs[i].rank)
-        pair = pairs.pop(best)
+        sugar, lcm_key, _, lcm, f, g = heappop(pairs)
         budget.charge_pair()
-        budget.observe_degree(sum(pair.lcm))
-        spair = kernel.s_poly(pair.f[0], pair.g[0], pair.key,
-                              kernel.pack(pair.lcm), p)
-        reduced, max_deg = kernel.reduce_full(spair, reducers, guard, p,
-                                               budget.check_deadline)
-        budget.observe_degree(max_deg)
-        if reduced:
-            absorb(reduced, pair.rank[0])
+        budget.observe_degree(sum(lcm))
+        absorb(kernel.s_poly(f[0], g[0], lcm_key, kernel.pack(lcm), p), sugar)
     return reducers
 
 
@@ -519,27 +504,26 @@ class Ideal:
 
         A variable subset U is independent when no leading monomial lives
         entirely in U; the dimension is the largest independent size. The
-        variable counts here are small, so subsets are enumerated directly,
-        with the budget's deadline checked every DEADLINE_STRIDE subsets.
+        subsets are walked largest first, so the first independent one
+        gives the answer. The unit ideal is refused, so every lead has a
+        variable and the empty set is independent: when no other subset
+        is, the walk has taken all 2^n - 1 of them and the dimension is 0.
+        The budget's deadline is checked every DEADLINE_STRIDE subsets.
         """
         budget = budget or Budget()
         leads = self.leading_term_ideal(budget)
         if any(sum(e) == 0 for e in leads):
             raise PreconditionError("the unit ideal has no dimension")
         n = self.ring.nvars
-        supports = [frozenset(i for i, e in enumerate(exps) if e)
-                    for exps in leads]
-        best = 0
-        for mask in range(2**n):
-            if not mask % DEADLINE_STRIDE:
+        supports = [{i for i, e in enumerate(exps) if e} for exps in leads]
+        subsets = (subset for size in range(n, 0, -1)
+                   for subset in combinations(range(n), size))
+        for walked, subset in enumerate(subsets):
+            if not walked % DEADLINE_STRIDE:
                 budget.check_deadline()
-            size = mask.bit_count()
-            if size <= best:
-                continue
-            subset = {i for i in range(n) if mask >> i & 1}
-            if all(not s <= subset for s in supports):
-                best = size
-        return best
+            if not any(s.issubset(subset) for s in supports):
+                return len(subset)
+        return 0
 
     def colength(self, budget: Budget | None = None) -> int:
         """dim_k of ring/self; raises naming an unbounded variable if infinite.

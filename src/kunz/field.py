@@ -1,52 +1,34 @@
 """Exact arithmetic in the prime field F_p for a runtime-chosen prime p.
 
 The prime is a runtime value so one process can sweep several primes.
-Coefficients are plain ints in [0, p) everywhere, reduced against the
-FieldConfig that carries p. RowSpace is the one Gaussian elimination over
-F_p: an incremental row space that also counts ranks.
+FieldConfig refuses a p that is not a prime below 2^31, and is_prime
+decides primality there by trial division. Coefficients are plain ints
+in [0, p) everywhere, reduced against the FieldConfig that carries p.
+RowSpace is the one Gaussian elimination over F_p: an incremental row
+space that also counts ranks.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from math import isqrt
 
 from .errors import CapacityError, PreconditionError
 
 MAX_PRIME = 2**31
 EXPONENT_CAPACITY_BITS = 63
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check for 0 <= n < 2^31.
+    """Whether n is prime, for n < 2^31 (MAX_PRIME); larger n are refused.
 
-    Trial division by a few small primes, then Miller-Rabin with the bases
-    2, 3, 5, 7, which is exact for every n below 3 215 031 751 (> 2^31).
+    Trial division by every d from 2 to isqrt(n): at most 46 340 divisions,
+    a few ms at the largest n, and a field checks its prime once.
     """
-    if n < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if n == q:
-            return True
-        if n % q == 0:
-            return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n >= MAX_PRIME:
+        raise PreconditionError(
+            f"primality is decided below 2^31 only, got {n}")
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 _FieldConfig = namedtuple("_FieldConfig", "p")

@@ -599,7 +599,7 @@ def _leads(generators, p):
     return [g[0][1] for g in basis]
 
 
-def _dimension(leads, n):
+def dimension(leads, n):
     """Krull dimension of S/J from the leading exponents of a basis of J:
     the size of the largest variable set that holds no lead's support."""
     supports = [{i for i, e in enumerate(lead) if e} for lead in leads]
@@ -632,7 +632,7 @@ def factorized_generic_value(ideal_generators, subvariety_generators,
     powers = [at_witness(f) ** q for f in subvariety_generators]
     powers += [t ** q for t in lifts]
     colength = peeling_colength(_leads(base + powers, ring.p))
-    return Fraction(colength, q ** _dimension(_leads(base, ring.p),
+    return Fraction(colength, q ** dimension(_leads(base, ring.p),
                                               ring.nvars))
 
 

@@ -170,11 +170,37 @@ def test_dimension_on_known_quotients():
 
 
 def test_dimension_polls_the_deadline():
-    """2^24 variable subsets would take seconds; a spent deadline stops the
-    enumeration at its first check."""
+    """The maximal ideal of 24 variables walks all 2^24 - 1 nonempty
+    variable subsets, which would take seconds; a spent deadline stops the
+    enumeration at its first check. The basis is built first, under a
+    fresh budget, so only the walk can meet the deadline."""
     ring = PolyRing(FieldConfig(5), tuple(f"x{i}" for i in range(24)))
+    ideal = maximal_ideal(ring)
+    ideal.leading_term_ideal()
     with pytest.raises(BudgetExceededError, match="deadline"):
-        Ideal(ring, [ring.parse("x0")]).dimension(Budget(deadline_seconds=0))
+        ideal.dimension(Budget(deadline_seconds=0))
+
+
+@st.composite
+def monomial_ideal(draw):
+    """A number of variables from 1 to 6 and monomial generators, no unit
+    among them, with every pure power added in a third of the draws so
+    that dimension 0 is drawn too."""
+    n = draw(st.integers(1, 6))
+    vector = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    leads = draw(st.lists(vector, max_size=6))
+    if draw(st.integers(0, 2)) == 0:
+        leads += [tuple(2 * (i == k) for i in range(n)) for k in range(n)]
+    return n, leads
+
+
+@given(monomial_ideal())
+@settings(max_examples=100)
+def test_dimension_matches_the_largest_independent_subset(data):
+    n, leads = data
+    ring = PolyRing(FieldConfig(3), tuple(f"x{i}" for i in range(n)))
+    ideal = Ideal(ring, [ring.monomial(exps) for exps in leads])
+    assert ideal.dimension() == oracles.dimension(leads, n)
 
 
 def test_bracket_power_of_maximal_ideal():
@@ -530,8 +556,10 @@ def leading_monomial_sequence(draw):
 @given(leading_monomial_sequence())
 @settings(max_examples=150)
 def test_update_matches_the_pairwise_filter(sequence):
+    """_update keeps its pairs as a heap, so they are compared with the
+    oracle's in the order of their sequence numbers, not by position."""
     key = grevlex_key
-    basis, pairs, seq = [], [], [0]
+    basis, pairs, seq = [], [], itertools.count(1)
     old_basis, old_pairs, old_seq = [], [], 0
     # each packed term list h fed to _update has a tuple twin fed to the
     # oracle; holding both keeps every id below unique
@@ -545,13 +573,15 @@ def test_update_matches_the_pairwise_filter(sequence):
         assert [id(twin[id(g)]) for g, _, _ in basis] == [
             id(g) for g in old_basis]
         assert all(lead == unpack(g[0][1], len(exps)) for g, lead, _ in basis)
-        assert [(id(twin[id(pr.f[0])]), id(twin[id(pr.g[0])]), pr.lcm, pr.seq)
-                for pr in pairs] == [(id(f), id(g), lcm, s)
-                                     for f, g, lcm, s in old_pairs]
-        assert all(pr.key == pack(key(pr.lcm)) for pr in pairs)
+        assert all(pairs[(i - 1) // 2] < pairs[i]
+                   for i in range(1, len(pairs)))
+        by_seq = sorted(pairs, key=lambda pair: pair[2])
+        assert [(id(twin[id(f[0])]), id(twin[id(g[0])]), lcm, s)
+                for _, _, s, lcm, f, g in by_seq] == [
+                    (id(f), id(g), lcm, s) for f, g, lcm, s in old_pairs]
         # members of sugar equal to their degree give pairs the lcm's
-        assert all(pr.rank == (sum(pr.lcm), pr.key, pr.seq) for pr in pairs)
-        assert seq[0] == old_seq
+        assert all(sugar == sum(lcm) and lcm_key == pack(key(lcm))
+                   for sugar, lcm_key, _, lcm, _, _ in pairs)
 
 
 def test_degree_budget_is_enforced():
