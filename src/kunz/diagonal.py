@@ -45,7 +45,7 @@ from itertools import product
 
 from .engine import Budget
 from .field import RowSpace
-from .poly import Polynomial
+from .poly import PolyRing, Polynomial
 
 
 def diagonal_degrees(generators: tuple[Polynomial, ...]
@@ -132,26 +132,21 @@ def _tensor(first: dict[int, int], second: dict[int, int], q: int,
     return blocks
 
 
-def jordan_counts(generators: tuple[Polynomial, ...], q: int,
-                  budget: Budget | None = None) -> tuple[int, int] | None:
-    """(l(S/(m^[q] + (f))), q^n - l(S/(m^[q] + (f^(q-1))))) for the one
-    generator f of a diagonal hypersurface: the number of Jordan blocks of f
-    on S/m^[q], and the number of those of size q, by the fold of the module
-    docstring. None when diagonal_degrees refuses the generators.
+def jordan_counts(ring: PolyRing, degrees: tuple[int, ...], q: int,
+                  budget: Budget) -> tuple[int, int]:
+    """(l(S/(m^[q] + (f))), q^n - l(S/(m^[q] + (f^(q-1))))) for a diagonal
+    hypersurface f of ring with the degrees diagonal_degrees read: the
+    number of Jordan blocks of f on S/m^[q], and the number of those of
+    size q, by the fold of the module docstring.
     """
-    degrees = diagonal_degrees(generators)
-    if degrees is None:
-        return None
-    budget = budget or Budget()
     budget.check_deadline()
-    p = generators[0].ring.p
     # D is symmetric, and the fold and the count meet the same triples
-    remembered = cache(partial(syzygy_dimension, p=p))
+    remembered = cache(partial(syzygy_dimension, p=ring.p))
 
     def dimension(a: int, b: int, c: int) -> int:
         return remembered(*sorted((a, b, c)))
 
-    absent = q ** (generators[0].ring.nvars - len(degrees))
+    absent = q ** (ring.nvars - len(degrees))
     factors = [_jordan_blocks(d, q) for d in degrees]
     factors += [{1: 1}] * (3 - len(factors))  # J_1 is the unit
     *head, second, third = factors

@@ -84,13 +84,15 @@ def frobenius_exponent(p: int, e: int) -> int:
 
     Downstream monomial exponents scale with q, so an oversized q is
     refused here with a CapacityError (exit code 5) before any computation
-    starts. Polynomial exponents have their own, lower cap
-    (kernel.MAX_EXPONENT).
+    starts. Since p >= 2 gives p^e >= 2^e, every e of at least
+    EXPONENT_CAPACITY_BITS is refused before the power is taken, which
+    for a huge e would not end. Polynomial exponents have their own, lower
+    cap (kernel.MAX_EXPONENT).
     """
     if e < 0:
         raise PreconditionError(f"Frobenius exponent must be non-negative, got {e}")
-    q = p**e
-    if q.bit_length() > EXPONENT_CAPACITY_BITS:
+    if (e >= EXPONENT_CAPACITY_BITS
+            or (q := p**e).bit_length() > EXPONENT_CAPACITY_BITS):
         raise CapacityError(
             f"p^e = {p}^{e} exceeds the {EXPONENT_CAPACITY_BITS}-bit capacity")
     return q

@@ -30,9 +30,9 @@ witness is a reduced basis element.
 
 A regular origin skips them too: where the r generators of I vanish at the
 origin with independent linear parts, F^e_* R is free of rank q^(n - r) by
-Kunz's theorem, and that rank is the splitting numerator (see
-localring.regular_count). localring.theorem_counts tries both routes, in
-that order.
+Kunz's theorem, and that rank is the splitting numerator. Both theorems
+are recognized once, by localring.closed_form when the presentation is
+built (see the localring module), and splitting_samples reads that answer.
 
 Complete intersections skip the colon. If I = (f_1..f_c) is generated by a
 regular sequence in a regular local ring, Fedder's lemma gives
@@ -84,7 +84,7 @@ from .engine import Budget, Ideal
 from .errors import PreconditionError
 from .field import frobenius_exponent
 from .hk import describe_presentation, tail_interval
-from .localring import LocalRingPresentation, bracket_colength, theorem_counts
+from .localring import LocalRingPresentation, bracket_colength
 from .poly import Polynomial
 
 
@@ -203,30 +203,28 @@ def splitting_samples(presentation: LocalRingPresentation, e_max: int,
     """s_e = (q^n - colength(m^[q] + (I^[q] : I))) / q^d at e = 1..e_max,
     exactly.
 
-    The numerator is localring.theorem_counts' where a theorem gives it:
-    Han's count of Jordan blocks of size q for a diagonal hypersurface, or
-    q^(n - r) where the r generators of I are regular at the origin, since
-    F^e_* A is then free of that rank by Kunz's theorem (Huneke-Leuschke:
-    s(A) = 1 exactly when A is regular). Neither theorem builds a colon or
-    charges pairs, and whether one applies depends on the generators, not
-    on q. Otherwise the numerator is q^n - colength(m^[q] + (J_e)), with
-    every J_e from one walk of twist_levels. Past the end of the walk, an
-    empty level, R splits at no level, so the numerator is 0. Those levels
-    still take q from frobenius_exponent, so a capacity error fires as it
-    would.
+    The numerator comes from the presentation's counter where a theorem
+    gives it: Han's count of Jordan blocks of size q for a diagonal
+    hypersurface, or q^(n - r) where the r generators of I are regular at
+    the origin, since F^e_* A is then free of that rank by Kunz's theorem
+    (Huneke-Leuschke: s(A) = 1 exactly when A is regular).
+    localring.closed_form recognizes both once, when the presentation is
+    built; neither builds a colon or charges pairs. Otherwise the numerator
+    is q^n - colength(m^[q] + (J_e)), with every J_e from one walk of
+    twist_levels. Past the end of the walk, an empty level, R splits at no
+    level, so the numerator is 0. Those levels still take q from
+    frobenius_exponent, so a capacity error fires as it would.
     """
     if e_max < 1:
         raise PreconditionError(f"e_max must be >= 1, got {e_max}")
     budget = budget or Budget()
     ring = presentation.ring
-    generators = presentation.ideal.generators
     levels = twist_levels(presentation, e_max, budget)
     samples: list[SplittingSample] = []
     for e in range(1, e_max + 1):
         q = frobenius_exponent(presentation.p, e)
-        counts = theorem_counts(ring, generators, q, budget)
-        if counts is not None:
-            colength = counts[1]
+        if presentation.counter is not None:
+            colength = presentation.counter(q, budget)[1]
         elif (level := next(levels, None)) is not None:
             colength = q**ring.nvars - bracket_colength(ring, level, q, budget)
         else:

@@ -9,76 +9,102 @@ over S equals the length of A/(m^[q]A), so the normalized colength
 
 is computed exactly in the polynomial ring, with q = p^e.
 
-A diagonal hypersurface, f = sum c_i x_i^(d_i) or a quadric in odd p,
-takes no Groebner basis: with T acting as f, S/m^[q] is a tensor product
-of the k[T]-modules k[x_i]/(x_i^q), and length(S/(m^[q] + (f))) is its
-number of Jordan blocks, a sum of Han's D(a, b, c) = dim k[x,y]/(x^a, y^b,
-(x+y)^c) (C. Han, thesis, Brandeis 1991; Han and Monsky, "Some surprising
-Hilbert-Kunz functions", Math. Z. 214, 1993). bracket_colength picks the
-route for every colength length(S/(J + m^[q])): the samples here and the
-splitting numbers of fsplit call it, and so does the hypersurface bound
-check in tests/lemmas.py.
+Two theorems give length(S/(J + m^[q])) and the splitting numerator of
+fsplit in closed form, and closed_form recognizes the generator sets they
+take, once for each set: LocalRingPresentation asks it when it is built,
+and sample and fsplit.splitting_samples read that one answer at every q.
+The answer is a counter, (q, budget) -> (colength, splitting numerator),
+from the first recognizer in CLOSED_FORMS that accepts the generators:
 
-It tries three routes in order, the first two in theorem_counts, which
-fsplit.splitting_samples calls too. Han's count takes each J the diagonal
-module accepts. Next, regular_count takes each J whose r generators vanish
-at the origin with linearly independent linear parts. Then S_m/J is regular
-of dimension n - r, and Kunz's theorem (Amer. J. Math. 91, 1969) makes its
-Frobenius flat, so
+* diagonal_counter takes a diagonal hypersurface, f = sum c_i x_i^(d_i) or
+  a quadric in odd p. With T acting as f, S/m^[q] is a tensor product of
+  the k[T]-modules k[x_i]/(x_i^q), and Han's count of its Jordan blocks
+  gives both numbers from the degrees d_i (C. Han, thesis, Brandeis 1991;
+  Han and Monsky, "Some surprising Hilbert-Kunz functions", Math. Z. 214,
+  1993; see the diagonal module).
+* regular_counter takes r generators that vanish at the origin with
+  linearly independent linear parts. Then S_m/J is regular of dimension
+  n - r, and Kunz's theorem (Amer. J. Math. 91, 1969) makes its Frobenius
+  flat, so length(S/(J + m^[q])) = q^(n - r). Flatness also makes F^e_* A
+  free of rank q^(n - r) over a regular A, as F_p is perfect, so the
+  splitting numerator is q^(n - r) as well; Huneke and Leuschke (Math.
+  Ann. 324, 2002) show s(A) = 1 exactly when A is regular. It reads the
+  constant and linear coefficients only (see linear_parts).
 
-    length(S/(J + m^[q])) = q^(n - r).
-
-Flatness also makes F^e_* A free of rank q^(n - r) over a regular A, as
-F_p is perfect, so the splitting count of fsplit is q^(n - r) as well;
-Huneke and Leuschke (Math. Ann. 324, 2002) show s(A) = 1 exactly when A is
-regular. This route reads the constant and linear coefficients only (see
-linear_parts), and charges no pairs. Every other J takes the engine on
-J + m^[q], which stays the tests' oracle for the other two.
+Neither charges pairs. bracket_colength is the one entry for a bare
+generator set, the twist levels of fsplit and the hypersurface bound check
+in tests/lemmas.py: it asks closed_form, and every set that no recognizer
+takes goes to the engine on J + m^[q], which stays the tests' oracle for
+both theorems.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
 
 from . import kernel
-from .diagonal import jordan_counts
+from .diagonal import diagonal_degrees, jordan_counts
 from .engine import Budget, Ideal, maximal_ideal
 from .errors import PreconditionError
 from .field import FieldConfig, RowSpace, frobenius_exponent
 from .poly import PolyRing, Polynomial
 
 Point = tuple[int, ...]
+ClosedForm = Callable[[int, Budget], tuple[int, int]]
 
 
-def theorem_counts(ring: PolyRing, generators: tuple[Polynomial, ...],
-                   q: int, budget: Budget | None = None
-                   ) -> tuple[int, int] | None:
-    """(length(S/((generators) + m^[q])), the splitting numerator of
-    S/(generators) at level q) where a theorem gives both: Han's count of
-    Jordan blocks when the diagonal module accepts the generators, else
-    q^(n - r) for both by Kunz's theorem when regular_count does; None
-    otherwise. Charges no pairs."""
-    counts = jordan_counts(generators, q, budget)
-    if counts is not None:
-        return counts
-    regular = regular_count(ring, generators, q)
-    if regular is not None:
-        return regular, regular
-    return None
+def diagonal_counter(ring: PolyRing, generators: tuple[Polynomial, ...]
+                     ) -> ClosedForm | None:
+    """Han's count from the degrees of a diagonal hypersurface, read once
+    by diagonal_degrees; None for every other generator set."""
+    degrees = diagonal_degrees(generators)
+    return None if degrees is None else partial(jordan_counts, ring, degrees)
+
+
+def regular_counter(ring: PolyRing, generators: tuple[Polynomial, ...]
+                    ) -> ClosedForm | None:
+    """q^(n - r) for both counts when the r generators vanish at the origin
+    and their linear parts are linearly independent; None otherwise, a zero
+    generator included."""
+    rows = linear_parts(ring, generators)
+    if rows is None or matrix_rank_mod_p(rows, ring.p) < len(rows):
+        return None
+    dimension = ring.nvars - len(rows)
+    return lambda q, budget: (q**dimension, q**dimension)
+
+
+CLOSED_FORMS = (diagonal_counter, regular_counter)
+
+
+def closed_form(ring: PolyRing, generators: tuple[Polynomial, ...]
+                ) -> ClosedForm | None:
+    """The counter of the first recognizer in CLOSED_FORMS that takes the
+    generators, or None: a function (q, budget) -> (length(S/((generators)
+    + m^[q])), the splitting numerator of S/(generators) at level q)."""
+    counters = (recognize(ring, generators) for recognize in CLOSED_FORMS)
+    return next(filter(None, counters), None)
 
 
 def bracket_colength(ring: PolyRing, generators: tuple[Polynomial, ...],
                      q: int, budget: Budget | None = None) -> int:
-    """length(S/((generators) + m^[q])): by theorem_counts where a theorem
-    gives it, else the engine on the generators followed by m^[q]. Only the
-    engine charges pairs to the budget."""
-    budget = budget or Budget()
-    counts = theorem_counts(ring, generators, q, budget)
-    if counts is not None:
-        return counts[0]
-    m_bracket = maximal_ideal(ring).bracket_power(q)
-    return Ideal(ring, list(generators)).sum_with(m_bracket).colength(budget)
+    """length(S/((generators) + m^[q])): by the counter closed_form returns
+    where a theorem gives it, else the engine on the generators followed by
+    m^[q]. Only the engine charges pairs to the budget."""
+    return _colength(closed_form(ring, generators),
+                     Ideal(ring, list(generators)), q, budget or Budget())
+
+
+def _colength(counter: ClosedForm | None, ideal: Ideal, q: int,
+              budget: Budget) -> int:
+    """length(S/(ideal + m^[q])) by the counter, closed_form's answer for
+    the generators of ideal, else by the engine."""
+    if counter is not None:
+        return counter(q, budget)[0]
+    m_bracket = maximal_ideal(ideal.ring).bracket_power(q)
+    return ideal.sum_with(m_bracket).colength(budget)
 
 
 def translate_to_origin(generators: list[Polynomial], point: Point) -> list[Polynomial]:
@@ -111,7 +137,7 @@ class FrobeniusSample(namedtuple("FrobeniusSample",
 class LocalRingPresentation:
     """A = (S/I) localized at the origin, with cached invariants."""
 
-    __slots__ = ("ring", "ideal", "twist_colons", "_dimension")
+    __slots__ = ("ring", "ideal", "counter", "twist_colons", "_dimension")
 
     def __init__(self, ring: PolyRing, ideal: Ideal) -> None:
         if ideal.ring != ring:
@@ -122,6 +148,9 @@ class LocalRingPresentation:
                     f"generator {g} does not vanish at the origin")
         self.ring = ring
         self.ideal = ideal
+        # closed_form's answer, asked once: sample and
+        # fsplit.splitting_samples read it at every level
+        self.counter = closed_form(ring, ideal.generators)
         # e -> (I^[p^e] : I), filled by fsplit.twist_colon_ideal; level 1
         # serves both fsplit.fedder_test and the walk of twist_levels
         self.twist_colons: dict[int, Ideal] = {}
@@ -158,8 +187,7 @@ class LocalRingPresentation:
             raise PreconditionError(f"Frobenius index must be >= 0, got {e}")
         budget = budget or Budget()
         q = frobenius_exponent(self.p, e)
-        colength = bracket_colength(self.ring, self.ideal.generators, q,
-                                    budget)
+        colength = _colength(self.counter, self.ideal, q, budget)
         d = self.dimension(budget)
         return FrobeniusSample(e, q, colength, Fraction(colength, q**d))
 
@@ -187,22 +215,6 @@ class SmoothnessReport(namedtuple(
     """Three ints, and the bool smooth: jacobian_rank == codimension."""
 
     __slots__ = ()
-
-
-def regular_count(ring: PolyRing, generators: tuple[Polynomial, ...],
-                  q: int) -> int | None:
-    """q^(n - r) when the r generators vanish at the origin and their linear
-    parts are linearly independent; None otherwise, a zero generator
-    included.
-
-    Then S_m/(generators) is regular of dimension n - r, and q^(n - r) is
-    both length(S/((generators) + m^[q])) and the splitting count a_e (see
-    the module docstring).
-    """
-    rows = linear_parts(ring, generators)
-    if rows is None or matrix_rank_mod_p(rows, ring.p) < len(rows):
-        return None
-    return q ** (ring.nvars - len(rows))
 
 
 def linear_parts(ring: PolyRing, generators: tuple[Polynomial, ...]

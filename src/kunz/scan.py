@@ -29,7 +29,7 @@ from itertools import product
 
 from .engine import DEADLINE_STRIDE, Budget, Ideal
 from .errors import PreconditionError
-from .field import FieldConfig
+from .field import FieldConfig, frobenius_exponent
 from .fsplit import splitting_samples
 from .localring import LocalRingPresentation, Point, translate_to_origin
 from .poly import PolyRing, Polynomial
@@ -171,6 +171,7 @@ def scan_points(p: int, variables: tuple[str, ...],
         points = enumerate_points(ring, gens, budget)
     if not points:
         raise PreconditionError("no points to scan")
+    frobenius_exponent(p, e_max)  # refuse an oversized e_max up front
     e_values = tuple(range(1, e_max + 1))
 
     records = []

@@ -31,7 +31,9 @@ def cusp5() -> LocalRingPresentation:
 @pytest.fixture()
 def engine_only(monkeypatch):
     """Turn off Han's route for diagonal hypersurfaces and Kunz's route for
-    regular points, so every colength comes from the Groebner engine."""
-    from kunz import fsplit, localring
-    for module in (localring, fsplit):
-        monkeypatch.setattr(module, "theorem_counts", lambda *args: None)
+    regular points, so every colength comes from the Groebner engine.
+
+    A presentation asks localring.closed_form when it is built, so only
+    those built inside the test lose the two routes."""
+    from kunz import localring
+    monkeypatch.setattr(localring, "closed_form", lambda *args: None)

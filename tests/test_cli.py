@@ -273,6 +273,26 @@ def test_explicit_zero_ecap_exits_3(cli, tmp_path):
     assert "e_cap" in parse_output(result)["error"]["message"]
 
 
+@pytest.mark.parametrize("command, text", [
+    # the complete-intersection walk asks for p^ecap before any level
+    ("fedder", NODE + "element = x + y;\necap = 2147483647;\n"),
+    # scan lists every e <= emax before any q is taken
+    ("scan", NODE + "emax = 2147483647;\n"),
+])
+def test_a_huge_frobenius_exponent_exits_5_at_once(cli, tmp_path, command,
+                                                   text):
+    """e >= 63 is refused before p^e is taken: at 2^31 - 1 the power
+    alone would not end, and scan's list of levels would not fit."""
+    job = write(tmp_path, "huge.job", text)
+    result = cli([command, "--input", job])
+    assert result.exit_code == 5
+    error = parse_output(result)["error"]
+    assert error == {
+        "exit_code": 5, "type": "CapacityError",
+        "message": "p^e = 3^2147483647 exceeds the 63-bit capacity"}
+    assert result.stderr == f"ERROR kunz: CapacityError: {error['message']}\n"
+
+
 # jobs missing a statement their command needs, with the exact refusal of
 # each
 NO_INNER = "p = 5;\nvars = x, y;\nideal = y^2 - x^3;\n"

@@ -8,12 +8,12 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 import pytest
 
-from kunz.diagonal import diagonal_degrees, jordan_counts, syzygy_dimension
+from kunz.diagonal import diagonal_degrees, syzygy_dimension
 from kunz.engine import Budget, Ideal, maximal_ideal
 from kunz.errors import BudgetExceededError
 from kunz.field import FieldConfig
 from kunz.fsplit import splitting_number
-from kunz.localring import LocalRingPresentation
+from kunz.localring import LocalRingPresentation, diagonal_counter
 from kunz.poly import PolyRing
 import oracles
 
@@ -75,7 +75,7 @@ MAX_DEGREE = 60
 @settings(max_examples=120)
 def test_the_route_matches_the_engine(data):
     ring, f, q = data
-    blocks, full = jordan_counts((f,), q)
+    blocks, full = diagonal_counter(ring, (f,))(q, Budget())
     m_bracket = maximal_ideal(ring).bracket_power(q)
     budget = Budget(max_pairs=MAX_PAIRS, max_degree=MAX_DEGREE)
     try:

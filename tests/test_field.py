@@ -63,5 +63,8 @@ def test_frobenius_exponent_values_and_caps():
         frobenius_exponent(2, 63)
     with pytest.raises(CapacityError):
         frobenius_exponent(5, 40)
+    # refused before the power is taken, which would not end
+    with pytest.raises(CapacityError, match=r"^p\^e = 3\^2147483647 exceeds"):
+        frobenius_exponent(3, 2**31 - 1)
     with pytest.raises(PreconditionError):
         frobenius_exponent(5, -1)

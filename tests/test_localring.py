@@ -4,14 +4,17 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 import pytest
 
+from kunz import diagonal, fsplit, localring
 from kunz.engine import Budget, Ideal, maximal_ideal
 from kunz.errors import BudgetExceededError, PreconditionError
 from kunz.field import FieldConfig
-from kunz.fsplit import splitting_number, twist_levels
+from kunz.fsplit import fsplit_report, splitting_number, twist_levels
 from kunz.localring import (LocalRingPresentation, bracket_colength,
-                            linear_parts, matrix_rank_mod_p, regular_count,
-                            translate_to_origin)
+                            closed_form, linear_parts, matrix_rank_mod_p,
+                            regular_counter, translate_to_origin)
 from kunz.poly import PolyRing, Polynomial
+from kunz.scan import scan_points
+from kunz.textio import SubvarietySpec
 from oracles import jacobian_at_origin
 
 
@@ -208,7 +211,8 @@ def test_regular_route_matches_the_engine_and_the_twist_route(drawn):
     ring, gens, e = drawn
     q = ring.p**e
     expected = q ** (ring.nvars - len(gens))
-    assert regular_count(ring, gens, q) == expected
+    assert regular_counter(ring, gens)(q, Budget()) == (expected, expected)
+    assert closed_form(ring, gens)(q, Budget()) == (expected, expected)
     assert bracket_colength(ring, gens, q) == expected
     pres = LocalRingPresentation(ring, Ideal(ring, list(gens)))
     assert splitting_number(pres, e).colength == expected
@@ -244,5 +248,40 @@ def parsed(p, variables, texts):
     (*fat_point_generators(), 25),
 ], ids=["constant", "zero", "dependent", "fat_point_q5", "fat_point_q25"])
 def test_irregular_generators_fall_through_to_the_engine(ring, gens, q):
-    assert regular_count(ring, gens, q) is None
+    assert closed_form(ring, gens) is None
     assert bracket_colength(ring, gens, q) == engine_colength(ring, gens, q)
+
+
+def fsig_twisted_cubic():
+    pres = LocalRingPresentation.from_texts(
+        3, ["x", "y", "z", "w"], ["x*z - y^2", "x*w - y*z", "y*w - z^2"])
+    fsplit_report(pres, 3)
+
+
+def scan_node():
+    sub = SubvarietySpec(("x", "y"), ((0, 0, 0), (0, 0, 1)), ("z",))
+    scan_points(3, ("x", "y", "z"), ["x*y"], e_max=2, subvarieties=(sub,))
+
+
+@pytest.mark.parametrize("job", [fsig_twisted_cubic, scan_node])
+def test_each_ring_is_recognized_once(job, monkeypatch):
+    """diagonal_degrees runs once when a presentation is built and once for
+    each twist level handed to bracket_colength, never once per level q."""
+    calls = {"recognized": 0, "presentations": 0, "levels": 0}
+
+    def counting(key, function):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    recognize = counting("recognized", diagonal.diagonal_degrees)
+    for module in (diagonal, localring):
+        monkeypatch.setattr(module, "diagonal_degrees", recognize)
+    monkeypatch.setattr(LocalRingPresentation, "__init__", counting(
+        "presentations", LocalRingPresentation.__init__))
+    monkeypatch.setattr(fsplit, "bracket_colength", counting(
+        "levels", fsplit.bracket_colength))
+    job()
+    assert calls["presentations"] > 0
+    assert calls["recognized"] <= calls["presentations"] + calls["levels"]
