@@ -17,40 +17,66 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import os
 import sys
 import time
+from types import ModuleType
 from typing import NoReturn
 
 from . import __version__
-from .curves import (Branch, BranchCurve, TameReport, tame_invariants,
-                     tame_report)
-from .engine import Budget, Ideal
 from .errors import (BudgetExceededError, KunzError, ParseError,
                      PrecisionLossError, PreconditionError)
-from .fsplit import fedder_test, fpurity_exponent, fsplit_report
-from .hk import BoundConstants, hk_sequence, verify_pair_bounds
-from .localring import LocalRingPresentation
 from .records import (SCHEMA_VERSION, TABULAR_COMMANDS, RunRecord,
                       canonical_json, csv_text)
-from .scan import scan_points
 from .textio import READS, JobSpec, parse_job
+
+
+def _lazy(name: str) -> ModuleType:
+    """kunz.<name>, compiled and run on its first attribute access.
+
+    A module already imported is returned as it is: a second copy would
+    split monkeypatches and wrappers between the two.
+    """
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# Each command compiles only the modules it runs: `tame` never loads the
+# Groebner engine, and `hk` never loads the series layer.
+curves = _lazy("curves")
+engine = _lazy("engine")
+fsplit = _lazy("fsplit")
+hk = _lazy("hk")
+localring = _lazy("localring")
+scan = _lazy("scan")
+# No runner calls these two. They are registered only because the
+# benchmark's tracer reads sys.modules["kunz.<layer>"] for every traced
+# layer right after `import kunz.cli`.
+kernel = _lazy("kernel")
+series = _lazy("series")
 
 # -- payload builders --------------------------------------------------------
 
 
-def _presentation(job: JobSpec) -> LocalRingPresentation:
+def _presentation(job: JobSpec) -> localring.LocalRingPresentation:
     if not job.variables:
         raise PreconditionError("the job needs a `vars = ...;` statement")
-    return LocalRingPresentation.from_texts(
+    return localring.LocalRingPresentation.from_texts(
         job.p, list(job.variables), list(job.ideal), point=job.point)
 
 
-def _budget(job: JobSpec) -> Budget:
+def _budget(job: JobSpec) -> engine.Budget:
     """The job's one budget: default ceilings unless the job caps pairs."""
     if job.budget_pairs is None:
-        return Budget()
-    return Budget(max_pairs=job.budget_pairs)
+        return engine.Budget()
+    return engine.Budget(max_pairs=job.budget_pairs)
 
 
 def _e_max(job: JobSpec, default: int) -> int:
@@ -60,7 +86,7 @@ def _e_max(job: JobSpec, default: int) -> int:
 
 def run_hk(job: JobSpec) -> dict:
     presentation = _presentation(job)
-    report = hk_sequence(presentation, _e_max(job, 3), _budget(job))
+    report = hk.hk_sequence(presentation, _e_max(job, 3), _budget(job))
     return {
         "p": report.p,
         "presentation": report.presentation_id,
@@ -79,7 +105,8 @@ def run_hk(job: JobSpec) -> dict:
 
 def run_fsig(job: JobSpec) -> dict:
     presentation = _presentation(job)
-    report = fsplit_report(presentation, _e_max(job, 3), _budget(job))
+    report = fsplit.fsplit_report(presentation, _e_max(job, 3),
+                                  _budget(job))
     return {
         "p": report.p,
         "presentation": report.presentation_id,
@@ -97,7 +124,7 @@ def run_fsig(job: JobSpec) -> dict:
 def run_fedder(job: JobSpec) -> dict:
     presentation = _presentation(job)
     budget = _budget(job)
-    verdict = fedder_test(presentation, budget)
+    verdict = fsplit.fedder_test(presentation, budget)
     payload = {
         "p": presentation.p,
         "is_F_pure": verdict.is_F_pure,
@@ -107,7 +134,7 @@ def run_fedder(job: JobSpec) -> dict:
     if job.element is not None:
         element = presentation.ring.parse(job.element)
         cap = 4 if job.e_cap is None else job.e_cap
-        exponent = fpurity_exponent(presentation, element, cap, budget)
+        exponent = fsplit.fpurity_exponent(presentation, element, cap, budget)
         payload["element"] = str(element)
         payload["exponent_cap"] = cap
         payload["purity_exponent"] = exponent
@@ -115,16 +142,18 @@ def run_fedder(job: JobSpec) -> dict:
     return payload
 
 
-def _curve(job: JobSpec) -> BranchCurve:
+def _curve(job: JobSpec) -> curves.BranchCurve:
     if not job.branches:
         raise PreconditionError(
             "the job needs at least one `branch = ...;` statement")
     branches = tuple(
-        Branch(gens, cross) for gens, cross in zip(job.branches, job.cross))
-    return BranchCurve(job.p, branches)
+        curves.Branch(gens, cross)
+        for gens, cross in zip(job.branches, job.cross))
+    return curves.BranchCurve(job.p, branches)
 
 
-def _tame_payload(curve: BranchCurve, report: TameReport) -> dict:
+def _tame_payload(curve: curves.BranchCurve,
+                  report: curves.TameReport) -> dict:
     return {
         "p": report.p,
         "branches": [
@@ -151,8 +180,8 @@ def _tame_payload(curve: BranchCurve, report: TameReport) -> dict:
 
 def run_tame(job: JobSpec) -> dict:
     curve = _curve(job)
-    report = tame_report(curve, precision=job.precision, seed=job.seed,
-                         mu=job.mu)
+    report = curves.tame_report(curve, precision=job.precision,
+                                seed=job.seed, mu=job.mu)
     return _tame_payload(curve, report)
 
 
@@ -160,9 +189,10 @@ def run_scan(job: JobSpec) -> dict:
     if not job.variables:
         raise PreconditionError("the job needs a `vars = ...;` statement")
     points = None if job.points is None else list(job.points)
-    report = scan_points(job.p, job.variables, list(job.ideal),
-                         points=points, e_max=_e_max(job, 2),
-                         subvarieties=job.subvarieties, budget=_budget(job))
+    report = scan.scan_points(job.p, job.variables, list(job.ideal),
+                              points=points, e_max=_e_max(job, 2),
+                              subvarieties=job.subvarieties,
+                              budget=_budget(job))
     return {
         "p": report.p,
         "variables": list(report.variables),
@@ -202,24 +232,26 @@ def run_verify_bounds(job: JobSpec) -> dict:
             "verify-bounds needs an `inner = ...;` statement with the "
             "generators of the inner ideal")
     ring = presentation.ring
-    inner = Ideal(ring, [ring.parse(text) for text in job.inner])
+    inner = engine.Ideal(ring, [ring.parse(text) for text in job.inner])
     socle = ring.parse(job.socle if job.socle is not None else "1")
     if job.branches:
         if job.m_constant is not None or job.delta_constant is not None:
             raise PreconditionError(
                 "give either branch lines or explicit m/Delta, not both")
-        invariants = tame_invariants(_curve(job))
-        constants = BoundConstants(m=invariants.delta, Delta=invariants.Delta)
+        invariants = curves.tame_invariants(_curve(job))
+        constants = hk.BoundConstants(m=invariants.delta,
+                                      Delta=invariants.Delta)
         conditional = False
     else:
         if job.m_constant is None or job.delta_constant is None:
             raise PreconditionError(
                 "verify-bounds needs `m = ...;` and `Delta = ...;` "
                 "statements, or branch lines to derive them from")
-        constants = BoundConstants(m=job.m_constant, Delta=job.delta_constant)
+        constants = hk.BoundConstants(m=job.m_constant,
+                                      Delta=job.delta_constant)
         conditional = True
-    check = verify_pair_bounds(presentation, inner, socle,
-                               _e_max(job, 3), constants, _budget(job))
+    check = hk.verify_pair_bounds(presentation, inner, socle,
+                                  _e_max(job, 3), constants, _budget(job))
     return {
         "p": presentation.p,
         "inner": [str(g) for g in inner.generators],
@@ -386,11 +418,12 @@ class _Main:
     prog_name="kunz")`` runs one command line and ends in SystemExit.
 
     Each call first moves every object alive at that point, all that the
-    imports made included, into the collector's permanent generation
+    eager imports made included, into the collector's permanent generation
     (gc.freeze), so neither the job's collections nor the final one at
-    exit traverse them again. The collector stays enabled: an in-process
-    caller keeps a working one, in which only the frozen objects are
-    never collected.
+    exit traverse them again. The layer modules a command loads on first
+    use run after that, inside the job. The collector stays enabled: an
+    in-process caller keeps a working one, in which only the frozen
+    objects are never collected.
     """
 
     def main(self, args: list[str] | None = None,

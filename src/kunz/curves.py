@@ -34,6 +34,8 @@ from .series import (TruncatedSeries, determinant_valuation, tame_trace)
 
 MAX_BRANCHES = 4
 MAX_PRECISION = 1 << 20
+# Largest Schur bound a conductor sieve may reach: 2^20 entries, 8 MiB.
+MAX_SIEVE = 1 << 20
 MAX_DOUBLINGS = 6
 # Python's default limit on int-to-decimal conversion, which JSON output obeys.
 MAX_BOUND_DIGITS = 4300
@@ -147,10 +149,14 @@ def semigroup_conductor(generators: tuple[int, ...]) -> int:
     Schur's bound (Brauer, "On a problem of partitions", Amer. J. Math. 64,
     1942) puts every gap below (a_1 - 1)(a_k - 1), so one sieve to that
     bound holds them all: c is one past the last gap, or 0 when there is
-    none.
+    none. A bound past MAX_SIEVE is refused before the sieve is allocated.
     """
-    member = semigroup_membership(
-        generators, (generators[0] - 1) * (generators[-1] - 1))
+    bound = (generators[0] - 1) * (generators[-1] - 1)
+    if bound > MAX_SIEVE:
+        raise CapacityError(
+            f"Schur's bound {bound} for the semigroup {generators} exceeds "
+            f"the sieve capacity {MAX_SIEVE}")
+    member = semigroup_membership(generators, bound)
     if all(member):
         return 0
     return len(member) - member[::-1].index(False)

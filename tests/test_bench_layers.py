@@ -55,7 +55,7 @@ print(json.dumps(sorted(name for name in sys.modules
 
 def test_cli_import_loads_every_traced_layer():
     # tracing.py reads sys.modules["kunz.<layer>"] right after importing
-    # kunz.cli, so no layer may be imported lazily
+    # kunz.cli, so every layer must be in sys.modules, lazily or not
     source = str(Path(kunz.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": source}
     out = subprocess.run([sys.executable, "-c", LOADED_PROBE],
@@ -63,6 +63,28 @@ def test_cli_import_loads_every_traced_layer():
     assert out.returncode == 0, out.stderr
     layers = {f"kunz.{module_name}" for module_name, _ in _layers()}
     assert layers <= set(json.loads(out.stdout))
+
+
+@pytest.mark.parametrize("command, job, layer", [
+    ("tame", "p = 5;\nbranch = 2, 3;\n", "textio.parse_job"),
+    ("hk", "p = 5;\nvars = x, y, z;\nideal = x*y - z^2;\nemax = 1;\n",
+     "hk.hk_sequence"),
+])
+def test_tracing_a_job_records_its_layers(tmp_path, command, job, layer):
+    # tracing.py as the benchmark runs it: a child in place of kunz.cli
+    path = tmp_path / "job.txt"
+    path.write_text(job)
+    spans_path = tmp_path / "spans.json"
+    source = str(Path(kunz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": source}
+    out = subprocess.run([sys.executable, str(TRACING), str(spans_path),
+                          command, "--input", str(path)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["payload"]
+    spans = json.loads(spans_path.read_text())["spans"]
+    assert spans[0][0] == "cli.main" and spans[0][3] == -1
+    assert layer in {name for name, *_ in spans[1:]}
 
 
 @pytest.mark.parametrize("job, flags, code", [

@@ -293,6 +293,27 @@ def test_a_huge_frobenius_exponent_exits_5_at_once(cli, tmp_path, command,
     assert result.stderr == f"ERROR kunz: CapacityError: {error['message']}\n"
 
 
+@pytest.mark.parametrize("branch, refusal", [
+    ("9999999999992, 3",
+     "Schur's bound 19999999999982 for the semigroup (3, 9999999999992)"),
+    ("100003, 100019",
+     "Schur's bound 10002000036 for the semigroup (100003, 100019)"),
+])
+def test_a_semigroup_past_the_sieve_capacity_exits_5(cli, tmp_path, branch,
+                                                     refusal):
+    """The conductor sieve would hold one entry per integer below Schur's
+    bound; past 2^20 of them the branch is refused before any is made."""
+    job = write(tmp_path, "huge.job", f"p = 5;\nbranch = {branch};\n")
+    result = cli(["tame", "--input", job])
+    assert result.exit_code == 5
+    assert result.stdout.count("\n") == 1
+    error = parse_output(result)["error"]
+    assert error == {
+        "exit_code": 5, "type": "CapacityError",
+        "message": f"{refusal} exceeds the sieve capacity 1048576"}
+    assert result.stderr == f"ERROR kunz: CapacityError: {error['message']}\n"
+
+
 # jobs missing a statement their command needs, with the exact refusal of
 # each
 NO_INNER = "p = 5;\nvars = x, y;\nideal = y^2 - x^3;\n"

@@ -61,6 +61,27 @@ def test_conductor_known_values():
     assert semigroup_conductor((6, 10, 15)) == 30
 
 
+def test_a_schur_bound_past_the_sieve_capacity_is_refused_unsieved(
+        monkeypatch):
+    """The cap is checked before the sieve is allocated: (5, 6) sieves to
+    its bound 4 * 5 = 20, and (5, 7), bound 24, is refused unsieved."""
+    monkeypatch.setattr(kunz.curves, "MAX_SIEVE", 20)
+    sieved = []
+    sieve = kunz.curves.semigroup_membership
+
+    def recording(generators, bound):
+        sieved.append(bound)
+        return sieve(generators, bound)
+
+    monkeypatch.setattr(kunz.curves, "semigroup_membership", recording)
+    assert semigroup_conductor((5, 6)) == 20
+    assert sieved == [20]
+    with pytest.raises(CapacityError, match="Schur's bound 24 for the "
+                       r"semigroup \(5, 7\) exceeds the sieve capacity 20"):
+        Branch((5, 7))
+    assert sieved == [20]
+
+
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=3))
 @settings(max_examples=80)
 def test_conductor_matches_brute_force(raw):
