@@ -72,6 +72,19 @@ def _presentation(job: JobSpec) -> localring.LocalRingPresentation:
         job.p, list(job.variables), list(job.ideal), point=job.point)
 
 
+def _moved(job: JobSpec, ring, texts, vanishing: bool = False) -> list:
+    """The polynomials of texts in the presentation's coordinates: moved by
+    x_i -> x_i + a_i for the job's point a, as its ideal is. With
+    vanishing, each must vanish at the point (localring.translate_to_origin).
+    """
+    polynomials = [ring.parse(text) for text in texts]
+    if job.point is None:
+        return polynomials
+    if vanishing:
+        return localring.translate_to_origin(polynomials, job.point)
+    return [f.substitute_shift(job.point) for f in polynomials]
+
+
 def _budget(job: JobSpec) -> engine.Budget:
     """The job's one budget: default ceilings unless the job caps pairs."""
     if job.budget_pairs is None:
@@ -132,7 +145,7 @@ def run_fedder(job: JobSpec) -> dict:
         "detail": verdict.detail,
     }
     if job.element is not None:
-        element = presentation.ring.parse(job.element)
+        (element,) = _moved(job, presentation.ring, [job.element])
         cap = 4 if job.e_cap is None else job.e_cap
         exponent = fsplit.fpurity_exponent(presentation, element, cap, budget)
         payload["element"] = str(element)
@@ -232,8 +245,9 @@ def run_verify_bounds(job: JobSpec) -> dict:
             "verify-bounds needs an `inner = ...;` statement with the "
             "generators of the inner ideal")
     ring = presentation.ring
-    inner = engine.Ideal(ring, [ring.parse(text) for text in job.inner])
-    socle = ring.parse(job.socle if job.socle is not None else "1")
+    inner = engine.Ideal(ring, _moved(job, ring, job.inner, vanishing=True))
+    (socle,) = _moved(job, ring, [job.socle if job.socle is not None
+                                  else "1"])
     if job.branches:
         if job.m_constant is not None or job.delta_constant is not None:
             raise PreconditionError(

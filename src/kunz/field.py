@@ -98,6 +98,21 @@ def frobenius_exponent(p: int, e: int) -> int:
     return q
 
 
+def frobenius_levels(p: int, e_max: int, name: str = "e_max"
+                     ) -> tuple[tuple[int, int], ...]:
+    """The levels ((1, p), (2, p^2), .., (e_max, p^e_max)) a command walks.
+
+    Every walk of the Frobenius levels takes its range here. An e_max below
+    1 is refused with a PreconditionError naming it as name, and a
+    p^e_max past the 63-bit capacity with frobenius_exponent's
+    CapacityError, both before any level runs.
+    """
+    if e_max < 1:
+        raise PreconditionError(f"{name} must be >= 1, got {e_max}")
+    frobenius_exponent(p, e_max)
+    return tuple((e, p**e) for e in range(1, e_max + 1))
+
+
 def require_frobenius_power(p: int, q: int) -> None:
     """Refuse q unless it is p^e for some e >= 0."""
     m = q

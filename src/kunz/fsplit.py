@@ -62,13 +62,15 @@ its terms in the box of exponents below q. Since
 h^(q-1) = prod_{i<e} (h^[p^i])^(p-1), and m^[q] is a monomial ideal, every
 partial product may drop its terms with an exponent >= q; the products run
 from the highest Frobenius power down, so most terms leave the box early.
-No Groebner basis of a colon is computed. Every other ideal takes the
-general colon, by elimination (engine.Ideal.colon): for homogeneous I by
-restriction to one generator of I at a time, otherwise by intersecting the
-colons by each generator. twist_levels yields either one modulo m^[q] as
-polynomials J_e with (I^[q] : I) + m^[q] = (J_e) + m^[q], up to the first
-empty J_e: the ring splits at no later level. splitting_samples and
-fpurity_exponent each read J_1, J_2, .. from one walk, and
+h^(p-1) itself takes about 2 log2 p products, by repeated squaring, and
+every product checks the job's deadline. No Groebner basis of a colon is
+computed. Every other ideal takes the general colon, by elimination
+(engine.Ideal.colon): for homogeneous I by restriction to one generator of
+I at a time, otherwise by intersecting the colons by each generator.
+twist_levels yields either one modulo m^[q] as polynomials J_e with
+(I^[q] : I) + m^[q] = (J_e) + m^[q], up to the first empty J_e: the ring
+splits at no later level. splitting_samples and fpurity_exponent each read
+J_1, J_2, .. from one walk of the levels field.frobenius_levels gives, and
 localring.bracket_colength counts (J_e) + m^[q]; splitting_number is the
 last of splitting_samples.
 """
@@ -77,12 +79,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import prod
+from functools import partial, reduce
 
 from . import kernel
 from .engine import Budget, Ideal
 from .errors import PreconditionError
-from .field import frobenius_exponent
+from .field import frobenius_levels
 from .hk import describe_presentation, tail_interval
 from .localring import LocalRingPresentation, bracket_colength
 from .poly import Polynomial
@@ -105,19 +107,19 @@ def twist_colon_ideal(presentation: LocalRingPresentation, e: int,
                       budget: Budget | None = None) -> Ideal:
     """(I^[q] : I) in the ambient ring, q = p^e, cached on the presentation.
 
-    For a complete intersection this is I^[q] + (h^(q-1)) by Fedder's
-    lemma, with no colon computed; otherwise the general colon.
+    e is a level of field.frobenius_levels, so q fits its capacity. For a
+    complete intersection this is I^[q] + (h^(q-1)) by Fedder's lemma,
+    with no colon computed; otherwise the general colon.
     """
     cached = presentation.twist_colons.get(e)
     if cached is None:
         budget = budget or Budget()
-        q = frobenius_exponent(presentation.p, e)
+        q = presentation.p**e
         ideal = presentation.ideal
         bracket = ideal.bracket_power(q)
         if is_complete_intersection(presentation, budget):
-            h = prod(ideal.generators, start=presentation.ring.one())
-            cached = Ideal(presentation.ring,
-                           list(bracket.generators) + [h**(q - 1)])
+            cached = Ideal(presentation.ring, list(bracket.generators)
+                           + [_fedder_power(presentation, q - 1, budget)])
         else:
             cached = bracket.colon(ideal, budget)
         presentation.twist_colons[e] = cached
@@ -140,11 +142,32 @@ def _in_box(f: Polynomial, q: int, budget: Budget) -> Polynomial:
     return box
 
 
-def twist_levels(presentation: LocalRingPresentation, e_top: int,
+def _product(f: Polynomial, g: Polynomial, budget: Budget,
+             top: int | None = None) -> Polynomial:
+    """f * g, checking the budget's deadline once per term of the shorter
+    factor; with top, modulo m^[top] (see _in_box)."""
+    product = Polynomial.wrap(f.ring, kernel.multiply(
+        f.terms, g.terms, f.ring.p, budget.check_deadline))
+    return product if top is None else _in_box(product, top, budget)
+
+
+def _fedder_power(presentation: LocalRingPresentation, n: int,
+                  budget: Budget, top: int | None = None) -> Polynomial:
+    """h^n for h the product of the generators of I, by the repeated
+    squaring of Polynomial.power, every product taken by _product: about
+    2 log2 n of them, each checking the deadline, and with top each modulo
+    m^[top], which is exact since m^[top] is a monomial ideal."""
+    times = partial(_product, budget=budget, top=top)
+    h = reduce(times, presentation.ideal.generators, presentation.ring.one())
+    return h.power(n, times)
+
+
+def twist_levels(presentation: LocalRingPresentation,
+                 levels: tuple[tuple[int, int], ...],
                  budget: Budget | None = None):
-    """Yield, for q = p, p^2, .., p^e_top, polynomials J_e with
-    (I^[q] : I) + m^[q] = (J_e) + m^[q], up to and including the first
-    empty J_e.
+    """Yield, for the levels (e, q) of field.frobenius_levels, polynomials
+    J_e with (I^[q] : I) + m^[q] = (J_e) + m^[q], up to and including the
+    first empty J_e.
 
     Every ideal other than a complete intersection yields the generators of
     its general colon, from twist_colon_ideal, each modulo m^[q], leaving
@@ -154,9 +177,10 @@ def twist_levels(presentation: LocalRingPresentation, e_top: int,
     before by h^(pq'-1) = h^(p-1) * (h^(q'-1))^[p], q = pq', which unrolls
     to prod_{i<e} (h^[p^i])^(p-1) with the highest Frobenius power
     multiplied first. Every product, including those building h and
-    h^(p-1), drops the terms with an exponent of at least p^e_top, and each
-    level keeps its terms below its own q; both are exact, since m^[q] is a
-    monomial ideal.
+    h^(p-1) (by _fedder_power), drops the terms with an exponent of at
+    least the last level's q, and each level keeps its terms below its own
+    q; both are exact, since m^[q] is a monomial ideal. Every product
+    checks the budget's deadline.
 
     The walk ends at the first empty J_e, building no later level. Then
     (I^[q] : I) lies in m^[q], so R does not split at level e (Fedder's
@@ -168,18 +192,11 @@ def twist_levels(presentation: LocalRingPresentation, e_top: int,
     p = presentation.p
     fedder = is_complete_intersection(presentation, budget)
     if fedder:
-        top = frobenius_exponent(p, e_top)
-        h = presentation.ring.one()
-        for f in presentation.ideal.generators:
-            h = _in_box(h * f, top, budget)
-        factor = h
-        for _ in range(p - 2):
-            factor = _in_box(factor * h, top, budget)
+        factor = _fedder_power(presentation, p - 1, budget, levels[-1][1])
         power = presentation.ring.one()
-    for e in range(1, e_top + 1):
-        q = frobenius_exponent(p, e)
+    for e, q in levels:
         if fedder:
-            power = _in_box(factor * power.frobenius_power(p), q, budget)
+            power = _product(factor, power.frobenius_power(p), budget, q)
             boxes = (power,)
         else:
             colon = twist_colon_ideal(presentation, e, budget)
@@ -212,20 +229,17 @@ def splitting_samples(presentation: LocalRingPresentation, e_max: int,
     built; neither builds a colon or charges pairs. Otherwise the numerator
     is q^n - colength(m^[q] + (J_e)), with every J_e from one walk of
     twist_levels. Past the end of the walk, an empty level, R splits at no
-    level, so the numerator is 0. Those levels still take q from
-    frobenius_exponent, so a capacity error fires as it would.
+    level, so the numerator is 0.
     """
-    if e_max < 1:
-        raise PreconditionError(f"e_max must be >= 1, got {e_max}")
+    levels = frobenius_levels(presentation.p, e_max)
     budget = budget or Budget()
     ring = presentation.ring
-    levels = twist_levels(presentation, e_max, budget)
+    walk = twist_levels(presentation, levels, budget)
     samples: list[SplittingSample] = []
-    for e in range(1, e_max + 1):
-        q = frobenius_exponent(presentation.p, e)
+    for e, q in levels:
         if presentation.counter is not None:
             colength = presentation.counter(q, budget)[1]
-        elif (level := next(levels, None)) is not None:
+        elif (level := next(walk, None)) is not None:
             colength = q**ring.nvars - bracket_colength(ring, level, q, budget)
         else:
             colength = 0
@@ -285,15 +299,13 @@ def fpurity_exponent(presentation: LocalRingPresentation, c: Polynomial,
     of twist_levels ends at the first empty J_e, past which R splits at no
     level, so no later level is built.
     """
-    if e_cap < 1:
-        raise PreconditionError(f"e_cap must be >= 1, got {e_cap}")
+    levels = frobenius_levels(presentation.p, e_cap, "e_cap")
     if c.ring != presentation.ring:
         raise PreconditionError("c must live in the ambient ring")
     budget = budget or Budget()
-    levels = twist_levels(presentation, e_cap, budget)
-    for e, level in enumerate(levels, start=1):
-        q = frobenius_exponent(presentation.p, e)
-        if any(_in_box(c * g, q, budget) for g in level):
+    walk = twist_levels(presentation, levels, budget)
+    for (e, q), level in zip(levels, walk):
+        if any(_product(c, g, budget, q) for g in level):
             return e
     return None
 

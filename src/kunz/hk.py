@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .engine import Budget, Ideal
 from .errors import BudgetExceededError, PreconditionError
-from .field import frobenius_exponent
+from .field import frobenius_levels
 from .localring import FrobeniusSample, LocalRingPresentation
 from .poly import Polynomial
 
@@ -67,15 +67,11 @@ def describe_presentation(presentation: LocalRingPresentation) -> str:
 
 
 def empirical_gap_constant(p: int, values: list[tuple[int, Fraction]]) -> Fraction:
-    """sup over adjacent sampled e of p^e * |value_e - value_{e+1}|."""
-    best = Fraction(0)
-    for (e, a), (e2, b) in zip(values, values[1:]):
-        if e2 != e + 1:
-            continue
-        gap = abs(a - b) * p**e
-        if gap > best:
-            best = gap
-    return best
+    """max over e of p^e * |value_e - value_{e+1}|, for values at the
+    consecutive levels e of field.frobenius_levels; 0 for one value."""
+    return max((abs(a - b) * p**e
+                for (e, a), (_, b) in zip(values, values[1:])),
+               default=Fraction(0))
 
 
 def tail_interval(p: int, values: list[tuple[int, Fraction]]
@@ -95,13 +91,12 @@ def hk_sequence(presentation: LocalRingPresentation, e_max: int,
     A budget failure after at least one sample yields a partial report
     flagged truncated instead of an error.
     """
-    if e_max < 1:
-        raise PreconditionError(f"e_max must be >= 1, got {e_max}")
+    levels = frobenius_levels(presentation.p, e_max)
     budget = budget or Budget()
     p = presentation.p
     samples: list[FrobeniusSample] = []
     truncated = False
-    for e in range(1, e_max + 1):
+    for e, _ in levels:
         try:
             samples.append(presentation.sample(e, budget))
         except BudgetExceededError:
@@ -111,12 +106,10 @@ def hk_sequence(presentation: LocalRingPresentation, e_max: int,
             break
     lambdas = [(s.e, s.normalized) for s in samples]
     c, interval = tail_interval(p, lambdas)
-    stabilization = samples[-1].e
-    for e, value in reversed(lambdas):
-        if interval.contains(value):
-            stabilization = e
-        else:
-            break
+    # the first e from which every sampled value lies in the interval; the
+    # last one, its center, always does
+    stabilization = 1 + max((e for e, value in lambdas
+                             if not interval.contains(value)), default=0)
     return HKReport(
         presentation_id=describe_presentation(presentation),
         p=p,
@@ -194,27 +187,24 @@ def check_socle_condition(presentation: LocalRingPresentation, inner: Ideal,
 def verify_pair_bounds(presentation: LocalRingPresentation, inner: Ideal,
                        u: Polynomial, e_max: int, constants: BoundConstants,
                        budget: Budget | None = None) -> BoundCheck:
-    """All pairs 1 <= e <= e' <= e_max of |l_e - l_e'| <= m * Delta * p^-e.
+    """All pairs 1 <= e <= e' <= e_max of |l_e - l_e'| <= m * Delta / q,
+    q = p^e.
 
-    Here l_e is the relative bracket colength at q = p^e over q^d. Each
-    side depends on one level, so l_e is computed once per e. The socle
+    Here l_e is the relative bracket colength at q over q^d. Each side
+    depends on one level, so l_e is computed once per e. The socle
     condition (inner : u) = m makes the inner/outer quotient have length
     one, so the rhs carries no extra length factor.
     """
-    if e_max < 1:
-        raise PreconditionError(f"e_max must be >= 1, got {e_max}")
+    levels = frobenius_levels(presentation.p, e_max)
     budget = budget or Budget()
     check_socle_condition(presentation, inner, u, budget)
-    p = presentation.p
     d = presentation.dimension(budget)
-    lengths = {}
-    for e in range(1, e_max + 1):
-        q = frobenius_exponent(p, e)
-        lengths[e] = Fraction(
-            relative_bracket_colength(presentation, inner, u, q, budget), q**d)
+    lengths = [Fraction(relative_bracket_colength(presentation, inner, u, q,
+                                                  budget), q**d)
+               for _, q in levels]
     entries = tuple(
         PairBoundEntry(e=e, e_prime=e_prime,
-                       lhs=abs(lengths[e] - lengths[e_prime]),
-                       rhs=constants.m * constants.Delta * Fraction(1, p**e))
-        for e in range(1, e_max + 1) for e_prime in range(e, e_max + 1))
+                       lhs=abs(lengths[e - 1] - lengths[e_prime - 1]),
+                       rhs=constants.m * constants.Delta * Fraction(1, q))
+        for e, q in levels for e_prime in range(e, e_max + 1))
     return BoundCheck(constants=constants, entries=entries)

@@ -220,12 +220,14 @@ def degree(terms) -> int:
     return max(e % DEGREE_MOD for _, e, _ in terms)
 
 
-def multiply(f, g, p):
+def multiply(f, g, p, check_deadline=None):
     """Product of two descending term lists of one layout: the longer
     shifted by each term of the shorter, summed in a dict from packed key
     to [exps, coeff], as reduce_full keeps its work list, then sorted.
     Raises CapacityError when the product's total degree, deg f + deg g as
-    the ring is a domain, is above MAX_EXPONENT; it bounds every exponent."""
+    the ring is a domain, is above MAX_EXPONENT; it bounds every exponent.
+    check_deadline, when given, is called once per term of the shorter
+    factor; it raises to end a product that has run out of time."""
     if not f or not g:
         return []
     total = degree(f) + degree(g)
@@ -236,6 +238,8 @@ def multiply(f, g, p):
     work = {}
     get = work.get
     for key, exps, coeff in f:
+        if check_deadline:
+            check_deadline()
         for k, e, c in g:
             k += key
             entry = get(k)

@@ -183,8 +183,6 @@ class LocalRingPresentation:
         return self.sample(e, budget).normalized
 
     def sample(self, e: int, budget: Budget | None = None) -> FrobeniusSample:
-        if e < 0:
-            raise PreconditionError(f"Frobenius index must be >= 0, got {e}")
         budget = budget or Budget()
         q = frobenius_exponent(self.p, e)
         colength = _colength(self.counter, self.ideal, q, budget)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import kernel
 from .errors import CapacityError, ParseError, PreconditionError
@@ -232,14 +232,20 @@ class Polynomial:
                                            for k, e, x in self.terms])
 
     def __pow__(self, n: int) -> Polynomial:
+        return self.power(n, Polynomial.__mul__)
+
+    def power(self, n: int, times: Callable) -> Polynomial:
+        """self^n by repeated squaring: about 2 log2 n products, each taken
+        as times(a, b), which returns a * b or its image under a ring map
+        such as the truncation of fsplit's twist levels."""
         if n < 0:
             raise PreconditionError("negative polynomial powers are not defined")
         result = self.ring.one()
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = times(result, base)
+            base = times(base, base) if n > 1 else base
             n >>= 1
         return result
 

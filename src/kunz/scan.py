@@ -29,7 +29,7 @@ from itertools import product
 
 from .engine import DEADLINE_STRIDE, Budget, Ideal
 from .errors import PreconditionError
-from .field import FieldConfig, frobenius_exponent
+from .field import FieldConfig, frobenius_levels
 from .fsplit import splitting_samples
 from .localring import LocalRingPresentation, Point, translate_to_origin
 from .poly import PolyRing, Polynomial
@@ -162,17 +162,14 @@ def scan_points(p: int, variables: tuple[str, ...],
     exceed lambda at any other point, and s must not fall below it. Points
     lying on a declared subvariety are compared against its generic value.
     """
-    if e_max < 1:
-        raise PreconditionError(f"e_max must be >= 1, got {e_max}")
     budget = budget or Budget()
     ring = PolyRing(FieldConfig(p), tuple(variables))
+    e_values = tuple(e for e, _ in frobenius_levels(p, e_max))
     gens = [ring.parse(t) for t in ideal_texts]
     if points is None:
         points = enumerate_points(ring, gens, budget)
     if not points:
         raise PreconditionError("no points to scan")
-    frobenius_exponent(p, e_max)  # refuse an oversized e_max up front
-    e_values = tuple(range(1, e_max + 1))
 
     records = []
     for point in points:

@@ -223,6 +223,26 @@ def naive_polynomial_product(a: dict[tuple[int, ...], int],
     return {e: c for e, c in out.items() if c}
 
 
+def linear_substitution(terms: dict[tuple[int, ...], int],
+                        matrix: list[list[int]],
+                        p: int) -> dict[tuple[int, ...], int]:
+    """f(g x) for f = {exponent vector: coeff} over F_p and the n x n
+    matrix g: each x_i becomes sum_j g[i][j] x_j, and every term is
+    expanded by naive_polynomial_product, one linear factor at a time."""
+    n = len(matrix)
+    images = [{tuple(int(k == j) for k in range(n)): c % p
+               for j, c in enumerate(row) if c % p} for row in matrix]
+    out: dict[tuple[int, ...], int] = {}
+    for exps, c in terms.items():
+        term = {(0,) * n: c % p}
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = naive_polynomial_product(term, image, p)
+        for m, v in term.items():
+            out[m] = (out.get(m, 0) + v) % p
+    return {m: v for m, v in out.items() if v}
+
+
 def jacobian_at_origin(terms: dict[tuple[int, ...], int], n: int,
                        p: int) -> list[int]:
     """[dg/dx_i(0) for each i] for g = {exponent vector: coeff} over F_p:

@@ -19,6 +19,7 @@ from kunz.textio import READS
 
 CONE = "p = 5;\nvars = x, y, z;\nideal = x*y - z^2;\n"
 NODE = "p = 3;\nvars = x, y;\nideal = x*y;\n"
+QUADRIC = "p = 3;\nvars = x, y, z, w;\nideal = x*y - z*w;\n"
 CUBIC_XYZ = "p = 7;\nvars = x, y, z;\nideal = x^3 + y^3 + z^3 + x*y*z;\n"
 RANK_5 = ("p = 3;\nvars = a, b, c, d, e;\n"
           "ideal = a^2 + b^2 + c^2 + d^2 + e^2;\n")
@@ -232,6 +233,47 @@ def test_verify_bounds_derives_constants_from_branches(cli, tmp_path):
     assert payload["conditional"] is False
 
 
+# the cusp at the smooth point (1, 1), where the keys are read in the
+# job's own coordinates and moved with the ideal
+CUSP_AT_1_1 = "p = 5;\nvars = x, y;\nideal = y^2 - x^3;\npoint = 1, 1;\n"
+
+
+def test_verify_bounds_moves_inner_and_socle_with_the_point(cli, tmp_path):
+    bounds = "socle = x + y - 1;\nm = 2;\nDelta = 9;\n"
+    job = write(tmp_path, "moved.job",
+                CUSP_AT_1_1 + "inner = x - 1, y - 1;\n" + bounds)
+    result = cli(["verify-bounds", "--input", job, "--emax", "2"])
+    assert result.exit_code == 0
+    payload = parse_output(result)["payload"]
+    assert payload["inner"] == ["x", "y"]
+    assert payload["socle"] == "x + y + 1"
+    assert payload["all_passed"] is True
+    # the origin's maximal ideal does not vanish at the point
+    job = write(tmp_path, "origin.job",
+                CUSP_AT_1_1 + "inner = x, y;\n" + bounds)
+    result = cli(["verify-bounds", "--input", job, "--emax", "2"])
+    assert result.exit_code == 3
+    assert parse_output(result)["error"]["message"] == (
+        "point (1, 1) does not lie on the zero set: x evaluates to 1")
+
+
+@pytest.mark.parametrize("element, moved, exponent", [
+    ("x", "x + 1", 1),  # a unit at (1, 1)
+    ("x - 1", "x", None),  # x times (xy)^(q-1) lies in m^[q] at every q
+])
+def test_fedder_moves_the_element_with_the_point(cli, tmp_path, element,
+                                                 moved, exponent):
+    # (x - 1)(y - 1) at (1, 1) is the node xy
+    job = write(tmp_path, "node.job",
+                "p = 3;\nvars = x, y;\nideal = x*y - x - y + 1;\n"
+                f"point = 1, 1;\nelement = {element};\necap = 2;\n")
+    result = cli(["fedder", "--input", job])
+    assert result.exit_code == 0
+    payload = parse_output(result)["payload"]
+    assert payload["element"] == moved
+    assert payload["purity_exponent"] == exponent
+
+
 EMAX_JOBS = {"hk": CONE, "fsig": CONE, "scan": NODE,
              "verify-bounds": CUSP_BOUNDS}
 
@@ -273,24 +315,60 @@ def test_explicit_zero_ecap_exits_3(cli, tmp_path):
     assert "e_cap" in parse_output(result)["error"]["message"]
 
 
+HUGE = "2147483647"
+
+
 @pytest.mark.parametrize("command, text", [
-    # the complete-intersection walk asks for p^ecap before any level
-    ("fedder", NODE + "element = x + y;\necap = 2147483647;\n"),
-    # scan lists every e <= emax before any q is taken
-    ("scan", NODE + "emax = 2147483647;\n"),
+    ("fedder", NODE + f"element = x + y;\necap = {HUGE};\n"),
+    ("scan", NODE + f"emax = {HUGE};\n"),
+    # Han's count for xy - zw is linear in q, so each level past about
+    # e = 10 takes seconds
+    ("hk", QUADRIC + f"emax = {HUGE};\n"),
+    ("fsig", QUADRIC + f"emax = {HUGE};\n"),
+    ("verify-bounds", CUSP_BOUNDS + f"emax = {HUGE};\n"),
 ])
 def test_a_huge_frobenius_exponent_exits_5_at_once(cli, tmp_path, command,
                                                    text):
-    """e >= 63 is refused before p^e is taken: at 2^31 - 1 the power
-    alone would not end, and scan's list of levels would not fit."""
+    """field.frobenius_levels refuses e >= 63 before any level runs and
+    before p^e is taken: at 2^31 - 1 the power alone would not end."""
     job = write(tmp_path, "huge.job", text)
+    started = time.perf_counter()
     result = cli([command, "--input", job])
+    assert time.perf_counter() - started < 1
     assert result.exit_code == 5
     error = parse_output(result)["error"]
+    p = text.split(";")[0].split()[-1]
     assert error == {
         "exit_code": 5, "type": "CapacityError",
-        "message": "p^e = 3^2147483647 exceeds the 63-bit capacity"}
+        "message": f"p^e = {p}^{HUGE} exceeds the 63-bit capacity"}
     assert result.stderr == f"ERROR kunz: CapacityError: {error['message']}\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("fedder", "vars = x, y;\nideal = x + y;\n"),
+    ("fsig", "vars = x, y;\nideal = x + y;\n"),
+    ("fedder", "vars = x, y, z;\nideal = x*y - z^2;\n"
+               "element = 1;\necap = 1;\n"),
+], ids=["fedder_line", "fsig_line", "fedder_cone_element"])
+def test_fedders_power_ends_at_the_deadline(cli, tmp_path, monkeypatch,
+                                            command, text):
+    """h^(p-1) at p = 100003 has about 10^5 terms or more, and every
+    product building it checks the job's deadline, here 2 s."""
+    budget = kunz.cli._budget
+
+    def short(job):
+        patched = budget(job)
+        patched.deadline_seconds = 2.0
+        return patched
+
+    monkeypatch.setattr(kunz.cli, "_budget", short)
+    job = write(tmp_path, "power.job", "p = 100003;\n" + text)
+    started = time.perf_counter()
+    result = cli([command, "--input", job])
+    assert time.perf_counter() - started < 5
+    assert result.exit_code == 4
+    assert parse_output(result)["error"]["message"] == (
+        "deadline of 2.0s exceeded")
 
 
 @pytest.mark.parametrize("branch, refusal", [
@@ -667,7 +745,6 @@ def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, text):
         child.stderr)
 
 
-QUADRIC = "p = 3;\nvars = x, y, z, w;\nideal = x*y - z*w;\n"
 FERMAT = "p = 7;\nvars = x, y, z;\nideal = x^3 + y^3 + z^3;\n"
 
 # content hashes the Groebner engine computed for these jobs before Han's

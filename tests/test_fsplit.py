@@ -8,7 +8,7 @@ import pytest
 from kunz.engine import Budget, Ideal, maximal_ideal
 from kunz.errors import (BudgetExceededError, CapacityError,
                          PreconditionError)
-from kunz.field import FieldConfig
+from kunz.field import FieldConfig, frobenius_levels
 from kunz.fsplit import (_in_box, fedder_test, fpurity_exponent,
                          fsplit_report, is_complete_intersection,
                          splitting_number, splitting_samples,
@@ -207,7 +207,7 @@ def test_twisted_cubic_levels_are_the_colon_generators():
     the generators inside m^[q] left out. With m^[q] they give the pinned
     colengths 3, 27, 243."""
     pres = present(*DUALITY_RINGS["twisted_cubic"])
-    levels = twist_levels(pres, 3)
+    levels = twist_levels(pres, frobenius_levels(3, 3))
     for e, (level, expected) in enumerate(zip(levels, [3, 27, 243]), start=1):
         q = 3**e
         boxed = [terms for g in twist_colon_ideal(pres, e).generators
@@ -282,7 +282,8 @@ def test_box_powers_are_truncated_powers():
     generators, against the power taken in S and then truncated."""
     pres = present(3, ["x", "y", "z", "w"], ["x*y - z^2", "z*w - x^2"])
     h = pres.ideal.generators[0] * pres.ideal.generators[1]
-    for e, (box,) in enumerate(twist_levels(pres, 3), start=1):
+    for e, (box,) in enumerate(twist_levels(pres, frobenius_levels(3, 3)),
+                                 start=1):
         q = 3**e
         full = h ** (q - 1)
         assert dict(box) == {exps: c for exps, c in full if max(exps) < q}
@@ -308,7 +309,7 @@ def test_an_empty_box_yields_no_generator(cusp5):
     """(y^2 - x^3)^(q-1) has no term below q in both exponents, so the cusp
     is not F-pure at any level: the first level is empty and ends the
     walk."""
-    assert list(twist_levels(cusp5, 2)) == [()]
+    assert list(twist_levels(cusp5, frobenius_levels(5, 2))) == [()]
     assert splitting_number(cusp5, 2).colength == 0
 
 
@@ -502,9 +503,9 @@ def test_fsplit_report_walks_the_twist_levels_once(monkeypatch):
     walks, levels = [], []
     walk = kunz.fsplit.twist_levels
 
-    def counting(presentation, e_top, budget=None):
-        walks.append(e_top)
-        for level in walk(presentation, e_top, budget):
+    def counting(presentation, frobenius, budget=None):
+        walks.append(frobenius[-1][0])
+        for level in walk(presentation, frobenius, budget):
             levels.append(level)
             yield level
 

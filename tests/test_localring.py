@@ -7,7 +7,7 @@ import pytest
 from kunz import diagonal, fsplit, localring
 from kunz.engine import Budget, Ideal, maximal_ideal
 from kunz.errors import BudgetExceededError, PreconditionError
-from kunz.field import FieldConfig
+from kunz.field import FieldConfig, frobenius_levels
 from kunz.fsplit import fsplit_report, splitting_number, twist_levels
 from kunz.localring import (LocalRingPresentation, bracket_colength,
                             closed_form, linear_parts, matrix_rank_mod_p,
@@ -220,7 +220,7 @@ def test_regular_route_matches_the_engine_and_the_twist_route(drawn):
     budget = Budget(max_pairs=ORACLE_PAIRS, deadline_seconds=ORACLE_SECONDS)
     try:
         engine = engine_colength(ring, gens, q, budget)
-        *_, level = twist_levels(pres, e, budget)
+        *_, level = twist_levels(pres, frobenius_levels(ring.p, e), budget)
         twist = q**ring.nvars - engine_colength(ring, level, q, budget)
     except BudgetExceededError:
         reject()
