@@ -8,8 +8,9 @@ arithmetic over F_p and rationals; no floating point enters any result.
 
 Importing the package runs none of its modules. Each name in __all__ is
 looked up in its defining module on first use (PEP 562), so `from kunz
-import Budget` imports kunz.engine, and `import kunz.cli` alone compiles
-neither the Groebner engine nor the polynomial layer.
+import Ideal` imports kunz.engine, `from kunz import Budget` imports only
+kunz.budget and kunz.errors, and `import kunz.cli` alone compiles neither
+the Groebner engine nor the polynomial layer.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _EXPORTS = {
-    "Budget": "engine",
+    "Budget": "budget",
     "Ideal": "engine",
     "groebner": "engine",
     "normal_form": "engine",

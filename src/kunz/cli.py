@@ -49,7 +49,10 @@ def _lazy(name: str) -> ModuleType:
 
 
 # Each command compiles only the modules it runs: `tame` never loads the
-# Groebner engine, and `hk` never loads the series layer.
+# Groebner engine or the job's budget, and `hk` never loads the series
+# layer. The layer modules reach the engine as a module (`from . import
+# engine`), so it runs only once a route needs a Groebner basis.
+budget = _lazy("budget")
 curves = _lazy("curves")
 engine = _lazy("engine")
 fsplit = _lazy("fsplit")
@@ -65,31 +68,40 @@ series = _lazy("series")
 # -- payload builders --------------------------------------------------------
 
 
-def _presentation(job: JobSpec) -> localring.LocalRingPresentation:
+def _presentation(job: JobSpec, limits: budget.Budget
+                  ) -> localring.LocalRingPresentation:
+    """The job's ring at its point, parsed and moved under the job's
+    deadline."""
     if not job.variables:
         raise PreconditionError("the job needs a `vars = ...;` statement")
     return localring.LocalRingPresentation.from_texts(
-        job.p, list(job.variables), list(job.ideal), point=job.point)
+        job.p, list(job.variables), list(job.ideal), point=job.point,
+        check_deadline=limits.check_deadline)
 
 
-def _moved(job: JobSpec, ring, texts, vanishing: bool = False) -> list:
+def _moved(job: JobSpec, ring, texts, limits: budget.Budget,
+           vanishing: bool = False) -> list:
     """The polynomials of texts in the presentation's coordinates: moved by
     x_i -> x_i + a_i for the job's point a, as its ideal is. With
     vanishing, each must vanish at the point (localring.translate_to_origin).
+    Parsed and moved under the job's deadline.
     """
-    polynomials = [ring.parse(text) for text in texts]
+    check = limits.check_deadline
+    polynomials = [ring.parse(text, check) for text in texts]
     if job.point is None:
         return polynomials
     if vanishing:
-        return localring.translate_to_origin(polynomials, job.point)
-    return [f.substitute_shift(job.point) for f in polynomials]
+        return localring.translate_to_origin(polynomials, job.point, check)
+    return [f.substitute_shift(job.point, check) for f in polynomials]
 
 
-def _budget(job: JobSpec) -> engine.Budget:
-    """The job's one budget: default ceilings unless the job caps pairs."""
+def _budget(job: JobSpec) -> budget.Budget:
+    """The job's one budget: default ceilings unless the job caps pairs.
+    Each runner builds it before it parses a polynomial, so the job's
+    deadline covers the parse too."""
     if job.budget_pairs is None:
-        return engine.Budget()
-    return engine.Budget(max_pairs=job.budget_pairs)
+        return budget.Budget()
+    return budget.Budget(max_pairs=job.budget_pairs)
 
 
 def _e_max(job: JobSpec, default: int) -> int:
@@ -98,8 +110,9 @@ def _e_max(job: JobSpec, default: int) -> int:
 
 
 def run_hk(job: JobSpec) -> dict:
-    presentation = _presentation(job)
-    report = hk.hk_sequence(presentation, _e_max(job, 3), _budget(job))
+    limits = _budget(job)
+    presentation = _presentation(job, limits)
+    report = hk.hk_sequence(presentation, _e_max(job, 3), limits)
     return {
         "p": report.p,
         "presentation": report.presentation_id,
@@ -117,9 +130,9 @@ def run_hk(job: JobSpec) -> dict:
 
 
 def run_fsig(job: JobSpec) -> dict:
-    presentation = _presentation(job)
-    report = fsplit.fsplit_report(presentation, _e_max(job, 3),
-                                  _budget(job))
+    limits = _budget(job)
+    presentation = _presentation(job, limits)
+    report = fsplit.fsplit_report(presentation, _e_max(job, 3), limits)
     return {
         "p": report.p,
         "presentation": report.presentation_id,
@@ -135,9 +148,9 @@ def run_fsig(job: JobSpec) -> dict:
 
 
 def run_fedder(job: JobSpec) -> dict:
-    presentation = _presentation(job)
-    budget = _budget(job)
-    verdict = fsplit.fedder_test(presentation, budget)
+    limits = _budget(job)
+    presentation = _presentation(job, limits)
+    verdict = fsplit.fedder_test(presentation, limits)
     payload = {
         "p": presentation.p,
         "is_F_pure": verdict.is_F_pure,
@@ -145,9 +158,9 @@ def run_fedder(job: JobSpec) -> dict:
         "detail": verdict.detail,
     }
     if job.element is not None:
-        (element,) = _moved(job, presentation.ring, [job.element])
+        (element,) = _moved(job, presentation.ring, [job.element], limits)
         cap = 4 if job.e_cap is None else job.e_cap
-        exponent = fsplit.fpurity_exponent(presentation, element, cap, budget)
+        exponent = fsplit.fpurity_exponent(presentation, element, cap, limits)
         payload["element"] = str(element)
         payload["exponent_cap"] = cap
         payload["purity_exponent"] = exponent
@@ -239,15 +252,17 @@ def run_scan(job: JobSpec) -> dict:
 
 
 def run_verify_bounds(job: JobSpec) -> dict:
-    presentation = _presentation(job)
+    limits = _budget(job)
+    presentation = _presentation(job, limits)
     if not job.inner:
         raise PreconditionError(
             "verify-bounds needs an `inner = ...;` statement with the "
             "generators of the inner ideal")
     ring = presentation.ring
-    inner = engine.Ideal(ring, _moved(job, ring, job.inner, vanishing=True))
+    inner = engine.Ideal(ring, _moved(job, ring, job.inner, limits,
+                                      vanishing=True))
     (socle,) = _moved(job, ring, [job.socle if job.socle is not None
-                                  else "1"])
+                                  else "1"], limits)
     if job.branches:
         if job.m_constant is not None or job.delta_constant is not None:
             raise PreconditionError(
@@ -265,7 +280,7 @@ def run_verify_bounds(job: JobSpec) -> dict:
                                       Delta=job.delta_constant)
         conditional = True
     check = hk.verify_pair_bounds(presentation, inner, socle,
-                                  _e_max(job, 3), constants, _budget(job))
+                                  _e_max(job, 3), constants, limits)
     return {
         "p": presentation.p,
         "inner": [str(g) for g in inner.generators],

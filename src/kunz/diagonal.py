@@ -43,7 +43,7 @@ from collections.abc import Callable
 from functools import cache, partial
 from itertools import product
 
-from .engine import Budget
+from .budget import Budget
 from .field import RowSpace
 from .poly import PolyRing, Polynomial
 

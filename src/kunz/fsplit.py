@@ -25,8 +25,15 @@ q^n - colength(m^[q] + (f^(q-1))) is the number of Jordan blocks of size
 q. Han's closed form for D(a, b, c) = dim k[x,y]/(x^a, y^b, (x+y)^c)
 counts them (C. Han, thesis, Brandeis 1991; Han and Monsky, "Some
 surprising Hilbert-Kunz functions", Math. Z. 214, 1993); see the diagonal
-module. fedder_test still takes a basis of the full colon, since its
-witness is a reduced basis element.
+module. fedder_test still takes a reduced basis of (I^[p] : I), since its
+witness is a reduced basis element; for a hypersurface I = (f) that basis
+is read off an identity instead of computed. S is a domain, so c f lies in
+(f^p) exactly when f^(p-1) divides c, and (f^[p] : f) = (f^(p-1)), whose
+reduced basis is the monic f^(p-1) alone (Fedder, "F-purity and rational
+singularity", Trans. AMS 278, 1983, for the colon; the hypersurface case
+of the identity for complete intersections below). Its dimension, n - 1,
+comes from Krull's principal ideal theorem (see the localring module), so
+a hypersurface's purity verdict needs no Groebner basis at all.
 
 A regular origin skips them too: where the r generators of I vanish at the
 origin with independent linear parts, F^e_* R is free of rank q^(n - r) by
@@ -81,8 +88,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial, reduce
 
-from . import kernel
-from .engine import Budget, Ideal
+from . import engine, kernel
+from .budget import Budget
 from .errors import PreconditionError
 from .field import frobenius_levels
 from .hk import describe_presentation, tail_interval
@@ -97,14 +104,14 @@ def is_complete_intersection(presentation: LocalRingPresentation,
     Then the generators form a regular sequence at every maximal ideal
     containing I (see the module docstring), and Fedder's identity holds.
     """
-    ideal = presentation.ideal
-    return (not ideal.is_zero()
+    generators = presentation.generators
+    return (bool(generators)
             and presentation.ring.nvars - presentation.dimension(budget)
-            == len(ideal.generators))
+            == len(generators))
 
 
 def twist_colon_ideal(presentation: LocalRingPresentation, e: int,
-                      budget: Budget | None = None) -> Ideal:
+                      budget: Budget | None = None) -> engine.Ideal:
     """(I^[q] : I) in the ambient ring, q = p^e, cached on the presentation.
 
     e is a level of field.frobenius_levels, so q fits its capacity. For a
@@ -118,8 +125,9 @@ def twist_colon_ideal(presentation: LocalRingPresentation, e: int,
         ideal = presentation.ideal
         bracket = ideal.bracket_power(q)
         if is_complete_intersection(presentation, budget):
-            cached = Ideal(presentation.ring, list(bracket.generators)
-                           + [_fedder_power(presentation, q - 1, budget)])
+            cached = engine.Ideal(
+                presentation.ring, list(bracket.generators)
+                + [_fedder_power(presentation, q - 1, budget)])
         else:
             cached = bracket.colon(ideal, budget)
         presentation.twist_colons[e] = cached
@@ -146,8 +154,7 @@ def _product(f: Polynomial, g: Polynomial, budget: Budget,
              top: int | None = None) -> Polynomial:
     """f * g, checking the budget's deadline once per term of the shorter
     factor; with top, modulo m^[top] (see _in_box)."""
-    product = Polynomial.wrap(f.ring, kernel.multiply(
-        f.terms, g.terms, f.ring.p, budget.check_deadline))
+    product = f.times(g, budget.check_deadline)
     return product if top is None else _in_box(product, top, budget)
 
 
@@ -158,7 +165,7 @@ def _fedder_power(presentation: LocalRingPresentation, n: int,
     2 log2 n of them, each checking the deadline, and with top each modulo
     m^[top], which is exact since m^[top] is a monomial ideal."""
     times = partial(_product, budget=budget, top=top)
-    h = reduce(times, presentation.ideal.generators, presentation.ring.one())
+    h = reduce(times, presentation.generators, presentation.ring.one())
     return h.power(n, times)
 
 
@@ -270,11 +277,20 @@ def fedder_test(presentation: LocalRingPresentation,
     that is, keeps a term in the box of exponents below p; that element is
     returned as the witness. Otherwise the verdict carries an exhaustion
     certificate over the reduced basis.
+
+    A hypersurface I = (f) takes no colon and no basis: S is a domain, so
+    (f^[p] : f) = (f^(p-1)), and its reduced basis is the monic f^(p-1)
+    alone, built by _fedder_power with every product checking the deadline.
+    Two or more generators take the reduced basis of twist_colon_ideal.
     """
     budget = budget or Budget()
     p = presentation.p
-    colon = twist_colon_ideal(presentation, 1, budget)
-    basis = colon.groebner_basis(budget)
+    if len(presentation.generators) == 1:
+        power = _fedder_power(presentation, p - 1, budget)
+        basis = [power.scale(pow(power.terms[0][2], -1, p))]
+    else:
+        colon = twist_colon_ideal(presentation, 1, budget)
+        basis = colon.groebner_basis(budget)
     for g in basis:
         if _in_box(g, p, budget):
             return PurityVerdict(

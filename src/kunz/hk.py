@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .engine import Budget, Ideal
+from . import engine
+from .budget import Budget
 from .errors import BudgetExceededError, PreconditionError
 from .field import frobenius_levels
 from .localring import FrobeniusSample, LocalRingPresentation
@@ -62,7 +63,7 @@ class HKReport(namedtuple(
 
 def describe_presentation(presentation: LocalRingPresentation) -> str:
     ring = presentation.ring
-    gens = ", ".join(str(g) for g in presentation.ideal.generators) or "0"
+    gens = ", ".join(str(g) for g in presentation.generators) or "0"
     return f"F_{ring.p}[{', '.join(ring.variables)}]/({gens})"
 
 
@@ -153,7 +154,7 @@ class BoundCheck(namedtuple("BoundCheck", "constants entries")):
 
 
 def relative_bracket_colength(presentation: LocalRingPresentation,
-                              inner: Ideal, u: Polynomial, q: int,
+                              inner: engine.Ideal, u: Polynomial, q: int,
                               budget: Budget | None = None) -> int:
     """length of (inner + (u))^[q] / inner^[q] in the presented ring.
 
@@ -162,13 +163,14 @@ def relative_bracket_colength(presentation: LocalRingPresentation,
     budget = budget or Budget()
     base = presentation.ideal
     inner_q = base.sum_with(inner.bracket_power(q))
-    outer_q = inner_q.sum_with(Ideal(presentation.ring,
-                                     [u.frobenius_power(q)]))
+    outer_q = inner_q.sum_with(engine.Ideal(presentation.ring,
+                                            [u.frobenius_power(q)]))
     return inner_q.colength(budget) - outer_q.colength(budget)
 
 
-def check_socle_condition(presentation: LocalRingPresentation, inner: Ideal,
-                          u: Polynomial, budget: Budget | None = None) -> None:
+def check_socle_condition(presentation: LocalRingPresentation,
+                          inner: engine.Ideal, u: Polynomial,
+                          budget: Budget | None = None) -> None:
     """Require (J : u) = m in the presented ring, for J = I + inner.
 
     Decided by membership in one basis of J, with no colon built: the colon
@@ -184,8 +186,9 @@ def check_socle_condition(presentation: LocalRingPresentation, inner: Ideal,
             "the colon of the inner ideal by u is not the maximal ideal")
 
 
-def verify_pair_bounds(presentation: LocalRingPresentation, inner: Ideal,
-                       u: Polynomial, e_max: int, constants: BoundConstants,
+def verify_pair_bounds(presentation: LocalRingPresentation,
+                       inner: engine.Ideal, u: Polynomial, e_max: int,
+                       constants: BoundConstants,
                        budget: Budget | None = None) -> BoundCheck:
     """All pairs 1 <= e <= e' <= e_max of |l_e - l_e'| <= m * Delta / q,
     q = p^e.

@@ -36,18 +36,29 @@ generator set, the twist levels of fsplit and the hypersurface bound check
 in tests/lemmas.py: it asks closed_form, and every set that no recognizer
 takes goes to the engine on J + m^[q], which stays the tests' oracle for
 both theorems.
+
+Two more identities keep a hypersurface S/(f) off the engine. Its
+dimension is n - 1 by Krull's principal ideal theorem (Krull, 1928; see
+Matsumura, Commutative Ring Theory, Theorem 13.5): f is a nonzero non-unit
+of the domain S. And, S being a domain, (f^[p] : f) = (f^(p-1)), the twist
+colon of Fedder's criterion (Fedder, "F-purity and rational singularity",
+Trans. AMS 278, 1983), which fsplit.fedder_test reads as it is. A
+LocalRingPresentation keeps the tuple of its generators and builds the
+engine's Ideal of them only when a route needs a Groebner basis, so a ring
+that the theorems take never runs the engine. Ideal.dimension and the
+general colon stay the tests' oracles for both identities.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import partial
 
-from . import kernel
+from . import engine, kernel
+from .budget import Budget
 from .diagonal import diagonal_degrees, jordan_counts
-from .engine import Budget, Ideal, maximal_ideal
 from .errors import PreconditionError
 from .field import FieldConfig, RowSpace, frobenius_exponent
 from .poly import PolyRing, Polynomial
@@ -93,22 +104,24 @@ def bracket_colength(ring: PolyRing, generators: tuple[Polynomial, ...],
     """length(S/((generators) + m^[q])): by the counter closed_form returns
     where a theorem gives it, else the engine on the generators followed by
     m^[q]. Only the engine charges pairs to the budget."""
-    return _colength(closed_form(ring, generators),
-                     Ideal(ring, list(generators)), q, budget or Budget())
-
-
-def _colength(counter: ClosedForm | None, ideal: Ideal, q: int,
-              budget: Budget) -> int:
-    """length(S/(ideal + m^[q])) by the counter, closed_form's answer for
-    the generators of ideal, else by the engine."""
+    budget = budget or Budget()
+    counter = closed_form(ring, generators)
     if counter is not None:
         return counter(q, budget)[0]
-    m_bracket = maximal_ideal(ideal.ring).bracket_power(q)
+    return _engine_colength(engine.Ideal(ring, list(generators)), q, budget)
+
+
+def _engine_colength(ideal: engine.Ideal, q: int, budget: Budget) -> int:
+    """length(S/(ideal + m^[q])) from the engine's basis."""
+    m_bracket = engine.maximal_ideal(ideal.ring).bracket_power(q)
     return ideal.sum_with(m_bracket).colength(budget)
 
 
-def translate_to_origin(generators: list[Polynomial], point: Point) -> list[Polynomial]:
-    """Substitute x_i -> x_i + a_i after checking the point lies on V(I)."""
+def translate_to_origin(generators: list[Polynomial], point: Point,
+                        check_deadline: Callable[[], None] | None = None
+                        ) -> list[Polynomial]:
+    """Substitute x_i -> x_i + a_i after checking the point lies on V(I);
+    every product of the expansion calls check_deadline, when given."""
     if not generators:
         return []
     ring = generators[0].ring
@@ -123,7 +136,7 @@ def translate_to_origin(generators: list[Polynomial], point: Point) -> list[Poly
                 f"{g} evaluates to {value}")
     if all(a % ring.p == 0 for a in point):
         return list(generators)
-    return [g.substitute_shift(point) for g in generators]
+    return [g.substitute_shift(point, check_deadline) for g in generators]
 
 
 class FrobeniusSample(namedtuple("FrobeniusSample",
@@ -135,45 +148,78 @@ class FrobeniusSample(namedtuple("FrobeniusSample",
 
 
 class LocalRingPresentation:
-    """A = (S/I) localized at the origin, with cached invariants."""
+    """A = (S/I) localized at the origin, with cached invariants.
 
-    __slots__ = ("ring", "ideal", "counter", "twist_colons", "_dimension")
+    generators is the tuple of the nonzero generators of I given, each
+    vanishing at the origin. The engine's Ideal of them is built on the
+    first use of ideal, by a route that needs a Groebner basis: closed_form,
+    linear_parts and the dimension of a hypersurface read the generators,
+    so a ring that a theorem takes never runs the engine. A caller that
+    already holds that Ideal, its basis perhaps computed, passes it as
+    ideal, so no basis is computed twice.
+    """
 
-    def __init__(self, ring: PolyRing, ideal: Ideal) -> None:
-        if ideal.ring != ring:
-            raise PreconditionError("ideal from a different ring")
-        for g in ideal.generators:
+    __slots__ = ("ring", "generators", "counter", "twist_colons", "_ideal",
+                 "_dimension")
+
+    def __init__(self, ring: PolyRing, generators: Iterable[Polynomial],
+                 ideal: engine.Ideal | None = None) -> None:
+        self.generators = tuple(g for g in generators if not g.is_zero())
+        for g in self.generators:
+            if g.ring != ring:
+                raise PreconditionError("generator from a different ring")
             if g.constant_coefficient() != 0:
                 raise PreconditionError(
                     f"generator {g} does not vanish at the origin")
+        if ideal is not None and (ideal.ring != ring
+                                  or ideal.generators != self.generators):
+            raise PreconditionError("the ideal given has other generators")
         self.ring = ring
-        self.ideal = ideal
+        self._ideal = ideal
         # closed_form's answer, asked once: sample and
         # fsplit.splitting_samples read it at every level
-        self.counter = closed_form(ring, ideal.generators)
-        # e -> (I^[p^e] : I), filled by fsplit.twist_colon_ideal; level 1
-        # serves both fsplit.fedder_test and the walk of twist_levels
-        self.twist_colons: dict[int, Ideal] = {}
+        self.counter = closed_form(ring, self.generators)
+        # e -> (I^[p^e] : I), filled by fsplit.twist_colon_ideal for rings
+        # of two or more generators, which fsplit.fedder_test and the walk
+        # of twist_levels share
+        self.twist_colons: dict[int, engine.Ideal] = {}
         self._dimension: int | None = None
 
     @classmethod
     def from_texts(cls, p: int, variables: tuple[str, ...],
-                   generator_texts: list[str],
-                   point: Point | None = None) -> LocalRingPresentation:
+                   generator_texts: list[str], point: Point | None = None,
+                   check_deadline: Callable[[], None] | None = None
+                   ) -> LocalRingPresentation:
+        """The presentation of the parsed generators, moved so that point
+        becomes the origin. Every product of the parse and of the move
+        calls check_deadline, when given."""
         ring = PolyRing(FieldConfig(p), tuple(variables))
-        gens = [ring.parse(t) for t in generator_texts]
+        gens = [ring.parse(t, check_deadline) for t in generator_texts]
         if point is not None:
-            gens = translate_to_origin(gens, point)
-        return cls(ring, Ideal(ring, gens))
+            gens = translate_to_origin(gens, point, check_deadline)
+        return cls(ring, gens)
 
     @property
     def p(self) -> int:
         return self.ring.p
 
+    @property
+    def ideal(self) -> engine.Ideal:
+        """The engine's Ideal of the generators, built on first use."""
+        if self._ideal is None:
+            self._ideal = engine.Ideal(self.ring, list(self.generators))
+        return self._ideal
+
     def dimension(self, budget: Budget | None = None) -> int:
+        """dim(S/I): n for I = 0, and n - 1 for a hypersurface, by Krull's
+        principal ideal theorem. Its generator f vanishes at the origin, so
+        it is a nonzero non-unit of the domain S, every minimal prime P over
+        (f) has height 1, and dim(S/P) = n - 1 in the polynomial ring S.
+        Two or more generators take the engine's basis (Ideal.dimension).
+        """
         if self._dimension is None:
-            if self.ideal.is_zero():
-                self._dimension = self.ring.nvars
+            if len(self.generators) <= 1:
+                self._dimension = self.ring.nvars - len(self.generators)
             else:
                 self._dimension = self.ideal.dimension(budget)
         return self._dimension
@@ -185,7 +231,10 @@ class LocalRingPresentation:
     def sample(self, e: int, budget: Budget | None = None) -> FrobeniusSample:
         budget = budget or Budget()
         q = frobenius_exponent(self.p, e)
-        colength = _colength(self.counter, self.ideal, q, budget)
+        if self.counter is None:
+            colength = _engine_colength(self.ideal, q, budget)
+        else:
+            colength = self.counter(q, budget)[0]
         d = self.dimension(budget)
         return FrobeniusSample(e, q, colength, Fraction(colength, q**d))
 
@@ -203,7 +252,7 @@ class LocalRingPresentation:
         d = self.dimension(budget)
         codim = self.ring.nvars - d
         rank = matrix_rank_mod_p(
-            linear_parts(self.ring, self.ideal.generators), self.p)
+            linear_parts(self.ring, self.generators), self.p)
         return SmoothnessReport(dimension=d, codimension=codim,
                                 jacobian_rank=rank, smooth=(rank == codim))
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from functools import partial
 from typing import Callable, Iterator
 
 from . import kernel
@@ -115,8 +116,10 @@ class PolyRing(_PolyRing):
     def gens(self) -> list[Polynomial]:
         return [self.monomial({i: 1}) for i in range(self.nvars)]
 
-    def parse(self, text: str) -> Polynomial:
-        return parse_polynomial(text, self)
+    def parse(self, text: str,
+              check_deadline: Callable[[], None] | None = None
+              ) -> Polynomial:
+        return parse_polynomial(text, self, check_deadline)
 
 
 class Polynomial:
@@ -217,11 +220,18 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: Polynomial) -> Polynomial:
+        return self.times(other)
+
+    def times(self, other: Polynomial,
+              check_deadline: Callable[[], None] | None = None
+              ) -> Polynomial:
         """The product; raises CapacityError past total degree 2^40 (see
-        kernel.multiply)."""
+        kernel.multiply). check_deadline, when given, is called once per
+        term of the shorter factor, and raises to end a product that has
+        run out of time."""
         self._check_ring(other)
         return Polynomial.wrap(self.ring, kernel.multiply(
-            self.terms, other.terms, self.ring.p))
+            self.terms, other.terms, self.ring.p, check_deadline))
 
     def scale(self, c: int) -> Polynomial:
         p = self.ring.p
@@ -279,9 +289,13 @@ class Polynomial:
             total = (total + v) % p
         return total
 
-    def substitute_shift(self, point: tuple[int, ...]) -> Polynomial:
-        """Substitute x_i -> x_i + a_i, expanding exactly."""
+    def substitute_shift(self, point: tuple[int, ...],
+                         check_deadline: Callable[[], None] | None = None
+                         ) -> Polynomial:
+        """Substitute x_i -> x_i + a_i, expanding exactly; every product
+        is taken by times, with check_deadline."""
         ring = self.ring
+        times = partial(Polynomial.times, check_deadline=check_deadline)
         out = ring.zero()
         shifted_vars = []
         for i, a in enumerate(point):
@@ -293,7 +307,7 @@ class Polynomial:
             term = ring.constant(c)
             for i, e in enumerate(exps):
                 if e:
-                    term = term * shifted_vars[i] ** e
+                    term = times(term, shifted_vars[i].power(e, times))
             out = out + term
         return out
 
@@ -344,9 +358,12 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
 
 
 class _Parser:
-    def __init__(self, text: str, ring: PolyRing) -> None:
+    def __init__(self, text: str, ring: PolyRing,
+                 check_deadline: Callable[[], None] | None) -> None:
         self.text = text
         self.ring = ring
+        # every product, those of a power's repeated squaring included
+        self.times = partial(Polynomial.times, check_deadline=check_deadline)
         self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._tokenize()
@@ -411,7 +428,7 @@ class _Parser:
             if tok is None or tok[0] != "op" or tok[1] != "*":
                 return poly
             self.index += 1
-            poly = poly * self._factor()
+            poly = self.times(poly, self._factor())
 
     def _factor(self) -> Polynomial:
         negate = False
@@ -436,7 +453,7 @@ class _Parser:
             e = int(etok[1])
             if e > kernel.MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the 2^40 capacity", etok[2])
-            return base**e
+            return base.power(e, self.times)
         return base
 
     def _atom(self) -> Polynomial:
@@ -455,6 +472,13 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", at)
 
 
-def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
-    """Parse an expression into a canonical Polynomial. See module grammar."""
-    return _Parser(text, ring).parse()
+def parse_polynomial(text: str, ring: PolyRing,
+                     check_deadline: Callable[[], None] | None = None
+                     ) -> Polynomial:
+    """Parse an expression into a canonical Polynomial. See module grammar.
+
+    check_deadline, when given, is called once per term of the shorter
+    factor of every product, so a job's deadline ends the expansion of a
+    power such as (x + y)^100000.
+    """
+    return _Parser(text, ring, check_deadline).parse()

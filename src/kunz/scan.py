@@ -27,7 +27,8 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
-from .engine import DEADLINE_STRIDE, Budget, Ideal
+from . import engine
+from .budget import DEADLINE_STRIDE, Budget
 from .errors import PreconditionError
 from .field import FieldConfig, frobenius_levels
 from .fsplit import splitting_samples
@@ -106,17 +107,19 @@ def enumerate_points(ring: PolyRing, generators: list[Polynomial],
 def _generic_context(ring: PolyRing, ideal_generators: list[Polynomial],
                      subvariety_generators: list[Polynomial],
                      witness: Point, parameters: list[Polynomial],
-                     budget: Budget | None
-                     ) -> tuple[LocalRingPresentation, int]:
+                     budget: Budget) -> tuple[LocalRingPresentation, int]:
     """Validate a witness: the ring translated to it, and the height of
-    the subvariety."""
-    sub_ideal = Ideal(ring, translate_to_origin(subvariety_generators,
-                                                witness))
-    base_ideal = Ideal(ring, translate_to_origin(ideal_generators, witness))
-    if not sub_ideal.contains_ideal(base_ideal, budget):
+    the subvariety. The subvariety's presentation is given the Ideal whose
+    basis the containment test computed, so its dimension reuses it."""
+    check = budget.check_deadline
+    sub_ideal = engine.Ideal(ring, translate_to_origin(subvariety_generators,
+                                                       witness, check))
+    presentation = LocalRingPresentation(
+        ring, translate_to_origin(ideal_generators, witness, check))
+    if not sub_ideal.contains_ideal(presentation.ideal, budget):
         raise PreconditionError(
             "the subvariety ideal does not contain the presentation ideal")
-    quotient = LocalRingPresentation(ring, sub_ideal)
+    quotient = LocalRingPresentation(ring, sub_ideal.generators, sub_ideal)
     h = len(parameters)
     if quotient.dimension(budget) != h:
         raise PreconditionError(
@@ -128,12 +131,12 @@ def _generic_context(ring: PolyRing, ideal_generators: list[Polynomial],
     # One declared lift serves every witness: the regular parameter at the
     # witness is t - t(witness).
     lifts = [t - ring.constant(t.evaluate(witness)) for t in parameters]
-    cut = sub_ideal.sum_with(Ideal(ring, translate_to_origin(lifts, witness)))
+    cut = sub_ideal.sum_with(
+        engine.Ideal(ring, translate_to_origin(lifts, witness, check)))
     if not all(cut.contains(x, budget) for x in ring.gens()):
         raise PreconditionError(
             "witness rejected: the parameters do not cut the subvariety "
             f"to its point at {witness}")
-    presentation = LocalRingPresentation(ring, base_ideal)
     return presentation, presentation.dimension(budget) - h
 
 
@@ -165,7 +168,8 @@ def scan_points(p: int, variables: tuple[str, ...],
     budget = budget or Budget()
     ring = PolyRing(FieldConfig(p), tuple(variables))
     e_values = tuple(e for e, _ in frobenius_levels(p, e_max))
-    gens = [ring.parse(t) for t in ideal_texts]
+    check = budget.check_deadline
+    gens = [ring.parse(t, check) for t in ideal_texts]
     if points is None:
         points = enumerate_points(ring, gens, budget)
     if not points:
@@ -174,7 +178,7 @@ def scan_points(p: int, variables: tuple[str, ...],
     records = []
     for point in points:
         pres = LocalRingPresentation(
-            ring, Ideal(ring, translate_to_origin(gens, tuple(point))))
+            ring, translate_to_origin(gens, tuple(point), check))
         lam = tuple(pres.lambda_value(e, budget) for e in e_values)
         s = tuple(sample.s
                   for sample in splitting_samples(pres, e_max, budget))
@@ -182,10 +186,11 @@ def scan_points(p: int, variables: tuple[str, ...],
         records.append(PointRecord(tuple(point), pres.dimension(budget),
                                    smooth, lam, s))
 
-    sub_gens = [[ring.parse(t) for t in sub.ideal] for sub in subvarieties]
+    sub_gens = [[ring.parse(t, check) for t in sub.ideal]
+                for sub in subvarieties]
     sub_records = []
     for sub, generators in zip(subvarieties, sub_gens):
-        params = [ring.parse(t) for t in sub.params]
+        params = [ring.parse(t, check) for t in sub.params]
         witness_values = []
         # every witness gives the same height: dim(S/I) - h
         for witness in sub.witnesses:

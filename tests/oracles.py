@@ -656,12 +656,17 @@ def factorized_generic_value(ideal_generators, subvariety_generators,
                                               ring.nvars))
 
 
-def socle_by_colon(generators, u, ring):
-    """Whether (J : u) is the maximal ideal m at the origin, for J
-    generated by generators, by the colon hk.check_socle_condition built
-    before it decided by membership: (J intersect (u)) / u, from
-    elimination_intersection and divide_exact above, whose reduced grevlex
-    basis must be the variables. ring must not name a variable t."""
+def krull_dimension(generators, ring):
+    """dim S/(generators), for generators that are not all zero, from the
+    leading terms of buchberger's basis above."""
+    return dimension(_leads(generators, ring.p), ring.nvars)
+
+
+def _colon_by(generators, u, ring):
+    """Reduced grevlex basis of (J : u), for J generated by generators, as
+    tuple term lists: (J intersect (u)) / u, from elimination_intersection
+    and divide_exact above, reduced by buchberger. ring must not name a
+    variable t."""
     from kunz.poly import Polynomial
 
     meet, _, _ = elimination_intersection(generators, [u], ring)
@@ -671,6 +676,37 @@ def socle_by_colon(generators, u, ring):
             tuple_terms(f, grevlex_key), divisor, ring.p)})
         for f in meet]
     basis, _, _ = buchberger(quotients, grevlex_key, ring.p)
+    return basis
+
+
+def hypersurface_purity(f):
+    """(is_F_pure, witness, detail) of Fedder's test on S/(f), by the
+    route fsplit.fedder_test took before it read the basis of (f^[p] : f)
+    off the identity (f^[p] : f) = (f^(p-1)): the reduced grevlex basis of
+    the colon, from _colon_by above, and its first element that keeps a
+    term with every exponent below p. f is nonzero and vanishes at the
+    origin; its ring must not name a variable t."""
+    from kunz.poly import Polynomial
+
+    ring = f.ring
+    p = ring.p
+    bracket = Polynomial(ring, {tuple(p * k for k in e): c for e, c in f})
+    basis = [Polynomial(ring, {e: c for _, e, c in g})
+             for g in _colon_by([bracket], f, ring)]
+    for g in basis:
+        if any(max(e) < p for e, _ in g):
+            return True, g, f"{g} lies in (I^[{p}] : I) but not in m^[{p}]"
+    return False, None, (f"all {len(basis)} reduced basis elements of "
+                         f"(I^[{p}] : I) lie in m^[{p}]")
+
+
+def socle_by_colon(generators, u, ring):
+    """Whether (J : u) is the maximal ideal m at the origin, for J
+    generated by generators, by the colon hk.check_socle_condition built
+    before it decided by membership: the reduced basis of (J : u) from
+    _colon_by above must be the variables. ring must not name a variable
+    t."""
+    basis = _colon_by(generators, u, ring)
     n = ring.nvars
     variables = sorted(tuple(int(i == k) for i in range(n)) for k in range(n))
     return (all(len(g) == 1 for g in basis)

@@ -130,7 +130,7 @@ def length_identity_draws():
         y = ring.parse("y")
         inner = Ideal(ring, [x**a, y**b])
         u = x ** (a - 1) * y ** (b - 1)
-        yield trial, LocalRingPresentation(ring, Ideal(ring, [])), inner, u
+        yield trial, LocalRingPresentation(ring, []), inner, u
 
 
 def test_criterion_06_length_identity_instances():

@@ -344,6 +344,51 @@ def test_a_huge_frobenius_exponent_exits_5_at_once(cli, tmp_path, command,
     assert result.stderr == f"ERROR kunz: CapacityError: {error['message']}\n"
 
 
+def short_deadline(monkeypatch, seconds):
+    """Cut the deadline of every job's budget to seconds."""
+    budget = kunz.cli._budget
+
+    def short(job):
+        patched = budget(job)
+        patched.deadline_seconds = seconds
+        return patched
+
+    monkeypatch.setattr(kunz.cli, "_budget", short)
+
+
+LINE_POWER = "(x + y)^100000"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("hk", f"ideal = {LINE_POWER};\n"),
+    ("fsig", f"ideal = {LINE_POWER};\n"),
+    ("fedder", f"ideal = {LINE_POWER};\n"),
+    ("scan", f"ideal = {LINE_POWER};\npoints = (0,0);\n"),
+    ("verify-bounds", f"ideal = {LINE_POWER};\ninner = x, y;\nm = 1;\n"
+                      "Delta = 1;\n"),
+    ("fedder", f"ideal = x*y;\nelement = {LINE_POWER};\n"),
+    ("hk", "ideal = (x*y)^100000;\npoint = 1, 0;\n"),
+], ids=["hk", "fsig", "fedder", "scan", "verify_bounds", "fedder_element",
+        "hk_moved_to_a_point"])
+def test_a_power_is_expanded_under_the_deadline(cli, tmp_path, monkeypatch,
+                                                command, text):
+    """(x + y)^100000 has 100001 terms at p = 100003, as has (x + 1)^100000,
+    which moving (x*y)^100000 to the point (1, 0) expands. The job's budget
+    exists before its first polynomial is parsed, and every product of a
+    power's repeated squaring checks its deadline, here 0.5 s."""
+    short_deadline(monkeypatch, 0.5)
+    job = write(tmp_path, "power.job",
+                "p = 100003;\nvars = x, y;\n" + text)
+    started = time.perf_counter()
+    result = cli([command, "--input", job])
+    assert time.perf_counter() - started < 2
+    assert result.exit_code == 4
+    error = parse_output(result)["error"]
+    assert error["message"] == "deadline of 0.5s exceeded"
+    assert result.stderr == ("ERROR kunz: BudgetExceededError: "
+                             f"{error['message']}\n")
+
+
 @pytest.mark.parametrize("command, text", [
     ("fedder", "vars = x, y;\nideal = x + y;\n"),
     ("fsig", "vars = x, y;\nideal = x + y;\n"),
@@ -354,14 +399,7 @@ def test_fedders_power_ends_at_the_deadline(cli, tmp_path, monkeypatch,
                                             command, text):
     """h^(p-1) at p = 100003 has about 10^5 terms or more, and every
     product building it checks the job's deadline, here 2 s."""
-    budget = kunz.cli._budget
-
-    def short(job):
-        patched = budget(job)
-        patched.deadline_seconds = 2.0
-        return patched
-
-    monkeypatch.setattr(kunz.cli, "_budget", short)
+    short_deadline(monkeypatch, 2.0)
     job = write(tmp_path, "power.job", "p = 100003;\n" + text)
     started = time.perf_counter()
     result = cli([command, "--input", job])
@@ -574,8 +612,8 @@ def test_fedder_builds_no_twist_level_past_an_empty_one(cli, tmp_path,
     presentations = []
     build = kunz.cli._presentation
 
-    def keep(job):
-        presentations.append(build(job))
+    def keep(*args):
+        presentations.append(build(*args))
         return presentations[-1]
 
     monkeypatch.setattr(kunz.cli, "_presentation", keep)

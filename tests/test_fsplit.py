@@ -15,7 +15,8 @@ from kunz.fsplit import (_in_box, fedder_test, fpurity_exponent,
                          twist_colon_ideal, twist_levels)
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing, Polynomial
-from oracles import box_colength, node_splitting
+from oracles import box_colength, hypersurface_purity, node_splitting
+from test_localring import hypersurfaces
 
 
 def present(p, variables, gens, point=None):
@@ -74,7 +75,7 @@ def principal_ideal(draw):
     f = ring.zero()
     for exps, coeff in terms.items():
         f = f + ring.monomial(exps, coeff)
-    return LocalRingPresentation(ring, Ideal(ring, [f]))
+    return LocalRingPresentation(ring, [f])
 
 
 @given(principal_ideal(), st.sampled_from([1, 2]))
@@ -133,7 +134,7 @@ def complete_intersection_level(draw):
         terms = draw(st.dictionaries(exponents, st.integers(1, p - 1),
                                      min_size=1, max_size=3))
         gens.append(Polynomial(ring, terms))
-    pres = LocalRingPresentation(ring, Ideal(ring, gens))
+    pres = LocalRingPresentation(ring, gens)
     assume(is_complete_intersection(pres))
     e = draw(st.sampled_from([1] if p == 5 else [1, 2]))
     return pres, e
@@ -180,7 +181,7 @@ def general_route_ideal(draw):
     gens = [Polynomial(ring, draw(st.dictionaries(
                 exponents, st.integers(1, p - 1), min_size=1, max_size=3)))
             for _ in range(draw(st.sampled_from([2, 3])))]
-    pres = LocalRingPresentation(ring, Ideal(ring, gens))
+    pres = LocalRingPresentation(ring, gens)
     assume(not is_complete_intersection(pres))
     return pres
 
@@ -266,6 +267,25 @@ def test_complete_intersections_take_no_colon(monkeypatch):
     fsplit_report(node, 2)
     assert fpurity_exponent(node, node.ring.one()) == 1
     assert calls == []
+
+
+@given(hypersurfaces())
+@settings(max_examples=40)
+def test_hypersurface_verdicts_match_the_colon_route(f):
+    """(f^[p] : f) = (f^(p-1)), read with no colon and no basis, gives the
+    verdict, witness and detail of the colon's reduced basis."""
+    pres = LocalRingPresentation(f.ring, [f])
+    assert fedder_test(pres) == hypersurface_purity(f)
+    assert pres._ideal is None
+
+
+def test_a_hypersurface_verdict_takes_no_colon(monkeypatch):
+    calls = count_colons(monkeypatch)
+    cusp = present(5, ["x", "y"], ["y^2 - x^3"])
+    assert fedder_test(cusp) == (
+        False, None, "all 1 reduced basis elements of (I^[5] : I) lie in "
+                     "m^[5]")
+    assert calls == [] and cusp.twist_colons == {}
 
 
 def test_box_power_polls_the_deadline():

@@ -142,7 +142,7 @@ def socle_draws():
         if u.is_zero():
             u = monomial()
         inner = Ideal(ring, [ring.parse(f"x^{a}"), ring.parse(f"y^{b}"), g])
-        yield LocalRingPresentation(ring, Ideal(ring, [])), inner, u
+        yield LocalRingPresentation(ring, []), inner, u
 
 
 def test_socle_condition_matches_the_colon_route():
@@ -206,7 +206,7 @@ def test_pair_bounds_compute_each_level_once(cusp5, monkeypatch):
                                       (["x^2", "y^3"], "x*y^2")])
 def test_socle_condition_charges_the_given_budget(monkeypatch, inner, u):
     ring = PolyRing(FieldConfig(3), ("x", "y"))
-    pres = LocalRingPresentation(ring, Ideal(ring, []))
+    pres = LocalRingPresentation(ring, [])
     budgets = []
 
     def recording(name):
@@ -230,7 +230,7 @@ def test_socle_condition_charges_the_given_budget(monkeypatch, inner, u):
 def test_relative_colength_against_the_staircase():
     # I = (x^2, y^3), u = x y^2: both bracket colengths are staircase counts
     ring = PolyRing(FieldConfig(3), ("x", "y"))
-    pres = LocalRingPresentation(ring, Ideal(ring, []))
+    pres = LocalRingPresentation(ring, [])
     inner = Ideal(ring, [ring.parse("x^2"), ring.parse("y^3")])
     u = ring.parse("x*y^2")
     for q in (3, 9):
@@ -244,7 +244,7 @@ def test_relative_colength_against_the_staircase():
 @settings(max_examples=20)
 def test_basic_length_identity_for_monomial_data(p, a, b):
     ring = PolyRing(FieldConfig(p), ("x", "y"))
-    pres = LocalRingPresentation(ring, Ideal(ring, []))
+    pres = LocalRingPresentation(ring, [])
     inner = Ideal(ring, [ring.parse(f"x^{a}"), ring.parse(f"y^{b}")])
     u = ring.monomial({0: a - 1, 1: b - 1}) if a + b > 2 else ring.one()
     check = verify_basic_lengths(pres, inner, u, p)

@@ -3,13 +3,12 @@
 The job texts are the README's job files (node, cusp, scan, bounds) after
 one to three statement-level edits: a statement dropped or repeated, an
 unknown key, a large prime or a non-prime as p, an extreme emax or ecap,
-an empty or mis-sized vars, point or points. Each runs through
-kunz.cli.main in process, with the job's deadline cut to 0.5 s and a 3 s
-alarm around the whole draw, so a loop that polls no deadline fails the
-draw instead of hanging the suite.
-
-Edits to the exponents of an ideal are left out of the pool: the parser
-expands a power such as (x + y)^100000 before the job's budget exists.
+an empty or mis-sized vars, point or points, or every generator of the
+ideal raised to a power. Each runs through kunz.cli.main in process, with
+the job's deadline cut to 0.5 s and a 3 s alarm around the whole draw, so
+a loop that polls no deadline fails the draw instead of hanging the suite.
+The job's budget exists before its first polynomial is parsed, so the
+deadline ends the expansion of a power such as (x + y)^100000 too.
 """
 
 import contextlib
@@ -38,6 +37,9 @@ BASE_JOBS = {name: re.findall(r"^(\S+) = (.*);$", text, re.M)
 PRIMES = ["2", "3", "100003", str(HUGE)]
 NON_PRIMES = ["0", "1", "4", "9", "-5", str(2**31), "3215031751"]
 EXPONENTS = ["0", "62", "63", str(HUGE)]
+# the powers a power edit raises generators to: past 2^40 the parser
+# refuses the exponent
+POWERS = ["2", "7", "100000", str(2**40), str(2**40 + 1)]
 # statement key -> the values a set edit draws from
 VALUES = {
     "p": PRIMES + NON_PRIMES,
@@ -95,9 +97,22 @@ def _set(statements, command, draw):
     return command
 
 
+def _power(statements, command, draw):
+    """Raise every generator of the ideal to one drawn power."""
+    keys = [k for k, _ in statements]
+    if "ideal" in keys:
+        i = keys.index("ideal")
+        power = draw(st.sampled_from(POWERS))
+        statements[i] = ("ideal", ", ".join(
+            f"({g})^{power}" for g in statements[i][1].split(", ")))
+    return command
+
+
 # repeats, unknown keys and other commands end almost every draw at the
-# parser, so set edits, which reach the computation, are drawn more often
-EDITS = [_drop, _repeat, _unknown_key, _other_command] + [_set] * 6
+# parser, so set and power edits, which reach the computation, are drawn
+# more often
+EDITS = [_drop, _repeat, _unknown_key, _other_command] + [_set] * 6 + [
+    _power] * 2
 
 
 @st.composite
@@ -170,6 +185,8 @@ LINE_P100003 = "p = 100003;\nvars = x, y;\nideal = x + y;\n"
 @example(("fsig", LINE_P100003))
 @example(("fedder", "p = 100003;\nvars = x, y, z;\nideal = x*y - z^2;\n"
                     "element = 1;\necap = 1;\n"))
+# a power is expanded under the job's deadline
+@example(("hk", "p = 100003;\nvars = x, y;\nideal = (x + y)^100000;\n"))
 def test_every_job_ends_in_one_document(tmp_path_factory, job):
     command, text = job
     path = tmp_path_factory.getbasetemp() / "fuzz.job"

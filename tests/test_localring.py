@@ -15,7 +15,7 @@ from kunz.localring import (LocalRingPresentation, bracket_colength,
 from kunz.poly import PolyRing, Polynomial
 from kunz.scan import scan_points
 from kunz.textio import SubvarietySpec
-from oracles import jacobian_at_origin
+from oracles import jacobian_at_origin, krull_dimension
 
 
 def test_from_texts_accepts_points_on_the_zero_set():
@@ -104,6 +104,42 @@ def vanishing_generators(draw):
         terms.pop((0,) * n, None)
         gens.append(Polynomial(ring, terms))
     return ring, tuple(gens)
+
+
+@st.composite
+def hypersurfaces(draw):
+    """A nonzero f with no constant term, in 1 to 3 variables over F_2, F_3
+    or F_5, with one to three terms of degree 1 to 3."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    ring = PolyRing(FieldConfig(p), tuple("xyz"[:n]))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(
+        lambda exps: 1 <= sum(exps) <= 3)
+    return Polynomial(ring, draw(st.dictionaries(
+        exponents, st.integers(1, p - 1), min_size=1, max_size=3)))
+
+
+@given(hypersurfaces())
+def test_a_hypersurface_has_dimension_n_minus_1(f):
+    """Krull's principal ideal theorem, which LocalRingPresentation reads
+    with no basis, against the engine's basis and the tuple kernel's."""
+    ring = f.ring
+    assert (LocalRingPresentation(ring, [f]).dimension()
+            == Ideal(ring, [f]).dimension()
+            == krull_dimension([f], ring)
+            == ring.nvars - 1)
+
+
+def test_a_presentation_builds_its_ideal_on_first_use():
+    ring = PolyRing(FieldConfig(3), ("x", "y"))
+    pres = LocalRingPresentation(ring, [ring.parse("x*y")])
+    assert pres.dimension() == 1 and pres.sample(1).colength == 5
+    assert pres._ideal is None
+    assert pres.ideal.generators == pres.generators
+    given = Ideal(ring, [ring.parse("x*y"), ring.parse("x^2")])
+    assert LocalRingPresentation(ring, given.generators, given).ideal is given
+    with pytest.raises(PreconditionError, match="other generators"):
+        LocalRingPresentation(ring, [ring.parse("x*y")], given)
 
 
 @given(vanishing_generators(), st.integers(1, 4))
@@ -214,7 +250,7 @@ def test_regular_route_matches_the_engine_and_the_twist_route(drawn):
     assert regular_counter(ring, gens)(q, Budget()) == (expected, expected)
     assert closed_form(ring, gens)(q, Budget()) == (expected, expected)
     assert bracket_colength(ring, gens, q) == expected
-    pres = LocalRingPresentation(ring, Ideal(ring, list(gens)))
+    pres = LocalRingPresentation(ring, gens)
     assert splitting_number(pres, e).colength == expected
     # the routes splitting_number takes with Han's and Kunz's counts off
     budget = Budget(max_pairs=ORACLE_PAIRS, deadline_seconds=ORACLE_SECONDS)
