@@ -49,9 +49,10 @@ def _lazy(name: str) -> ModuleType:
 
 
 # Each command compiles only the modules it runs: `tame` never loads the
-# Groebner engine or the job's budget, and `hk` never loads the series
-# layer. The layer modules reach the engine as a module (`from . import
-# engine`), so it runs only once a route needs a Groebner basis.
+# Groebner engine, the job's budget or the series layer, and `hk` never
+# loads `curves` or `series`. The layer modules reach the engine and the
+# series layer as modules (`from . import engine`), so each runs only once
+# a route calls it.
 budget = _lazy("budget")
 curves = _lazy("curves")
 engine = _lazy("engine")

@@ -28,9 +28,9 @@ import random
 from collections import namedtuple
 from typing import Iterable
 
+from . import series
 from .errors import CapacityError, PreconditionError, PrecisionLossError
 from .field import FieldConfig
-from .series import (TruncatedSeries, determinant_valuation, tame_trace)
 
 MAX_BRANCHES = 4
 MAX_PRECISION = 1 << 20
@@ -208,11 +208,12 @@ class BranchRealization(namedtuple("BranchRealization",
     __slots__ = ()
 
 
-def _random_unit(rng: random.Random, p: int, degree: int) -> TruncatedSeries:
+def _random_unit(rng: random.Random, p: int,
+                 degree: int) -> series.TruncatedSeries:
     coeffs = {0: 1}
     for j in range(1, degree + 1):
         coeffs[j] = rng.randrange(p)
-    return TruncatedSeries.make(p, coeffs)
+    return series.TruncatedSeries.make(p, coeffs)
 
 
 def realize_curve(curve: BranchCurve, precision: int | None = None,
@@ -229,7 +230,7 @@ def realize_curve(curve: BranchCurve, precision: int | None = None,
         f"{b.semigroup_generators}/{b.cross_valuations}"
         for b in curve.branches)
     rng = random.Random(f"kunz:curve:{seed}:{p}:{tag}")
-    t = TruncatedSeries.monomial(p, 1)
+    t = series.TruncatedSeries.monomial(p, 1)
     realized = []
     for binv in inv.per_branch:
         gamma = binv.gamma
@@ -259,14 +260,14 @@ def _with_doublings(attempt, n: int, what: str):
         required=n) from last
 
 
-def _trace_block(x: TruncatedSeries,
-                 g: int) -> list[list[TruncatedSeries]]:
+def _trace_block(x: series.TruncatedSeries,
+                 g: int) -> list[list[series.TruncatedSeries]]:
     """Tr(x^i * x^j) down to the degree-g tame base, for i, j = 1..g."""
     powers = {1: x}
     for k in range(2, 2 * g + 1):
         powers[k] = powers[k - 1] * x
-    return [[tame_trace(powers[i + j], g) for j in range(1, g + 1)]
-            for i in range(1, g + 1)]
+    return [[series.tame_trace(powers[i + j], g)
+             for j in range(1, g + 1)] for i in range(1, g + 1)]
 
 
 def discriminant_valuation(curve: BranchCurve, precision: int | None = None,
@@ -294,7 +295,8 @@ def discriminant_valuation(curve: BranchCurve, precision: int | None = None,
         if n not in realized:
             realized[n] = realize_curve(curve, n, seed)
         br = realized[n][index]
-        return determinant_valuation(_trace_block(br.basis_element, br.gamma))
+        return series.determinant_valuation(
+            _trace_block(br.basis_element, br.gamma))
 
     return sum(
         _with_doublings(

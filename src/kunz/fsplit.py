@@ -71,15 +71,17 @@ partial product may drop its terms with an exponent >= q; the products run
 from the highest Frobenius power down, so most terms leave the box early.
 h^(p-1) itself takes about 2 log2 p products, by repeated squaring, and
 every product checks the job's deadline. No Groebner basis of a colon is
-computed. Every other ideal takes the general colon, by elimination
-(engine.Ideal.colon): for homogeneous I by restriction to one generator of
-I at a time, otherwise by intersecting the colons by each generator.
-twist_levels yields either one modulo m^[q] as polynomials J_e with
-(I^[q] : I) + m^[q] = (J_e) + m^[q], up to the first empty J_e: the ring
-splits at no later level. splitting_samples and fpurity_exponent each read
-J_1, J_2, .. from one walk of the levels field.frobenius_levels gives, and
-localring.bracket_colength counts (J_e) + m^[q]; splitting_number is the
-last of splitting_samples.
+computed. Fedder's identity is built in two places only: twist_levels
+takes h^(q-1) modulo m^[q] as above, and fedder_test the reduced basis of
+I^[p] + (h^(p-1)). Every other ideal takes the general colon of
+twist_colon_ideal, by elimination (engine.Ideal.colon): for homogeneous I
+by restriction to one generator of I at a time, otherwise by intersecting
+the colons by each generator. twist_levels yields either one modulo m^[q]
+as polynomials J_e with (I^[q] : I) + m^[q] = (J_e) + m^[q], up to the
+first empty J_e: the ring splits at no later level. splitting_samples and
+fpurity_exponent each read J_1, J_2, .. from one walk of the levels
+field.frobenius_levels gives, and localring.bracket_colength counts
+(J_e) + m^[q]; splitting_number is the last of splitting_samples.
 """
 
 from __future__ import annotations
@@ -112,24 +114,14 @@ def is_complete_intersection(presentation: LocalRingPresentation,
 
 def twist_colon_ideal(presentation: LocalRingPresentation, e: int,
                       budget: Budget | None = None) -> engine.Ideal:
-    """(I^[q] : I) in the ambient ring, q = p^e, cached on the presentation.
-
-    e is a level of field.frobenius_levels, so q fits its capacity. For a
-    complete intersection this is I^[q] + (h^(q-1)) by Fedder's lemma,
-    with no colon computed; otherwise the general colon.
-    """
+    """(I^[q] : I) in the ambient ring, q = p^e, by the general colon,
+    cached on the presentation. e is a level of field.frobenius_levels, so
+    q fits its capacity."""
     cached = presentation.twist_colons.get(e)
     if cached is None:
-        budget = budget or Budget()
-        q = presentation.p**e
         ideal = presentation.ideal
-        bracket = ideal.bracket_power(q)
-        if is_complete_intersection(presentation, budget):
-            cached = engine.Ideal(
-                presentation.ring, list(bracket.generators)
-                + [_fedder_power(presentation, q - 1, budget)])
-        else:
-            cached = bracket.colon(ideal, budget)
+        cached = ideal.bracket_power(presentation.p**e).colon(
+            ideal, budget or Budget())
         presentation.twist_colons[e] = cached
     return cached
 
@@ -158,15 +150,15 @@ def _product(f: Polynomial, g: Polynomial, budget: Budget,
     return product if top is None else _in_box(product, top, budget)
 
 
-def _fedder_power(presentation: LocalRingPresentation, n: int,
-                  budget: Budget, top: int | None = None) -> Polynomial:
-    """h^n for h the product of the generators of I, by the repeated
+def _fedder_power(presentation: LocalRingPresentation, budget: Budget,
+                  top: int | None = None) -> Polynomial:
+    """h^(p-1) for h the product of the generators of I, by the repeated
     squaring of Polynomial.power, every product taken by _product: about
-    2 log2 n of them, each checking the deadline, and with top each modulo
+    2 log2 p of them, each checking the deadline, and with top each modulo
     m^[top], which is exact since m^[top] is a monomial ideal."""
     times = partial(_product, budget=budget, top=top)
     h = reduce(times, presentation.generators, presentation.ring.one())
-    return h.power(n, times)
+    return h.power(presentation.p - 1, times)
 
 
 def twist_levels(presentation: LocalRingPresentation,
@@ -199,7 +191,7 @@ def twist_levels(presentation: LocalRingPresentation,
     p = presentation.p
     fedder = is_complete_intersection(presentation, budget)
     if fedder:
-        factor = _fedder_power(presentation, p - 1, budget, levels[-1][1])
+        factor = _fedder_power(presentation, budget, levels[-1][1])
         power = presentation.ring.one()
     for e, q in levels:
         if fedder:
@@ -281,13 +273,20 @@ def fedder_test(presentation: LocalRingPresentation,
     A hypersurface I = (f) takes no colon and no basis: S is a domain, so
     (f^[p] : f) = (f^(p-1)), and its reduced basis is the monic f^(p-1)
     alone, built by _fedder_power with every product checking the deadline.
-    Two or more generators take the reduced basis of twist_colon_ideal.
+    A complete intersection of two or more generators takes no colon
+    either: by Fedder's lemma (see the module docstring) its basis is the
+    reduced basis of I^[p] + (h^(p-1)). Every other ideal takes the reduced
+    basis of twist_colon_ideal.
     """
     budget = budget or Budget()
     p = presentation.p
     if len(presentation.generators) == 1:
-        power = _fedder_power(presentation, p - 1, budget)
+        power = _fedder_power(presentation, budget)
         basis = [power.scale(pow(power.terms[0][2], -1, p))]
+    elif is_complete_intersection(presentation, budget):
+        fedder = [*presentation.ideal.bracket_power(p).generators,
+                  _fedder_power(presentation, budget)]
+        basis = engine.Ideal(presentation.ring, fedder).groebner_basis(budget)
     else:
         colon = twist_colon_ideal(presentation, 1, budget)
         basis = colon.groebner_basis(budget)

@@ -179,9 +179,10 @@ class LocalRingPresentation:
         # closed_form's answer, asked once: sample and
         # fsplit.splitting_samples read it at every level
         self.counter = closed_form(ring, self.generators)
-        # e -> (I^[p^e] : I), filled by fsplit.twist_colon_ideal for rings
-        # of two or more generators, which fsplit.fedder_test and the walk
-        # of twist_levels share
+        # e -> (I^[p^e] : I), the general colon, filled by
+        # fsplit.twist_colon_ideal for rings that are not complete
+        # intersections, which fsplit.fedder_test and the walk of
+        # twist_levels share
         self.twist_colons: dict[int, engine.Ideal] = {}
         self._dimension: int | None = None
 

@@ -20,6 +20,12 @@ Expression grammar (EBNF), also shown in the README:
     atom     = integer | variable | "(" expr ")" ;
     integer  = digit { digit } ;
     variable = letter { letter | digit | "_" } ;
+
+The parser tokenizes the whole text in one pass of one regular expression,
+which refuses the first character that starts no token, and closes the
+token list with an end token at len(text). It then descends the grammar,
+one method per rule, taking every product with the caller's deadline
+check. An error names the offending token and its position in the text.
 """
 
 from __future__ import annotations
@@ -353,121 +359,95 @@ def format_polynomial(f: Polynomial) -> str:
 
 # -- parsing --------------------------------------------------------------
 
+# One pass of _TOKEN_RE reads the whole text: "bad" is any other character
+# and "end" the empty token at len(text) that closes every token list.
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-                       r"|(?P<op>[-+*^()]))")
+                       r"|(?P<op>[-+*^()])|(?P<end>\Z)|(?P<bad>\S))")
 
 
 class _Parser:
     def __init__(self, text: str, ring: PolyRing,
                  check_deadline: Callable[[], None] | None) -> None:
-        self.text = text
         self.ring = ring
         # every product, those of a power's repeated squaring included
         self.times = partial(Polynomial.times, check_deadline=check_deadline)
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
-        self._tokenize()
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m[kind]!r}",
+                                 m.start(kind))
+            self.tokens.append((kind, m[kind], m.start(kind)))
         self.index = 0
 
-    def _tokenize(self) -> None:
-        pos = 0
-        while pos < len(self.text):
-            m = _TOKEN_RE.match(self.text, pos)
-            if m is None:
-                stripped = self.text[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(self.text) - len(stripped)
-                raise ParseError(f"unexpected character {stripped[0]!r}", at)
-            if m.group("int") is not None:
-                self.tokens.append(("int", m.group("int"), m.start("int")))
-            elif m.group("name") is not None:
-                self.tokens.append(("name", m.group("name"), m.start("name")))
-            else:
-                self.tokens.append(("op", m.group("op"), m.start("op")))
-            pos = m.end()
-
-    def _peek(self) -> tuple[str, str, int] | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
     def _next(self) -> tuple[str, str, int]:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", len(self.text))
+        tok = self.tokens[self.index]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of expression", tok[2])
         self.index += 1
         return tok
 
-    def _expect_op(self, op: str) -> None:
-        tok = self._next()
-        if tok[0] != "op" or tok[1] != op:
-            raise ParseError(f"expected {op!r}, found {tok[1]!r}", tok[2])
+    def _accept(self, ops: str) -> str | None:
+        """The next token's operator, consumed, if it is one of ops; else
+        None, with nothing consumed."""
+        kind, value, _ = self.tokens[self.index]
+        if kind != "op" or value not in ops:
+            return None
+        self.index += 1
+        return value
 
     def parse(self) -> Polynomial:
         poly = self._expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        kind, value, at = self.tokens[self.index]
+        if kind != "end":
+            raise ParseError(f"trailing input {value!r}", at)
         return poly
 
     def _expr(self) -> Polynomial:
         poly = self._term()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return poly
-            self.index += 1
+        while op := self._accept("+-"):
             rhs = self._term()
-            poly = poly + rhs if tok[1] == "+" else poly - rhs
+            poly = poly + rhs if op == "+" else poly - rhs
+        return poly
 
     def _term(self) -> Polynomial:
         poly = self._factor()
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "op" or tok[1] != "*":
-                return poly
-            self.index += 1
+        while self._accept("*"):
             poly = self.times(poly, self._factor())
+        return poly
 
     def _factor(self) -> Polynomial:
         negate = False
-        while True:
-            tok = self._peek()
-            if tok is not None and tok[0] == "op" and tok[1] == "-":
-                self.index += 1
-                negate = not negate
-            else:
-                break
+        while self._accept("-"):
+            negate = not negate
         poly = self._power()
         return -poly if negate else poly
 
     def _power(self) -> Polynomial:
         base = self._atom()
-        tok = self._peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "^":
-            self.index += 1
-            etok = self._next()
-            if etok[0] != "int":
-                raise ParseError("exponent must be an integer literal", etok[2])
-            e = int(etok[1])
-            if e > kernel.MAX_EXPONENT:
-                raise ParseError(f"exponent {e} exceeds the 2^40 capacity", etok[2])
-            return base.power(e, self.times)
-        return base
+        if not self._accept("^"):
+            return base
+        kind, value, at = self._next()
+        if kind != "int":
+            raise ParseError("exponent must be an integer literal", at)
+        e = int(value)
+        if e > kernel.MAX_EXPONENT:
+            raise ParseError(f"exponent {e} exceeds the 2^40 capacity", at)
+        return base.power(e, self.times)
 
     def _atom(self) -> Polynomial:
-        tok = self._next()
-        kind, value, at = tok
+        kind, value, at = self._next()
         if kind == "int":
             return self.ring.constant(int(value))
         if kind == "name":
             if value not in self.ring.variables:
                 raise ParseError(f"unknown variable {value!r}", at)
             return self.ring.variable(value)
-        if kind == "op" and value == "(":
+        if value == "(":
             poly = self._expr()
-            self._expect_op(")")
+            kind, value, at = self._next()
+            if value != ")":
+                raise ParseError(f"expected ')', found {value!r}", at)
             return poly
         raise ParseError(f"unexpected token {value!r}", at)
 

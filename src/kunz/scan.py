@@ -177,6 +177,8 @@ def scan_points(p: int, variables: tuple[str, ...],
 
     records = []
     for point in points:
+        # a route that a theorem takes may check no deadline at all
+        budget.check_deadline()
         pres = LocalRingPresentation(
             ring, translate_to_origin(gens, tuple(point), check))
         lam = tuple(pres.lambda_value(e, budget) for e in e_values)
@@ -205,7 +207,7 @@ def scan_points(p: int, variables: tuple[str, ...],
             tuple(witness_values), agreement))
 
     verdicts = semicontinuity_verdict(e_values, records, sub_records,
-                                      sub_gens)
+                                      sub_gens, budget)
     return ScanReport(p, tuple(variables), tuple(ideal_texts), e_values,
                       tuple(records), tuple(sub_records), verdicts)
 
@@ -213,14 +215,19 @@ def scan_points(p: int, variables: tuple[str, ...],
 def semicontinuity_verdict(e_values: tuple[int, ...],
                            records: list[PointRecord],
                            sub_records: list[SubvarietyRecord],
-                           sub_gens: list[list[Polynomial]]) -> ScanVerdicts:
+                           sub_gens: list[list[Polynomial]],
+                           budget: Budget | None = None) -> ScanVerdicts:
     """Exact pairwise comparisons; every failure is listed with its pair.
-    sub_gens holds the parsed generators of each of sub_records."""
+    sub_gens holds the parsed generators of each of sub_records. Every
+    point is compared with every smooth one, so the budget's deadline is
+    checked once per point."""
+    budget = budget or Budget()
     violations = []
     upper = True
     lower = True
     references = [r for r in records if r.smooth]
     for special in records:
+        budget.check_deadline()
         for reference in references:
             for i, e in enumerate(e_values):
                 if special.lambda_values[i] < reference.lambda_values[i]:

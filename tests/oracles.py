@@ -3,14 +3,23 @@
 Nothing here touches the package's reduction machinery: counting is
 combinatorial, arithmetic is naive convolution, and the tuple reduction
 kernel below keeps its own copy of every loop, so agreement between an
-oracle and the engine is evidence rather than a tautology.
+oracle and the engine is evidence rather than a tautology. The parser
+reference at the end reads a text into the package's Polynomials: what
+it checks is the reading, not the arithmetic.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import comb
+from typing import Callable
+
+from kunz import kernel
+from kunz.errors import ParseError
+from kunz.poly import Polynomial, PolyRing
 
 
 def box_bounds(generators: list[tuple[int, ...]]) -> list[int]:
@@ -550,8 +559,6 @@ def elimination_intersection(first, second, ring, max_pairs=None,
     Returns (generators, pairs processed, max degree seen), with None for
     the generators where a ceiling stopped buchberger.
     """
-    from kunz.poly import PolyRing, Polynomial
-
     big = PolyRing(ring.field, ("t",) + ring.variables)
     t = big.variable("t")
 
@@ -582,8 +589,6 @@ def colon_by_meets(generators, divisors, ring, max_pairs=None,
     max_pairs and max_degree bound the whole computation, as one Budget
     does across the engine's calls; returns None where a ceiling stops it.
     """
-    from kunz.poly import Polynomial
-
     used = 0
 
     def left():
@@ -667,8 +672,6 @@ def _colon_by(generators, u, ring):
     tuple term lists: (J intersect (u)) / u, from elimination_intersection
     and divide_exact above, reduced by buchberger. ring must not name a
     variable t."""
-    from kunz.poly import Polynomial
-
     meet, _, _ = elimination_intersection(generators, [u], ring)
     divisor = tuple_terms(u, grevlex_key)
     quotients = [
@@ -686,13 +689,17 @@ def hypersurface_purity(f):
     the colon, from _colon_by above, and its first element that keeps a
     term with every exponent below p. f is nonzero and vanishes at the
     origin; its ring must not name a variable t."""
-    from kunz.poly import Polynomial
-
     ring = f.ring
     p = ring.p
     bracket = Polynomial(ring, {tuple(p * k for k in e): c for e, c in f})
-    basis = [Polynomial(ring, {e: c for _, e, c in g})
-             for g in _colon_by([bracket], f, ring)]
+    return purity_verdict([Polynomial(ring, {e: c for _, e, c in g})
+                           for g in _colon_by([bracket], f, ring)], p)
+
+
+def purity_verdict(basis, p):
+    """(is_F_pure, witness, detail) of Fedder's test read from basis, the
+    reduced basis of (I^[p] : I): its first element that keeps a term with
+    every exponent below p."""
     for g in basis:
         if any(max(e) < p for e, _ in g):
             return True, g, f"{g} lies in (I^[{p}] : I) but not in m^[{p}]"
@@ -711,3 +718,132 @@ def socle_by_colon(generators, u, ring):
     variables = sorted(tuple(int(i == k) for i in range(n)) for k in range(n))
     return (all(len(g) == 1 for g in basis)
             and sorted(g[0][1] for g in basis) == variables)
+
+
+# -- the recursive-descent parser poly._Parser replaced --------------------
+# Kept as it was, as the reference of tests/test_poly.py's differential test:
+# it scans the text by hand, peeks with None at the end, and tests every
+# operator in its own peek-test-advance sequence.
+
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+                       r"|(?P<op>[-+*^()]))")
+
+
+class _Parser:
+    def __init__(self, text: str, ring: PolyRing,
+                 check_deadline: Callable[[], None] | None) -> None:
+        self.text = text
+        self.ring = ring
+        # every product, those of a power's repeated squaring included
+        self.times = partial(Polynomial.times, check_deadline=check_deadline)
+        self.pos = 0
+        self.tokens: list[tuple[str, str, int]] = []
+        self._tokenize()
+        self.index = 0
+
+    def _tokenize(self) -> None:
+        pos = 0
+        while pos < len(self.text):
+            m = _TOKEN_RE.match(self.text, pos)
+            if m is None:
+                stripped = self.text[pos:].lstrip()
+                if not stripped:
+                    break
+                at = len(self.text) - len(stripped)
+                raise ParseError(f"unexpected character {stripped[0]!r}", at)
+            if m.group("int") is not None:
+                self.tokens.append(("int", m.group("int"), m.start("int")))
+            elif m.group("name") is not None:
+                self.tokens.append(("name", m.group("name"), m.start("name")))
+            else:
+                self.tokens.append(("op", m.group("op"), m.start("op")))
+            pos = m.end()
+
+    def _peek(self) -> tuple[str, str, int] | None:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index]
+        return None
+
+    def _next(self) -> tuple[str, str, int]:
+        tok = self._peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression", len(self.text))
+        self.index += 1
+        return tok
+
+    def _expect_op(self, op: str) -> None:
+        tok = self._next()
+        if tok[0] != "op" or tok[1] != op:
+            raise ParseError(f"expected {op!r}, found {tok[1]!r}", tok[2])
+
+    def parse(self) -> Polynomial:
+        poly = self._expr()
+        tok = self._peek()
+        if tok is not None:
+            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        return poly
+
+    def _expr(self) -> Polynomial:
+        poly = self._term()
+        while True:
+            tok = self._peek()
+            if tok is None or tok[0] != "op" or tok[1] not in "+-":
+                return poly
+            self.index += 1
+            rhs = self._term()
+            poly = poly + rhs if tok[1] == "+" else poly - rhs
+
+    def _term(self) -> Polynomial:
+        poly = self._factor()
+        while True:
+            tok = self._peek()
+            if tok is None or tok[0] != "op" or tok[1] != "*":
+                return poly
+            self.index += 1
+            poly = self.times(poly, self._factor())
+
+    def _factor(self) -> Polynomial:
+        negate = False
+        while True:
+            tok = self._peek()
+            if tok is not None and tok[0] == "op" and tok[1] == "-":
+                self.index += 1
+                negate = not negate
+            else:
+                break
+        poly = self._power()
+        return -poly if negate else poly
+
+    def _power(self) -> Polynomial:
+        base = self._atom()
+        tok = self._peek()
+        if tok is not None and tok[0] == "op" and tok[1] == "^":
+            self.index += 1
+            etok = self._next()
+            if etok[0] != "int":
+                raise ParseError("exponent must be an integer literal", etok[2])
+            e = int(etok[1])
+            if e > kernel.MAX_EXPONENT:
+                raise ParseError(f"exponent {e} exceeds the 2^40 capacity", etok[2])
+            return base.power(e, self.times)
+        return base
+
+    def _atom(self) -> Polynomial:
+        tok = self._next()
+        kind, value, at = tok
+        if kind == "int":
+            return self.ring.constant(int(value))
+        if kind == "name":
+            if value not in self.ring.variables:
+                raise ParseError(f"unknown variable {value!r}", at)
+            return self.ring.variable(value)
+        if kind == "op" and value == "(":
+            poly = self._expr()
+            self._expect_op(")")
+            return poly
+        raise ParseError(f"unexpected token {value!r}", at)
+
+
+def reference_parse(text, ring, check_deadline=None):
+    """The Polynomial the replaced parser read from text, or its error."""
+    return _Parser(text, ring, check_deadline).parse()

@@ -409,6 +409,25 @@ def test_fedders_power_ends_at_the_deadline(cli, tmp_path, monkeypatch,
         "deadline of 2.0s exceeded")
 
 
+def test_a_scan_of_many_points_ends_at_the_deadline(cli, tmp_path,
+                                                    monkeypatch):
+    """The zero ideal over F_53 vanishes at all 2809 points, Kunz's count
+    answers each with no deadline check of its own, and comparing every
+    point with every smooth one takes 7.9 million checks. The scan checks
+    the job's deadline, here 0.5 s, once per point in both loops."""
+    short_deadline(monkeypatch, 0.5)
+    job = write(tmp_path, "plane.job",
+                "p = 53;\nvars = x, y;\nideal = ;\nemax = 1;\n")
+    started = time.perf_counter()
+    result = cli(["scan", "--input", job])
+    assert time.perf_counter() - started < 2
+    assert result.exit_code == 4
+    error = parse_output(result)["error"]
+    assert error["message"] == "deadline of 0.5s exceeded"
+    assert result.stderr == ("ERROR kunz: BudgetExceededError: "
+                             f"{error['message']}\n")
+
+
 @pytest.mark.parametrize("branch, refusal", [
     ("9999999999992, 3",
      "Schur's bound 19999999999982 for the semigroup (3, 9999999999992)"),

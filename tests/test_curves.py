@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import pytest
 
 import kunz.curves
+import kunz.series
 from kunz.curves import (MAX_DOUBLINGS, Branch, BranchCurve, _trace_block,
                          default_precision, discriminant_valuation,
                          extension_degree, generator_bound_check,
@@ -425,7 +426,7 @@ def _record_precisions(monkeypatch):
 
 def test_precision_doubles_on_precision_errors(monkeypatch):
     seen = _record_precisions(monkeypatch)
-    determinant = kunz.curves.determinant_valuation
+    determinant = kunz.series.determinant_valuation
     failures = []
 
     def flaky(matrix):
@@ -434,7 +435,7 @@ def test_precision_doubles_on_precision_errors(monkeypatch):
             raise PrecisionLossError("forced", required=0)
         return determinant(matrix)
 
-    monkeypatch.setattr(kunz.curves, "determinant_valuation", flaky)
+    monkeypatch.setattr(kunz.series, "determinant_valuation", flaky)
     n = default_precision(cusp_curve(5))
     assert discriminant_valuation(cusp_curve(5)) == 9
     assert seen == [n, 2 * n, 4 * n]
@@ -446,7 +447,7 @@ def test_precision_doublings_are_capped(monkeypatch):
     def failing(matrix):
         raise PrecisionLossError("forced", required=0)
 
-    monkeypatch.setattr(kunz.curves, "determinant_valuation", failing)
+    monkeypatch.setattr(kunz.series, "determinant_valuation", failing)
     n = default_precision(cusp_curve(5))
     with pytest.raises(PrecisionLossError) as err:
         discriminant_valuation(cusp_curve(5))
@@ -526,8 +527,8 @@ def test_tame_report_realizes_no_curve(monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("the series route ran")
 
-    for name in ("discriminant_valuation", "determinant_valuation"):
-        monkeypatch.setattr(kunz.curves, name, unused)
+    monkeypatch.setattr(kunz.curves, "discriminant_valuation", unused)
+    monkeypatch.setattr(kunz.series, "determinant_valuation", unused)
     report = tame_report(cusp_curve(5))
     assert report.generator_count == report.extension_degree == 2
     assert report.discriminant_valuation == 9

@@ -15,7 +15,8 @@ from kunz.fsplit import (_in_box, fedder_test, fpurity_exponent,
                          twist_colon_ideal, twist_levels)
 from kunz.localring import LocalRingPresentation
 from kunz.poly import PolyRing, Polynomial
-from oracles import box_colength, hypersurface_purity, node_splitting
+from oracles import (box_colength, hypersurface_purity, node_splitting,
+                     purity_verdict)
 from test_localring import hypersurfaces
 
 
@@ -155,14 +156,14 @@ def test_fedder_route_matches_the_general_colon(drawn, data):
         st.tuples(*[st.integers(0, 3)] * pres.ring.nvars),
         st.integers(1, pres.p - 1), min_size=1, max_size=2)))
     fedder = (splitting_number(pres, e).colength, fpurity_exponent(pres, c, e),
-              twist_colon_ideal(pres, 1).groebner_basis())
+              fedder_test(pres))
     budget = Budget(max_pairs=REFERENCE_PAIRS)
     ideal = pres.ideal
     try:
         general = (two_colon_colength(pres, e, budget),
                    general_purity_exponent(pres, c, e, budget),
-                   ideal.bracket_power(pres.p).colon(ideal, budget)
-                   .groebner_basis(budget))
+                   purity_verdict(ideal.bracket_power(pres.p).colon(
+                       ideal, budget).groebner_basis(budget), pres.p))
     except BudgetExceededError:
         reject()
     assert fedder == general
@@ -266,7 +267,9 @@ def test_complete_intersections_take_no_colon(monkeypatch):
     node = present(3, ["x", "y"], ["x*y"])
     fsplit_report(node, 2)
     assert fpurity_exponent(node, node.ring.one()) == 1
-    assert calls == []
+    quadrics = present(3, ["x", "y", "z", "w"], ["x*y - z*w", "x*z - y*w"])
+    assert fsplit_report(quadrics, 2).verdict.is_F_pure
+    assert calls == [] and quadrics.twist_colons == {}
 
 
 @given(hypersurfaces())

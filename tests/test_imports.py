@@ -54,7 +54,7 @@ def test_importing_the_cli_runs_no_layer_module():
 # hypersurface, hk, fsig and fedder take every number from a theorem
 NEVER_RUN = {
     "tame": {"budget", "engine", "poly", "kernel", "localring", "hk",
-             "fsplit", "scan"},
+             "fsplit", "scan", "series"},
     "hk": {"engine", "curves", "series", "fsplit", "scan"},
     "fsig": {"engine", "curves", "series", "scan"},
     "fedder": {"engine", "curves", "series", "scan"},

@@ -34,7 +34,7 @@ HUGE = 2**31 - 1
 BASE_JOBS = {name: re.findall(r"^(\S+) = (.*);$", text, re.M)
              for name, text in job_files().items()}
 
-PRIMES = ["2", "3", "100003", str(HUGE)]
+PRIMES = ["2", "3", "53", "100003", str(HUGE)]
 NON_PRIMES = ["0", "1", "4", "9", "-5", str(2**31), "3215031751"]
 EXPONENTS = ["0", "62", "63", str(HUGE)]
 # the powers a power edit raises generators to: past 2^40 the parser
@@ -187,6 +187,8 @@ LINE_P100003 = "p = 100003;\nvars = x, y;\nideal = x + y;\n"
                     "element = 1;\necap = 1;\n"))
 # a power is expanded under the job's deadline
 @example(("hk", "p = 100003;\nvars = x, y;\nideal = (x + y)^100000;\n"))
+# a scan of all 2809 points of the plane over F_53 ends at the deadline
+@example(("scan", "p = 53;\nvars = x, y;\nideal = ;\nemax = 1;\n"))
 def test_every_job_ends_in_one_document(tmp_path_factory, job):
     command, text = job
     path = tmp_path_factory.getbasetemp() / "fuzz.job"

@@ -1,14 +1,16 @@
 from functools import cmp_to_key
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from kunz.errors import CapacityError, ParseError, PreconditionError
+from kunz.errors import (CapacityError, KunzError, ParseError,
+                         PreconditionError)
 from kunz.field import FieldConfig
 from kunz.kernel import DEGREE_CAP, MAX_EXPONENT, pack, unpack
-from kunz.poly import PolyRing, Polynomial, grevlex_key
-from oracles import grevlex_greater, naive_polynomial_product
+from kunz.poly import PolyRing, Polynomial, grevlex_key, parse_polynomial
+from oracles import (grevlex_greater, naive_polynomial_product,
+                     reference_parse)
 
 primes = st.sampled_from([2, 3, 5, 7])
 
@@ -156,6 +158,65 @@ def test_parse_accepts_the_documented_surface():
     assert f == ring.monomial({0: 2}) + ring.monomial({1: 1}, 4) + ring.constant(2)
     assert ring.parse("-x") == ring.monomial({0: 1}, 6)
     assert ring.parse("0").is_zero()
+
+
+# Pieces of parser input: digits with leading zeros, exponents at and just
+# past the 2^40 capacity, names of the ring, unknown names, every operator,
+# white space (a no-break space too) and stray characters (a Unicode digit
+# too, which \d reads).
+NUMBERS = ["0", "00", "7", "007", "12", str(MAX_EXPONENT),
+           "0" + str(MAX_EXPONENT), str(MAX_EXPONENT + 1),
+           "0" + str(MAX_EXPONENT + 1)]
+NAMES = ["x", "y", "x_1", "z", "x_2", "X", "y1"]
+SPACES = [" ", "\t", "\n", "\u00a0"]
+STRAYS = ["%", ".", "é", "_", "\u0663"]
+spaces = st.sampled_from([""] * len(SPACES) + SPACES)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map("".join),
+        inner.map(lambda text: f"({text})"),
+        inner.map(lambda text: f"-{text}"),
+        st.tuples(inner, spaces, st.sampled_from(NUMBERS)).map(
+            lambda parts: "{}^{}{}".format(*parts)))
+
+
+expressions = st.recursive(
+    st.tuples(spaces, st.sampled_from(NUMBERS + NAMES), spaces).map("".join),
+    _compound, max_leaves=6)
+texts = st.lists(st.one_of(expressions, st.sampled_from(
+    NUMBERS + NAMES + list("+-*^()") + SPACES + STRAYS)),
+    max_size=5).map("".join)
+
+
+class _OutOfSteps(Exception):
+    pass
+
+
+def _read(parse, text, ring):
+    """parse's Polynomial for text, or the type, text and position of its
+    error. The deadline check of every product counts steps and ends the
+    reading at the 300th, at the same product for both parsers as long as
+    they take the same products in the same order."""
+    steps = iter(range(300))
+
+    def check():
+        if next(steps, None) is None:
+            raise _OutOfSteps
+
+    try:
+        return parse(text, ring, check)
+    except (KunzError, _OutOfSteps) as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+@settings(max_examples=2000)
+@given(primes, texts)
+def test_the_parser_reads_every_text_as_the_reference_did(p, text):
+    ring = PolyRing(FieldConfig(p), ("x", "y", "x_1"))
+    assert (_read(parse_polynomial, text, ring)
+            == _read(reference_parse, text, ring))
 
 
 def test_total_degree():
