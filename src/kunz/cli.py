@@ -26,7 +26,7 @@ from typing import NoReturn
 
 from . import __version__
 from .errors import (BudgetExceededError, KunzError, ParseError,
-                     PrecisionLossError, PreconditionError)
+                     PreconditionError)
 from .records import (SCHEMA_VERSION, TABULAR_COMMANDS, RunRecord,
                       canonical_json, csv_text)
 from .textio import READS, JobSpec, parse_job
@@ -179,8 +179,9 @@ def _curve(job: JobSpec) -> curves.BranchCurve:
     return curves.BranchCurve(job.p, branches)
 
 
-def _tame_payload(curve: curves.BranchCurve,
-                  report: curves.TameReport) -> dict:
+def run_tame(job: JobSpec) -> dict:
+    curve = _curve(job)
+    report = curves.tame_report(curve, mu=job.mu)
     return {
         "p": report.p,
         "branches": [
@@ -200,16 +201,11 @@ def _tame_payload(curve: curves.BranchCurve,
         "extension_degree": report.extension_degree,
         "generator_count": report.generator_count,
         "generator_bound": report.generator_bound._asdict(),
+        # the series truncation order the oracle would take and the job's
+        # seed key, both echoed only: the report realizes no branch
         "precision": report.precision,
-        "seed": report.seed,
+        "seed": job.seed,
     }
-
-
-def run_tame(job: JobSpec) -> dict:
-    curve = _curve(job)
-    report = curves.tame_report(curve, precision=job.precision,
-                                seed=job.seed, mu=job.mu)
-    return _tame_payload(curve, report)
 
 
 def run_scan(job: JobSpec) -> dict:
@@ -344,8 +340,6 @@ def _fail(err: KunzError, json_path: str | None) -> None:
               "exit_code": err.exit_code}
     if isinstance(err, ParseError) and err.position is not None:
         detail["position"] = err.position
-    if isinstance(err, PrecisionLossError) and err.required is not None:
-        detail["required_precision"] = err.required
     if isinstance(err, BudgetExceededError):
         detail["pairs"] = err.pairs
         detail["max_degree_seen"] = err.max_degree_seen
@@ -413,8 +407,6 @@ _OPTIONS = (
                    help="Also write the tabular view as CSV.")),
     ("--budget-pairs", dict(dest="budget_pairs", type=int,
                             help="Cap on critical pairs across the whole job.")),
-    ("--precision", dict(dest="precision", type=int,
-                         help="Series truncation order for curve commands.")),
 )
 
 

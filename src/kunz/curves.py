@@ -29,7 +29,8 @@ from collections import namedtuple
 from typing import Iterable
 
 from . import series
-from .errors import CapacityError, PreconditionError, PrecisionLossError
+from .errors import (MAX_DIGITS, CapacityError, PreconditionError,
+                     PrecisionLossError)
 from .field import FieldConfig
 
 MAX_BRANCHES = 4
@@ -37,8 +38,6 @@ MAX_PRECISION = 1 << 20
 # Largest Schur bound a conductor sieve may reach: 2^20 entries, 8 MiB.
 MAX_SIEVE = 1 << 20
 MAX_DOUBLINGS = 6
-# Python's default limit on int-to-decimal conversion, which JSON output obeys.
-MAX_BOUND_DIGITS = 4300
 
 
 def _normalize_generators(values: Iterable[int], label: str) -> tuple[int, ...]:
@@ -346,7 +345,7 @@ def generator_bound_check(curve: BranchCurve, count: int,
 
     The count is computed by the caller, normally as extension_degree (the
     piece module is free); this function does no rank work. A bound of
-    more than MAX_BOUND_DIGITS decimal digits is refused before the power
+    more than MAX_DIGITS decimal digits is refused before the power
     is built.
     """
     if mu < 1:
@@ -355,12 +354,12 @@ def generator_bound_check(curve: BranchCurve, count: int,
     # delta^mu has at least mu * log10(delta) digits, so a power far past
     # the limit is refused unbuilt and one near it is compared exactly.
     far = (inv.delta > 1
-           and mu > (MAX_BOUND_DIGITS + 1) / math.log10(inv.delta))
+           and mu > (MAX_DIGITS + 1) / math.log10(inv.delta))
     bound = 0 if far else inv.delta ** mu
-    if far or bound >= 10 ** MAX_BOUND_DIGITS:
+    if far or bound >= 10 ** MAX_DIGITS:
         raise CapacityError(
             f"generator bound delta^mu = {inv.delta}^{mu} exceeds "
-            f"{MAX_BOUND_DIGITS} digits")
+            f"{MAX_DIGITS} digits")
     return GeneratorBoundCheck(count, inv.delta, mu, bound, count <= bound)
 
 
@@ -370,48 +369,38 @@ def generator_bound_check(curve: BranchCurve, count: int,
 class TameReport(namedtuple(
         "TameReport",
         "p semigroups invariants parameter_valuations discriminant_valuation "
-        "extension_degree generator_count generator_bound precision seed")):
+        "extension_degree generator_count generator_bound precision")):
     """The tame command's result.
 
     semigroups is a tuple of int tuples, one per branch, and
     parameter_valuations a tuple of ints; invariants is a TameInvariants
-    and generator_bound a GeneratorBoundCheck. Every other field is an int.
+    and generator_bound a GeneratorBoundCheck. Every other field is an int:
+    precision is default_precision(curve), the truncation order at which
+    the series oracle (discriminant_valuation) would start. No series is
+    built at it.
     """
 
     __slots__ = ()
 
 
-def tame_report(curve: BranchCurve, precision: int | None = None,
-                seed: int = 0, mu: int = 1) -> TameReport:
-    """All tame-curve outputs for one curve, at a shared precision.
+def tame_report(curve: BranchCurve, mu: int = 1) -> TameReport:
+    """All tame-curve outputs for one curve, each from a theorem.
 
     The parameter valuations are the gammas: the parameter is t^gamma on
     each branch, and gamma lies in the branch piece because gamma - beta is
-    past the conductor. Truncated at the precision, t^gamma must survive,
-    so the precision must exceed every gamma; a lower one is refused with
-    a retry precision, at least double it, that does. The discriminant
-    valuation is Delta by the block theorem (module docstring), and the
-    extension degree and the generator count are delta (extension_degree),
-    so no branch is realized. A precision past MAX_PRECISION, given or
-    the default, is refused as the series route (discriminant_valuation,
-    the oracle) would refuse it.
+    past the conductor. The discriminant valuation is Delta by the block
+    theorem (module docstring), and the extension degree and the generator
+    count are delta (extension_degree), so no branch is realized. A default
+    precision past MAX_PRECISION is refused as the series route
+    (discriminant_valuation, the oracle) would refuse it.
     """
     inv = tame_invariants(curve)
-    default = default_precision(curve)
-    n = default if precision is None else precision
-    if n < 1:
-        raise PreconditionError("precision must be positive")
-    gammas = tuple(b.gamma for b in inv.per_branch)
-    if n <= max(gammas):
-        raise PrecisionLossError(
-            f"valuation not certified below precision {n}",
-            required=max(2 * n, max(gammas) + 1))
-    top = max(n, default)
-    if top > MAX_PRECISION:
-        raise PreconditionError(f"precision {top} exceeds {MAX_PRECISION}")
+    n = default_precision(curve)
+    if n > MAX_PRECISION:
+        raise PreconditionError(f"precision {n} exceeds {MAX_PRECISION}")
     degree = extension_degree(curve)
     bound = generator_bound_check(curve, degree, mu)
     return TameReport(curve.p,
                       tuple(b.semigroup_generators for b in curve.branches),
-                      inv, gammas, inv.Delta, degree,
-                      degree, bound, n, seed)
+                      inv, tuple(b.gamma for b in inv.per_branch), inv.Delta,
+                      degree, degree, bound, n)

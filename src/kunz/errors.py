@@ -2,10 +2,17 @@
 
 Each class carries the process exit code the CLI ends with on it, as
 exit_code; new error types should subclass one of these rather than
-Exception.
+Exception. MAX_DIGITS is the one limit on the decimal digits of an int,
+which the polynomial parser and the result documents both obey.
 """
 
 from __future__ import annotations
+
+# The most decimal digits of an int the package reads or writes: Python's
+# default limit on int-to-decimal conversion (sys.get_int_max_str_digits),
+# which int() on a literal and JSON output obey. Past it, a ParseError or
+# a CapacityError refuses the number.
+MAX_DIGITS = 4300
 
 
 class KunzError(Exception):
@@ -58,6 +65,8 @@ class PrecisionLossError(KunzError):
     """A truncated power series computation cannot certify the answer.
 
     ``required`` suggests a precision that would let the caller retry.
+    Only the series oracle (curves.discriminant_valuation and the series
+    layer) raises it, and no command runs that, so no command exits 6.
     """
 
     exit_code = 6

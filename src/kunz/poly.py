@@ -22,10 +22,12 @@ Expression grammar (EBNF), also shown in the README:
     variable = letter { letter | digit | "_" } ;
 
 The parser tokenizes the whole text in one pass of one regular expression,
-which refuses the first character that starts no token, and closes the
-token list with an end token at len(text). It then descends the grammar,
-one method per rule, taking every product with the caller's deadline
-check. An error names the offending token and its position in the text.
+which refuses the first character that starts no token, integer literal
+of more than MAX_DIGITS digits or parenthesis opened past MAX_NESTING
+levels, and closes the token list with an end token at len(text). It then
+descends the grammar, one method per rule, taking every product with the
+caller's deadline check. An error names the offending token and its
+position in the text.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import partial
 from typing import Callable, Iterator
 
 from . import kernel
-from .errors import CapacityError, ParseError, PreconditionError
+from .errors import MAX_DIGITS, CapacityError, ParseError, PreconditionError
 from .field import require_frobenius_power
 
 Exps = tuple[int, ...]
@@ -361,6 +363,10 @@ def format_polynomial(f: Polynomial) -> str:
 
 # One pass of _TOKEN_RE reads the whole text: "bad" is any other character
 # and "end" the empty token at len(text) that closes every token list.
+# Parentheses nest at most this deep: each level is five frames of the
+# descent, so the cap keeps the parse well inside Python's recursion limit
+# whatever the caller's stack depth. A capacity, not a setting.
+MAX_NESTING = 100
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*^()])|(?P<end>\Z)|(?P<bad>\S))")
 
@@ -372,12 +378,19 @@ class _Parser:
         # every product, those of a power's repeated squaring included
         self.times = partial(Polynomial.times, check_deadline=check_deadline)
         self.tokens: list[tuple[str, str, int]] = []
+        depth = 0  # of the open parentheses, which the descent recurses on
         for m in _TOKEN_RE.finditer(text):
             kind = m.lastgroup
+            value, at = m[kind], m.start(kind)
+            depth += (value == "(") - (value == ")")
             if kind == "bad":
-                raise ParseError(f"unexpected character {m[kind]!r}",
-                                 m.start(kind))
-            self.tokens.append((kind, m[kind], m.start(kind)))
+                raise ParseError(f"unexpected character {value!r}", at)
+            if kind == "int" and len(value) > MAX_DIGITS:
+                raise ParseError(f"integer literal of {len(value)} digits "
+                                 f"exceeds {MAX_DIGITS}", at)
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest past {MAX_NESTING}", at)
+            self.tokens.append((kind, value, at))
         self.index = 0
 
     def _next(self) -> tuple[str, str, int]:

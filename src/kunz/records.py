@@ -21,10 +21,12 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
-from .errors import PreconditionError
+from .errors import MAX_DIGITS, CapacityError, PreconditionError
 from .textio import render_job
 
 SCHEMA_VERSION = 1
+# The least int of more than MAX_DIGITS decimal digits: no payload holds one.
+_TOO_LONG = 10 ** MAX_DIGITS
 
 # The commands whose payloads have a CSV view (csv_rows).
 TABULAR_COMMANDS = ("hk", "fsig", "scan", "verify-bounds")
@@ -33,7 +35,10 @@ TABULAR_COMMANDS = ("hk", "fsig", "scan", "verify-bounds")
 def encode_value(value):
     """Recursively make a payload JSON-safe; Fractions become num/den.
     Refuses every type but Fraction, bool, None, int, str, dict, list and
-    tuple."""
+    tuple, and a number with a part of more than MAX_DIGITS digits."""
+    if isinstance(value, (int, Fraction)) and _TOO_LONG <= max(
+            abs(value.numerator), value.denominator):
+        raise CapacityError(f"a payload number exceeds {MAX_DIGITS} digits")
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):

@@ -23,6 +23,7 @@ holds.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
@@ -218,16 +219,24 @@ def semicontinuity_verdict(e_values: tuple[int, ...],
                            sub_gens: list[list[Polynomial]],
                            budget: Budget | None = None) -> ScanVerdicts:
     """Exact pairwise comparisons; every failure is listed with its pair.
-    sub_gens holds the parsed generators of each of sub_records. Every
-    point is compared with every smooth one, so the budget's deadline is
-    checked once per point."""
+    sub_gens holds the parsed generators of each of sub_records. A point
+    whose lambda_e is at least every smooth reference's and whose s_e is
+    at most every one's, at each e, violates nothing; every other point is
+    compared with every smooth one. The budget's deadline is checked once
+    per point."""
     budget = budget or Budget()
     violations = []
     upper = True
     lower = True
     references = [r for r in records if r.smooth]
+    # per e, the largest reference lambda_e and the least reference s_e
+    most = tuple(map(max, zip(*(r.lambda_values for r in references))))
+    least = tuple(map(min, zip(*(r.s_values for r in references))))
     for special in records:
         budget.check_deadline()
+        if (all(map(operator.ge, special.lambda_values, most))
+                and all(map(operator.le, special.s_values, least))):
+            continue
         for reference in references:
             for i, e in enumerate(e_values):
                 if special.lambda_values[i] < reference.lambda_values[i]:

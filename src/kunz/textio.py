@@ -35,7 +35,7 @@ READS = {
     "fsig": ("variables", "ideal", "point", "e_max", "budget_pairs"),
     "fedder": ("variables", "ideal", "point", "element", "e_cap",
                "budget_pairs"),
-    "tame": ("branches", "cross", "precision", "seed", "mu"),
+    "tame": ("branches", "cross", "seed", "mu"),
     "scan": ("variables", "ideal", "points", "subvarieties", "e_max",
              "budget_pairs"),
     "verify-bounds": ("variables", "ideal", "point", "inner", "socle",
@@ -148,8 +148,8 @@ _JOB_DEFAULTS = {
     "variables": (), "ideal": (), "point": None, "points": None,
     "branches": (), "cross": (), "subvarieties": (), "inner": (),
     "socle": None, "element": None, "m_constant": None,
-    "delta_constant": None, "e_max": None, "e_cap": None, "precision": None,
-    "seed": 0, "mu": 1, "budget_pairs": None,
+    "delta_constant": None, "e_max": None, "e_cap": None, "seed": 0, "mu": 1,
+    "budget_pairs": None,
 }
 
 _JobSpec = namedtuple("_JobSpec", ("command", "p", *_JOB_DEFAULTS),
@@ -202,7 +202,6 @@ _STATEMENTS = {
     "Delta": ("delta_constant", _int, str),
     "emax": ("e_max", _int, str),
     "ecap": ("e_cap", _int, str),
-    "precision": ("precision", _int, str),
     "seed": ("seed", _int, str),
     "mu": ("mu", _int, str),
     "budget_pairs": ("budget_pairs", _int, str),

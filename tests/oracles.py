@@ -661,6 +661,49 @@ def factorized_generic_value(ideal_generators, subvariety_generators,
                                               ring.nvars))
 
 
+def all_pairs_verdict(e_values, records, sub_records, sub_gens):
+    """The scan verdicts as scan.semicontinuity_verdict took them before it
+    skipped the points that cannot violate: every point compared with
+    every smooth one at every e, then every point on a declared
+    subvariety with its generic value. Returns (upper, lower, constancy,
+    violations), the fields of scan.ScanVerdicts."""
+    violations = []
+    upper = lower = True
+    references = [r for r in records if r.smooth]
+    for special in records:
+        for reference in references:
+            for i, e in enumerate(e_values):
+                if special.lambda_values[i] < reference.lambda_values[i]:
+                    upper = False
+                    violations.append(
+                        f"lambda_{e} drops from reference {reference.point} "
+                        f"to {special.point}")
+                if special.s_values[i] > reference.s_values[i]:
+                    lower = False
+                    violations.append(
+                        f"s_{e} rises from reference {reference.point} "
+                        f"to {special.point}")
+    for sub, generators in zip(sub_records, sub_gens):
+        generic = sub.witness_values[0].values
+        for record in records:
+            if any(g.evaluate(record.point) != 0 for g in generators):
+                continue
+            for i, e in enumerate(e_values):
+                if record.lambda_values[i] < generic[i]:
+                    upper = False
+                    violations.append(
+                        f"lambda_{e} at {record.point} is below the generic "
+                        f"value of {sub.generators}")
+    constancy = all(sub.agreement for sub in sub_records)
+    for sub in sub_records:
+        if not sub.agreement:
+            violations.append(
+                f"generic values along {sub.generators} disagree across "
+                "witnesses: some witness lies outside the constructible "
+                "neighborhood")
+    return upper, lower, constancy, tuple(violations)
+
+
 def krull_dimension(generators, ring):
     """dim S/(generators), for generators that are not all zero, from the
     leading terms of buchberger's basis above."""

@@ -126,24 +126,38 @@ def test_tame_refuses_a_characteristic_outside_the_field_range(
     assert "[2, 2^31)" in error["message"]
 
 
-@pytest.mark.parametrize("precision", [16, 20])
-def test_tame_extension_degree_is_delta_at_an_explicit_precision(
-        cli, tmp_path, precision):
-    job = write(tmp_path, "curve.job",
-                f"p = 11;\nbranch = 4, 5;\nprecision = {precision};\n")
+def test_tame_extension_degree_is_delta(cli, tmp_path):
+    """The payload's precision is the oracle's default, 2 Delta + 2, with
+    Delta = 13^2 for gamma = 12."""
+    job = write(tmp_path, "curve.job", "p = 11;\nbranch = 4, 5;\n")
     result = cli(["tame", "--input", job])
     assert result.exit_code == 0
     payload = parse_output(result)["payload"]
     assert payload["delta"] == 12
     assert payload["extension_degree"] == payload["generator_count"] == 12
     assert payload["generator_bound"]["count"] == 12
-    assert payload["precision"] == precision
+    assert payload["precision"] == 340
 
 
+def test_tame_refuses_a_precision_statement(cli, tmp_path):
+    """The payload's precision is the default the series oracle takes, so
+    a job cannot set it."""
+    job = write(tmp_path, "cusp.job",
+                "p = 5;\nbranch = 2, 3;\nprecision = 9;\n")
+    result = cli(["tame", "--input", job])
+    assert result.exit_code == 2
+    assert result.stdout == (
+        '{"error":{"exit_code":2,"message":"unknown statement key '
+        '\'precision\'","type":"ParseError"},"schema_version":1}\n')
+
+
+# the cap holds the whole curve's default precision, 2 Delta + 2: each of
+# the two branches alone would pass it (611620)
 @pytest.mark.parametrize("text, top", [
-    ("p = 5;\nbranch = 2, 3;\nprecision = 1048577;\n", 1048577),
     ("p = 7;\nbranch = 40, 41;\n", 4873444),
-], ids=["given", "default"])
+    ("p = 7;\nbranch = 24, 25;\nbranch = 24, 25;\ncross = 1: 1;\n"
+     "cross = 2: 1;\n", 1232102),
+], ids=["default", "two_branches"])
 def test_tame_refuses_a_precision_past_the_cap(cli, tmp_path, text, top):
     job = write(tmp_path, "curve.job", text)
     result = cli(["tame", "--input", job])
@@ -151,18 +165,6 @@ def test_tame_refuses_a_precision_past_the_cap(cli, tmp_path, text, top):
     assert result.stdout == (
         '{"error":{"exit_code":3,"message":"precision %d exceeds 1048576",'
         '"type":"PreconditionError"},"schema_version":1}\n' % top)
-
-
-def test_tame_answers_a_high_precision_at_once(cli, tmp_path):
-    job = write(tmp_path, "cusp.job",
-                "p = 5;\nbranch = 2, 3;\nprecision = 200000;\n")
-    start = time.perf_counter()
-    result = cli(["tame", "--input", job])
-    assert time.perf_counter() - start < 1
-    assert result.exit_code == 0
-    payload = parse_output(result)["payload"]
-    assert payload["discriminant_valuation"] == 9
-    assert payload["precision"] == 200000
 
 
 def test_tame_generator_bound_at_a_large_mu(cli, tmp_path):
@@ -344,6 +346,26 @@ def test_a_huge_frobenius_exponent_exits_5_at_once(cli, tmp_path, command,
     assert result.stderr == f"ERROR kunz: CapacityError: {error['message']}\n"
 
 
+def test_a_payload_number_past_4300_digits_exits_5_before_any_output(
+        cli, tmp_path):
+    """The colength q^240 at q = (2^31 - 1)^2 has about 4480 digits, past
+    what JSON output can write: neither the CSV view nor a result document
+    is written, only the error document."""
+    names = ", ".join(f"x{i}" for i in range(240))
+    job = write(tmp_path, "wide.job",
+                f"p = {HUGE};\nvars = {names};\nideal = ;\nemax = 2;\n")
+    out, table = tmp_path / "out.json", tmp_path / "out.csv"
+    result = cli(["hk", "--input", job, "--json", str(out),
+                  "--csv", str(table)])
+    assert result.exit_code == 5
+    assert out.read_text() == (
+        '{"error":{"exit_code":5,"message":"a payload number exceeds 4300 '
+        'digits","type":"CapacityError"},"schema_version":1}\n')
+    assert not table.exists()
+    assert result.stderr == ("ERROR kunz: CapacityError: a payload number "
+                             "exceeds 4300 digits\n")
+
+
 def short_deadline(monkeypatch, seconds):
     """Cut the deadline of every job's budget to seconds."""
     budget = kunz.cli._budget
@@ -411,13 +433,12 @@ def test_fedders_power_ends_at_the_deadline(cli, tmp_path, monkeypatch,
 
 def test_a_scan_of_many_points_ends_at_the_deadline(cli, tmp_path,
                                                     monkeypatch):
-    """The zero ideal over F_53 vanishes at all 2809 points, Kunz's count
-    answers each with no deadline check of its own, and comparing every
-    point with every smooth one takes 7.9 million checks. The scan checks
+    """The zero ideal over F_251 vanishes at all 63001 points, and Kunz's
+    count answers each with no deadline check of its own. The scan checks
     the job's deadline, here 0.5 s, once per point in both loops."""
     short_deadline(monkeypatch, 0.5)
     job = write(tmp_path, "plane.job",
-                "p = 53;\nvars = x, y;\nideal = ;\nemax = 1;\n")
+                "p = 251;\nvars = x, y;\nideal = ;\nemax = 1;\n")
     started = time.perf_counter()
     result = cli(["scan", "--input", job])
     assert time.perf_counter() - started < 2
@@ -426,6 +447,21 @@ def test_a_scan_of_many_points_ends_at_the_deadline(cli, tmp_path,
     assert error["message"] == "deadline of 0.5s exceeded"
     assert result.stderr == ("ERROR kunz: BudgetExceededError: "
                              f"{error['message']}\n")
+
+
+def test_a_scan_of_the_plane_over_f53_ends_in_a_document(cli, tmp_path):
+    """All 2809 points are smooth with equal values, so the verdict
+    compares no pair: where every point was compared with every one, 7.9
+    million checks, the scan took about 10 s."""
+    job = write(tmp_path, "plane.job",
+                "p = 53;\nvars = x, y;\nideal = ;\nemax = 1;\n")
+    started = time.perf_counter()
+    result = cli(["scan", "--input", job])
+    assert time.perf_counter() - started < 1
+    assert result.exit_code == 0
+    payload = parse_output(result)["payload"]
+    assert len(payload["points"]) == 2809
+    assert payload["verdicts"]["violations"] == []
 
 
 @pytest.mark.parametrize("branch, refusal", [
@@ -506,18 +542,6 @@ def test_a_malformed_statement_exits_2(cli, tmp_path, command, text,
     assert result.stdout == (
         '{"error":{"exit_code":2,"message":"%s","type":"ParseError"},'
         '"schema_version":1}\n' % message)
-
-
-def test_an_uncertified_valuation_exits_6_with_the_precision_to_retry(
-        cli, tmp_path):
-    job = write(tmp_path, "cusp.job",
-                "p = 5;\nbranch = 2, 3;\nprecision = 2;\n")
-    result = cli(["tame", "--input", job])
-    assert result.exit_code == 6
-    assert parse_output(result) == {"schema_version": 1, "error": {
-        "type": "PrecisionLossError", "exit_code": 6, "required_precision": 4,
-        "message": "valuation not certified below precision 2 "
-                   "(retry with precision >= 4)"}}
 
 
 def test_a_job_key_the_command_does_not_read_exits_2(cli, tmp_path):
@@ -671,11 +695,11 @@ OPTIONS = {
     "hk": SAMPLED,
     "fsig": SAMPLED,
     "fedder": ("--input", "--json", "--budget-pairs"),
-    "tame": ("--input", "--json", "--precision"),
+    "tame": ("--input", "--json"),
     "scan": SAMPLED,
     "verify-bounds": SAMPLED,
 }
-VALUE_OPTIONS = ("--emax", "--budget-pairs", "--precision")
+VALUE_OPTIONS = ("--emax", "--budget-pairs")
 
 
 @pytest.mark.parametrize("args, listed", [
@@ -697,9 +721,10 @@ def test_each_command_offers_exactly_its_options(cli):
                       if flag in cli([name, "--help"]).stdout}
                for name in COMMANDS}
     assert offered == {name: set(options) for name, options in OPTIONS.items()}
-    # (command, value option) pairs: 18 when every command took all three
+    # (command, value option) pairs: 12 when every command took both
     assert sum(len(flags & set(VALUE_OPTIONS))
-               for flags in offered.values()) == 10
+               for flags in offered.values()) == 9
+    assert len(kunz.cli._OPTIONS) == 5
 
 
 USAGE_ERRORS = {
@@ -723,12 +748,14 @@ USAGE_ERRORS = {
     "fedder_csv": ["fedder", "--input", "{job}", "--csv", "{csv}"],
     "tame_csv": ["tame", "--input", "{job}", "--csv", "{csv}"],
     # value options only where the command reads the value
-    "hk_precision": ["hk", "--input", "{job}", "--precision", "9"],
     "tame_emax": ["tame", "--input", "{job}", "--emax", "2"],
     "tame_budget_pairs": ["tame", "--input", "{job}",
                           "--budget-pairs", "5"],
     "fedder_emax": ["fedder", "--input", "{job}", "--emax", "2"],
+    # no command offers --precision
+    "hk_precision": ["hk", "--input", "{job}", "--precision", "9"],
     "scan_precision": ["scan", "--input", "{job}", "--precision", "9"],
+    "tame_precision": ["tame", "--input", "{job}", "--precision", "9"],
 }
 
 

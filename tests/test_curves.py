@@ -366,40 +366,14 @@ def test_discriminant_is_the_sum_of_the_block_valuations(curve, seed):
     assert discriminant_valuation(curve, seed=seed) == full == Delta
 
 
-@given(tame_curves(), st.integers(0, 9))
+@given(tame_curves())
 @settings(max_examples=15, deadline=None)
-def test_parameter_valuations_are_the_gammas(curve, seed):
-    """gamma lies in every branch piece; a precision of at most max gamma
-    cannot keep t^gamma, and one more can, so a refused precision is retried
-    at least past max gamma."""
+def test_parameter_valuations_are_the_gammas(curve):
+    """gamma lies in every branch piece, and the report gives the gammas."""
     gammas = tuple(b.gamma for b in tame_invariants(curve).per_branch)
     for b, gamma in enumerate(gammas):
         assert branch_piece_membership(curve, b, gamma + 1)[gamma]
-    with pytest.raises(PreconditionError, match="precision must be positive"):
-        tame_report(curve, precision=0, seed=seed)
-    for n in range(1, max(gammas) + 1):
-        with pytest.raises(PrecisionLossError) as err:
-            tame_report(curve, precision=n, seed=seed)
-        required = max(2 * n, max(gammas) + 1)
-        assert err.value.required == required
-        assert str(err.value) == (
-            f"valuation not certified below precision {n} "
-            f"(retry with precision >= {required})")
-    report = tame_report(curve, precision=max(gammas) + 1, seed=seed)
-    assert report.parameter_valuations == gammas
-
-
-@pytest.mark.parametrize("precision", [3, 6, 12])
-def test_one_retry_at_the_required_precision_succeeds(precision):
-    """Branch (5, 6) at p = 7 has gamma 20: doubling 3 would take three
-    retries (6, 12, 24), and the advised precision passes at once."""
-    curve = BranchCurve(7, (Branch((5, 6)),))
-    with pytest.raises(PrecisionLossError) as err:
-        tame_report(curve, precision=precision)
-    assert err.value.required == max(2 * precision, 21)
-    report = tame_report(curve, precision=err.value.required)
-    assert report.parameter_valuations == (20,)
-    assert report.precision == err.value.required
+    assert tame_report(curve).parameter_valuations == gammas
 
 
 def test_generator_bound_check_fields():
@@ -535,17 +509,16 @@ def test_tame_report_realizes_no_curve(monkeypatch):
     assert seen == []
 
 
-@given(tame_curves(), st.integers(0, 9), st.data())
+@given(tame_curves(), st.integers(0, 9))
 @settings(max_examples=15, deadline=None)
-def test_tame_report_agrees_with_the_series_oracle(curve, seed, data):
-    """At any accepted precision n, the reported discriminant is the one
-    the series route certifies at max(n, default)."""
-    top = max(b.gamma for b in tame_invariants(curve).per_branch)
-    default = default_precision(curve)
-    n = data.draw(st.integers(top + 1, default + 10), label="precision")
-    report = tame_report(curve, precision=n, seed=seed)
+def test_tame_report_agrees_with_the_series_oracle(curve, seed):
+    """The reported discriminant is the one the series route certifies at
+    the report's precision, whatever units the seed draws."""
+    n = default_precision(curve)
+    report = tame_report(curve)
+    assert report.precision == n
     assert report.discriminant_valuation == discriminant_valuation(
-        curve, max(n, default), seed)
+        curve, n, seed)
 
 
 def test_generator_bound_refuses_a_bound_too_long_to_write():
@@ -560,9 +533,3 @@ def test_generator_bound_refuses_a_bound_too_long_to_write():
             f"generator bound delta^mu = 2^{mu} exceeds 4300 digits")
     smooth = BranchCurve(5, (SMOOTH,))
     assert generator_bound_check(smooth, 1, mu=10 ** 12).bound == 1
-
-
-def test_reports_are_deterministic_per_seed():
-    a = tame_report(cusp_curve(5), seed=3)
-    b = tame_report(cusp_curve(5), seed=3)
-    assert a == b

@@ -142,6 +142,19 @@ def test_parse_errors_carry_positions():
     ("x^y", "exponent must be an integer literal", 2),
     ("x^2000000000000", "exponent 2000000000000 exceeds the 2^40 capacity",
      2),
+    # past Python's int() limit, a literal or an exponent alike
+    pytest.param("x + " + "1" * 4301,
+                 "integer literal of 4301 digits exceeds 4300", 4,
+                 id="long_literal"),
+    pytest.param("x^" + "0" * 4301,
+                 "integer literal of 4301 digits exceeds 4300", 2,
+                 id="long_exponent"),
+    # the 101st open parenthesis, whatever the caller's stack depth
+    pytest.param("(" * 101 + "x" + ")" * 101, "parentheses nest past 100",
+                 100, id="deep"),
+    pytest.param("x*(" + "(y)" * 200 + "(" * 100 + "x",
+                 "parentheses nest past 100", 3 + 3 * 200 + 99,
+                 id="deep_late"),
 ])
 def test_parse_errors_name_the_fault_and_its_position(text, message,
                                                       position):
@@ -150,6 +163,12 @@ def test_parse_errors_name_the_fault_and_its_position(text, message,
         ring.parse(text)
     assert err.value.position == position
     assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_the_parser_takes_literals_and_nesting_up_to_its_caps():
+    ring = PolyRing(FieldConfig(5), ("x", "y"))
+    assert ring.parse("1" * 4300) == ring.constant(int("1" * 4300))
+    assert ring.parse("(" * 100 + "x" + ")" * 100) == ring.variable("x")
 
 
 def test_parse_accepts_the_documented_surface():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kunz.errors import PreconditionError
+from kunz.errors import CapacityError, PreconditionError
 from kunz.field import FieldConfig
 from kunz.poly import PolyRing
 from kunz.records import (RunRecord, content_hash, csv_text, encode_value,
@@ -48,6 +48,18 @@ def test_values_of_other_types_are_refused_in_payloads():
             encode_value({"oops": [value]})
         assert str(err.value) == (
             f"refusing to serialize a {name} into a results payload")
+
+
+def test_numbers_past_4300_digits_are_refused_in_payloads():
+    """Python's int-to-decimal limit: 10^4300 has 4301 digits."""
+    longest = 10 ** 4300 - 1
+    assert encode_value([longest, -longest]) == [longest, -longest]
+    assert encode_value(Fraction(1, longest))["den"] == str(longest)
+    for value in (10 ** 4300, -10 ** 4300, Fraction(10 ** 4300, 3),
+                  Fraction(-1, 10 ** 4300)):
+        with pytest.raises(CapacityError) as err:
+            encode_value({"samples": [{"colength": value}]})
+        assert str(err.value) == "a payload number exceeds 4300 digits"
 
 
 def test_format_rational():
@@ -107,11 +119,11 @@ _JOB_DEFAULTS = {
     "variables": (), "ideal": (), "point": None, "points": None,
     "branches": (), "cross": (), "subvarieties": (), "inner": (),
     "socle": None, "element": None, "m_constant": None,
-    "delta_constant": None, "e_max": None, "e_cap": None, "precision": None,
-    "seed": 0, "mu": 1, "budget_pairs": None}
+    "delta_constant": None, "e_max": None, "e_cap": None, "seed": 0, "mu": 1,
+    "budget_pairs": None}
 _JOB_FIELDS = ("command p variables ideal point points branches cross "
                "subvarieties inner socle element m_constant delta_constant "
-               "e_max e_cap precision seed mu budget_pairs")
+               "e_max e_cap seed mu budget_pairs")
 _BRANCH = ("semigroup_generators cross_valuations conductor",
            {"cross_valuations": (), "conductor": None})
 RECORD_SHAPES = {
@@ -127,7 +139,7 @@ RECORD_SHAPES = {
         "TameReport": (
             "p semigroups invariants parameter_valuations "
             "discriminant_valuation extension_degree generator_count "
-            "generator_bound precision seed", {}),
+            "generator_bound precision", {}),
     },
     "field": {"_FieldConfig": ("p", {}), "FieldConfig": ("p", {})},
     "fsplit": {

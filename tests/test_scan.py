@@ -1,6 +1,8 @@
 import re
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
 import pytest
 
 from kunz.engine import Budget
@@ -12,7 +14,7 @@ from kunz.scan import (PointRecord, ScanVerdicts, SubvarietyRecord,
                        WitnessValues, enumerate_points, generic_value,
                        scan_points, semicontinuity_verdict)
 from kunz.textio import SubvarietySpec
-from oracles import factorized_generic_value
+from oracles import all_pairs_verdict, factorized_generic_value
 
 
 def ring3():
@@ -219,3 +221,42 @@ def test_semicontinuity_verdict_lists_each_violation(records, subs,
                                                      verdicts):
     assert semicontinuity_verdict(
         (1,), records, subs, [[X_AXIS]] * len(subs)) == verdicts
+
+
+# few values, so that ties between points are common
+VALUES = st.sampled_from([Fraction(n, 4) for n in range(5)])
+SUBVARIETY_TEXTS = ["x", "y", "x - y", "x*y - 1"]
+
+
+@st.composite
+def verdict_inputs(draw):
+    """semicontinuity_verdict's arguments over F_5[x, y]: distinct points,
+    each smooth or not, with drawn values at one to three e, and up to two
+    subvarieties, each with one or two witnesses."""
+    e_values = tuple(range(1, draw(st.integers(1, 3)) + 1))
+    values = st.tuples(*[VALUES] * len(e_values))
+    points = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                           unique=True, max_size=8))
+    records = [PointRecord(point, 1, draw(st.booleans()), draw(values),
+                           draw(values)) for point in points]
+    texts = draw(st.lists(st.sampled_from(SUBVARIETY_TEXTS), max_size=2))
+    subs = []
+    for text in texts:
+        witness_values = tuple(WitnessValues((0, i), draw(values))
+                               for i in range(draw(st.integers(1, 2))))
+        agreement = len({wv.values for wv in witness_values}) == 1
+        subs.append(SubvarietyRecord((text,), 1, 1, witness_values,
+                                     agreement))
+    ring = X_AXIS.ring
+    return e_values, records, subs, [[ring.parse(t)] for t in texts]
+
+
+@given(verdict_inputs())
+def test_semicontinuity_verdict_is_the_all_pairs_verdict(inputs):
+    assert semicontinuity_verdict(*inputs) == all_pairs_verdict(*inputs)
+
+
+def test_a_spent_budget_stops_the_verdict():
+    with pytest.raises(BudgetExceededError, match="deadline"):
+        semicontinuity_verdict((1,), [REFERENCE, special(1, 1)], [], [],
+                               Budget(deadline_seconds=0))

@@ -111,7 +111,6 @@ def job_specs(draw):
         delta_constant=draw(optional_ints),
         e_max=draw(optional_ints),
         e_cap=draw(optional_ints),
-        precision=draw(optional_ints),
         seed=draw(ints),
         mu=draw(ints),
         budget_pairs=draw(optional_ints),
@@ -184,8 +183,8 @@ AWAY_FROM_DEFAULT = {
     "branches": ((2, 3),), "cross": ((4,),),
     "subvarieties": (SubvarietySpec(("x",), ((0,),), ()),),
     "inner": ("x",), "socle": "1", "element": "x", "m_constant": 2,
-    "delta_constant": 9, "e_max": 2, "e_cap": 2, "precision": 9, "seed": 3,
-    "mu": 2, "budget_pairs": 5,
+    "delta_constant": 9, "e_max": 2, "e_cap": 2, "seed": 3, "mu": 2,
+    "budget_pairs": 5,
 }
 
 
@@ -205,13 +204,12 @@ def test_job_spec_takes_only_the_fields_its_command_reads():
     assert accepted == {(command, field)
                         for command, fields in READS.items()
                         for field in fields}
-    # (command, field) pairs: 6 * 18 = 108 when every command took all
-    assert len(accepted) == 38
+    # (command, field) pairs: 6 * 17 = 102 when every command took all
+    assert len(accepted) == 37
 
 
 @pytest.mark.parametrize("text, key", [
-    ("command = hk; p = 5; vars = x; ideal = x; precision = 9;",
-     "precision"),
+    ("command = hk; p = 5; vars = x; ideal = x; ecap = 2;", "ecap"),
     ("command = tame; p = 5; branch = 2, 3; vars = x;", "vars"),
     ("command = scan; p = 5; vars = x, y; ideal = x*y; point = 0, 0;",
      "point"),
@@ -222,7 +220,7 @@ def test_job_spec_takes_only_the_fields_its_command_reads():
     ("command = hk; p = 5; vars = x; ideal = x; mu = 1;", "mu"),
     ("command = hk; p = 5; vars = x; ideal = x; seed = 0;", "seed"),
     ("command = tame; p = 5; vars = ; branch = 2, 3;", "vars"),
-], ids=["hk_precision", "tame_vars", "scan_point", "hk_branch", "fsig_sub",
+], ids=["hk_ecap", "tame_vars", "scan_point", "hk_branch", "fsig_sub",
         "hk_default_mu", "hk_default_seed", "tame_empty_vars"])
 def test_a_key_the_command_does_not_read_is_refused(text, key):
     with pytest.raises(ParseError) as err:
