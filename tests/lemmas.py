@@ -10,6 +10,8 @@ tests compare them with the value the lemma predicts:
   extension;
 * piece_generators and branch_piece_membership, the valuations of a
   branch piece;
+* realized_rank_drop, the rank drop of a realized piece module at a
+  truncation, the oracle of extension_degree;
 * verify_basic_lengths, the colon/quotient length identity (acceptance
   criterion 6);
 * hypersurface_bound, colength((F) + m^[q]) <= n * q^(d-1) for F of order
@@ -17,7 +19,7 @@ tests compare them with the value the lemma predicts:
 
 No command calls them, so they live beside the oracles rather than in the
 package. tests/test_curves.py and tests/test_hk.py check them on known
-cases.
+cases, and tests/test_cli.py reads realized_rank_drop.
 """
 
 from __future__ import annotations
@@ -131,6 +133,31 @@ def series_row(series: TruncatedSeries, offset: int, width: int,
         if m < bound:
             row[offset + m] = c
     return row
+
+
+def realized_rank_drop(curve: BranchCurve, branches, bound: int) -> int:
+    """dim of (piece module)/(T * piece module) row-reduced at the bound.
+
+    The piece module of branch b is spanned by s^v for v in the branch
+    piece; T acts as s^gamma. Both spans are row-reduced on t-coefficient
+    vectors and the difference of their ranks is returned.
+    """
+    width = len(branches) * bound
+    full = RowSpace(curve.p)
+    shifted = RowSpace(curve.p)
+    drop = 0
+    for b_index, br in enumerate(branches):
+        member = branch_piece_membership(curve, b_index, bound)
+        offset = b_index * bound
+        s_power = TruncatedSeries.one(curve.p).truncate(bound)
+        for v in range(bound):
+            if member[v]:
+                row = series_row(s_power, offset, width, bound)
+                drop += full.add(row)
+                if v >= br.gamma and member[v - br.gamma]:
+                    drop -= shifted.add(row)
+            s_power = (s_power * br.s).truncate(bound)
+    return drop
 
 
 class RootClosureCheck(namedtuple("RootClosureCheck", "p m tested passed")):

@@ -14,8 +14,10 @@ import pytest
 
 import kunz.cli
 from kunz.cli import main
+from kunz.curves import Branch, BranchCurve, realize_curve
 from kunz.engine import Budget
 from kunz.textio import READS
+from lemmas import realized_rank_drop
 
 CONE = "p = 5;\nvars = x, y, z;\nideal = x*y - z^2;\n"
 NODE = "p = 3;\nvars = x, y;\nideal = x*y;\n"
@@ -126,8 +128,13 @@ def test_tame_refuses_a_characteristic_outside_the_field_range(
     assert "[2, 2^31)" in error["message"]
 
 
-def test_tame_extension_degree_is_delta(cli, tmp_path):
-    """The payload's precision is the oracle's default, 2 Delta + 2, with
+@pytest.mark.parametrize("precision", [16, 20])
+def test_tame_extension_degree_is_delta_at_an_explicit_precision(
+        cli, tmp_path, precision):
+    """The payload's extension degree is delta = 12 although a realization
+    truncated at 16 or 20, below the rank threshold 24, shows a smaller
+    rank drop: the degree comes from the theorem, not from a truncation.
+    The payload's precision is the oracle's default, 2 Delta + 2, with
     Delta = 13^2 for gamma = 12."""
     job = write(tmp_path, "curve.job", "p = 11;\nbranch = 4, 5;\n")
     result = cli(["tame", "--input", job])
@@ -137,6 +144,9 @@ def test_tame_extension_degree_is_delta(cli, tmp_path):
     assert payload["extension_degree"] == payload["generator_count"] == 12
     assert payload["generator_bound"]["count"] == 12
     assert payload["precision"] == 340
+    curve = BranchCurve(11, (Branch((4, 5)),))
+    branches = realize_curve(curve, precision)
+    assert realized_rank_drop(curve, branches, precision) < 12
 
 
 def test_tame_refuses_a_precision_statement(cli, tmp_path):

@@ -12,11 +12,10 @@ from kunz.curves import (MAX_DOUBLINGS, Branch, BranchCurve, _trace_block,
                          realize_curve, semigroup_conductor,
                          semigroup_membership, tame_invariants, tame_report)
 from kunz.errors import CapacityError, PrecisionLossError, PreconditionError
-from kunz.field import RowSpace
 from kunz.series import TruncatedSeries, determinant_valuation
 from lemmas import (branch_piece_membership, piece_generators,
-                    root_closure_check, series_row, split_reduction_check,
-                    tame_trial_valuation)
+                    realized_rank_drop, root_closure_check,
+                    split_reduction_check, tame_trial_valuation)
 from oracles import semigroup_conductor_brute, semigroup_elements
 
 CUSP = Branch((2, 3))
@@ -202,31 +201,6 @@ def test_degree_and_generator_counts():
 
 
 # -- the realized rank drop, kept as an oracle for extension_degree ----------
-
-
-def realized_rank_drop(curve, branches, bound):
-    """dim of (piece module)/(T * piece module) row-reduced at the bound.
-
-    The piece module of branch b is spanned by s^v for v in the branch
-    piece; T acts as s^gamma. Both spans are row-reduced on t-coefficient
-    vectors and the difference of their ranks is returned.
-    """
-    width = len(branches) * bound
-    full = RowSpace(curve.p)
-    shifted = RowSpace(curve.p)
-    drop = 0
-    for b_index, br in enumerate(branches):
-        member = branch_piece_membership(curve, b_index, bound)
-        offset = b_index * bound
-        s_power = TruncatedSeries.one(curve.p).truncate(bound)
-        for v in range(bound):
-            if member[v]:
-                row = series_row(s_power, offset, width, bound)
-                drop += full.add(row)
-                if v >= br.gamma and member[v - br.gamma]:
-                    drop -= shifted.add(row)
-            s_power = (s_power * br.s).truncate(bound)
-    return drop
 
 
 def rank_threshold(curve):
